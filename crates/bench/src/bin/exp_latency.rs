@@ -5,7 +5,7 @@
 //! mode vs exact mode.
 
 use foresight_bench::{fmt_duration, time, workload};
-use foresight_engine::{Executor, InsightIndex, InsightQuery};
+use foresight_engine::{Executor, InsightIndex, InsightQuery, ScoreCache};
 use foresight_insight::InsightRegistry;
 use foresight_sketch::{CatalogConfig, SketchCatalog};
 
@@ -72,7 +72,10 @@ fn main() {
         ];
 
         for (name, q) in queries {
-            let (idx_out, t_index) = time(|| index.query(&table, &registry, &q));
+            // a fresh memo per call: the index column stays a cold describe,
+            // like the two executor columns beside it
+            let (idx_out, t_index) =
+                time(|| index.query(&table, &registry, &q, &ScoreCache::new()));
             let (a, t_approx) = time(|| approx.execute(&q).expect("valid query"));
             // exact correlation scans at this scale are the slow path the
             // paper's sketches exist to avoid; run them once for contrast

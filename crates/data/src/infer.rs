@@ -57,17 +57,22 @@ fn parse_number(field: &str) -> Option<f64> {
 }
 
 /// Classifies and materializes the columns of a parsed CSV body.
-pub fn infer_columns(
+///
+/// `body` is the document's data fields, flat and row-major
+/// (`rows × header.len()`); each column is read straight from its stride.
+pub fn infer_columns<S: AsRef<str>>(
     name: &str,
-    header: &[String],
-    rows: &[Vec<String>],
+    header: &[S],
+    body: &[S],
     options: &InferOptions,
 ) -> Result<Table> {
+    let width = header.len();
+    debug_assert_eq!(body.len() % width.max(1), 0, "body must be rectangular");
     let mut builder = TableBuilder::new(name);
     for (c, col_name) in header.iter().enumerate() {
-        let fields = rows.iter().map(|r| r[c].as_str());
+        let fields = body.iter().skip(c).step_by(width).map(S::as_ref);
         builder = if let Some(values) = try_numeric(fields.clone(), options) {
-            builder.column(col_name, NumericColumn::new(values))
+            builder.column(col_name.as_ref(), NumericColumn::new(values))
         } else {
             let cells = fields.map(|f| {
                 if options.is_null(f) {
@@ -76,7 +81,7 @@ pub fn infer_columns(
                     Some(f.trim())
                 }
             });
-            builder.column(col_name, CategoricalColumn::from_options(cells))
+            builder.column(col_name.as_ref(), CategoricalColumn::from_options(cells))
         };
     }
     builder.build()
@@ -127,18 +132,12 @@ fn try_numeric<'a>(
 mod tests {
     use super::*;
 
-    fn rows(data: &[&[&str]]) -> Vec<Vec<String>> {
-        data.iter()
-            .map(|r| r.iter().map(|s| s.to_string()).collect())
-            .collect()
-    }
-
     #[test]
     fn numeric_detection() {
         let t = infer_columns(
             "t",
-            &["a".into()],
-            &rows(&[&["1"], &["2.5"], &["-3e2"], &[" 4 "]]),
+            &["a"],
+            &["1", "2.5", "-3e2", " 4 "],
             &InferOptions::default(),
         )
         .unwrap();
@@ -152,8 +151,8 @@ mod tests {
     fn null_tokens_become_missing() {
         let t = infer_columns(
             "t",
-            &["a".into()],
-            &rows(&[&["1"], &["NA"], &["nan"], &[""]]),
+            &["a"],
+            &["1", "NA", "nan", ""],
             &InferOptions::default(),
         )
         .unwrap();
@@ -162,13 +161,7 @@ mod tests {
 
     #[test]
     fn mixed_becomes_categorical() {
-        let t = infer_columns(
-            "t",
-            &["a".into()],
-            &rows(&[&["1"], &["two"], &["3"]]),
-            &InferOptions::default(),
-        )
-        .unwrap();
+        let t = infer_columns("t", &["a"], &["1", "two", "3"], &InferOptions::default()).unwrap();
         assert_eq!(t.categorical_by_name("a").unwrap().cardinality(), 3);
     }
 
@@ -185,23 +178,17 @@ mod tests {
             max_integer_categories: 3,
             ..Default::default()
         };
-        let body = rows(&[&["1"], &["2"], &["1"], &["2"]]);
-        let t = infer_columns("t", &["a".into()], &body, &opts).unwrap();
+        let body = ["1", "2", "1", "2"];
+        let t = infer_columns("t", &["a"], &body, &opts).unwrap();
         assert!(t.categorical_by_name("a").is_ok());
         // disabled by default
-        let t = infer_columns("t", &["a".into()], &body, &InferOptions::default()).unwrap();
+        let t = infer_columns("t", &["a"], &body, &InferOptions::default()).unwrap();
         assert!(t.numeric_by_name("a").is_ok());
     }
 
     #[test]
     fn all_missing_column_is_categorical() {
-        let t = infer_columns(
-            "t",
-            &["a".into()],
-            &rows(&[&[""], &["NA"]]),
-            &InferOptions::default(),
-        )
-        .unwrap();
+        let t = infer_columns("t", &["a"], &["", "NA"], &InferOptions::default()).unwrap();
         assert_eq!(t.categorical_by_name("a").unwrap().null_count(), 2);
     }
 }

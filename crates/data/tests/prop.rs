@@ -5,9 +5,9 @@ use foresight_data::infer::InferOptions;
 use foresight_data::{CategoricalColumn, NumericColumn, TableBuilder};
 use proptest::prelude::*;
 
-/// Arbitrary field content, including CSV-hostile characters.
+/// Arbitrary field content, including CSV-hostile and multi-byte characters.
 fn field() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-zA-Z0-9 ,\"\n_.-]{0,12}").expect("valid regex")
+    proptest::string::string_regex("[a-zA-Z0-9 ,\"\n_.éüßΩ中€😀-]{0,12}").expect("valid regex")
 }
 
 proptest! {

@@ -94,9 +94,9 @@ pub struct EngineCore {
     published_at_ns: u64,
     /// Per-mode memo of the dataset profile ([`Mode::Exact`],
     /// [`Mode::Approximate`]). A profile is a pure function of this
-    /// immutable snapshot, but an expensive one (per-column dip/modality
-    /// scans) — serving fronts hit the `profile` endpoint per session, so
-    /// it is computed once per snapshot per mode. Errors are not cached.
+    /// immutable snapshot and the mode — serving fronts hit the `profile`
+    /// endpoint per session, so it is assembled once per snapshot per
+    /// mode. Errors are not cached.
     profile_memo: [OnceLock<DatasetProfile>; 2],
 }
 
@@ -515,10 +515,12 @@ impl EngineCore {
         {
             let span = self.metrics.span(Stage::IndexServe);
             trace.begin("index_serve");
-            if let Some(out) = ix
-                .index
-                .query(self.exec_table_at(mode)?, &self.registry, query)
-            {
+            if let Some(out) = ix.index.query(
+                self.exec_table_at(mode)?,
+                &self.registry,
+                query,
+                &self.cache,
+            ) {
                 drop(span);
                 self.metrics.record_query(&query.class_id, mode, true);
                 trace.set_index_served();
@@ -572,10 +574,18 @@ impl EngineCore {
     }
 
     /// Profiles the dataset under an explicit mode: per-column summaries
-    /// plus the strongest instance of every registered class. A sharded
-    /// source in approximate mode is profiled entirely from the merged
-    /// catalog — no shard concatenation.
-    /// Memoized per snapshot and mode — the first call pays the scan,
+    /// plus the strongest instance of every registered class.
+    ///
+    /// A profile is a function of (snapshot, mode). The headlines are this
+    /// core's own answers to `class.top_k(1)` under `mode` — served from
+    /// the insight index when one exists for that mode, scored through the
+    /// cached executor otherwise — so they are exactly what a session
+    /// querying in that mode sees, and nothing is scored twice. Column
+    /// summaries are exact on a materialized source; a sharded source in
+    /// approximate mode takes them from the merged catalog with no shard
+    /// concatenation.
+    ///
+    /// Memoized per snapshot and mode — the first call does the work,
     /// every later one clones the cached profile.
     pub fn profile_at(&self, mode: Mode) -> Result<DatasetProfile> {
         let memo = &self.profile_memo[match mode {
@@ -586,16 +596,27 @@ impl EngineCore {
             return Ok(profile.clone());
         }
         let _span = self.metrics.span(Stage::Profile);
-        let profile = if self.sketch_backed_at(mode) {
+        let columns = if self.sketch_backed_at(mode) {
             let catalog = self.catalog.as_ref().ok_or(EngineError::NoCatalog)?;
-            crate::profile::profile_from_catalog(
-                &self.source,
-                catalog,
-                &self.registry,
-                self.schema_table(),
-            )?
+            crate::profile::column_profiles_from_catalog(&self.source, catalog)
         } else {
-            crate::profile::profile(self.try_table()?, &self.registry)?
+            crate::profile::column_profiles(self.try_table()?)?
+        };
+        let mut headline_insights = Vec::new();
+        for class in self.registry.classes() {
+            headline_insights.append(&mut self.run_query_with(
+                &InsightQuery::class(class.id()).top_k(1),
+                mode,
+                self.parallel,
+                CandidateStrategy::Auto,
+                &mut TraceBuilder::disabled(),
+            )?);
+        }
+        let profile = DatasetProfile {
+            name: self.source.name().to_owned(),
+            rows: self.source.n_rows(),
+            columns,
+            headline_insights,
         };
         Ok(memo.get_or_init(|| profile).clone())
     }

@@ -533,9 +533,12 @@ mod tests {
                     snap.to_text()
                 );
             }
-            assert_eq!(snap.queries.total, 2);
-            assert_eq!(snap.queries.approximate, 2);
-            assert_eq!(snap.queries.by_class["skew"], 1);
+            // the two queries above, plus the profile's own top-1 query
+            // per class — its headlines go through the query path
+            let headlines = core.registry().len() as u64;
+            assert_eq!(snap.queries.total, 2 + headlines);
+            assert_eq!(snap.queries.approximate, 2 + headlines);
+            assert_eq!(snap.queries.by_class["skew"], 2);
         } else {
             assert_eq!(snap.queries.total, 0);
             assert!(snap.stages.iter().all(|s| s.count == 0));

@@ -7,6 +7,7 @@
 //! descending score. Basic insight queries then reduce to a filtered scan
 //! of a precomputed list — no metric evaluation at query time at all.
 
+use crate::cache::ScoreCache;
 use crate::query::InsightQuery;
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, InsightInstance, InsightRegistry};
@@ -170,11 +171,18 @@ impl InsightIndex {
     /// Returns `None` when the query cannot be served from the index: the
     /// class is not indexed, or the query overrides the ranking metric
     /// (alternative metrics are not precomputed).
+    ///
+    /// Scores come from the index; each result's `detail` goes through
+    /// `cache`'s description memo, exactly as executor results do, so a
+    /// warm query never refits a class's model to describe a result it
+    /// has described before (and a republish retires stale descriptions
+    /// on this path by the same rule).
     pub fn query(
         &self,
         table: &Table,
         registry: &InsightRegistry,
         query: &InsightQuery,
+        cache: &ScoreCache,
     ) -> Option<Vec<InsightInstance>> {
         if query.metric.is_some() {
             return None;
@@ -217,7 +225,9 @@ impl InsightIndex {
                             class.metric()
                         )
                     } else {
-                        class.describe(table, &attrs, score)
+                        cache.detail(class.id(), &attrs, score, || {
+                            class.describe(table, &attrs, score)
+                        })
                     },
                 })
                 .collect(),
@@ -249,6 +259,7 @@ mod tests {
         let r = InsightRegistry::default();
         let index = InsightIndex::build(&t, &r, None);
         let ex = Executor::exact(&t, &r);
+        let cache = ScoreCache::new();
         for q in [
             InsightQuery::class("linear-relationship").top_k(3),
             InsightQuery::class("skew").top_k(2),
@@ -260,7 +271,7 @@ mod tests {
                 .top_k(2)
                 .exclude(foresight_insight::AttrTuple::Two(0, 1)),
         ] {
-            let from_index = index.query(&t, &r, &q).expect("indexed");
+            let from_index = index.query(&t, &r, &q, &cache).expect("indexed");
             let from_executor = ex.execute(&q).expect("valid");
             assert_eq!(from_index, from_executor, "query {q:?} disagrees");
         }
@@ -271,10 +282,11 @@ mod tests {
         let t = table();
         let r = InsightRegistry::default();
         let index = InsightIndex::build(&t, &r, None);
+        let cache = ScoreCache::new();
         let q = InsightQuery::class("linear-relationship").metric("|spearman|");
-        assert!(index.query(&t, &r, &q).is_none());
+        assert!(index.query(&t, &r, &q, &cache).is_none());
         assert!(index
-            .query(&t, &r, &InsightQuery::class("not-a-class"))
+            .query(&t, &r, &InsightQuery::class("not-a-class"), &cache)
             .is_none());
     }
 
@@ -319,7 +331,7 @@ mod tests {
         let approx = Executor::approximate(&t, &r, &catalog);
         let q = InsightQuery::class("linear-relationship").top_k(3);
         assert_eq!(
-            index.query(&t, &r, &q).unwrap(),
+            index.query(&t, &r, &q, &ScoreCache::new()).unwrap(),
             approx.execute(&q).unwrap()
         );
         assert_eq!(index.len(), 12);

@@ -63,10 +63,10 @@ pub use monitor::{
     MonitorSample, MonitorTarget, StageWindow,
 };
 pub use neighborhood::NeighborhoodWeights;
-pub use profile::{profile, profile_from_catalog, ColumnProfile, DatasetProfile};
+pub use profile::{ColumnProfile, DatasetProfile};
 pub use query::InsightQuery;
 pub use recommend::{Carousel, CarouselConfig};
-pub use session::{Session, SessionEvent};
+pub use session::{Session, SessionEvent, MAX_HISTORY_EVENTS};
 pub use stream::{PublishedCore, RepublishPolicy, StreamConfig, StreamWriter};
 pub use telemetry::{
     build_features, build_version, kernel_name, Endpoint, LshSnapshot, Metrics, MetricsSnapshot,

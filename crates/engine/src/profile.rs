@@ -1,12 +1,16 @@
 //! One-call dataset profiling: per-column descriptive summaries plus the
 //! strongest instance of every insight class — the "jump-start" overview a
 //! new user sees before issuing any query.
+//!
+//! This module owns the profile's shape and the per-column summaries. The
+//! headline insights are the core's own answers to `class.top_k(1)` —
+//! [`EngineCore::profile_at`](crate::EngineCore::profile_at) runs that loop
+//! through its query path, so a profile never scores anything a query
+//! would not.
 
 use crate::error::Result;
-use crate::executor::Executor;
-use crate::query::InsightQuery;
 use foresight_data::{ColumnType, Table, TableSource};
-use foresight_insight::{InsightInstance, InsightRegistry};
+use foresight_insight::InsightInstance;
 use foresight_sketch::SketchCatalog;
 use foresight_stats::{describe, Description, FrequencyTable};
 use serde::{Deserialize, Serialize};
@@ -46,13 +50,13 @@ pub struct DatasetProfile {
     /// Per-column summaries, in schema order.
     pub columns: Vec<ColumnProfile>,
     /// The strongest instance of each insight class that produced one,
-    /// in registry order.
+    /// in registry order: what `query(class.top_k(1))` returns on the
+    /// profiled snapshot in the profiled mode.
     pub headline_insights: Vec<InsightInstance>,
 }
 
-/// Profiles a table: summaries for every column and the top instance of
-/// every class in `registry`.
-pub fn profile(table: &Table, registry: &InsightRegistry) -> Result<DatasetProfile> {
+/// Exact per-column summaries of a materialized table, in schema order.
+pub fn column_profiles(table: &Table) -> Result<Vec<ColumnProfile>> {
     let mut columns = Vec::with_capacity(table.n_cols());
     for (idx, field) in table.schema().fields().iter().enumerate() {
         match field.ty {
@@ -76,39 +80,21 @@ pub fn profile(table: &Table, registry: &InsightRegistry) -> Result<DatasetProfi
             }
         }
     }
-
-    let executor = Executor::exact(table, registry);
-    let mut headline_insights = Vec::new();
-    for class in registry.classes() {
-        if let Ok(mut top) = executor.execute(&InsightQuery::class(class.id()).top_k(1)) {
-            headline_insights.append(&mut top);
-        }
-    }
-
-    Ok(DatasetProfile {
-        name: table.name().to_owned(),
-        rows: table.n_rows(),
-        columns,
-        headline_insights,
-    })
+    Ok(columns)
 }
 
-/// Profiles a partitioned source entirely from its merged sketch catalog —
-/// moments for the numeric summaries, KLL for the quartiles, SpaceSaving /
-/// entropy-sketch / HLL for the categorical profiles, and a sketch-only
-/// executor for the headline insights. No shard is ever read back or
-/// concatenated; `schema_table` is the zero-row table the executor
-/// enumerates candidates against.
+/// Per-column summaries of a partitioned source taken entirely from its
+/// merged sketch catalog — moments for the numeric summaries, KLL for the
+/// quartiles, SpaceSaving / entropy-sketch / HLL for the categorical
+/// profiles. No shard is ever read back or concatenated.
 ///
-/// Numeric summaries differ from the exact [`profile`] only in the
+/// Numeric summaries differ from the exact [`column_profiles`] only in the
 /// quartiles (KLL rank error); count/mean/std/min/max/skewness/kurtosis are
 /// moments-derived and match a single-pass build bit-for-bit.
-pub fn profile_from_catalog(
+pub fn column_profiles_from_catalog(
     source: &TableSource,
     catalog: &SketchCatalog,
-    registry: &InsightRegistry,
-    schema_table: &Table,
-) -> Result<DatasetProfile> {
+) -> Vec<ColumnProfile> {
     let rows = source.n_rows();
     let mut columns = Vec::with_capacity(source.n_cols());
     for (idx, field) in source.schema().fields().iter().enumerate() {
@@ -173,21 +159,7 @@ pub fn profile_from_catalog(
             }
         }
     }
-
-    let executor = Executor::approximate(schema_table, registry, catalog).sketch_only(true);
-    let mut headline_insights = Vec::new();
-    for class in registry.classes() {
-        if let Ok(mut top) = executor.execute(&InsightQuery::class(class.id()).top_k(1)) {
-            headline_insights.append(&mut top);
-        }
-    }
-
-    Ok(DatasetProfile {
-        name: source.name().to_owned(),
-        rows,
-        columns,
-        headline_insights,
-    })
+    columns
 }
 
 impl DatasetProfile {
@@ -239,22 +211,29 @@ impl DatasetProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CoreBuilder, Mode};
     use foresight_data::TableBuilder;
+    use foresight_sketch::CatalogConfig;
 
-    fn table() -> Table {
+    fn table(n: usize) -> Table {
         TableBuilder::new("demo")
-            .numeric("x", (0..50).map(|i| i as f64).collect())
-            .numeric("y", (0..50).map(|i| (2 * i) as f64).collect())
-            .categorical("c", (0..50).map(|i| if i % 3 == 0 { "a" } else { "b" }))
+            .numeric("x", (0..n).map(|i| i as f64).collect())
+            .numeric("y", (0..n).map(|i| (2 * i) as f64).collect())
+            .categorical("c", (0..n).map(|i| if i % 3 == 0 { "a" } else { "b" }))
             .build()
+            .unwrap()
+    }
+
+    fn exact_profile(t: Table) -> DatasetProfile {
+        CoreBuilder::new(TableSource::materialized(t))
+            .freeze()
+            .profile()
             .unwrap()
     }
 
     #[test]
     fn profile_covers_all_columns_and_classes() {
-        let t = table();
-        let r = InsightRegistry::default();
-        let p = profile(&t, &r).unwrap();
+        let p = exact_profile(table(50));
         assert_eq!(p.rows, 50);
         assert_eq!(p.columns.len(), 3);
         match &p.columns[0] {
@@ -285,9 +264,7 @@ mod tests {
 
     #[test]
     fn text_rendering_mentions_everything() {
-        let t = table();
-        let r = InsightRegistry::default();
-        let text = profile(&t, &r).unwrap().to_text();
+        let text = exact_profile(table(50)).to_text();
         assert!(text.contains("demo"));
         assert!(text.contains("numeric"));
         assert!(text.contains("categorical"));
@@ -296,24 +273,20 @@ mod tests {
 
     #[test]
     fn catalog_profile_tracks_exact_profile() {
-        let n = 500;
-        let t = TableBuilder::new("demo")
-            .numeric("x", (0..n).map(|i| i as f64).collect())
-            .numeric("y", (0..n).map(|i| (2 * i) as f64).collect())
-            .categorical("c", (0..n).map(|i| if i % 3 == 0 { "a" } else { "b" }))
-            .build()
-            .unwrap();
-        let r = InsightRegistry::default();
-        let exact = profile(&t, &r).unwrap();
+        let t = table(500);
+        let exact = exact_profile(t.clone());
 
-        let source = foresight_data::TableSource::materialized(t.clone());
-        let config = foresight_sketch::CatalogConfig {
-            hyperplane_k: Some(1024),
-            ..Default::default()
-        };
-        let catalog = SketchCatalog::build(&t, &config);
-        let schema_table = source.schema_table();
-        let approx = profile_from_catalog(&source, &catalog, &r, &schema_table).unwrap();
+        // the same rows as two shards: approximate mode answers from the
+        // merged catalog alone
+        let halves = vec![t.filter_rows(|r| r < 250), t.filter_rows(|r| r >= 250)];
+        let mut builder = CoreBuilder::new(TableSource::sharded(halves).unwrap());
+        builder
+            .preprocess(&CatalogConfig {
+                hyperplane_k: Some(1024),
+                ..Default::default()
+            })
+            .unwrap();
+        let approx = builder.freeze().profile_at(Mode::Approximate).unwrap();
 
         assert_eq!(approx.rows, exact.rows);
         assert_eq!(approx.columns.len(), exact.columns.len());
@@ -378,9 +351,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let t = table();
-        let r = InsightRegistry::default();
-        let p = profile(&t, &r).unwrap();
+        let p = exact_profile(table(50));
         let json = serde_json::to_string(&p).unwrap();
         let back: DatasetProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);

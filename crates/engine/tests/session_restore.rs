@@ -155,3 +155,46 @@ fn restore_rejects_unregistered_insight_classes() {
         "expected SessionMismatch, got: {err}"
     );
 }
+
+/// A handle that outlives the history bound saves a truncated log that
+/// says so, and a colleague restoring it gets the same suffix, the same
+/// drop count, and a replay of exactly the retained queries, in order.
+#[test]
+fn truncated_history_round_trips_through_save_and_checked_restore() {
+    use foresight_engine::MAX_HISTORY_EVENTS;
+    let core = CoreBuilder::new(TableSource::materialized(batch(0, 50))).freeze();
+    let mut long_lived = core.handle();
+    let total = MAX_HISTORY_EVENTS + 7;
+    for i in 0..total {
+        long_lived
+            .query(&InsightQuery::class("skew").top_k(1 + i % 3))
+            .unwrap();
+    }
+    let kept = long_lived.session().history.len();
+    assert!(kept <= MAX_HISTORY_EVENTS);
+    assert_eq!(long_lived.session().history_dropped, (total - kept) as u64);
+    assert!(long_lived.session().history_dropped > 0);
+
+    let mut saved = Vec::new();
+    long_lived.save_session(&mut saved).unwrap();
+    let mut colleague = core.handle();
+    colleague
+        .restore_session_checked(Session::load(saved.as_slice()).unwrap())
+        .unwrap();
+    assert_eq!(colleague.session(), long_lived.session());
+
+    let retained: Vec<usize> = colleague
+        .session()
+        .queries()
+        .iter()
+        .map(|q| q.top_k)
+        .collect();
+    let expected: Vec<usize> = (total - kept..total).map(|i| 1 + i % 3).collect();
+    assert_eq!(retained, expected);
+    let replayed = colleague.replay_session().unwrap();
+    assert_eq!(
+        replayed.iter().map(Vec::len).collect::<Vec<_>>(),
+        expected,
+        "replay re-runs the retained suffix in order"
+    );
+}

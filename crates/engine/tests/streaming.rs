@@ -147,6 +147,69 @@ proptest! {
     }
 }
 
+/// Index-served results take their `detail` through the shared description
+/// memo, so the memo's republish rule has to hold on that path too: after
+/// an incremental republish (index refreshed in place, clean cache entries
+/// migrated) no description computed over the old rows may be served by
+/// the new snapshot — while a reader still on the old snapshot keeps
+/// getting the old ones.
+#[test]
+fn index_served_details_are_retired_by_a_republish() {
+    // exact mode: the index is built over raw rows and describes from them
+    let seed_table = batch(0, 120, 21, &[]);
+    let mut builder = CoreBuilder::new(TableSource::sharded(vec![seed_table]).unwrap());
+    builder.build_index().unwrap();
+    let old = builder.freeze();
+    let served = |core: &EngineCore| -> Vec<foresight_insight::InsightInstance> {
+        core.registry()
+            .classes()
+            .iter()
+            .flat_map(|class| {
+                core.run_query(&InsightQuery::class(class.id()).top_k(2))
+                    .unwrap()
+            })
+            .collect()
+    };
+    // fill the memo from the old snapshot, twice (miss, then hit)
+    let old_answers = served(&old);
+    assert_eq!(served(&old), old_answers);
+
+    // x, y and the categorical move; z receives only nulls and stays clean
+    let mut writer = CoreBuilder::from_arc(Arc::clone(&old));
+    writer.append_shard(batch(120, 90, 22, &[2])).unwrap();
+    let new = writer.freeze();
+    assert_ne!(new.epoch(), old.epoch());
+
+    let new_answers = served(&new);
+    assert_eq!(served(&new), new_answers, "memo hit differs from memo miss");
+    let table = new.table();
+    let mut changed_heads = 0;
+    for instance in &new_answers {
+        let class = new.registry().get(&instance.class_id).unwrap();
+        assert_eq!(
+            instance.detail,
+            class.describe(table, &instance.attrs, instance.score),
+            "stale or foreign detail served for {} {:?}",
+            instance.class_id,
+            instance.attrs
+        );
+        let before = old_answers
+            .iter()
+            .find(|o| o.class_id == instance.class_id && o.attrs == instance.attrs);
+        if before.is_some_and(|o| o.score != instance.score) {
+            changed_heads += 1;
+        }
+    }
+    assert!(changed_heads > 0, "the append moved no served score");
+    // the stats say the index served all of it: nothing was scored
+    let stats = new.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 0));
+    // and the reader that stayed behind still sees its own snapshot
+    assert_eq!(served(&old), old_answers);
+    // … without having planted anything the new snapshot would pick up
+    assert_eq!(served(&new), new_answers);
+}
+
 /// Concurrent churn: a real `StreamWriter` republishing under reader
 /// threads that query continuously through `EveryQuery` handles. Every
 /// query must succeed, any snapshot a reader grabs must answer

@@ -1,5 +1,7 @@
 //! The reactor: acceptor + per-connection readers + session-sharded
-//! workers, all on `std::net` / `std::thread` — no async runtime.
+//! workers, all on `std::net` / `std::thread` — no async runtime. The
+//! acceptor blocks in `accept` (no polling; `shutdown` wakes it with a
+//! connection to itself).
 //!
 //! ```text
 //!  acceptor ──(connection budget)──▶ connection threads
@@ -35,7 +37,7 @@ use foresight_engine::{
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -171,7 +173,6 @@ impl Server {
         config: ServeConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let registry = core.latest();
         let monitor = if config.enable_monitor {
@@ -231,7 +232,13 @@ impl Server {
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // The acceptor sits in a blocking `accept`; one throwaway
+            // connection to ourselves wakes it, and it sees the flag before
+            // looking at the stream. If that connect fails the thread is
+            // left to exit with the process rather than joined forever.
+            if TcpStream::connect_timeout(&self.wake_addr(), POLL).is_ok() {
+                let _ = acceptor.join();
+            }
         }
         let conns: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.connections.lock().expect("connection registry"));
@@ -243,10 +250,23 @@ impl Server {
             let _ = worker.join();
         }
     }
+
+    /// Where a connection from this process reaches the listener: the
+    /// bound address, with a wildcard host replaced by loopback.
+    fn wake_addr(&self) -> SocketAddr {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        addr
+    }
 }
 
-/// Polling interval for shutdown checks (accept loop and connection
-/// reads).
+/// Polling interval for shutdown checks on connection reads, and the
+/// acceptor's back-off after a failed `accept`.
 const POLL: Duration = Duration::from_millis(50);
 
 fn acceptor_loop(
@@ -255,8 +275,14 @@ fn acceptor_loop(
     worker_txs: Vec<SyncSender<Job>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        // blocking: a new connection is picked up as soon as the kernel
+        // has it, and `shutdown` wakes the call with a connection of its own
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 if shared.live_connections.load(Ordering::SeqCst) >= shared.config.max_connections {
@@ -285,7 +311,7 @@ fn acceptor_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            // e.g. out of descriptors: back off rather than spin
             Err(_) => std::thread::sleep(POLL),
         }
     }

@@ -11,11 +11,12 @@ use foresight_engine::{
     AlertKind, CoreBuilder, EngineCore, HealthPolicy, HealthReason, HealthState, InsightQuery,
     MonitorConfig,
 };
-use foresight_serve::{Client, ServeConfig, ServeCore, Server};
+use foresight_serve::{Client, ClientError, ErrorCode, ServeConfig, ServeCore, Server};
 use foresight_sketch::CatalogConfig;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -203,6 +204,14 @@ fn prometheus_scrape_matches_wire_json_snapshot() {
 /// `degraded` with a typed shed-storm reason, and the watchdog must log
 /// the alert firing and then resolving once the storm passes. `/healthz`
 /// stays answerable (and 200 — degraded still serves) throughout.
+///
+/// Nothing here is sequenced by the clock. One connection holds the only
+/// worker with `Sleep`; two identical hammer connections query in a loop.
+/// While the worker is held, whichever hammer request reaches the empty
+/// depth-1 queue first parks there until the hold ends, and every request
+/// of the other hammer finds the queue full and is shed — so the storm
+/// runs for the whole hold whatever order the three connections arrive
+/// in, and the main thread only watches the health verdict change.
 #[test]
 fn shed_storm_degrades_health_and_fires_then_resolves_alert() {
     if sampler_killed() {
@@ -226,52 +235,51 @@ fn shed_storm_degrades_health_and_fires_then_resolves_alert() {
     let addr = server.addr();
     let mut client = Client::connect(addr).unwrap();
     let held_session = client.open().unwrap();
-    let fill_session = client.open().unwrap();
-    let shed_session = client.open().unwrap();
+    let hammer_sessions = [client.open().unwrap(), client.open().unwrap()];
 
-    // hold the only worker …
     let sleeper = std::thread::spawn(move || {
         let mut holder = Client::connect(addr).unwrap();
-        holder
-            .call(
+        // the hold is a request like any other: while the worker is still
+        // free it can find a hammer's request in the queue and be shed
+        loop {
+            match holder.call(
                 Some(held_session),
                 foresight_serve::Command::Sleep { ms: 3000 },
-            )
-            .unwrap();
-    });
-    std::thread::sleep(Duration::from_millis(100));
-    // … park one request in its depth-1 queue (blocks until the hold
-    // ends, so it runs on its own connection) …
-    let filler = std::thread::spawn(move || {
-        let mut fill = Client::connect(addr).unwrap();
-        fill.query(fill_session, InsightQuery::class("skew").top_k(1))
-            .unwrap();
-    });
-    std::thread::sleep(Duration::from_millis(50));
-
-    // … and hammer: every request sheds instantly, far past the 1/s
-    // bound. Health is polled inline mid-storm (the 25 ms sampler must
-    // flag the storm while it is happening).
-    let deadline = Instant::now() + Duration::from_secs(8);
-    let mut shed = 0u32;
-    let degraded = loop {
-        for _ in 0..5 {
-            if client
-                .query(shed_session, InsightQuery::class("skew").top_k(1))
-                .is_err()
-            {
-                shed += 1;
+            ) {
+                Ok(_) => break,
+                Err(ClientError::Server(e)) if e.code == ErrorCode::Overloaded => {}
+                Err(other) => panic!("the hold failed: {other}"),
             }
         }
+    });
+    let storm_over = Arc::new(AtomicBool::new(false));
+    let hammers = hammer_sessions.map(|session| {
+        let storm_over = Arc::clone(&storm_over);
+        std::thread::spawn(move || {
+            let mut hammer = Client::connect(addr).unwrap();
+            let mut shed = 0u32;
+            while !storm_over.load(Ordering::SeqCst) {
+                if hammer
+                    .query(session, InsightQuery::class("skew").top_k(1))
+                    .is_err()
+                {
+                    shed += 1;
+                }
+            }
+            shed
+        })
+    });
+
+    // health is answered inline, so this connection never queues: poll the
+    // verdict until the 25 ms sampler has flagged the storm
+    let deadline = Instant::now() + Duration::from_secs(8);
+    let degraded = loop {
         match client.health().unwrap() {
             HealthState::Degraded(reasons) => break reasons,
-            _ if Instant::now() > deadline => {
-                panic!("never degraded under a shed storm ({shed} sheds)")
-            }
-            _ => {}
+            _ if Instant::now() > deadline => panic!("never degraded under a shed storm"),
+            _ => std::thread::yield_now(),
         }
     };
-    assert!(shed > 0, "storm produced no sheds");
     assert!(
         degraded
             .iter()
@@ -279,26 +287,24 @@ fn shed_storm_degrades_health_and_fires_then_resolves_alert() {
         "degraded without a shed-storm reason: {degraded:?}"
     );
     // degraded is still ready: the HTTP probe answers 200 inline even
-    // with the only worker wedged (a few more sheds keep the current
-    // sampling window hot so the verdict cannot flip mid-probe)
-    for _ in 0..5 {
-        let _ = client.query(shed_session, InsightQuery::class("skew").top_k(1));
-    }
+    // with the only worker wedged (the hammers are still shedding, so the
+    // verdict cannot flip mid-probe)
     let (status, _, body) = http_get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(body.starts_with("degraded"), "body: {body}");
 
+    // the hold ends on its own; once it has, the hammers' requests are
+    // simply served and the storm is over
     sleeper.join().unwrap();
-    filler.join().unwrap();
+    storm_over.store(true, Ordering::SeqCst);
+    let shed: u32 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(shed > 0, "storm produced no sheds");
 
-    // storm over: the alert must resolve and health return to healthy
+    // the alert must resolve and health return to healthy
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if matches!(client.health().unwrap(), HealthState::Healthy) {
-            break;
-        }
+    while !matches!(client.health().unwrap(), HealthState::Healthy) {
         assert!(Instant::now() < deadline, "health never recovered");
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::yield_now();
     }
     let alerts = client.alerts().unwrap();
     let shed_alerts: Vec<_> = alerts
