@@ -18,8 +18,7 @@ fn main() {
         let catalog = SketchCatalog::build(&table, &CatalogConfig::default());
         let approx = Executor::approximate(&table, &registry, &catalog);
         let exact = Executor::exact(&table, &registry);
-        let (index, t_index_build) =
-            time(|| InsightIndex::build(&table, &registry, Some(&catalog)));
+        let (index, t_index_build) = time(|| InsightIndex::build(&approx));
         println!("### {rows} rows × {cols} numeric columns\n");
         println!(
             "insight index materialized in {}\n",

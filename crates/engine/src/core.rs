@@ -793,10 +793,6 @@ impl CoreBuilder {
         self.schema_table.get_or_init(|| self.source.schema_table())
     }
 
-    fn sketch_backed(&self) -> bool {
-        self.source.as_materialized().is_none() && self.mode == Mode::Approximate
-    }
-
     /// Runs the paper's preprocessing phase: builds the sketch catalog and
     /// switches the published mode to approximate (interactive). For a
     /// sharded source the per-shard catalogs are built independently
@@ -943,26 +939,36 @@ impl CoreBuilder {
     /// for a sketch-only source with no catalog restored.
     pub fn build_index(&mut self) -> Result<()> {
         let _span = self.metrics.span(Stage::IndexBuild);
-        let index = if self.sketch_backed() {
-            let catalog = self.catalog.as_ref().ok_or(EngineError::NoCatalog)?;
-            crate::index::InsightIndex::build_sketch_only(
-                self.schema_table(),
-                &self.registry,
-                catalog,
-            )
-        } else {
-            let catalog = if self.mode == Mode::Approximate {
-                self.catalog.as_ref()
-            } else {
-                None
-            };
-            crate::index::InsightIndex::build(self.try_table()?, &self.registry, catalog)
-        };
+        let index = crate::index::InsightIndex::build(&self.index_executor(self.mode)?);
         self.index = Some(IndexedAt {
             index,
             mode: self.mode,
         });
         Ok(())
+    }
+
+    /// The executor an index of `mode` is scored through: the staged
+    /// source, catalog, registry and telemetry, and *no* cache — nothing
+    /// staged has an epoch yet; [`freeze`](Self::freeze) hands the index's
+    /// scores to the cache under the one it publishes. Serial: every exact
+    /// score of a primary-metric pass is batched, so rayon would split only
+    /// the sketch estimates — microseconds of work per class, less than
+    /// the split costs on every republish.
+    fn index_executor(&self, mode: Mode) -> Result<Executor<'_>> {
+        let ex = match mode {
+            Mode::Approximate => {
+                let catalog = self.catalog.as_ref().ok_or(EngineError::NoCatalog)?;
+                let sketch_backed = self.source.as_materialized().is_none();
+                let table = if sketch_backed {
+                    self.schema_table()
+                } else {
+                    self.try_table()?
+                };
+                Executor::approximate(table, &self.registry, catalog).sketch_only(sketch_backed)
+            }
+            Mode::Exact => Executor::exact(self.try_table()?, &self.registry),
+        };
+        Ok(ex.with_metrics(&self.metrics))
     }
 
     /// Restores a previously persisted catalog (or lack of one) as part of
@@ -986,21 +992,9 @@ impl CoreBuilder {
         let mut ix = self.index.take()?;
         let dirty: Vec<usize> = self.dirty_columns.iter().copied().collect();
         let _span = self.metrics.span(Stage::IndexRefresh);
-        let sketch_backed = self.source.as_materialized().is_none() && ix.mode == Mode::Approximate;
-        let table = if sketch_backed {
-            self.schema_table()
-        } else {
-            match self.try_table() {
-                Ok(t) => t,
-                Err(_) => return None,
-            }
-        };
-        let catalog = if ix.mode == Mode::Approximate {
-            self.catalog.as_ref()
-        } else {
-            None
-        };
-        let stats = ix.index.refresh(table, &self.registry, catalog, &dirty);
+        let stats = ix
+            .index
+            .refresh(&self.index_executor(ix.mode).ok()?, &dirty);
         self.index = Some(ix);
         Some(stats)
     }
@@ -1018,6 +1012,10 @@ impl CoreBuilder {
     ///   purging them;
     /// * a no-op republish (nothing staged, or only zero-row batches)
     ///   keeps the epoch — warm cache and index survive untouched.
+    ///
+    /// Whatever a staged index scored since the last freeze — a cold
+    /// [`build_index`](Self::build_index) or the incremental refresh above
+    /// — is then stored in the score cache under the published epoch.
     ///
     /// Readers of older snapshots keep their own (now-retired) keyspace
     /// either way.
@@ -1077,6 +1075,16 @@ impl CoreBuilder {
             }
             self.epoch
         };
+        // after the bump, so the index's scores land in the published
+        // keyspace and no reader of a retired epoch sees them; in the order
+        // they were computed, so a refresh's score replaces the one an
+        // unpublished build gave the same tuple before the append
+        if let Some(ix) = self.index.as_mut() {
+            for (class_id, scores) in ix.index.take_fresh() {
+                self.cache
+                    .store_batch(class_id, &scores, ix.mode, None, epoch);
+            }
+        }
         Arc::new(EngineCore {
             source: self.source,
             materialized: self.materialized,

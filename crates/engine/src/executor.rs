@@ -38,8 +38,8 @@ impl Mode {
 
 /// Executes [`InsightQuery`]s against one table.
 pub struct Executor<'a> {
-    table: &'a Table,
-    registry: &'a InsightRegistry,
+    pub(crate) table: &'a Table,
+    pub(crate) registry: &'a InsightRegistry,
     catalog: Option<&'a SketchCatalog>,
     /// The shared score cache plus the data-generation epoch of the core
     /// snapshot this executor reads through (0 for a standalone cache).
@@ -49,7 +49,7 @@ pub struct Executor<'a> {
     metrics: Option<&'a Metrics>,
     mode: Mode,
     parallel: bool,
-    sketch_only: bool,
+    pub(crate) sketch_only: bool,
     /// How candidate tuples are generated. `None` = the class's own scan
     /// (standalone executors); a core snapshot passes its [`CandidateSource`]
     /// so wide-table queries can draw candidates from LSH collisions.
@@ -102,10 +102,10 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Enables rayon-parallel candidate scoring. The parallel path also
-    /// scores exact primary-metric queries through
-    /// [`InsightClass::score_batch`], which lets classes share per-column
-    /// work across candidates (bit-identical to per-candidate scoring).
+    /// Enables rayon-parallel scoring of per-candidate work that has no
+    /// batch form (sketch estimates, alternative metrics). Exact
+    /// primary-metric scoring goes through [`InsightClass::score_batch`]
+    /// either way (bit-identical to per-candidate scoring).
     pub fn parallel(mut self, on: bool) -> Self {
         self.parallel = on;
         self
@@ -163,185 +163,141 @@ impl<'a> Executor<'a> {
         self.mode
     }
 
-    fn score_uncached(
+    /// Applies `f` to every tuple in input order, rayon-split when the
+    /// executor is parallel — for per-candidate work with no batch form.
+    fn map_each<T: Send>(
         &self,
-        class: &dyn InsightClass,
-        query: &InsightQuery,
-        attrs: &AttrTuple,
-    ) -> Option<f64> {
-        self.score_uncached_tagged(class, query, attrs).0
+        tuples: &[AttrTuple],
+        f: impl Fn(&AttrTuple) -> T + Sync,
+    ) -> Vec<T> {
+        if self.parallel {
+            tuples.par_iter().map(f).collect()
+        } else {
+            tuples.iter().map(f).collect()
+        }
     }
 
-    /// The single scoring implementation, returning which path produced the
-    /// score alongside it — [`score_uncached`](Self::score_uncached) is the
-    /// thin untraced view of this.
-    fn score_uncached_tagged(
+    /// Scores tuples no cache entry answers, tagging each score with the
+    /// path that produced it. Exact primary-metric scoring goes through
+    /// [`InsightClass::score_batch`] — contractually bit-identical to
+    /// per-candidate `score` — so classes share per-column work across the
+    /// whole miss set; that covers exact mode and the sketch-less remainder
+    /// of an approximate pass alike.
+    fn score_misses(
         &self,
         class: &dyn InsightClass,
-        query: &InsightQuery,
-        attrs: &AttrTuple,
-    ) -> (Option<f64>, ScorePath) {
-        if let Some(metric) = &query.metric {
+        metric: Option<&str>,
+        tuples: &[AttrTuple],
+    ) -> Vec<(Option<f64>, ScorePath)> {
+        if let Some(metric) = metric {
             // alternative metrics always take the exact path
-            return (
-                class.score_metric(self.table, attrs, metric),
-                ScorePath::Exact,
-            );
+            return self.map_each(tuples, |attrs| {
+                (
+                    class.score_metric(self.table, attrs, metric),
+                    ScorePath::Exact,
+                )
+            });
         }
-        if self.mode == Mode::Approximate {
-            if let Some(catalog) = self.catalog {
-                if let Some(s) = class.score_sketch(catalog, self.table, attrs) {
-                    return (Some(s), ScorePath::Sketch);
-                }
+        let (Mode::Approximate, Some(catalog)) = (self.mode, self.catalog) else {
+            let scores = class.score_batch(self.table, tuples);
+            debug_assert_eq!(scores.len(), tuples.len());
+            return scores.into_iter().map(|s| (s, ScorePath::Exact)).collect();
+        };
+        let mut out = self.map_each(tuples, |attrs| {
+            match class.score_sketch(catalog, self.table, attrs) {
+                Some(s) => (Some(s), ScorePath::Sketch),
+                None => (None, ScorePath::NoSketch),
             }
-            if self.sketch_only {
-                // no raw rows to fall back to; the candidate is dropped
-                return (None, ScorePath::NoSketch);
-            }
-            if let Some(metrics) = self.metrics {
+        });
+        if self.sketch_only {
+            // no raw rows to fall back to; sketch-less candidates are dropped
+            return out;
+        }
+        let (slots, unsketched): (Vec<usize>, Vec<AttrTuple>) = out
+            .iter()
+            .zip(tuples)
+            .enumerate()
+            .filter_map(|(i, ((_, path), attrs))| {
+                (*path == ScorePath::NoSketch).then_some((i, *attrs))
+            })
+            .unzip();
+        if let Some(metrics) = self.metrics {
+            for _ in &unsketched {
                 metrics.record_sketch_fallback();
             }
-            return (
-                class.score(self.table, attrs),
-                ScorePath::SketchFallbackExact,
-            );
         }
-        (class.score(self.table, attrs), ScorePath::Exact)
-    }
-
-    /// Is this query eligible for [`InsightClass::score_batch`]? Only
-    /// exact-mode primary-metric queries are — the one configuration where
-    /// `score_batch` is contractually bit-identical to `score` — and the
-    /// parallel flag opts into it (it exists to share per-column work).
-    fn batchable(&self, query: &InsightQuery) -> bool {
-        self.parallel && query.metric.is_none() && self.mode == Mode::Exact
-    }
-
-    /// Scores every candidate through the shared cache: one batched lookup
-    /// pass (a single lock acquisition per touched shard), then only the
-    /// misses are computed — via [`InsightClass::score_batch`] when
-    /// [`batchable`](Self::batchable), rayon-parallel or serial otherwise —
-    /// and written back with one batched store. Results align positionally
-    /// with `candidates` and are bit-identical to the uncached paths.
-    fn score_all_cached(
-        &self,
-        class: &dyn InsightClass,
-        query: &InsightQuery,
-        candidates: &[AttrTuple],
-        cache: &ScoreCache,
-        epoch: u64,
-    ) -> Vec<Option<f64>> {
-        let metric = query.metric.as_deref();
-        let mut out = cache
-            .lookup_batch(class.id(), candidates, self.mode, metric, epoch)
-            .scores;
-        let pending: Vec<usize> = out
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-            .collect();
-        if !pending.is_empty() {
-            let fresh: Vec<(AttrTuple, Option<f64>)> = if self.batchable(query) {
-                let missing: Vec<AttrTuple> = pending.iter().map(|&i| candidates[i]).collect();
-                let scores = class.score_batch(self.table, &missing);
-                debug_assert_eq!(scores.len(), missing.len());
-                missing.into_iter().zip(scores).collect()
-            } else {
-                let compute = |&i: &usize| {
-                    (
-                        candidates[i],
-                        self.score_uncached(class, query, &candidates[i]),
-                    )
-                };
-                if self.parallel {
-                    pending.par_iter().map(compute).collect()
-                } else {
-                    pending.iter().map(compute).collect()
-                }
-            };
-            cache.store_batch(class.id(), &fresh, self.mode, metric, epoch);
-            for (&i, (_, score)) in pending.iter().zip(&fresh) {
-                out[i] = Some(*score);
-            }
+        let scores = class.score_batch(self.table, &unsketched);
+        debug_assert_eq!(scores.len(), unsketched.len());
+        for (i, score) in slots.into_iter().zip(scores) {
+            out[i] = (score, ScorePath::SketchFallbackExact);
         }
-        out.into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect()
+        out
     }
 
-    /// Traced scoring: sequential, positionally aligned with `candidates`,
-    /// returning per-candidate `(cache-hit, path)` provenance alongside the
-    /// scores and recording this query's cache traffic on the trace.
+    /// The one scoring routine: scores for `candidates` under `metric`
+    /// (`None` = the class's primary metric), positionally aligned, plus —
+    /// only when `trace` is active, empty otherwise — each candidate's
+    /// `(cache-hit, path)` provenance.
     ///
-    /// Bit-identical to the untraced paths — `score_batch` and parallel
-    /// scoring are contractually identical to serial per-candidate scoring
-    /// (the engine's property tests pin both) — so tracing a query never
-    /// changes its results.
-    fn score_aligned_traced(
+    /// With a cache attached this is one batched lookup (a single lock
+    /// acquisition per touched shard), [`score_misses`](Self::score_misses)
+    /// over what it did not answer, and one batched store; without one,
+    /// every candidate is a miss. Queries, carousels and the insight
+    /// index's build and refresh all score through here, so tracing,
+    /// parallelism and caching never change a score.
+    pub(crate) fn score_candidates(
         &self,
         class: &dyn InsightClass,
-        query: &InsightQuery,
+        metric: Option<&str>,
         candidates: &[AttrTuple],
         trace: &mut TraceBuilder,
     ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>) {
-        let metric = query.metric.as_deref();
-        let Some((cache, epoch)) = self.cache else {
-            return if self.batchable(query) {
-                let scores = class.score_batch(self.table, candidates);
-                (scores, vec![(false, ScorePath::Exact); candidates.len()])
-            } else {
-                let mut provenance = Vec::with_capacity(candidates.len());
-                let scores = candidates
-                    .iter()
-                    .map(|attrs| {
-                        let (score, path) = self.score_uncached_tagged(class, query, attrs);
-                        provenance.push((false, path));
-                        score
-                    })
-                    .collect();
-                (scores, provenance)
-            };
+        let (mut slots, traffic) = match self.cache {
+            Some((cache, epoch)) => {
+                let looked = cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch);
+                (looked.scores, Some((looked.hits, looked.misses)))
+            }
+            None => (vec![None; candidates.len()], None),
         };
-        let looked = cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch);
-        let mut scores = looked.scores;
-        let mut provenance = vec![(true, ScorePath::Cache); candidates.len()];
-        let pending: Vec<usize> = scores
+        let mut provenance = if trace.is_active() {
+            vec![(true, ScorePath::Cache); candidates.len()]
+        } else {
+            Vec::new()
+        };
+        let (pending, missing): (Vec<usize>, Vec<AttrTuple>) = slots
             .iter()
+            .zip(candidates)
             .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-            .collect();
+            .filter_map(|(i, (slot, attrs))| slot.is_none().then_some((i, *attrs)))
+            .unzip();
         let mut stored = 0;
-        if !pending.is_empty() {
-            let fresh: Vec<(AttrTuple, Option<f64>)> = if self.batchable(query) {
-                let missing: Vec<AttrTuple> = pending.iter().map(|&i| candidates[i]).collect();
-                let batch = class.score_batch(self.table, &missing);
-                debug_assert_eq!(batch.len(), missing.len());
-                for &i in &pending {
-                    provenance[i] = (false, ScorePath::Exact);
+        if !missing.is_empty() {
+            let (scores, paths): (Vec<Option<f64>>, Vec<ScorePath>) = self
+                .score_misses(class, metric, &missing)
+                .into_iter()
+                .unzip();
+            for (&i, &score) in pending.iter().zip(&scores) {
+                slots[i] = Some(score);
+            }
+            if trace.is_active() {
+                for (&i, path) in pending.iter().zip(paths) {
+                    provenance[i] = (false, path);
                 }
-                missing.into_iter().zip(batch).collect()
-            } else {
-                pending
-                    .iter()
-                    .map(|&i| {
-                        let (score, path) =
-                            self.score_uncached_tagged(class, query, &candidates[i]);
-                        provenance[i] = (false, path);
-                        (candidates[i], score)
-                    })
-                    .collect()
-            };
-            stored = cache.store_batch(class.id(), &fresh, self.mode, metric, epoch);
-            for (&i, (_, score)) in pending.iter().zip(&fresh) {
-                scores[i] = Some(*score);
+            }
+            if let Some((cache, epoch)) = self.cache {
+                let fresh: Vec<(AttrTuple, Option<f64>)> =
+                    missing.into_iter().zip(scores).collect();
+                stored = cache.store_batch(class.id(), &fresh, self.mode, metric, epoch);
             }
         }
-        trace.set_cache_traffic(looked.hits, looked.misses, stored);
-        trace.attr("cache_hits", || looked.hits.to_string());
-        trace.attr("cache_misses", || looked.misses.to_string());
-        trace.attr("stored", || stored.to_string());
+        if let Some((hits, misses)) = traffic {
+            trace.set_cache_traffic(hits, misses, stored);
+            trace.attr("cache_hits", || hits.to_string());
+            trace.attr("cache_misses", || misses.to_string());
+            trace.attr("stored", || stored.to_string());
+        }
         (
-            scores
+            slots
                 .into_iter()
                 .map(|s| s.expect("all slots filled"))
                 .collect(),
@@ -430,8 +386,6 @@ impl<'a> Executor<'a> {
             let score = score?;
             (score.is_finite() && query.matches_range(score)).then_some((*attrs, score))
         };
-        let score_fn =
-            |attrs: &AttrTuple| keep(attrs, self.score_uncached(class.as_ref(), query, attrs));
         // one lap timer across score → rank/diversify → describe: each
         // boundary is a single clock read shared by the adjacent stages
         let mut lap = Lap::start(self.metrics);
@@ -441,36 +395,14 @@ impl<'a> Executor<'a> {
         trace.attr("kernel", || {
             foresight_stats::kernel::mode().name().to_owned()
         });
-        let mut scored: Vec<(AttrTuple, f64)> = if trace.is_active() {
-            let (scores, provenance) =
-                self.score_aligned_traced(class.as_ref(), query, &candidates, trace);
-            trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
-            scores
-                .into_iter()
-                .zip(&candidates)
-                .filter_map(|(score, attrs)| keep(attrs, score))
-                .collect()
-        } else {
-            match self.cache {
-                Some((cache, epoch)) => self
-                    .score_all_cached(class.as_ref(), query, &candidates, cache, epoch)
-                    .into_iter()
-                    .zip(&candidates)
-                    .filter_map(|(score, attrs)| keep(attrs, score))
-                    .collect(),
-                None if self.batchable(query) => {
-                    // batch path: classes share per-column work across candidates
-                    class
-                        .score_batch(self.table, &candidates)
-                        .into_iter()
-                        .zip(&candidates)
-                        .filter_map(|(score, attrs)| keep(attrs, score))
-                        .collect()
-                }
-                None if self.parallel => candidates.par_iter().filter_map(score_fn).collect(),
-                None => candidates.iter().filter_map(score_fn).collect(),
-            }
-        };
+        let (scores, provenance) =
+            self.score_candidates(class.as_ref(), query.metric.as_deref(), &candidates, trace);
+        trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
+        let mut scored: Vec<(AttrTuple, f64)> = scores
+            .into_iter()
+            .zip(&candidates)
+            .filter_map(|(score, attrs)| keep(attrs, score))
+            .collect();
         trace.attr("survivors", || scored.len().to_string());
         trace.end();
         lap.mark(Stage::Score);
@@ -542,7 +474,7 @@ impl<'a> Executor<'a> {
 
 /// The ranking order: descending score, ties broken by ascending attribute
 /// tuple (deterministic across runs, threads, and scoring paths).
-fn rank_order(a: &(AttrTuple, f64), b: &(AttrTuple, f64)) -> Ordering {
+pub(crate) fn rank_order(a: &(AttrTuple, f64), b: &(AttrTuple, f64)) -> Ordering {
     b.1.partial_cmp(&a.1)
         .expect("non-finite scores filtered")
         .then_with(|| a.0.cmp(&b.0))

@@ -8,16 +8,28 @@
 //! of a precomputed list — no metric evaluation at query time at all.
 
 use crate::cache::ScoreCache;
+use crate::executor::Executor;
 use crate::query::InsightQuery;
+use crate::trace::TraceBuilder;
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, InsightInstance, InsightRegistry};
-use foresight_sketch::SketchCatalog;
 use std::collections::HashMap;
+
+/// One class's freshly computed scores, `None`s included — the form
+/// [`ScoreCache::store_batch`] takes.
+pub(crate) type FreshScores = Vec<(&'static str, Vec<(AttrTuple, Option<f64>)>)>;
 
 /// Precomputed, descending-sorted candidate scores for every class.
 #[derive(Debug, Clone, Default)]
 pub struct InsightIndex {
     entries: HashMap<String, Vec<(AttrTuple, f64)>>,
+    /// Every score computed by [`build`](Self::build) /
+    /// [`refresh`](Self::refresh) since the last
+    /// [`take_fresh`](Self::take_fresh), including the degenerate and
+    /// non-finite ones `entries` drops: the writer path hands them to the
+    /// score cache under the epoch it publishes, so the snapshot's
+    /// executor never recomputes what its index build already scored.
+    fresh: FreshScores,
     /// Built against a schema-only table: no exact fallback was available
     /// at build time and `describe` cannot run at query time.
     sketch_only: bool,
@@ -36,59 +48,18 @@ pub struct RefreshStats {
 }
 
 impl InsightIndex {
-    /// Scores every candidate of every registered class (sketch-backed
-    /// when `catalog` is given, exact otherwise) and sorts each list.
-    pub fn build(
-        table: &Table,
-        registry: &InsightRegistry,
-        catalog: Option<&SketchCatalog>,
-    ) -> Self {
-        Self::build_inner(table, registry, catalog, false)
-    }
-
-    /// Builds the index for a sharded/sketch-only source: `table` carries
-    /// only the schema, every score comes from the merged `catalog`, and
-    /// classes without a sketch path index no candidates.
-    pub fn build_sketch_only(
-        table: &Table,
-        registry: &InsightRegistry,
-        catalog: &SketchCatalog,
-    ) -> Self {
-        Self::build_inner(table, registry, Some(catalog), true)
-    }
-
-    fn build_inner(
-        table: &Table,
-        registry: &InsightRegistry,
-        catalog: Option<&SketchCatalog>,
-        sketch_only: bool,
-    ) -> Self {
-        let mut entries = HashMap::with_capacity(registry.len());
-        for class in registry.classes() {
-            let mut scored: Vec<(AttrTuple, f64)> = class
-                .candidates(table)
-                .into_iter()
-                .filter_map(|attrs| {
-                    let sketched = catalog.and_then(|c| class.score_sketch(c, table, &attrs));
-                    let score = if sketch_only {
-                        sketched?
-                    } else {
-                        sketched.or_else(|| class.score(table, &attrs))?
-                    };
-                    score.is_finite().then_some((attrs, score))
-                })
-                .collect();
-            scored.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("non-finite filtered")
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            entries.insert(class.id().to_owned(), scored);
-        }
-        Self {
-            entries,
-            sketch_only,
-        }
+    /// Scores every candidate of every registered class through
+    /// `executor` — its mode, catalog and telemetry, exactly as a query
+    /// would — and sorts each list. A `sketch_only` executor
+    /// (sharded source: the table carries only the schema) indexes no
+    /// candidates for classes without a sketch path.
+    pub fn build(executor: &Executor<'_>) -> Self {
+        let mut index = Self {
+            sketch_only: executor.sketch_only,
+            ..Self::default()
+        };
+        index.rescore(executor, |_| true);
+        index
     }
 
     /// Incrementally maintains the index after an append that only touched
@@ -101,54 +72,62 @@ impl InsightIndex {
     /// cannot change on append; a tuple absent from the previous list (its
     /// score was non-finite or had no sketch path) stays absent unless it
     /// touches a dirty column and now scores finitely.
-    pub fn refresh(
+    pub fn refresh(&mut self, executor: &Executor<'_>, dirty_columns: &[usize]) -> RefreshStats {
+        self.rescore(executor, |attrs| {
+            attrs.indices().iter().any(|i| dirty_columns.contains(i))
+        })
+    }
+
+    /// Rebuilds every class's list: `dirty` tuples are scored by the
+    /// executor's one scoring routine, the rest keep their previous entry.
+    fn rescore(
         &mut self,
-        table: &Table,
-        registry: &InsightRegistry,
-        catalog: Option<&SketchCatalog>,
-        dirty_columns: &[usize],
+        executor: &Executor<'_>,
+        dirty: impl Fn(&AttrTuple) -> bool,
     ) -> RefreshStats {
         let mut stats = RefreshStats::default();
-        for class in registry.classes() {
-            let previous: HashMap<AttrTuple, f64> = self
-                .entries
-                .get(class.id())
-                .map(|list| list.iter().copied().collect())
-                .unwrap_or_default();
-            let mut class_rescored = 0usize;
-            let mut scored: Vec<(AttrTuple, f64)> = class
-                .candidates(table)
+        for class in executor.registry.classes() {
+            let (rescored, clean): (Vec<AttrTuple>, Vec<AttrTuple>) = class
+                .candidates(executor.table)
                 .into_iter()
-                .filter_map(|attrs| {
-                    let is_dirty = attrs.indices().iter().any(|i| dirty_columns.contains(i));
-                    if !is_dirty {
-                        return previous.get(&attrs).map(|&score| {
-                            stats.tuples_reused += 1;
-                            (attrs, score)
-                        });
-                    }
-                    class_rescored += 1;
-                    let sketched = catalog.and_then(|c| class.score_sketch(c, table, &attrs));
-                    let score = if self.sketch_only {
-                        sketched?
-                    } else {
-                        sketched.or_else(|| class.score(table, &attrs))?
-                    };
-                    score.is_finite().then_some((attrs, score))
-                })
+                .partition(&dirty);
+            let previous: HashMap<AttrTuple, f64> = match self.entries.remove(class.id()) {
+                Some(list) if !clean.is_empty() => list.into_iter().collect(),
+                _ => HashMap::new(),
+            };
+            let mut scored: Vec<(AttrTuple, f64)> = clean
+                .into_iter()
+                .filter_map(|attrs| Some((attrs, *previous.get(&attrs)?)))
                 .collect();
-            scored.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("non-finite filtered")
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            if class_rescored > 0 {
+            stats.tuples_reused += scored.len();
+            if !rescored.is_empty() {
                 stats.classes_rescored += 1;
-                stats.tuples_rescored += class_rescored;
+                stats.tuples_rescored += rescored.len();
+                let (scores, _) = executor.score_candidates(
+                    class.as_ref(),
+                    None,
+                    &rescored,
+                    &mut TraceBuilder::disabled(),
+                );
+                let fresh: Vec<(AttrTuple, Option<f64>)> =
+                    rescored.into_iter().zip(scores).collect();
+                scored.extend(
+                    fresh.iter().filter_map(|&(attrs, score)| {
+                        Some((attrs, score.filter(|s| s.is_finite())?))
+                    }),
+                );
+                self.fresh.push((class.id(), fresh));
             }
+            scored.sort_by(crate::executor::rank_order);
             self.entries.insert(class.id().to_owned(), scored);
         }
         stats
+    }
+
+    /// Drains the scores computed since the last call (see the `fresh`
+    /// field).
+    pub(crate) fn take_fresh(&mut self) -> FreshScores {
+        std::mem::take(&mut self.fresh)
     }
 
     /// Number of indexed classes.
@@ -238,9 +217,8 @@ impl InsightIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Executor;
     use foresight_data::TableBuilder;
-    use foresight_sketch::CatalogConfig;
+    use foresight_sketch::{CatalogConfig, SketchCatalog};
 
     fn table() -> Table {
         let x: Vec<f64> = (0..200).map(|i| i as f64).collect();
@@ -257,8 +235,8 @@ mod tests {
     fn index_agrees_with_executor() {
         let t = table();
         let r = InsightRegistry::default();
-        let index = InsightIndex::build(&t, &r, None);
         let ex = Executor::exact(&t, &r);
+        let index = InsightIndex::build(&ex);
         let cache = ScoreCache::new();
         for q in [
             InsightQuery::class("linear-relationship").top_k(3),
@@ -281,7 +259,7 @@ mod tests {
     fn metric_override_falls_through() {
         let t = table();
         let r = InsightRegistry::default();
-        let index = InsightIndex::build(&t, &r, None);
+        let index = InsightIndex::build(&Executor::exact(&t, &r));
         let cache = ScoreCache::new();
         let q = InsightQuery::class("linear-relationship").metric("|spearman|");
         assert!(index.query(&t, &r, &q, &cache).is_none());
@@ -306,12 +284,12 @@ mod tests {
             .build()
             .unwrap();
         let r = InsightRegistry::default();
-        let mut index = InsightIndex::build(&t1, &r, None);
-        let stats = index.refresh(&t2, &r, None, &[0, 1, 3]);
+        let mut index = InsightIndex::build(&Executor::exact(&t1, &r));
+        let stats = index.refresh(&Executor::exact(&t2, &r), &[0, 1, 3]);
         assert!(stats.classes_rescored > 0);
         assert!(stats.tuples_rescored > 0);
         assert!(stats.tuples_reused > 0, "pure-z tuples should carry over");
-        let rebuilt = InsightIndex::build(&t2, &r, None);
+        let rebuilt = InsightIndex::build(&Executor::exact(&t2, &r));
         for class in r.classes() {
             assert_eq!(
                 index.entries[class.id()],
@@ -327,8 +305,8 @@ mod tests {
         let t = table();
         let r = InsightRegistry::default();
         let catalog = SketchCatalog::build(&t, &CatalogConfig::default());
-        let index = InsightIndex::build(&t, &r, Some(&catalog));
         let approx = Executor::approximate(&t, &r, &catalog);
+        let index = InsightIndex::build(&approx);
         let q = InsightQuery::class("linear-relationship").top_k(3);
         assert_eq!(
             index.query(&t, &r, &q, &ScoreCache::new()).unwrap(),

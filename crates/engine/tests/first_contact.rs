@@ -222,3 +222,95 @@ fn index_served_detail_is_describe_on_miss_and_hit() {
         assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 }
+
+/// (v) `freeze` hands the staged index's scores to the snapshot's cache:
+/// the first carousels — which go through the executor, not the index —
+/// score nothing, and are byte-identical to the carousels of the same
+/// table frozen without an index, where every candidate is a miss.
+#[test]
+fn first_carousels_after_an_index_build_score_nothing() {
+    let table = synth(600, 8, 7);
+    for (what, source, preprocess) in [
+        ("exact", TableSource::materialized(table.clone()), false),
+        (
+            "approximate",
+            TableSource::materialized(table.clone()),
+            true,
+        ),
+        ("sharded, approximate", halves(&table), true),
+    ] {
+        let indexed = core(source.clone(), preprocess, true);
+        let candidates: usize = indexed
+            .registry()
+            .classes()
+            .iter()
+            .map(|class| class.candidates(&table).len())
+            .sum();
+        let before = indexed.cache_stats();
+        // every score the build computed, the degenerate ones included
+        assert_eq!(before.entries, candidates, "{what}");
+        assert_eq!((before.hits, before.misses), (0, 0), "{what}");
+        let first = indexed.handle().carousels(5).unwrap();
+        let after = indexed.cache_stats();
+        assert_eq!(after.misses, 0, "{what}: first carousels rescored");
+        assert_eq!(after.hits, candidates as u64, "{what}");
+        assert_eq!(after.entries, candidates, "{what}");
+
+        let plain = core(source, preprocess, false);
+        let cold = plain.handle().carousels(5).unwrap();
+        assert_eq!(plain.cache_stats().misses, candidates as u64, "{what}");
+        assert_eq!(
+            serde_json::to_string(&first).unwrap(),
+            serde_json::to_string(&cold).unwrap(),
+            "{what}"
+        );
+    }
+}
+
+/// (vi) an index build scores through the executor's one routine, so its
+/// exact fallbacks are counted like a query's: on the benchmark's 24 + 4
+/// columns, one per candidate that no sketch estimator covers. EXPLAIN on
+/// such a class still names the path per result.
+#[test]
+fn index_build_fallbacks_are_counted_and_explained() {
+    let table = synth(300, 24, 13);
+    assert_eq!(table.n_cols(), 28);
+    let indexed = core(TableSource::materialized(table.clone()), true, true);
+    let catalog = indexed.catalog().unwrap();
+    let sketchless: usize = indexed
+        .registry()
+        .classes()
+        .iter()
+        .map(|class| {
+            class
+                .candidates(&table)
+                .iter()
+                .filter(|attrs| class.score_sketch(catalog, &table, attrs).is_none())
+                .count()
+        })
+        .sum();
+    assert!(sketchless >= 28 * 27 / 2, "dependence has no sketch path");
+    if cfg!(feature = "telemetry") {
+        assert_eq!(
+            indexed.metrics_snapshot().sketch_fallbacks,
+            sketchless as u64
+        );
+    }
+
+    let unindexed = core(TableSource::materialized(table), true, false);
+    let q = InsightQuery::class("statistical-dependence").top_k(5);
+    let cold = unindexed.handle().explain(&q).unwrap();
+    let warm = unindexed.handle().explain(&q).unwrap();
+    assert_eq!(cold.results, warm.results);
+    assert_eq!(cold.results, indexed.run_query(&q).unwrap());
+    if cfg!(feature = "trace") {
+        for (explained, path) in [(cold, "exact-fallback"), (warm, "cache")] {
+            let trace = explained.trace.expect("forced trace");
+            assert_eq!(trace.results.len(), 5);
+            for result in &trace.results {
+                assert_eq!(result.path, path);
+                assert_eq!(result.cache_hit, path == "cache");
+            }
+        }
+    }
+}

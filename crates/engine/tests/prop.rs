@@ -165,14 +165,24 @@ fn assert_bit_identical(a: &[InsightInstance], b: &[InsightInstance], ctx: &str)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cached, warm-cached, and parallel (batch-scored) execution are all
-    /// bit-identical to plain serial execution, for every registered class.
+    /// Cached, warm-cached, and parallel execution are all bit-identical
+    /// to plain serial execution, for every registered class — and the
+    /// `score_batch` they all score through is bit-identical to
+    /// per-candidate `score`, the contract that lets them.
     #[test]
     fn all_execution_paths_bit_identical(cols in numeric_columns()) {
         let t = mixed_table(cols);
         let r = InsightRegistry::default();
         let cache = ScoreCache::new();
         for class in r.classes() {
+            let candidates = class.candidates(&t);
+            for (attrs, batch) in candidates.iter().zip(class.score_batch(&t, &candidates)) {
+                prop_assert_eq!(
+                    class.score(&t, attrs).map(f64::to_bits),
+                    batch.map(f64::to_bits),
+                    "{} batch diverges on {:?}", class.id(), attrs
+                );
+            }
             let q = InsightQuery::class(class.id()).top_k(6);
             let serial = Executor::exact(&t, &r).execute(&q).expect("serial");
             let parallel = Executor::exact(&t, &r)

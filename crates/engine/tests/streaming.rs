@@ -210,6 +210,81 @@ fn index_served_details_are_retired_by_a_republish() {
     assert_eq!(served(&new), new_answers);
 }
 
+/// The republish hand-off: what the index refresh rescored at freeze is
+/// stored under the epoch that freeze publishes, so the new snapshot's
+/// executor scores nothing — clean tuples were migrated, dirty ones handed
+/// over — while a handle still on the old snapshot stays in its own
+/// keyspace: it finds none of the new scores and plants none.
+#[test]
+fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
+    let seed_table = batch(0, 120, 31, &[]);
+    let mut builder = CoreBuilder::new(TableSource::sharded(vec![seed_table.clone()]).unwrap());
+    builder.preprocess(&CatalogConfig::default()).unwrap();
+    builder.build_index().unwrap();
+    let old = builder.freeze();
+    let config = old.catalog().unwrap().config().clone();
+    let stale = old.handle();
+    let old_carousels = stale.carousels(3).unwrap();
+
+    // x, y and z move; the categorical receives only nulls and stays clean
+    let appended = batch(120, 90, 32, &[3]);
+    let mut writer = CoreBuilder::from_arc(Arc::clone(&old));
+    writer.append_shard(appended.clone()).unwrap();
+    let new = writer.freeze();
+    assert_ne!(new.epoch(), old.epoch());
+
+    let before = new.cache_stats();
+    let new_carousels = new.handle().carousels(3).unwrap();
+    let after = new.cache_stats();
+    assert_eq!(after.misses, before.misses, "the new snapshot rescored");
+    assert!(after.hits > before.hits);
+    assert_eq!(after.entries, before.entries);
+    let cold = cold_core(vec![seed_table, appended], &config, true);
+    assert_eq!(new_carousels, cold.handle().carousels(3).unwrap());
+
+    // x × z was rescored: present under the new epoch, absent under the
+    // old one until the stale reader recomputes it over its own rows
+    let moved = foresight_insight::AttrTuple::Two(0, 2);
+    let lookup = |epoch| {
+        new.cache().lookup(
+            "linear-relationship",
+            &moved,
+            Mode::Approximate,
+            None,
+            epoch,
+        )
+    };
+    let handed_off = lookup(new.epoch()).expect("handed off at freeze");
+    assert_eq!(lookup(old.epoch()), None);
+    assert_eq!(stale.core().epoch(), old.epoch());
+    assert_eq!(stale.carousels(3).unwrap(), old_carousels);
+    let recomputed = lookup(old.epoch()).expect("the stale reader's own store");
+    assert_ne!(recomputed, handed_off, "the append moved x × z");
+    assert_eq!(lookup(new.epoch()), Some(handed_off));
+    assert_eq!(new.handle().carousels(3).unwrap(), new_carousels);
+}
+
+/// An append staged on top of an index that was never published: the one
+/// freeze hands over both the build's scores and the refresh's, and for a
+/// tuple the append moved it is the refresh's that the snapshot reads.
+#[test]
+fn a_refresh_supersedes_the_unpublished_builds_scores() {
+    let seed_table = batch(0, 120, 41, &[]);
+    let appended = batch(120, 90, 42, &[3]);
+    let mut builder = CoreBuilder::new(TableSource::sharded(vec![seed_table.clone()]).unwrap());
+    builder.preprocess(&CatalogConfig::default()).unwrap();
+    builder.build_index().unwrap();
+    builder.append_shard(appended.clone()).unwrap();
+    let core = builder.freeze();
+
+    let carousels = core.handle().carousels(3).unwrap();
+    assert_eq!(core.cache_stats().misses, 0, "the snapshot rescored");
+    let config = core.catalog().unwrap().config().clone();
+    let cold = cold_core(vec![seed_table, appended], &config, true);
+    assert_eq!(carousels, cold.handle().carousels(3).unwrap());
+    assert_same_answers(&core, &cold);
+}
+
 /// Concurrent churn: a real `StreamWriter` republishing under reader
 /// threads that query continuously through `EveryQuery` handles. Every
 /// query must succeed, any snapshot a reader grabs must answer

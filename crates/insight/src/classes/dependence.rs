@@ -12,9 +12,13 @@ use crate::classes::dispersion::overview_bar;
 use crate::types::AttrTuple;
 use crate::util::{pairs, scatter_chart};
 use foresight_data::{ColumnType, Table};
-use foresight_stats::dependence::{binned_mutual_information, ContingencyTable};
+use foresight_stats::dependence::{binned_mutual_information, BinnedColumn, ContingencyTable};
 use foresight_stats::histogram::BinRule;
 use foresight_viz::{ChartKind, ChartSpec, GroupedScatterSpec, ParetoSpec};
+use std::collections::HashMap;
+
+/// Equal-width bins per numeric column for the mutual-information estimate.
+const MI_BINS: usize = 16;
 
 /// The statistical-dependence insight class.
 #[derive(Debug, Default, Clone, Copy)]
@@ -106,7 +110,7 @@ impl InsightClass for StatisticalDependence {
                 let mi = binned_mutual_information(
                     table.numeric(*i).ok()?.values(),
                     table.numeric(*j).ok()?.values(),
-                    BinRule::Fixed(16),
+                    BinRule::Fixed(MI_BINS),
                 );
                 mi.is_finite().then_some(mi)
             }
@@ -123,6 +127,39 @@ impl InsightClass for StatisticalDependence {
             (ColumnType::Numeric, ColumnType::Categorical) => correlation_ratio(table, *i, *j),
             (ColumnType::Categorical, ColumnType::Numeric) => correlation_ratio(table, *j, *i),
         }
+    }
+
+    fn score_batch(&self, table: &Table, attrs: &[AttrTuple]) -> Vec<Option<f64>> {
+        // bin each distinct complete column of a numeric pair once; the
+        // pair is then one joint count over two code slices. Columns with
+        // missing values bin differently per pair (pairwise deletion can
+        // move the range), so pairs touching them — and every pair with a
+        // categorical side, whose numeric partner is not worth binning for
+        // it — take the per-pair `score`.
+        let mut binned: HashMap<usize, Option<BinnedColumn>> = HashMap::new();
+        for a in attrs {
+            let AttrTuple::Two(i, j) = a else { continue };
+            if let (Ok(x), Ok(y)) = (table.numeric(*i), table.numeric(*j)) {
+                for (idx, col) in [(*i, x), (*j, y)] {
+                    binned
+                        .entry(idx)
+                        .or_insert_with(|| BinnedColumn::complete(col.values(), MI_BINS));
+                }
+            }
+        }
+        attrs
+            .iter()
+            .map(|a| match a {
+                AttrTuple::Two(i, j) => match (binned.get(i), binned.get(j)) {
+                    (Some(Some(x)), Some(Some(y))) => {
+                        let mi = x.mutual_information(y);
+                        mi.is_finite().then_some(mi)
+                    }
+                    _ => self.score(table, a),
+                },
+                _ => self.score(table, a),
+            })
+            .collect()
     }
 
     fn chart(&self, table: &Table, attrs: &AttrTuple) -> Option<ChartSpec> {

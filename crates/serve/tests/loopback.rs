@@ -9,8 +9,9 @@ use foresight_engine::stream::{RepublishPolicy, StreamConfig, StreamWriter};
 use foresight_engine::{CoreBuilder, EngineCore, InsightQuery};
 use foresight_serve::{Client, ClientError, ErrorCode, ServeConfig, ServeCore, Server};
 use foresight_sketch::CatalogConfig;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic little table: three numeric columns, one categorical.
 fn table(offset: usize, rows: usize) -> Table {
@@ -110,6 +111,14 @@ fn wire_answers_are_bit_identical_to_in_process() {
 /// A held worker with a depth-1 queue: the first waiting request queues,
 /// the next is shed with the typed `overloaded` error — and the shed is
 /// counted as load-shed, not as an error.
+///
+/// Nothing here is sequenced by the clock. One connection holds the only
+/// worker with `Sleep`, again and again until a shed has been seen; two
+/// identical hammer connections query in a loop. A hammer's request can
+/// only find the queue full while a hold is running or parked, and while
+/// one is running, whichever hammer request reaches the empty queue first
+/// parks there and the other connection's next request must be shed — so
+/// every arrival order of the three connections ends in a typed shed.
 #[test]
 fn full_worker_queue_sheds_with_typed_overloaded() {
     let core = core(48);
@@ -123,39 +132,47 @@ fn full_worker_queue_sheds_with_typed_overloaded() {
         },
     );
     let addr = server.addr();
-    let mut opener = Client::connect(addr).unwrap();
-    let sleeper_session = opener.open().unwrap();
-    let queued_session = opener.open().unwrap();
-    let shed_session = opener.open().unwrap();
-
-    // hold the only worker …
-    let sleeper = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client
-            .call(
-                Some(sleeper_session),
-                foresight_serve::Command::Sleep { ms: 700 },
-            )
-            .unwrap();
-    });
-    std::thread::sleep(Duration::from_millis(150));
-    // … fill its depth-1 queue …
-    let queued = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client
-            .query(queued_session, InsightQuery::class("skew").top_k(1))
-            .unwrap();
-    });
-    std::thread::sleep(Duration::from_millis(150));
-    // … and the next request must be shed, immediately and typed.
     let mut client = Client::connect(addr).unwrap();
-    let err = client
-        .query(shed_session, InsightQuery::class("skew").top_k(1))
-        .unwrap_err();
-    assert_eq!(server_code(err), ErrorCode::Overloaded);
+    let held_session = client.open().unwrap();
+    let hammer_sessions = [client.open().unwrap(), client.open().unwrap()];
+    let shed_seen = Arc::new(AtomicBool::new(false));
+    let deadline = Instant::now() + Duration::from_secs(30);
 
-    sleeper.join().unwrap();
-    queued.join().unwrap();
+    let holder = {
+        let shed_seen = Arc::clone(&shed_seen);
+        std::thread::spawn(move || {
+            let mut holder = Client::connect(addr).unwrap();
+            while !shed_seen.load(Ordering::SeqCst) {
+                // the hold is a request like any other: it can find a
+                // hammer's request in the queue and be shed itself
+                match holder.call(
+                    Some(held_session),
+                    foresight_serve::Command::Sleep { ms: 200 },
+                ) {
+                    Ok(_) => {}
+                    Err(err) => assert_eq!(server_code(err), ErrorCode::Overloaded),
+                }
+            }
+        })
+    };
+    let hammers = hammer_sessions.map(|session| {
+        let shed_seen = Arc::clone(&shed_seen);
+        std::thread::spawn(move || {
+            let mut hammer = Client::connect(addr).unwrap();
+            while !shed_seen.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "no request was ever shed");
+                if let Err(err) = hammer.query(session, InsightQuery::class("skew").top_k(1)) {
+                    // shed immediately and typed
+                    assert_eq!(server_code(err), ErrorCode::Overloaded);
+                    shed_seen.store(true, Ordering::SeqCst);
+                }
+            }
+        })
+    });
+    for hammer in hammers {
+        hammer.join().unwrap();
+    }
+    holder.join().unwrap();
 
     let metrics = client.metrics().unwrap();
     assert!(metrics.serve.load_shed >= 1, "shed must be counted");
