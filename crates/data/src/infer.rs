@@ -5,7 +5,7 @@
 //! columns with very low cardinality are usually codes, and the paper's
 //! heterogeneous-frequency insight treats those as categorical.
 
-use crate::column::{CategoricalColumn, NumericColumn};
+use crate::column::{CategoricalColumn, Column, NumericColumn};
 use crate::error::Result;
 use crate::table::{Table, TableBuilder};
 
@@ -39,21 +39,112 @@ impl InferOptions {
     }
 }
 
-/// Attempts to parse a field as a number, tolerating surrounding whitespace
-/// and thousands separators.
-fn parse_number(field: &str) -> Option<f64> {
-    let trimmed = field.trim();
-    if trimmed.is_empty() {
-        return None;
+/// Parses a trimmed, non-empty field as a finite number, tolerating
+/// thousands separators (looked for only once the plain parse has failed,
+/// as it must on a comma).
+fn parse_number(trimmed: &str) -> Option<f64> {
+    let parsed = trimmed.parse::<f64>().or_else(|e| {
+        if trimmed.contains(',') {
+            trimmed.replace(',', "").parse()
+        } else {
+            Err(e)
+        }
+    });
+    parsed.ok().filter(|v| v.is_finite())
+}
+
+/// One column under inference, fed its fields in row order.
+///
+/// A column starts out numeric and pushes an `f64` per field. The first
+/// present field that is not a number demotes it: with only missing cells
+/// behind it the column carries on as categorical; with numbers behind it
+/// the text of those cells is gone, so the column asks to be read again
+/// from the start as [`ColumnInfer::categorical`].
+pub(crate) enum ColumnInfer {
+    /// Every present field so far parsed as a number.
+    Numeric { values: Vec<f64>, any_present: bool },
+    /// Dictionary-encoding trimmed labels as they come.
+    Categorical(CategoricalColumn),
+    /// Ignores its fields: demoted after numbers (first reading), or not
+    /// one of the columns being read again (second reading).
+    Skipped,
+}
+
+impl ColumnInfer {
+    pub(crate) fn numeric() -> Self {
+        Self::Numeric {
+            values: Vec::new(),
+            any_present: false,
+        }
     }
-    let cleaned: String;
-    let candidate = if trimmed.contains(',') {
-        cleaned = trimmed.replace(',', "");
-        &cleaned
-    } else {
-        trimmed
-    };
-    candidate.parse::<f64>().ok().filter(|v| v.is_finite())
+
+    pub(crate) fn categorical() -> Self {
+        Self::Categorical(CategoricalColumn::default())
+    }
+
+    /// Takes the column's next field: trimmed once, then tested for null.
+    pub(crate) fn push(&mut self, field: &str, options: &InferOptions) {
+        let field = field.trim();
+        match self {
+            Self::Skipped => {}
+            Self::Categorical(col) if options.is_null(field) => col.push_null(),
+            Self::Categorical(col) => col.push(field),
+            Self::Numeric {
+                values,
+                any_present,
+            } => {
+                if options.is_null(field) {
+                    values.push(f64::NAN);
+                } else if let Some(v) = parse_number(field) {
+                    values.push(v);
+                    *any_present = true;
+                } else if *any_present {
+                    *self = Self::Skipped;
+                } else {
+                    let mut col = all_missing(values.len());
+                    col.push(field);
+                    *self = Self::Categorical(col);
+                }
+            }
+        }
+    }
+
+    /// The finished column, or `None` when it has to be read again as
+    /// categorical: it met text after numbers, or the
+    /// low-cardinality-integer rule reclassifies it.
+    pub(crate) fn finish(self, options: &InferOptions) -> Option<Column> {
+        match self {
+            // all-missing columns default to categorical
+            Self::Numeric {
+                values,
+                any_present: false,
+            } => Some(all_missing(values.len()).into()),
+            Self::Numeric { values, .. } => {
+                (!is_integer_code(&values, options)).then(|| NumericColumn::new(values).into())
+            }
+            Self::Categorical(col) => Some(col.into()),
+            Self::Skipped => None,
+        }
+    }
+}
+
+fn all_missing(rows: usize) -> CategoricalColumn {
+    CategoricalColumn::from_options(std::iter::repeat_n(None::<&str>, rows))
+}
+
+/// Does the low-cardinality-integer rule make these values category codes?
+fn is_integer_code(values: &[f64], options: &InferOptions) -> bool {
+    if options.max_integer_categories == 0 {
+        return false;
+    }
+    let present = || values.iter().filter(|v| !v.is_nan());
+    if !present().all(|v| v.fract() == 0.0) {
+        return false;
+    }
+    let mut distinct: Vec<i64> = present().map(|&v| v as i64).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct.len() <= options.max_integer_categories
 }
 
 /// Classifies and materializes the columns of a parsed CSV body.
@@ -70,62 +161,18 @@ pub fn infer_columns<S: AsRef<str>>(
     debug_assert_eq!(body.len() % width.max(1), 0, "body must be rectangular");
     let mut builder = TableBuilder::new(name);
     for (c, col_name) in header.iter().enumerate() {
-        let fields = body.iter().skip(c).step_by(width).map(S::as_ref);
-        builder = if let Some(values) = try_numeric(fields.clone(), options) {
-            builder.column(col_name.as_ref(), NumericColumn::new(values))
-        } else {
-            let cells = fields.map(|f| {
-                if options.is_null(f) {
-                    None
-                } else {
-                    Some(f.trim())
-                }
-            });
-            builder.column(col_name.as_ref(), CategoricalColumn::from_options(cells))
+        let read = |mut column: ColumnInfer| {
+            for field in body.iter().skip(c).step_by(width) {
+                column.push(field.as_ref(), options);
+            }
+            column.finish(options)
         };
+        let column = read(ColumnInfer::numeric())
+            .or_else(|| read(ColumnInfer::categorical()))
+            .expect("a categorical reading always finishes");
+        builder = builder.column(col_name.as_ref(), column);
     }
     builder.build()
-}
-
-/// Returns the numeric values when every present field parses as a number and
-/// the low-cardinality-integer rule does not reclassify the column.
-fn try_numeric<'a>(
-    fields: impl Iterator<Item = &'a str> + Clone,
-    options: &InferOptions,
-) -> Option<Vec<f64>> {
-    let mut values = Vec::new();
-    let mut any_present = false;
-    for f in fields {
-        if options.is_null(f) {
-            values.push(f64::NAN);
-        } else {
-            let v = parse_number(f)?;
-            any_present = true;
-            values.push(v);
-        }
-    }
-    if !any_present {
-        return None; // all-missing columns default to categorical
-    }
-    if options.max_integer_categories > 0 {
-        let all_int = values
-            .iter()
-            .filter(|v| !v.is_nan())
-            .all(|v| v.fract() == 0.0);
-        if all_int {
-            let mut distinct: Vec<i64> = values
-                .iter()
-                .filter(|v| !v.is_nan())
-                .map(|&v| v as i64)
-                .collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            if distinct.len() <= options.max_integer_categories {
-                return None;
-            }
-        }
-    }
-    Some(values)
 }
 
 #[cfg(test)]

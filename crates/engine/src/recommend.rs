@@ -43,8 +43,11 @@ pub struct CarouselConfig {
     pub weights: NeighborhoodWeights,
     /// Focus over-fetch factor (see [`DEFAULT_FOCUS_OVERFETCH`]).
     pub focus_overfetch: usize,
-    /// Assemble carousels in parallel — one task per class, output order
-    /// preserved. Results are identical to serial assembly.
+    /// Assemble carousels through rayon — one task per class, output order
+    /// preserved, results identical to serial assembly. The vendored rayon
+    /// stand-in runs any fan-out narrower than 32 items inline on the
+    /// caller's thread, so with the twelve built-in classes this is serial
+    /// assembly today.
     pub parallel: bool,
 }
 

@@ -74,8 +74,12 @@ pub struct CatalogConfig {
     pub reservoir: usize,
     /// Seed for all shared randomness.
     pub seed: u64,
-    /// Build columns in parallel with rayon (the paper's future-work
-    /// parallelism; ablated in the benchmarks).
+    /// Build columns through rayon (the paper's future-work parallelism;
+    /// ablated in the benchmarks); the catalog is bit-identical either way.
+    /// The vendored rayon stand-in runs any fan-out narrower than 32 items
+    /// inline on the caller's thread, so a pass over fewer than 32 columns
+    /// of a type (or fewer than 32 shards) is sequential today, and so is
+    /// the hyperplane accumulation, which fans out one chunk per thread.
     pub parallel: bool,
 }
 
@@ -228,21 +232,6 @@ impl SketchCatalog {
             .map(|&i| table.numeric(i).expect("index from schema").values())
             .collect();
 
-        // Hyperplane accumulators: shared row-keyed randomness means each
-        // chunk of columns can re-stream the same component sequence
-        // independently, so column-chunk parallelism is exact, not
-        // approximate — and identical to the sequential build.
-        let accumulate_all = |cols: &[&[f64]]| -> Vec<HyperplaneAccumulator> {
-            if config.parallel && cols.len() > 1 {
-                cols.par_chunks(8.max(cols.len() / rayon::current_num_threads().max(1)))
-                    .flat_map(|chunk| hp.accumulate_columns(chunk, row_offset))
-                    .collect()
-            } else {
-                hp.accumulate_columns(cols, row_offset)
-            }
-        };
-        let accs = accumulate_all(&numeric_cols);
-
         // Rank-transform each column (missing cells stay missing) and sketch
         // the ranks with the same shared hyperplanes → Spearman estimates.
         // Ranks are local to the shard, normalized to (0, 1) so shards of
@@ -269,8 +258,26 @@ impl SketchCatalog {
         } else {
             numeric_cols.iter().map(rank_transform).collect()
         };
-        let ranked_refs: Vec<&[f64]> = ranked.iter().map(Vec::as_slice).collect();
-        let rank_accs = accumulate_all(&ranked_refs);
+
+        // Hyperplane accumulators, value and rank columns in one stream of
+        // the shared components. Shared row-keyed randomness means each
+        // chunk of columns can re-stream the same component sequence
+        // independently, so column-chunk parallelism is exact, not
+        // approximate — and identical to the sequential build.
+        let streamed: Vec<&[f64]> = numeric_cols
+            .iter()
+            .copied()
+            .chain(ranked.iter().map(Vec::as_slice))
+            .collect();
+        let mut accs = if config.parallel && streamed.len() > 1 {
+            streamed
+                .par_chunks(8.max(streamed.len() / rayon::current_num_threads().max(1)))
+                .flat_map(|chunk| hp.accumulate_columns(chunk, row_offset))
+                .collect()
+        } else {
+            hp.accumulate_columns(&streamed, row_offset)
+        };
+        let rank_accs = accs.split_off(numeric_cols.len());
 
         type NumericJob<'a> = (
             usize,
