@@ -85,12 +85,16 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     class_id: &'static str,
     attrs: AttrTuple,
     mode: Mode,
-    metric: Option<String>,
+    /// `None` = the class's primary metric. A name the class itself
+    /// declares (`metric()` / `alternative_metrics()`), which the executor
+    /// resolves once per query — so a key is plain data: building, hashing
+    /// and comparing one never allocates.
+    metric: Option<&'static str>,
     /// Data-generation counter: every [`ScoreCache::bump_epoch`] (one per
     /// republished core snapshot whose scores could differ) moves lookups to
     /// a fresh keyspace, so scores computed against a previous generation of
@@ -289,9 +293,13 @@ impl ScoreCache {
                     return true;
                 }
                 if k.epoch == prev && keep(k.class_id, &k.attrs) {
-                    let mut key = k.clone();
-                    key.epoch = current;
-                    migrated.push((key, *v));
+                    migrated.push((
+                        CacheKey {
+                            epoch: current,
+                            ..*k
+                        },
+                        *v,
+                    ));
                     kept_here += 1;
                 }
                 false
@@ -347,14 +355,14 @@ impl ScoreCache {
         class_id: &'static str,
         attrs: &AttrTuple,
         mode: Mode,
-        metric: Option<&str>,
+        metric: Option<&'static str>,
         epoch: u64,
     ) -> Option<Option<f64>> {
         let key = CacheKey {
             class_id,
             attrs: *attrs,
             mode,
-            metric: metric.map(str::to_owned),
+            metric,
             epoch,
         };
         let shard = self.shard(&key);
@@ -378,7 +386,7 @@ impl ScoreCache {
         class_id: &'static str,
         attrs: &AttrTuple,
         mode: Mode,
-        metric: Option<&str>,
+        metric: Option<&'static str>,
         score: Option<f64>,
         epoch: u64,
     ) {
@@ -386,7 +394,7 @@ impl ScoreCache {
             class_id,
             attrs: *attrs,
             mode,
-            metric: metric.map(str::to_owned),
+            metric,
             epoch,
         };
         let shard = self.shard(&key);
@@ -413,7 +421,7 @@ impl ScoreCache {
         class_id: &'static str,
         candidates: &[AttrTuple],
         mode: Mode,
-        metric: Option<&str>,
+        metric: Option<&'static str>,
         epoch: u64,
     ) -> BatchLookup {
         let keys: Vec<CacheKey> = candidates
@@ -422,7 +430,7 @@ impl ScoreCache {
                 class_id,
                 attrs: *attrs,
                 mode,
-                metric: metric.map(str::to_owned),
+                metric,
                 epoch,
             })
             .collect();
@@ -471,7 +479,7 @@ impl ScoreCache {
         class_id: &'static str,
         entries: &[(AttrTuple, Option<f64>)],
         mode: Mode,
-        metric: Option<&str>,
+        metric: Option<&'static str>,
         epoch: u64,
     ) -> u64 {
         let keys: Vec<CacheKey> = entries
@@ -480,7 +488,7 @@ impl ScoreCache {
                 class_id,
                 attrs: *attrs,
                 mode,
-                metric: metric.map(str::to_owned),
+                metric,
                 epoch,
             })
             .collect();
@@ -488,14 +496,13 @@ impl ScoreCache {
         for (i, key) in keys.iter().enumerate() {
             by_shard[Self::shard_index(key)].push(i);
         }
-        let mut keys: Vec<Option<CacheKey>> = keys.into_iter().map(Some).collect();
         for (shard, indices) in self.shards.iter().zip(&by_shard) {
             if indices.is_empty() {
                 continue;
             }
             let mut map = shard.map.write();
             for &i in indices {
-                map.insert(keys[i].take().expect("each key stored once"), entries[i].1);
+                map.insert(keys[i], entries[i].1);
             }
         }
         entries.len() as u64

@@ -83,6 +83,14 @@ impl CandidateStrategy {
 pub enum CandidateOrigin {
     /// The class's own `candidates()` scan (quadratic for pairwise classes).
     ClassScan,
+    /// The class scan restricted to the partners of one fixed attribute —
+    /// the paper's `(x̄, y)` query shape (§2.1) — enumerated directly from
+    /// the class's declared pair shape: d − 1 tuples, not d(d − 1)/2 and a
+    /// filter.
+    PinnedScan {
+        /// The fixed column whose partners were enumerated.
+        column: usize,
+    },
     /// LSH bucket collisions (plus, for [`CandidatePruning::AllPairs`]
     /// classes, the exhaustively-enumerated pairs outside the index).
     Lsh {
@@ -152,13 +160,35 @@ impl<'a> CandidateSource<'a> {
         }
     }
 
-    /// Generates candidates for `class` on `table`.
-    pub fn generate(&self, class: &dyn InsightClass, table: &Table) -> CandidatePlan {
+    /// Generates candidates for `class` on `table` for a query that fixes
+    /// the attributes `fixed` (empty = none).
+    ///
+    /// The plan is a superset of the class's candidates that contain every
+    /// fixed attribute; callers still apply the query's own filters. When
+    /// the class scan is the origin and the class declares a pair shape,
+    /// a fixed attribute inside the declared universe is *pinned*: only its
+    /// partners are enumerated, in the scan's own (sorted-tuple) order —
+    /// exactly `class.candidates(table)` filtered by `fixed`, which is the
+    /// contract [`CandidatePruning`] states and the LSH path already
+    /// relies on. Classes with [`CandidatePruning::None`] and pins outside
+    /// the universe get the full scan.
+    pub fn generate(
+        &self,
+        class: &dyn InsightClass,
+        table: &Table,
+        fixed: &[usize],
+    ) -> CandidatePlan {
         let pruning = class.pruning();
         if !self.resolves_to_lsh(pruning, table) {
-            return CandidatePlan {
-                tuples: class.candidates(table),
-                origin: CandidateOrigin::ClassScan,
+            return match pinned_pairs(pruning, table, fixed) {
+                Some((column, tuples)) => CandidatePlan {
+                    tuples,
+                    origin: CandidateOrigin::PinnedScan { column },
+                },
+                None => CandidatePlan {
+                    tuples: class.candidates(table),
+                    origin: CandidateOrigin::ClassScan,
+                },
             };
         }
         let index = self.lsh.expect("resolves_to_lsh checked");
@@ -198,6 +228,34 @@ impl<'a> CandidateSource<'a> {
     }
 }
 
+/// The pairs of a declared pair shape that contain every column of
+/// `fixed`, in the class scan's order, with the pinned column — or `None`
+/// when nothing is fixed, the class declares no shape, or the first fixed
+/// column lies outside the shape's universe (then the full scan decides).
+fn pinned_pairs(
+    pruning: CandidatePruning,
+    table: &Table,
+    fixed: &[usize],
+) -> Option<(usize, Vec<AttrTuple>)> {
+    let &pin = fixed.first()?;
+    // both universes are ascending, and the scan enumerates (a, b), a < b,
+    // in lexicographic order — so the pin's partners in universe order are
+    // already in scan order
+    let universe = match pruning {
+        CandidatePruning::None => return None,
+        CandidatePruning::NumericPairs => table.numeric_indices(),
+        CandidatePruning::AllPairs => (0..table.n_cols()).collect(),
+    };
+    universe.binary_search(&pin).ok()?;
+    let tuples = universe
+        .into_iter()
+        .filter(|&partner| partner != pin)
+        .map(|partner| AttrTuple::Two(pin.min(partner), pin.max(partner)))
+        .filter(|pair| fixed[1..].iter().all(|&f| pair.contains(f)))
+        .collect();
+    Some((pin, tuples))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +279,128 @@ mod tests {
     #[test]
     fn default_is_auto() {
         assert_eq!(CandidateStrategy::default(), CandidateStrategy::Auto);
+    }
+
+    /// OECD, a synth table (categoricals last), and one with categorical
+    /// columns first and in the middle of the numeric ones.
+    fn shape_tables() -> Vec<Table> {
+        use foresight_data::datasets::{oecd, synth, SynthConfig};
+        use foresight_data::TableBuilder;
+        let rows = 40;
+        let numeric = |k: usize| -> Vec<f64> {
+            (0..rows)
+                .map(|r| ((r * (k + 3)) % 17) as f64 + k as f64)
+                .collect()
+        };
+        let labels = |m: usize| (0..rows).map(move |r| ["a", "b", "c"][(r / m) % 3]);
+        let interleaved = TableBuilder::new("interleaved")
+            .categorical("c0", labels(1))
+            .numeric("n1", numeric(1))
+            .numeric("n2", numeric(2))
+            .categorical("c3", labels(2))
+            .numeric("n4", numeric(4))
+            .numeric("n5", numeric(5))
+            .build()
+            .unwrap();
+        let (synthetic, _) = synth(&SynthConfig::benchmark(60, 9, 5));
+        vec![oecd(), synthetic, interleaved]
+    }
+
+    /// What `CandidatePruning` promises, and both the LSH path and pinned
+    /// enumeration lean on: a class that declares a pair shape scans
+    /// exactly the unordered pairs of the declared universe, in
+    /// lexicographic order.
+    #[test]
+    fn declared_pair_shapes_are_what_the_classes_scan() {
+        let registry = foresight_insight::InsightRegistry::default();
+        let mut shaped = 0;
+        for table in shape_tables() {
+            for class in registry.classes() {
+                let universe: Vec<usize> = match class.pruning() {
+                    CandidatePruning::None => continue,
+                    CandidatePruning::NumericPairs => table.numeric_indices(),
+                    CandidatePruning::AllPairs => (0..table.n_cols()).collect(),
+                };
+                shaped += 1;
+                let mut expected = Vec::new();
+                for (i, &a) in universe.iter().enumerate() {
+                    for &b in &universe[i + 1..] {
+                        expected.push(AttrTuple::Two(a, b));
+                    }
+                }
+                assert!(expected.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(
+                    class.candidates(&table),
+                    expected,
+                    "{} on {}",
+                    class.id(),
+                    table.name()
+                );
+            }
+        }
+        assert!(
+            shaped >= 9,
+            "linear, monotonic and dependence declare a shape"
+        );
+    }
+
+    /// Pinned enumeration is the class scan filtered by the fixed
+    /// attributes — same tuples, same order — for every class and every
+    /// way of pinning: each column (numeric or categorical), one past the
+    /// end, a pin repeated, and two pins either way round.
+    #[test]
+    fn pinned_enumeration_equals_the_filtered_scan() {
+        let registry = foresight_insight::InsightRegistry::default();
+        let source = CandidateSource::exhaustive();
+        for table in shape_tables() {
+            let d = table.n_cols();
+            let mut pin_sets: Vec<Vec<usize>> = (0..=d).map(|c| vec![c]).collect();
+            pin_sets.push(vec![1, 1]);
+            pin_sets.push(vec![1, d - 1]);
+            pin_sets.push(vec![d - 1, 1]);
+            pin_sets.push(vec![0, 1, 2]);
+            pin_sets.push(vec![d, 1]);
+            for class in registry.classes() {
+                let scan = class.candidates(&table);
+                assert_eq!(
+                    source.generate(class.as_ref(), &table, &[]).tuples,
+                    scan,
+                    "nothing fixed is the scan itself"
+                );
+                for fixed in &pin_sets {
+                    let expected: Vec<AttrTuple> = scan
+                        .iter()
+                        .copied()
+                        .filter(|t| fixed.iter().all(|&f| t.contains(f)))
+                        .collect();
+                    let plan = source.generate(class.as_ref(), &table, fixed);
+                    let filtered: Vec<AttrTuple> = plan
+                        .tuples
+                        .iter()
+                        .copied()
+                        .filter(|t| fixed.iter().all(|&f| t.contains(f)))
+                        .collect();
+                    assert_eq!(
+                        filtered,
+                        expected,
+                        "{} on {} fixing {fixed:?}",
+                        class.id(),
+                        table.name()
+                    );
+                    if let CandidateOrigin::PinnedScan { column } = plan.origin {
+                        // a pinned walk needs no filter at all
+                        assert_eq!(plan.tuples, expected);
+                        assert_eq!(column, fixed[0]);
+                        assert_ne!(class.pruning(), CandidatePruning::None);
+                    }
+                }
+            }
+            // and the walk is what a shaped class gets for a pin in its universe
+            let linear = registry.get("linear-relationship").unwrap();
+            let pin = table.numeric_indices()[1];
+            let plan = source.generate(linear.as_ref(), &table, &[pin]);
+            assert_eq!(plan.origin, CandidateOrigin::PinnedScan { column: pin });
+            assert_eq!(plan.tuples.len(), table.numeric_indices().len() - 1);
+        }
     }
 }

@@ -29,6 +29,7 @@ use foresight_data::{Table, TableSource};
 use foresight_insight::{InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::lsh::LshIndex;
 use foresight_sketch::{CatalogConfig, Mergeable, SketchCatalog};
+use foresight_stats::prepared::PreparedColumns;
 use foresight_viz::ChartSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -48,9 +49,9 @@ struct IndexedAt {
 /// that is *not* per-user exploration state.
 ///
 /// All query paths take `&self`; the only interior mutability is the
-/// sharded [`ScoreCache`] and two `OnceLock` memos (lazy shard
-/// concatenation and the zero-row schema table), each of which is
-/// synchronized and write-once. The type is `Send + Sync` by
+/// sharded [`ScoreCache`] and the `OnceLock` memos (lazy shard
+/// concatenation, the zero-row schema table, the prepared columns), each
+/// of which is synchronized and write-once. The type is `Send + Sync` by
 /// construction — share it across threads with [`Arc`] and hand each user
 /// a [`crate::SessionHandle`].
 pub struct EngineCore {
@@ -61,6 +62,12 @@ pub struct EngineCore {
     /// the executor enumerates candidates against when the raw rows stay
     /// sharded.
     schema_table: OnceLock<Table>,
+    /// Centred values / centred ranks of the raw table's numeric columns,
+    /// filled on demand by exact batch scoring and kept for the snapshot's
+    /// life. Derived from [`try_table`](Self::try_table) and nothing else:
+    /// the writer path replaces it whenever the rows change, so it is
+    /// dropped with its table, never invalidated.
+    prepared: PreparedColumns,
     registry: Arc<InsightRegistry>,
     catalog: Option<SketchCatalog>,
     index: Option<IndexedAt>,
@@ -250,6 +257,7 @@ impl EngineCore {
         crate::telemetry::ResourceSnapshot {
             catalog_bytes: self.catalog.as_ref().map_or(0, |c| c.approx_bytes()) as u64,
             cache_bytes: self.cache.approx_bytes() as u64,
+            prepared_bytes: self.prepared.approx_bytes() as u64,
             lsh_bytes: self.lsh.as_deref().map_or(0, |l| l.size_bytes()) as u64,
             trace_bytes: self.tracer.approx_bytes() as u64,
             session_table_bytes: sessions_live * SESSION_ENTRY_BYTES,
@@ -326,6 +334,12 @@ impl EngineCore {
         self.schema_table.get_or_init(|| self.source.schema_table())
     }
 
+    /// The snapshot's store of prepared columns (see
+    /// [`PreparedColumns`]) — exposed for its occupancy and byte gauges.
+    pub fn prepared_columns(&self) -> &PreparedColumns {
+        &self.prepared
+    }
+
     /// Whether `mode` runs off the merged catalog with no raw-row fallback.
     fn sketch_backed_at(&self, mode: Mode) -> bool {
         self.source.as_materialized().is_none() && mode == Mode::Approximate
@@ -365,6 +379,13 @@ impl EngineCore {
             }
             (Mode::Approximate, None) => return Err(EngineError::NoCatalog),
             _ => Executor::exact(self.try_table()?, &self.registry),
+        };
+        // the store is over the raw rows; a sketch-backed executor sees only
+        // the zero-row schema table and scores nothing exactly
+        let ex = if self.sketch_backed_at(mode) {
+            ex
+        } else {
+            ex.with_prepared(&self.prepared)
         };
         Ok(ex
             .parallel(parallel)
@@ -661,6 +682,9 @@ pub struct CoreBuilder {
     source: TableSource,
     materialized: OnceLock<Table>,
     schema_table: OnceLock<Table>,
+    /// Prepared columns over the staged raw rows; travels with them into
+    /// the frozen snapshot and is replaced whenever they change.
+    prepared: PreparedColumns,
     registry: Arc<InsightRegistry>,
     catalog: Option<SketchCatalog>,
     index: Option<IndexedAt>,
@@ -696,6 +720,7 @@ impl CoreBuilder {
             source,
             materialized: OnceLock::new(),
             schema_table: OnceLock::new(),
+            prepared: PreparedColumns::new(),
             registry: InsightRegistry::default().freeze(),
             catalog: None,
             index: None,
@@ -715,14 +740,16 @@ impl CoreBuilder {
 
     /// Takes over a published core for editing. When the `Arc` is uniquely
     /// held the core is moved (no copies); otherwise the shared pieces are
-    /// cloned (the lazy materialization memo is dropped rather than copied
-    /// — it rebuilds on demand) and readers of the original are untouched.
+    /// cloned (the lazy materialization memo and the prepared columns are
+    /// dropped rather than copied — they rebuild on demand) and readers of
+    /// the original are untouched.
     pub fn from_arc(core: Arc<EngineCore>) -> Self {
         match Arc::try_unwrap(core) {
             Ok(core) => Self {
                 source: core.source,
                 materialized: core.materialized,
                 schema_table: core.schema_table,
+                prepared: core.prepared,
                 registry: core.registry,
                 catalog: core.catalog,
                 index: core.index,
@@ -742,6 +769,7 @@ impl CoreBuilder {
                 source: shared.source.clone(),
                 materialized: OnceLock::new(),
                 schema_table: OnceLock::new(),
+                prepared: PreparedColumns::new(),
                 registry: Arc::clone(&shared.registry),
                 catalog: shared.catalog.clone(),
                 index: shared.index.clone(),
@@ -869,7 +897,9 @@ impl CoreBuilder {
         let touched = present_columns(&shard);
         let offset = self.source.append_shard_arc(Arc::clone(&shard))?;
         self.appended = true;
+        // the rows changed: everything derived from them goes with them
         self.materialized = OnceLock::new();
+        self.prepared = PreparedColumns::new();
         self.dirty_columns.extend(touched);
         self.metrics.record_ingest_batch(rows);
         if let Some(catalog) = self.catalog.as_mut() {
@@ -955,10 +985,12 @@ impl CoreBuilder {
     /// the sketch estimates — microseconds of work per class, less than
     /// the split costs on every republish.
     fn index_executor(&self, mode: Mode) -> Result<Executor<'_>> {
+        // sketch-backed: the executor sees only the zero-row schema table,
+        // so there are no raw rows for prepared columns to derive from
+        let sketch_backed = mode == Mode::Approximate && self.source.as_materialized().is_none();
         let ex = match mode {
             Mode::Approximate => {
                 let catalog = self.catalog.as_ref().ok_or(EngineError::NoCatalog)?;
-                let sketch_backed = self.source.as_materialized().is_none();
                 let table = if sketch_backed {
                     self.schema_table()
                 } else {
@@ -967,6 +999,11 @@ impl CoreBuilder {
                 Executor::approximate(table, &self.registry, catalog).sketch_only(sketch_backed)
             }
             Mode::Exact => Executor::exact(self.try_table()?, &self.registry),
+        };
+        let ex = if sketch_backed {
+            ex
+        } else {
+            ex.with_prepared(&self.prepared)
         };
         Ok(ex.with_metrics(&self.metrics))
     }
@@ -1089,6 +1126,7 @@ impl CoreBuilder {
             source: self.source,
             materialized: self.materialized,
             schema_table: self.schema_table,
+            prepared: self.prepared,
             registry: self.registry,
             catalog: self.catalog,
             index: self.index,

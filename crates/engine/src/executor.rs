@@ -12,6 +12,7 @@ use crate::trace::{LshCandidates, ScorePath, TraceBuilder};
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::SketchCatalog;
+use foresight_stats::prepared::PreparedColumns;
 use rayon::prelude::*;
 use std::cmp::Ordering;
 
@@ -50,10 +51,15 @@ pub struct Executor<'a> {
     mode: Mode,
     parallel: bool,
     pub(crate) sketch_only: bool,
-    /// How candidate tuples are generated. `None` = the class's own scan
-    /// (standalone executors); a core snapshot passes its [`CandidateSource`]
+    /// How candidate tuples are generated: the class's own scan for a
+    /// standalone executor; a core snapshot passes its [`CandidateSource`]
     /// so wide-table queries can draw candidates from LSH collisions.
-    candidates: Option<CandidateSource<'a>>,
+    candidates: CandidateSource<'a>,
+    /// The store of per-column transforms over `table` that exact batch
+    /// scoring draws from. A core snapshot lends its own, so a column is
+    /// centred or ranked once per snapshot; `None` (standalone executors)
+    /// = one store per scoring call, dropped with it.
+    prepared: Option<&'a PreparedColumns>,
 }
 
 impl<'a> Executor<'a> {
@@ -68,7 +74,8 @@ impl<'a> Executor<'a> {
             mode: Mode::Exact,
             parallel: false,
             sketch_only: false,
-            candidates: None,
+            candidates: CandidateSource::exhaustive(),
+            prepared: None,
         }
     }
 
@@ -87,7 +94,8 @@ impl<'a> Executor<'a> {
             mode: Mode::Approximate,
             parallel: false,
             sketch_only: false,
-            candidates: None,
+            candidates: CandidateSource::exhaustive(),
+            prepared: None,
         }
     }
 
@@ -139,7 +147,16 @@ impl<'a> Executor<'a> {
     /// query uses the class scan — bit-identical to an engine without the
     /// index.
     pub fn with_candidates(mut self, source: CandidateSource<'a>) -> Self {
-        self.candidates = Some(source);
+        self.candidates = source;
+        self
+    }
+
+    /// Lends the executor a [`PreparedColumns`] store that outlives it —
+    /// one derived from `table` and nothing else, which is the caller's
+    /// obligation (a core snapshot owns its table and its store together).
+    /// Scores are bit-identical with or without it.
+    pub fn with_prepared(mut self, prepared: &'a PreparedColumns) -> Self {
+        self.prepared = Some(prepared);
         self
     }
 
@@ -178,30 +195,51 @@ impl<'a> Executor<'a> {
     }
 
     /// Scores tuples no cache entry answers, tagging each score with the
-    /// path that produced it. Exact primary-metric scoring goes through
-    /// [`InsightClass::score_batch`] — contractually bit-identical to
-    /// per-candidate `score` — so classes share per-column work across the
-    /// whole miss set; that covers exact mode and the sketch-less remainder
-    /// of an approximate pass alike.
+    /// path that produced it. Every exact score — primary or alternative
+    /// metric, exact mode or the sketch-less remainder of an approximate
+    /// pass — comes from [`InsightClass::score_metric_batch`], which is
+    /// contractually bit-identical to per-candidate `score_metric` and
+    /// shares per-column work across the miss set (and, through the
+    /// snapshot's [`PreparedColumns`], across queries).
     fn score_misses(
         &self,
         class: &dyn InsightClass,
-        metric: Option<&str>,
+        metric: Option<&'static str>,
         tuples: &[AttrTuple],
     ) -> Vec<(Option<f64>, ScorePath)> {
+        let local;
+        let prepared = match self.prepared {
+            Some(shared) => shared,
+            None => {
+                local = PreparedColumns::new();
+                &local
+            }
+        };
+        let exact = |tuples: &[AttrTuple], metric: &str| {
+            let scores = class.score_metric_batch(self.table, tuples, metric, prepared);
+            debug_assert_eq!(scores.len(), tuples.len());
+            scores
+        };
+        let tagged = |scores: Vec<Option<f64>>| -> Vec<(Option<f64>, ScorePath)> {
+            scores.into_iter().map(|s| (s, ScorePath::Exact)).collect()
+        };
         if let Some(metric) = metric {
-            // alternative metrics always take the exact path
-            return self.map_each(tuples, |attrs| {
-                (
-                    class.score_metric(self.table, attrs, metric),
-                    ScorePath::Exact,
-                )
+            // alternative metrics always take the exact path. A parallel
+            // executor splits per tuple, as for every per-candidate pass:
+            // what a batched metric shares is in `prepared`, so a one-tuple
+            // batch costs two slot reads and a dot product, and a metric
+            // with nothing to share (|kendall-tau|) keeps its fan-out.
+            return tagged(if self.parallel {
+                tuples
+                    .par_chunks(1)
+                    .flat_map(|one| exact(one, metric))
+                    .collect()
+            } else {
+                exact(tuples, metric)
             });
         }
         let (Mode::Approximate, Some(catalog)) = (self.mode, self.catalog) else {
-            let scores = class.score_batch(self.table, tuples);
-            debug_assert_eq!(scores.len(), tuples.len());
-            return scores.into_iter().map(|s| (s, ScorePath::Exact)).collect();
+            return tagged(exact(tuples, class.metric()));
         };
         let mut out = self.map_each(tuples, |attrs| {
             match class.score_sketch(catalog, self.table, attrs) {
@@ -226,9 +264,7 @@ impl<'a> Executor<'a> {
                 metrics.record_sketch_fallback();
             }
         }
-        let scores = class.score_batch(self.table, &unsketched);
-        debug_assert_eq!(scores.len(), unsketched.len());
-        for (i, score) in slots.into_iter().zip(scores) {
+        for (i, score) in slots.into_iter().zip(exact(&unsketched, class.metric())) {
             out[i] = (score, ScorePath::SketchFallbackExact);
         }
         out
@@ -248,7 +284,7 @@ impl<'a> Executor<'a> {
     pub(crate) fn score_candidates(
         &self,
         class: &dyn InsightClass,
-        metric: Option<&str>,
+        metric: Option<&'static str>,
         candidates: &[AttrTuple],
         trace: &mut TraceBuilder,
     ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>) {
@@ -322,32 +358,35 @@ impl<'a> Executor<'a> {
             .registry
             .get(&query.class_id)
             .ok_or_else(|| EngineError::UnknownClass(query.class_id.clone()))?;
-        if let Some(metric) = &query.metric {
-            let known =
-                metric == class.metric() || class.alternative_metrics().iter().any(|m| m == metric);
-            if !known {
-                return Err(EngineError::UnknownMetric {
-                    class: query.class_id.clone(),
-                    metric: metric.clone(),
-                });
+        // the query's metric, resolved once to the class's own spelling of
+        // it: the unknown-metric check and the allocation-free cache key
+        let metric: Option<&'static str> = match &query.metric {
+            None => None,
+            Some(name) => {
+                let known = std::iter::once(class.metric())
+                    .chain(class.alternative_metrics())
+                    .find(|m| m == name);
+                if known.is_none() {
+                    return Err(EngineError::UnknownMetric {
+                        class: query.class_id.clone(),
+                        metric: name.clone(),
+                    });
+                }
+                if self.sketch_only {
+                    return Err(EngineError::ExactUnavailable(
+                        "alternative metrics are scored over raw rows, which a \
+                         sharded source does not expose in approximate mode",
+                    ));
+                }
+                known
             }
-            if self.sketch_only {
-                return Err(EngineError::ExactUnavailable(
-                    "alternative metrics are scored over raw rows, which a \
-                     sharded source does not expose in approximate mode",
-                ));
-            }
-        }
-
-        trace.set_metric(query.metric.as_deref().unwrap_or_else(|| class.metric()));
-        trace.begin("candidates");
-        let plan = match &self.candidates {
-            Some(source) => source.generate(class.as_ref(), self.table),
-            None => crate::candidates::CandidatePlan {
-                tuples: class.candidates(self.table),
-                origin: CandidateOrigin::ClassScan,
-            },
         };
+
+        trace.set_metric(metric.unwrap_or_else(|| class.metric()));
+        trace.begin("candidates");
+        let plan = self
+            .candidates
+            .generate(class.as_ref(), self.table, &query.fixed_attrs);
         let raw = plan.tuples;
         let generated = raw.len();
         let candidates: Vec<AttrTuple> = raw
@@ -361,6 +400,11 @@ impl<'a> Executor<'a> {
         trace.set_candidates(generated, candidates.len());
         trace.attr("generated", || generated.to_string());
         trace.attr("eligible", || candidates.len().to_string());
+        if let CandidateOrigin::PinnedScan { column } = plan.origin {
+            trace.attr("pinned", || {
+                foresight_insight::class::column_name(self.table, column).to_owned()
+            });
+        }
         if let CandidateOrigin::Lsh {
             collision_pairs,
             universe_columns,
@@ -396,7 +440,7 @@ impl<'a> Executor<'a> {
             foresight_stats::kernel::mode().name().to_owned()
         });
         let (scores, provenance) =
-            self.score_candidates(class.as_ref(), query.metric.as_deref(), &candidates, trace);
+            self.score_candidates(class.as_ref(), metric, &candidates, trace);
         trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
         let mut scored: Vec<(AttrTuple, f64)> = scores
             .into_iter()
@@ -440,10 +484,7 @@ impl<'a> Executor<'a> {
                 class_id: query.class_id.clone(),
                 attrs,
                 score,
-                metric: query
-                    .metric
-                    .clone()
-                    .unwrap_or_else(|| class.metric().to_owned()),
+                metric: metric.unwrap_or_else(|| class.metric()).to_owned(),
                 detail: if self.sketch_only {
                     // `describe` reads raw columns the source doesn't have
                     format!(

@@ -1043,6 +1043,11 @@ pub struct ResourceSnapshot {
     pub catalog_bytes: u64,
     /// Score cache (keyed scores + detail strings).
     pub cache_bytes: u64,
+    /// The snapshot's prepared columns (centred values / centred ranks of
+    /// the numeric columns exact batch scoring has asked for). Defaults on
+    /// deserialize so snapshots from older peers still parse.
+    #[serde(default)]
+    pub prepared_bytes: u64,
     /// LSH candidate index (bucket tables + key cache), 0 when absent.
     pub lsh_bytes: u64,
     /// Trace ring + slow-query log (capacity-based estimate).
@@ -1255,9 +1260,10 @@ impl MetricsSnapshot {
         if let Some(r) = &self.resources {
             let _ = writeln!(
                 out,
-                "resources: catalog {} KiB, cache {} KiB, lsh {} KiB, traces {} KiB, sessions {} ({} KiB)",
+                "resources: catalog {} KiB, cache {} KiB, prepared {} KiB, lsh {} KiB, traces {} KiB, sessions {} ({} KiB)",
                 r.catalog_bytes / 1024,
                 r.cache_bytes / 1024,
+                r.prepared_bytes / 1024,
                 r.lsh_bytes / 1024,
                 r.trace_bytes / 1024,
                 r.sessions_live,
@@ -1563,6 +1569,7 @@ impl MetricsSnapshot {
             for (component, bytes) in [
                 ("catalog", r.catalog_bytes),
                 ("score_cache", r.cache_bytes),
+                ("prepared_columns", r.prepared_bytes),
                 ("lsh_index", r.lsh_bytes),
                 ("trace_ring", r.trace_bytes),
                 ("session_table", r.session_table_bytes),

@@ -80,6 +80,7 @@ fn fully_populated() -> MetricsSnapshot {
         resources: Some(ResourceSnapshot {
             catalog_bytes: fresh(),
             cache_bytes: fresh(),
+            prepared_bytes: fresh(),
             lsh_bytes: fresh(),
             trace_bytes: fresh(),
             session_table_bytes: fresh(),
@@ -107,6 +108,7 @@ const SKIP_ALWAYS: &[&str] = &[
 const SKIP_TEXT: &[&str] = &[
     "catalog_bytes",
     "cache_bytes",
+    "prepared_bytes",
     "lsh_bytes",
     "trace_bytes",
     "session_table_bytes",

@@ -7,7 +7,8 @@ use foresight_data::TableBuilder;
 use foresight_engine::executor::rank_top_k;
 use foresight_engine::recommend::{carousels_with, CarouselConfig};
 use foresight_engine::{Executor, InsightQuery, NeighborhoodWeights, ScoreCache, Session};
-use foresight_insight::{AttrTuple, InsightInstance, InsightRegistry};
+use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
+use foresight_stats::prepared::PreparedColumns;
 use proptest::prelude::*;
 
 fn table(cols: usize, rows: usize, seed: u64) -> foresight_data::Table {
@@ -147,6 +148,72 @@ fn numeric_columns() -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(cell(), 36), 3..5)
 }
 
+/// The batch contracts of one class on one table: `score_batch ≡ score`,
+/// and `score_metric_batch ≡ score_metric` for the primary metric and every
+/// alternative — through a store nobody has touched and through `shared`,
+/// which earlier classes (and earlier metrics) have already filled.
+fn assert_batch_contracts(
+    class: &dyn InsightClass,
+    t: &foresight_data::Table,
+    shared: &PreparedColumns,
+) {
+    let candidates = class.candidates(t);
+    for (attrs, batch) in candidates.iter().zip(class.score_batch(t, &candidates)) {
+        assert_eq!(
+            class.score(t, attrs).map(f64::to_bits),
+            batch.map(f64::to_bits),
+            "{} batch diverges on {attrs:?}",
+            class.id()
+        );
+    }
+    for metric in std::iter::once(class.metric()).chain(class.alternative_metrics()) {
+        let cold = class.score_metric_batch(t, &candidates, metric, &PreparedColumns::new());
+        let warm = class.score_metric_batch(t, &candidates, metric, shared);
+        assert_eq!(cold.len(), candidates.len());
+        for ((attrs, cold), warm) in candidates.iter().zip(cold).zip(warm) {
+            let single = class.score_metric(t, attrs, metric).map(f64::to_bits);
+            assert_eq!(
+                single,
+                cold.map(f64::to_bits),
+                "{} {metric} batch diverges on {attrs:?}",
+                class.id()
+            );
+            assert_eq!(
+                single,
+                warm.map(f64::to_bits),
+                "{} {metric} batch over a warm store diverges on {attrs:?}",
+                class.id()
+            );
+        }
+    }
+}
+
+/// The batch contracts at the row counts where per-column preparation
+/// changes behaviour: no rows, one row, two rows (the smallest centrable
+/// column), the OECD table's 35, and the wide benchmark table's 2 000 — on
+/// columns with ties, NaN holes, a constant, and a categorical.
+#[test]
+fn batch_contracts_hold_at_every_size() {
+    for n in [0usize, 1, 2, 35, 2_000] {
+        let wave = |i: usize| (i as f64 * 0.731).sin() * 40.0;
+        let t = mixed_table(vec![
+            (0..n).map(wave).collect(),
+            (0..n)
+                .map(|i| wave(i) * wave(i) + i as f64 * 0.01)
+                .collect(),
+            (0..n).map(|i| (i % 5) as f64).collect(),
+            (0..n)
+                .map(|i| if i % 7 == 3 { f64::NAN } else { wave(i + 11) })
+                .collect(),
+            vec![4.25; n],
+        ]);
+        let shared = PreparedColumns::new();
+        for class in InsightRegistry::default().classes() {
+            assert_batch_contracts(class.as_ref(), &t, &shared);
+        }
+    }
+}
+
 fn assert_bit_identical(a: &[InsightInstance], b: &[InsightInstance], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: result counts differ");
     for (x, y) in a.iter().zip(b) {
@@ -167,22 +234,17 @@ proptest! {
 
     /// Cached, warm-cached, and parallel execution are all bit-identical
     /// to plain serial execution, for every registered class — and the
-    /// `score_batch` they all score through is bit-identical to
-    /// per-candidate `score`, the contract that lets them.
+    /// `score_batch` / `score_metric_batch` they all score through are
+    /// bit-identical to per-candidate `score` / `score_metric`, the
+    /// contract that lets them.
     #[test]
     fn all_execution_paths_bit_identical(cols in numeric_columns()) {
         let t = mixed_table(cols);
         let r = InsightRegistry::default();
         let cache = ScoreCache::new();
+        let prepared = PreparedColumns::new();
         for class in r.classes() {
-            let candidates = class.candidates(&t);
-            for (attrs, batch) in candidates.iter().zip(class.score_batch(&t, &candidates)) {
-                prop_assert_eq!(
-                    class.score(&t, attrs).map(f64::to_bits),
-                    batch.map(f64::to_bits),
-                    "{} batch diverges on {:?}", class.id(), attrs
-                );
-            }
+            assert_batch_contracts(class.as_ref(), &t, &prepared);
             let q = InsightQuery::class(class.id()).top_k(6);
             let serial = Executor::exact(&t, &r).execute(&q).expect("serial");
             let parallel = Executor::exact(&t, &r)

@@ -314,10 +314,23 @@ fn churn_queries_stay_consistent_and_final_state_matches_batch() {
     );
     let published = writer.published();
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..4)
+    /// Counts a reader in at the start barrier when dropped: after its
+    /// first served query, or by unwinding if it panics before that — so a
+    /// reader that fails early fails the test at `join` instead of leaving
+    /// the writer waiting for it.
+    struct Arrive(std::sync::mpsc::Sender<()>);
+    impl Drop for Arrive {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+    const READERS: usize = 4;
+    let (arrive, arrived) = std::sync::mpsc::channel();
+    let readers: Vec<_> = (0..READERS)
         .map(|i| {
             let published = Arc::clone(&published);
             let stop = Arc::clone(&stop);
+            let mut arrive = Some(Arrive(arrive.clone()));
             std::thread::spawn(move || {
                 let mut handle = published.latest().handle();
                 handle.bind_stream(published);
@@ -335,11 +348,18 @@ fn churn_queries_stay_consistent_and_final_state_matches_batch() {
                     assert_eq!(first, second, "torn read on a published snapshot");
                     handle.query(&q).expect("handle query under churn");
                     served += 1;
+                    arrive.take();
                 }
                 served
             })
         })
         .collect();
+    // the churn starts only once every reader is querying: on a busy
+    // single core the writer could otherwise drain all sixteen batches
+    // before a reader was first scheduled
+    for _ in 0..READERS {
+        arrived.recv().expect("a reader holds its guard");
+    }
 
     let mut shards = vec![seed_table];
     let mut offset = 100;

@@ -37,6 +37,7 @@ proptest! {
         approx in 0u8..2,
         parallel in 0u8..2,
         lambda in 0.0f64..0.9,
+        fixed in 0usize..3,
     ) {
         let mut builder = EngineCore::builder(TableSource::materialized(table(cols, rows, seed)));
         let mode = if approx == 1 {
@@ -62,6 +63,7 @@ proptest! {
 
         if cfg!(feature = "trace") {
             let trace = trace.expect("forced trace is captured");
+            prop_assert_eq!(trace.candidates_generated, cols * (cols - 1) / 2);
             prop_assert_eq!(trace.results.len(), untraced.len());
             for (rec, inst) in trace.results.iter().zip(&untraced) {
                 // scores in the trace are the served scores, bit for bit
@@ -76,5 +78,22 @@ proptest! {
         let mut sampled = core.handle();
         sampled.set_trace_sampling(1.0, seed);
         prop_assert_eq!(sampled.query(&q).expect("sampled run"), untraced);
+
+        // a fixed attribute pins the enumeration: same answers as the class
+        // scan filtered, and the trace counts what was walked — the pinned
+        // column's cols − 1 partners — while the scan above counts them all
+        let pinned = q.clone().fix_attr(fixed);
+        let (traced, trace) = core
+            .run_query_traced(&pinned, mode, parallel, true)
+            .expect("traced pinned run");
+        prop_assert_eq!(&traced, &core.run_query_at(&pinned, mode, parallel).expect("pinned run"));
+        prop_assert!(traced.iter().all(|i| i.attrs.contains(fixed)));
+        if let Some(trace) = trace {
+            prop_assert_eq!(trace.candidates_generated, cols - 1);
+            prop_assert_eq!(trace.candidates_eligible, cols - 1);
+            let span = trace.root.child("candidates").expect("candidates span");
+            let name = format!("col{fixed}");
+            prop_assert_eq!(span.attr("pinned"), Some(name.as_str()));
+        }
     }
 }

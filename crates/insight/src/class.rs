@@ -6,6 +6,7 @@
 use crate::types::AttrTuple;
 use foresight_data::Table;
 use foresight_sketch::SketchCatalog;
+use foresight_stats::prepared::PreparedColumns;
 use foresight_viz::ChartSpec;
 
 /// How a class's candidate space relates to pairwise column similarity —
@@ -15,6 +16,12 @@ use foresight_viz::ChartSpec;
 /// candidate list when the class declares its scan shape here, and the
 /// class's own [`InsightClass::candidates`] stays the ground truth that
 /// recall is measured against (and the fallback when no index exists).
+///
+/// Declaring a pair shape is a contract: `candidates(table)` must be
+/// exactly the pairs `Two(a, b)`, `a < b`, of the declared universe, in
+/// lexicographic order. The engine leans on it twice — the LSH source
+/// stands in for the scan, and a query that fixes an attribute enumerates
+/// only that column's partners instead of filtering the whole scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidatePruning {
     /// Candidate space is not pairwise-similarity shaped; always use the
@@ -84,9 +91,46 @@ pub trait InsightClass: Send + Sync {
     }
 
     /// Score under a named alternative metric; defaults to the primary.
+    /// Naming the primary metric (or any name the class does not know)
+    /// must return [`InsightClass::score`].
     fn score_metric(&self, table: &Table, attrs: &AttrTuple, metric: &str) -> Option<f64> {
         let _ = metric;
         self.score(table, attrs)
+    }
+
+    /// Exact scores for a whole batch of candidate tuples under a named
+    /// metric — the primary or an alternative — in input order. This is the
+    /// one call the executor scores exact tuples through.
+    ///
+    /// `prepared` is the caller's store of per-column transforms over
+    /// `table` (and only `table`): classes whose metric shares per-column
+    /// work across tuples draw it from there, so it is built once per
+    /// column for as long as the caller keeps the store — one query for a
+    /// standalone executor, the snapshot's lifetime for an engine core.
+    ///
+    /// The default takes [`InsightClass::score_batch`] for the primary
+    /// metric and [`InsightClass::score_metric`] per tuple otherwise.
+    ///
+    /// **Contract:** `score_metric_batch(t, attrs, m, _)[i]` must be
+    /// *bit-identical* to `score_metric(t, &attrs[i], m)` for every tuple
+    /// and every metric the class names, whatever `prepared` already holds —
+    /// exactly as `score_batch` is to `score`.
+    fn score_metric_batch(
+        &self,
+        table: &Table,
+        attrs: &[AttrTuple],
+        metric: &str,
+        prepared: &PreparedColumns,
+    ) -> Vec<Option<f64>> {
+        let _ = prepared;
+        if metric == self.metric() {
+            self.score_batch(table, attrs)
+        } else {
+            attrs
+                .iter()
+                .map(|a| self.score_metric(table, a, metric))
+                .collect()
+        }
     }
 
     /// Approximate score from the sketch catalog — used by the interactive

@@ -6,35 +6,12 @@
 
 use crate::class::{column_name, CandidatePruning, InsightClass};
 use crate::types::AttrTuple;
-use crate::util::{pairs, scatter_chart};
-use foresight_data::PresenceMask;
+use crate::util::{correlation_batch, pairs, scatter_chart};
 use foresight_data::Table;
 use foresight_sketch::SketchCatalog;
-use foresight_stats::correlation::{
-    center, pearson, pearson_centered, pearson_masked, spearman, CenteredColumn, PairScratch,
-};
+use foresight_stats::correlation::{pearson, pearson_masked, spearman, spearman_masked};
+use foresight_stats::prepared::{PreparedColumns, Transform};
 use foresight_viz::{ChartKind, ChartSpec, HeatmapSpec};
-use std::collections::HashMap;
-
-/// Centers every distinct column referenced by `attrs` once. `None` entries
-/// mark columns that cannot share centering (missing values, too short, not
-/// numeric) — pairs touching them take the per-pair fallback path.
-pub(crate) fn center_columns(
-    table: &Table,
-    attrs: &[AttrTuple],
-    transform: impl Fn(&[f64]) -> Option<Vec<f64>>,
-) -> HashMap<usize, Option<CenteredColumn>> {
-    let mut cols: HashMap<usize, Option<CenteredColumn>> = HashMap::new();
-    for a in attrs {
-        for &i in &a.indices() {
-            cols.entry(i).or_insert_with(|| {
-                let values = table.numeric(i).ok()?.values().to_vec();
-                center(&transform(values.as_slice())?)
-            });
-        }
-    }
-    cols
-}
 
 /// The linear-relationship insight class.
 #[derive(Debug, Default, Clone, Copy)]
@@ -127,39 +104,31 @@ impl InsightClass for LinearRelationship {
     }
 
     fn score_batch(&self, table: &Table, attrs: &[AttrTuple]) -> Vec<Option<f64>> {
-        // center each distinct column once, then one fused pass per pair;
-        // bit-identical to `score` (see `pearson_centered`). Pairs touching
-        // columns with missing values fall back to pairwise deletion driven
-        // by per-column presence masks (built once) and one shared
-        // compaction scratch — no per-pair allocation on either path.
-        let cols = center_columns(table, attrs, |v| Some(v.to_vec()));
-        let mut masks: HashMap<usize, PresenceMask> = HashMap::new();
-        let mut scratch = PairScratch::new();
-        attrs
-            .iter()
-            .map(|a| {
-                let AttrTuple::Two(i, j) = a else {
-                    return None;
-                };
-                match (cols.get(i), cols.get(j)) {
-                    (Some(Some(cx)), Some(Some(cy))) => {
-                        let rho = pearson_centered(cx, cy);
-                        rho.is_finite().then_some(rho.abs())
-                    }
-                    _ => {
-                        let x = table.numeric(*i).ok()?.values();
-                        let y = table.numeric(*j).ok()?.values();
-                        for (idx, col) in [(*i, x), (*j, y)] {
-                            masks
-                                .entry(idx)
-                                .or_insert_with(|| PresenceMask::from_values(col));
-                        }
-                        let rho = pearson_masked(x, y, &masks[i], &masks[j], &mut scratch);
-                        rho.is_finite().then_some(rho.abs())
-                    }
-                }
-            })
-            .collect()
+        self.score_metric_batch(table, attrs, self.metric(), &PreparedColumns::new())
+    }
+
+    fn score_metric_batch(
+        &self,
+        table: &Table,
+        attrs: &[AttrTuple],
+        metric: &str,
+        prepared: &PreparedColumns,
+    ) -> Vec<Option<f64>> {
+        // one prepared vector per distinct column, then one fused pass per
+        // pair; `|spearman|` is the monotonic class's kernel — the same
+        // centred ranks serve both classes off one store
+        let signed = if metric == "|spearman|" {
+            correlation_batch(
+                table,
+                attrs,
+                prepared,
+                Transform::CenteredRanks,
+                spearman_masked,
+            )
+        } else {
+            correlation_batch(table, attrs, prepared, Transform::Centered, pearson_masked)
+        };
+        signed.into_iter().map(|rho| rho.map(f64::abs)).collect()
     }
 
     fn score_metric(&self, table: &Table, attrs: &AttrTuple, metric: &str) -> Option<f64> {
@@ -319,6 +288,18 @@ mod tests {
                 b.map(f64::to_bits),
                 "batch diverges on {a:?}"
             );
+        }
+        // both metrics off one store, in either order of filling it
+        let store = PreparedColumns::new();
+        for metric in ["|spearman|", "|pearson|", "|spearman|"] {
+            let batch = l.score_metric_batch(&t, &cands, metric, &store);
+            for (a, b) in cands.iter().zip(&batch) {
+                assert_eq!(
+                    l.score_metric(&t, a, metric).map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "{metric} batch diverges on {a:?}"
+                );
+            }
         }
     }
 

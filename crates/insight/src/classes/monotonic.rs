@@ -9,17 +9,15 @@
 //! already explain).
 
 use crate::class::{column_name, CandidatePruning, InsightClass};
-use crate::classes::linear::center_columns;
 use crate::types::AttrTuple;
-use crate::util::{pairs, scatter_chart};
-use foresight_data::{PresenceMask, Table};
+use crate::util::{correlation_batch, pairs, scatter_chart};
+use foresight_data::Table;
 use foresight_sketch::SketchCatalog;
 use foresight_stats::correlation::{
-    kendall_tau_b, pearson, pearson_centered, spearman, spearman_masked, spearman_with, PairScratch,
+    kendall_tau_b, pearson, pearson_masked, spearman, spearman_masked, spearman_with, PairScratch,
 };
-use foresight_stats::rank::fractional_ranks;
+use foresight_stats::prepared::{PreparedColumns, Transform};
 use foresight_viz::ChartSpec;
-use std::collections::HashMap;
 
 /// The monotonic-relationship insight class.
 #[derive(Debug, Default, Clone, Copy)]
@@ -75,41 +73,39 @@ impl InsightClass for MonotonicRelationship {
     }
 
     fn score_batch(&self, table: &Table, attrs: &[AttrTuple]) -> Vec<Option<f64>> {
-        // rank and center each distinct column once; Spearman is then one
-        // fused Pearson pass over the shared rank vectors. Columns with
-        // missing values rank differently per pair (pairwise deletion), so
-        // tuples touching them fall back to mask-driven pairwise deletion —
-        // one presence mask per column, one shared compaction scratch, no
-        // per-pair allocation.
-        let cols = center_columns(table, attrs, |v| {
-            v.iter().all(|x| !x.is_nan()).then(|| fractional_ranks(v))
-        });
-        let mut masks: HashMap<usize, PresenceMask> = HashMap::new();
-        let mut scratch = PairScratch::new();
-        attrs
-            .iter()
-            .map(|a| {
-                let AttrTuple::Two(i, j) = a else {
-                    return None;
-                };
-                match (cols.get(i), cols.get(j)) {
-                    (Some(Some(rx)), Some(Some(ry))) => {
-                        let rho = pearson_centered(rx, ry);
-                        rho.is_finite().then_some(rho.abs())
-                    }
-                    _ => {
-                        let x = table.numeric(*i).ok()?.values();
-                        let y = table.numeric(*j).ok()?.values();
-                        for (idx, col) in [(*i, x), (*j, y)] {
-                            masks
-                                .entry(idx)
-                                .or_insert_with(|| PresenceMask::from_values(col));
-                        }
-                        let rho = spearman_masked(x, y, &masks[i], &masks[j], &mut scratch);
-                        rho.is_finite().then_some(rho.abs())
-                    }
-                }
-            })
+        self.score_metric_batch(table, attrs, self.metric(), &PreparedColumns::new())
+    }
+
+    fn score_metric_batch(
+        &self,
+        table: &Table,
+        attrs: &[AttrTuple],
+        metric: &str,
+        prepared: &PreparedColumns,
+    ) -> Vec<Option<f64>> {
+        if metric == "|kendall-tau|" {
+            // τ-b counts concordant pairs of rows: nothing per-column to share
+            return attrs
+                .iter()
+                .map(|a| self.score_metric(table, a, metric))
+                .collect();
+        }
+        // Spearman is one fused Pearson pass over the prepared centred ranks
+        let ranked = correlation_batch(
+            table,
+            attrs,
+            prepared,
+            Transform::CenteredRanks,
+            spearman_masked,
+        );
+        if metric != "nonlinearity-gap" {
+            return ranked.into_iter().map(|rho| rho.map(f64::abs)).collect();
+        }
+        let linear = correlation_batch(table, attrs, prepared, Transform::Centered, pearson_masked);
+        ranked
+            .into_iter()
+            .zip(linear)
+            .map(|(s, p)| Some((s?.abs() - p?.abs()).max(0.0)))
             .collect()
     }
 
@@ -280,6 +276,18 @@ mod tests {
                 b.map(f64::to_bits),
                 "batch diverges on {a:?}"
             );
+        }
+        // every metric the class names, off one store
+        let store = PreparedColumns::new();
+        for metric in std::iter::once(m.metric()).chain(m.alternative_metrics()) {
+            let batch = m.score_metric_batch(&t, &cands, metric, &store);
+            for (a, b) in cands.iter().zip(&batch) {
+                assert_eq!(
+                    m.score_metric(&t, a, metric).map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "{metric} batch diverges on {a:?}"
+                );
+            }
         }
     }
 

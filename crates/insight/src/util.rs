@@ -1,9 +1,70 @@
 //! Shared helpers for building charts from table columns.
 
 use crate::class::column_name;
-use foresight_data::Table;
+use crate::types::AttrTuple;
+use foresight_data::{PresenceMask, Table};
+use foresight_stats::correlation::{pearson_centered, PairScratch};
 use foresight_stats::histogram::{BinRule, Histogram};
+use foresight_stats::prepared::{PreparedColumns, Transform};
 use foresight_viz::{ChartKind, ChartSpec, HistogramSpec, ScatterSpec};
+use std::collections::HashMap;
+
+/// The pairwise-deletion form of a correlation: raw columns, their presence
+/// masks, one shared compaction scratch ([`pearson_masked`] /
+/// [`spearman_masked`]).
+///
+/// [`pearson_masked`]: foresight_stats::correlation::pearson_masked
+/// [`spearman_masked`]: foresight_stats::correlation::spearman_masked
+pub(crate) type MaskedCorrelation =
+    fn(&[f64], &[f64], &PresenceMask, &PresenceMask, &mut PairScratch) -> f64;
+
+/// Signed correlations of a batch of column pairs, `None` where the pair is
+/// not two numeric columns or the coefficient is not finite.
+///
+/// Each column's `transform` comes from `prepared` (built once per column,
+/// shared across pairs and — when the store outlives the call — across
+/// queries); a pair of prepared columns is then one fused dot product,
+/// bit-identical to the per-pair coefficient (see
+/// [`CenteredColumn`](foresight_stats::correlation::CenteredColumn)).
+/// Columns with missing values cannot share the transform (pairwise
+/// deletion makes it pair-dependent): pairs touching them take `masked`,
+/// driven by one presence mask per column and one compaction scratch, so
+/// neither path allocates per pair.
+pub(crate) fn correlation_batch(
+    table: &Table,
+    attrs: &[AttrTuple],
+    prepared: &PreparedColumns,
+    transform: Transform,
+    masked: MaskedCorrelation,
+) -> Vec<Option<f64>> {
+    let mut masks: HashMap<usize, PresenceMask> = HashMap::new();
+    let mut scratch = PairScratch::new();
+    attrs
+        .iter()
+        .map(|a| {
+            let AttrTuple::Two(i, j) = *a else {
+                return None;
+            };
+            let rho = match (
+                prepared.get(table, i, transform),
+                prepared.get(table, j, transform),
+            ) {
+                (Some(cx), Some(cy)) => pearson_centered(cx, cy),
+                _ => {
+                    let x = table.numeric(i).ok()?.values();
+                    let y = table.numeric(j).ok()?.values();
+                    for (idx, col) in [(i, x), (j, y)] {
+                        masks
+                            .entry(idx)
+                            .or_insert_with(|| PresenceMask::from_values(col));
+                    }
+                    masked(x, y, &masks[&i], &masks[&j], &mut scratch)
+                }
+            };
+            rho.is_finite().then_some(rho)
+        })
+        .collect()
+}
 
 /// Builds a histogram chart of one numeric column.
 pub fn histogram_chart(table: &Table, idx: usize, title: String) -> Option<ChartSpec> {

@@ -8,6 +8,7 @@
 //! * [`kernel`] — lane-split f64 reduction kernels (vectorized/scalar modes)
 //! * [`moments`] — single-pass mergeable mean/variance/skewness/kurtosis
 //! * [`correlation`] — Pearson, Spearman, Kendall τ-b, full matrices
+//! * [`prepared`] — per-table store of centred values / centred ranks
 //! * [`quantile`] / [`histogram`] / [`kde`] — distribution shape
 //! * [`outlier`] — pluggable detectors and the outlier-strength metric
 //! * [`frequency`] — `RelFreq(k)`, entropy, heavy hitters
@@ -31,6 +32,7 @@ pub mod moments;
 pub mod multimodal;
 pub mod normality;
 pub mod outlier;
+pub mod prepared;
 pub mod quantile;
 pub mod rank;
 pub mod regression;

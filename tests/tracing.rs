@@ -86,6 +86,64 @@ fn explain_pinned_oecd_exact_query() {
     }
 }
 
+/// A fixed-attribute query on a pair-shaped class walks the pinned
+/// column's partners, and the trace says so: `generated` is what was
+/// enumerated (d − 1), not the d(d − 1)/2 scan it no longer filters, and a
+/// `pinned` attribute names the column. Class scans — nothing fixed, or a
+/// class with no declared pair shape — report what they always did.
+#[test]
+fn explain_reports_the_pinned_walk_of_a_fixed_attribute_query() {
+    let table = datasets::oecd();
+    let leisure = table
+        .schema()
+        .index_of("Time Devoted To Leisure")
+        .expect("OECD column");
+    let mut fs = Foresight::new(table);
+    let q = oecd_corr_query().fix_attr(leisure);
+    let plain = fs.query(&q).unwrap();
+    assert!(plain.iter().all(|i| i.attrs.contains(leisure)));
+    let explained = fs.explain(&q).unwrap();
+    assert_eq!(explained.results, plain);
+    let univariate = fs
+        .explain(&InsightQuery::class("skew").fix_attr(leisure))
+        .unwrap();
+    if !TRACE_ON {
+        assert!(explained.trace.is_none() && univariate.trace.is_none());
+        return;
+    }
+    // 24 numeric columns → 23 partners
+    let trace = explained.trace.expect("forced trace captured");
+    assert_eq!(trace.candidates_generated, 23);
+    assert_eq!(trace.candidates_eligible, 23);
+    let span = trace.root.child("candidates").unwrap();
+    assert_eq!(span.attr("generated"), Some("23"));
+    assert_eq!(span.attr("eligible"), Some("23"));
+    assert_eq!(span.attr("pinned"), Some("Time Devoted To Leisure"));
+    assert!(trace.lsh.is_none());
+    assert_eq!((trace.cache_hits, trace.cache_misses), (23, 0));
+    let text = trace.to_text();
+    assert!(text.contains("23 generated, 23 eligible"));
+    assert!(text.contains("pinned=Time Devoted To Leisure"));
+
+    // two pins: one tuple enumerated, one eligible
+    let long_hours = fs
+        .table()
+        .schema()
+        .index_of("Employees Working Very Long Hours")
+        .expect("OECD column");
+    let both = fs.explain(&q.clone().fix_attr(long_hours)).unwrap();
+    let trace = both.trace.expect("trace captured");
+    assert_eq!(both.results.len(), 1);
+    assert_eq!(trace.candidates_generated, 1);
+    assert_eq!(trace.candidates_eligible, 1);
+
+    // a class that declares no pair shape keeps its scan and its filter
+    let trace = univariate.trace.expect("trace captured");
+    assert_eq!(trace.candidates_generated, 24);
+    assert_eq!(trace.candidates_eligible, 1);
+    assert_eq!(trace.root.child("candidates").unwrap().attr("pinned"), None);
+}
+
 #[test]
 fn explain_reports_sketch_paths_and_skip_reasons() {
     // a sharded source, preprocessed, with the raw rows dropped afterwards:
