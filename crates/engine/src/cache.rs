@@ -12,13 +12,18 @@
 //! tuple scored once serves every later query that touches it.
 //!
 //! The cache is sharded: each shard is an independent [`RwLock`]ed map, so
-//! parallel candidate scoring mostly touches distinct locks. Degenerate
-//! results (`None` — constant columns, too few rows) are cached too;
-//! re-proving a column degenerate costs as much as scoring it.
+//! parallel candidate scoring mostly touches distinct locks. Inside a shard
+//! the key is split in two. Everything one query holds fixed across its
+//! candidates — class, mode, metric and epoch, a *keyspace* — selects a
+//! table of scores keyed by the attribute tuple alone, and a tuple's shard
+//! is chosen from the tuple alone. A batch resolves its keyspace once per
+//! touched shard and then hashes and compares only 32-byte tuples.
+//! Degenerate results (`None` — constant columns, too few rows) are cached
+//! too; re-proving a column degenerate costs as much as scoring it.
 //!
 //! One cache outlives many [`EngineCore`](crate::EngineCore) snapshots:
-//! every score key carries the *data-generation epoch* of the snapshot that
-//! computed it, and the writer path mints a fresh epoch (via
+//! every keyspace carries the *data-generation epoch* of the snapshot that
+//! computed its scores, and the writer path mints a fresh epoch (via
 //! [`ScoreCache::bump_epoch`]) whenever it republishes a core whose scores
 //! could differ. Readers still holding an older snapshot keep looking up —
 //! and storing — under their own epoch, so they can never serve a stale
@@ -27,6 +32,7 @@
 use crate::executor::Mode;
 use foresight_insight::AttrTuple;
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,15 +91,16 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
+/// The part of a score's key that is the same for every candidate of one
+/// query: a shard maps each keyspace to the scores of its tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
+struct Keyspace {
     class_id: &'static str,
-    attrs: AttrTuple,
     mode: Mode,
     /// `None` = the class's primary metric. A name the class itself
     /// declares (`metric()` / `alternative_metrics()`), which the executor
-    /// resolves once per query — so a key is plain data: building, hashing
-    /// and comparing one never allocates.
+    /// resolves once per query — so a keyspace is plain data: building,
+    /// hashing and comparing one never allocates.
     metric: Option<&'static str>,
     /// Data-generation counter: every [`ScoreCache::bump_epoch`] (one per
     /// republished core snapshot whose scores could differ) moves lookups to
@@ -103,6 +110,66 @@ struct CacheKey {
     /// engine-core snapshot), so readers of an old snapshot stay in their
     /// own keyspace even while a newer snapshot is being served.
     epoch: u64,
+}
+
+/// One keyspace's scores within one shard, keyed by the `Copy` tuple.
+type Scores = FxMap<AttrTuple, Option<f64>>;
+
+/// Bytes a [`Scores`] slot occupies: the `(tuple, score)` bucket plus the
+/// hash table's one control byte.
+const SCORE_SLOT_BYTES: usize = std::mem::size_of::<(AttrTuple, Option<f64>)>() + 1;
+
+/// Bytes a keyspace costs beyond its score slots: its own slot in the
+/// shard's keyspace table (which holds the score table's header).
+const KEYSPACE_BYTES: usize = std::mem::size_of::<(Keyspace, Scores)>() + 1;
+
+/// The shard a tuple lives in, whatever its keyspace — so a batch resolves
+/// its keyspace once per touched shard, and a tuple migrated to the next
+/// epoch stays where it is. Bits 40–43 of the hash: the table inside the
+/// shard picks buckets by the low bits and tags them with the top seven,
+/// and a shard chosen by either would leave all its tuples sharing them.
+#[inline]
+fn shard_of(attrs: &AttrTuple) -> usize {
+    let mut h = FxHasher::default();
+    attrs.hash(&mut h);
+    (h.finish() >> 40) as usize % SHARDS
+}
+
+/// The positions of one batch's tuples grouped by shard, each group in
+/// input order — a counting sort, so a batch locks every touched shard
+/// once and walks exactly its own tuples.
+struct ByShard {
+    order: Vec<usize>,
+    /// `order[bounds[s]..bounds[s + 1]]` are shard `s`'s positions.
+    bounds: [usize; SHARDS + 1],
+}
+
+impl ByShard {
+    fn new<'t>(tuples: impl Iterator<Item = &'t AttrTuple>) -> Self {
+        let shards: Vec<u8> = tuples.map(|attrs| shard_of(attrs) as u8).collect();
+        let mut bounds = [0usize; SHARDS + 1];
+        for &s in &shards {
+            bounds[s as usize + 1] += 1;
+        }
+        for s in 0..SHARDS {
+            bounds[s + 1] += bounds[s];
+        }
+        let mut next = bounds;
+        let mut order = vec![0; shards.len()];
+        for (i, &s) in shards.iter().enumerate() {
+            order[next[s as usize]] = i;
+            next[s as usize] += 1;
+        }
+        Self { order, bounds }
+    }
+
+    /// `(shard, positions)` for every shard the batch touches.
+    fn groups(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        (0..SHARDS).filter_map(move |s| {
+            let group = &self.order[self.bounds[s]..self.bounds[s + 1]];
+            (!group.is_empty()).then_some((s, group))
+        })
+    }
 }
 
 /// Key for memoized [`InsightClass::describe`] output: the description is a
@@ -196,10 +263,22 @@ pub struct ScoreCache {
 #[repr(align(128))]
 #[derive(Default)]
 struct Shard {
-    map: RwLock<FxMap<CacheKey, Option<f64>>>,
+    spaces: RwLock<FxMap<Keyspace, Scores>>,
     hits: AtomicU64,
     misses: AtomicU64,
     purges: AtomicU64,
+}
+
+impl Shard {
+    fn len(&self) -> usize {
+        self.spaces.read().values().map(Scores::len).sum()
+    }
+
+    fn count(counter: &AtomicU64, n: u64) {
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Default for ScoreCache {
@@ -230,8 +309,9 @@ impl ScoreCache {
     ///
     /// Score entries from earlier generations become unreachable to the new
     /// snapshot immediately (the epoch is part of the key) and are purged to
-    /// bound memory — readers still on an old snapshot simply recompute what
-    /// they need into their own keyspace. The `details` map is retired with
+    /// bound memory — their keyspaces are dropped whole, and readers still
+    /// on an old snapshot simply recompute what they need into their own
+    /// keyspace. The `details` map is retired with
     /// them: a description is keyed by `(class, tuple, score-bits)`, but a
     /// description can depend on data the score does not pin down (a
     /// degenerate score like `0.0` stays bit-identical while the value it
@@ -242,12 +322,15 @@ impl ScoreCache {
     pub fn bump_epoch(&self) -> u64 {
         let current = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         for shard in &self.shards {
-            let mut map = shard.map.write();
-            let before = map.len();
-            map.retain(|k, _| k.epoch == current);
-            shard
-                .purges
-                .fetch_add((before - map.len()) as u64, Ordering::Relaxed);
+            let mut purged = 0u64;
+            shard.spaces.write().retain(|space, scores| {
+                let live = space.epoch == current;
+                if !live {
+                    purged += scores.len() as u64;
+                }
+                live
+            });
+            Shard::count(&shard.purges, purged);
         }
         self.details.write().clear();
         current
@@ -269,6 +352,10 @@ impl ScoreCache {
     /// entirely the caller's obligation: migrating a score whose inputs
     /// moved would serve a stale answer from the new snapshot.
     ///
+    /// One pass per shard: a tuple's shard does not depend on its epoch, so
+    /// the survivors of a keyspace stay in their table and the table itself
+    /// moves to the new epoch's key.
+    ///
     /// Returns `(new_epoch, migrated_entries)`. Retired entries count
     /// toward [`CacheStats::purges`]; migrated ones do not.
     ///
@@ -279,66 +366,44 @@ impl ScoreCache {
     ) -> (u64, u64) {
         let current = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let prev = current - 1;
-        // Phase 1: drain each shard under its own lock, setting aside the
-        // entries that survive. Re-keying changes the hash, so a survivor
-        // may belong to a *different* shard afterwards — inserts happen in
-        // a second phase, still one lock at a time (no lock is ever nested).
-        let mut migrated: Vec<(CacheKey, Option<f64>)> = Vec::new();
+        let mut migrated = 0u64;
         for shard in &self.shards {
-            let mut kept_here = 0u64;
-            let mut map = shard.map.write();
-            let before = map.len();
-            map.retain(|k, v| {
-                if k.epoch == current {
-                    return true;
+            let mut purged = 0u64;
+            let mut spaces = shard.spaces.write();
+            let retiring: Vec<(Keyspace, Scores)> = spaces
+                .extract_if(|space, _| space.epoch != current)
+                .collect();
+            for (space, mut scores) in retiring {
+                let before = scores.len();
+                if space.epoch == prev {
+                    scores.retain(|attrs, _| keep(space.class_id, attrs));
+                } else {
+                    scores.clear();
                 }
-                if k.epoch == prev && keep(k.class_id, &k.attrs) {
-                    migrated.push((
-                        CacheKey {
-                            epoch: current,
-                            ..*k
-                        },
-                        *v,
-                    ));
-                    kept_here += 1;
+                purged += (before - scores.len()) as u64;
+                if scores.is_empty() {
+                    continue;
                 }
-                false
-            });
-            let dropped = (before - map.len()) as u64 - kept_here;
-            if dropped > 0 {
-                shard.purges.fetch_add(dropped, Ordering::Relaxed);
+                migrated += scores.len() as u64;
+                match spaces.entry(Keyspace {
+                    epoch: current,
+                    ..space
+                }) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(scores);
+                    }
+                    // a migrated score replaces one already stored under
+                    // the new epoch
+                    Entry::Occupied(mut slot) => slot.get_mut().extend(scores),
+                }
             }
-        }
-        let count = migrated.len() as u64;
-        let mut by_shard: [Vec<(CacheKey, Option<f64>)>; SHARDS] =
-            std::array::from_fn(|_| Vec::new());
-        for entry in migrated {
-            by_shard[Self::shard_index(&entry.0)].push(entry);
-        }
-        for (shard, entries) in self.shards.iter().zip(by_shard) {
-            if entries.is_empty() {
-                continue;
-            }
-            let mut map = shard.map.write();
-            for (key, value) in entries {
-                map.insert(key, value);
-            }
+            drop(spaces);
+            Shard::count(&shard.purges, purged);
         }
         self.details
             .write()
             .retain(|(class_id, attrs, _), _| keep(class_id, attrs));
-        (current, count)
-    }
-
-    fn shard_index(key: &CacheKey) -> usize {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        // multiply-based hashes concentrate entropy in the high bits
-        (h.finish() >> 60) as usize % SHARDS
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Shard {
-        &self.shards[Self::shard_index(key)]
+        (current, migrated)
     }
 
     /// Looks up a previously stored score in the `epoch` keyspace.
@@ -358,25 +423,25 @@ impl ScoreCache {
         metric: Option<&'static str>,
         epoch: u64,
     ) -> Option<Option<f64>> {
-        let key = CacheKey {
+        let space = Keyspace {
             class_id,
-            attrs: *attrs,
             mode,
             metric,
             epoch,
         };
-        let shard = self.shard(&key);
-        let found = shard.map.read().get(&key).copied();
-        match found {
-            Some(v) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let shard = &self.shards[shard_of(attrs)];
+        let found = shard
+            .spaces
+            .read()
+            .get(&space)
+            .and_then(|scores| scores.get(attrs).copied());
+        let counter = if found.is_some() {
+            &shard.hits
+        } else {
+            &shard.misses
+        };
+        Shard::count(counter, 1);
+        found
     }
 
     /// Stores a computed score (or a degenerate `None`) in the `epoch`
@@ -390,20 +455,24 @@ impl ScoreCache {
         score: Option<f64>,
         epoch: u64,
     ) {
-        let key = CacheKey {
+        let space = Keyspace {
             class_id,
-            attrs: *attrs,
             mode,
             metric,
             epoch,
         };
-        let shard = self.shard(&key);
-        shard.map.write().insert(key, score);
+        self.shards[shard_of(attrs)]
+            .spaces
+            .write()
+            .entry(space)
+            .or_default()
+            .insert(*attrs, score);
     }
 
-    /// Looks up every candidate of one query in a single pass: keys are
-    /// grouped by shard, so each touched shard is read-locked **once** and
-    /// its hit/miss counters updated **once**, rather than per candidate.
+    /// Looks up every candidate of one query in a single pass: candidates
+    /// are grouped by shard, so each touched shard is read-locked **once**,
+    /// its keyspace resolved once, and its hit/miss counters updated
+    /// **once**, rather than per candidate.
     ///
     /// This is the warm-query hot path under concurrent sessions. A query
     /// enumerates hundreds of candidate tuples; taking a lock and bumping an
@@ -424,49 +493,33 @@ impl ScoreCache {
         metric: Option<&'static str>,
         epoch: u64,
     ) -> BatchLookup {
-        let keys: Vec<CacheKey> = candidates
-            .iter()
-            .map(|attrs| CacheKey {
-                class_id,
-                attrs: *attrs,
-                mode,
-                metric,
-                epoch,
-            })
-            .collect();
-        let mut by_shard: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[Self::shard_index(key)].push(i);
-        }
-        let mut out = vec![None; candidates.len()];
+        let space = Keyspace {
+            class_id,
+            mode,
+            metric,
+            epoch,
+        };
+        let mut scores = vec![None; candidates.len()];
         let mut total_hits = 0u64;
-        for (shard, indices) in self.shards.iter().zip(&by_shard) {
-            if indices.is_empty() {
-                continue;
-            }
+        for (s, group) in ByShard::new(candidates.iter()).groups() {
+            let shard = &self.shards[s];
             let mut hits = 0u64;
-            {
-                let map = shard.map.read();
-                for &i in indices {
-                    if let Some(found) = map.get(&keys[i]) {
-                        out[i] = Some(*found);
+            if let Some(stored) = shard.spaces.read().get(&space) {
+                for &i in group {
+                    if let Some(&found) = stored.get(&candidates[i]) {
+                        scores[i] = Some(found);
                         hits += 1;
                     }
                 }
             }
-            let misses = indices.len() as u64 - hits;
-            if hits > 0 {
-                shard.hits.fetch_add(hits, Ordering::Relaxed);
-            }
-            if misses > 0 {
-                shard.misses.fetch_add(misses, Ordering::Relaxed);
-            }
+            Shard::count(&shard.hits, hits);
+            Shard::count(&shard.misses, group.len() as u64 - hits);
             total_hits += hits;
         }
         BatchLookup {
             hits: total_hits,
             misses: candidates.len() as u64 - total_hits,
-            scores: out,
+            scores,
         }
     }
 
@@ -482,27 +535,18 @@ impl ScoreCache {
         metric: Option<&'static str>,
         epoch: u64,
     ) -> u64 {
-        let keys: Vec<CacheKey> = entries
-            .iter()
-            .map(|(attrs, _)| CacheKey {
-                class_id,
-                attrs: *attrs,
-                mode,
-                metric,
-                epoch,
-            })
-            .collect();
-        let mut by_shard: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[Self::shard_index(key)].push(i);
-        }
-        for (shard, indices) in self.shards.iter().zip(&by_shard) {
-            if indices.is_empty() {
-                continue;
-            }
-            let mut map = shard.map.write();
-            for &i in indices {
-                map.insert(keys[i], entries[i].1);
+        let space = Keyspace {
+            class_id,
+            mode,
+            metric,
+            epoch,
+        };
+        for (s, group) in ByShard::new(entries.iter().map(|(attrs, _)| attrs)).groups() {
+            let mut spaces = self.shards[s].spaces.write();
+            let stored = spaces.entry(space).or_default();
+            for &i in group {
+                let (attrs, score) = entries[i];
+                stored.insert(attrs, score);
             }
         }
         entries.len() as u64
@@ -543,7 +587,7 @@ impl ScoreCache {
     /// is rebuilt, or persisted state is loaded.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.map.write().clear();
+            shard.spaces.write().clear();
             shard.hits.store(0, Ordering::Relaxed);
             shard.misses.store(0, Ordering::Relaxed);
             shard.purges.store(0, Ordering::Relaxed);
@@ -553,7 +597,7 @@ impl ScoreCache {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.read().len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Is the cache empty?
@@ -561,15 +605,24 @@ impl ScoreCache {
         self.len() == 0
     }
 
-    /// Approximate resident bytes: score entries at their key + value +
-    /// hash-table-slot footprint, plus the memoized description strings.
-    /// An estimate for the monitor's resource gauges, not allocator truth.
+    /// Approximate resident bytes: every keyspace's score table at its
+    /// allocated capacity — a `(tuple, score)` bucket and a control byte a
+    /// slot — plus the keyspace's own slot, plus the memoized description
+    /// strings. An estimate for the monitor's resource gauges, not
+    /// allocator truth.
     pub fn approx_bytes(&self) -> usize {
-        let per_entry = std::mem::size_of::<CacheKey>()
-            + std::mem::size_of::<Option<f64>>()
-            + 16 // hash-table slot overhead (control byte + slack)
-            + 24; // AttrTuple spill: typical small-vec heap share
-        let scores = self.len() * per_entry;
+        let scores: usize = self
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .spaces
+                    .read()
+                    .values()
+                    .map(|scores| scores.capacity() * SCORE_SLOT_BYTES + KEYSPACE_BYTES)
+                    .sum::<usize>()
+            })
+            .sum();
         let details: usize = self
             .details
             .read()
@@ -586,7 +639,7 @@ impl ScoreCache {
         let mut shard_misses = [0u64; CACHE_SHARDS];
         let mut shard_purges = [0u64; CACHE_SHARDS];
         for (i, shard) in self.shards.iter().enumerate() {
-            shard_entries[i] = shard.map.read().len();
+            shard_entries[i] = shard.len();
             shard_hits[i] = shard.hits.load(Ordering::Relaxed);
             shard_misses[i] = shard.misses.load(Ordering::Relaxed);
             shard_purges[i] = shard.purges.load(Ordering::Relaxed);
@@ -829,5 +882,329 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn approx_bytes_counts_table_capacity_and_a_bump_returns_it() {
+        let cache = ScoreCache::new();
+        assert_eq!(cache.approx_bytes(), 0);
+        // the bucket the keyspace split buys: a tuple and its score, where
+        // the flat key also carried class, mode, metric and epoch (96 B)
+        let bucket = std::mem::size_of::<(AttrTuple, Option<f64>)>();
+        assert_eq!(bucket, 48);
+        let n = 4096;
+        let entries: Vec<(AttrTuple, Option<f64>)> = (0..n)
+            .map(|i| (AttrTuple::Two(i, i + 1), Some(i as f64)))
+            .collect();
+        cache.store_batch("c", &entries, Mode::Exact, None, 0);
+        let bytes = cache.approx_bytes() as f64;
+        let filled = (n * bucket) as f64;
+        assert!(bytes >= filled, "{bytes} < {filled}");
+        let ceiling = 2.3 * filled + (SHARDS * KEYSPACE_BYTES) as f64;
+        assert!(bytes <= ceiling, "{bytes} > {ceiling}");
+        cache.bump_epoch();
+        assert_eq!(cache.approx_bytes(), 0, "retired keyspaces hold nothing");
+    }
+
+    #[test]
+    fn tuples_spread_evenly_over_the_shards() {
+        let cache = ScoreCache::new();
+        let pairs: Vec<(AttrTuple, Option<f64>)> = (0..64)
+            .flat_map(|a| (a + 1..64).map(move |b| (AttrTuple::Two(a, b), Some(0.5))))
+            .collect();
+        cache.store_batch("c", &pairs, Mode::Exact, None, 0);
+        let mean = pairs.len() / SHARDS;
+        for (s, &n) in cache.stats().shard_entries.iter().enumerate() {
+            assert!(
+                n > mean / 2 && n < mean * 3 / 2,
+                "shard {s} holds {n} of {} tuples",
+                pairs.len()
+            );
+        }
+    }
+
+    /// The cache's contract stated as a flat map: one entry per
+    /// `(class, mode, metric, epoch, tuple)`, with its own purge and
+    /// migration accounting and per-shard counters.
+    mod model {
+        use super::super::{shard_of, CacheStats, SHARDS};
+        use crate::executor::Mode;
+        use foresight_insight::AttrTuple;
+        use std::collections::BTreeMap;
+
+        pub type Key = (&'static str, u8, Option<&'static str>, u64, AttrTuple);
+
+        #[derive(Default)]
+        pub struct Model {
+            scores: BTreeMap<Key, Option<f64>>,
+            pub epoch: u64,
+            hits: [u64; SHARDS],
+            misses: [u64; SHARDS],
+            purges: [u64; SHARDS],
+        }
+
+        pub fn key(
+            class: &'static str,
+            mode: Mode,
+            metric: Option<&'static str>,
+            epoch: u64,
+            attrs: AttrTuple,
+        ) -> Key {
+            (class, mode as u8, metric, epoch, attrs)
+        }
+
+        impl Model {
+            pub fn store(&mut self, key: Key, score: Option<f64>) {
+                self.scores.insert(key, score);
+            }
+
+            pub fn lookup(&mut self, key: &Key) -> Option<Option<f64>> {
+                let found = self.scores.get(key).copied();
+                let counter = if found.is_some() {
+                    &mut self.hits
+                } else {
+                    &mut self.misses
+                };
+                counter[shard_of(&key.4)] += 1;
+                found
+            }
+
+            pub fn bump(&mut self) -> u64 {
+                self.bump_retaining(|_, _| false).0
+            }
+
+            pub fn bump_retaining(
+                &mut self,
+                keep: impl Fn(&'static str, &AttrTuple) -> bool,
+            ) -> (u64, u64) {
+                self.epoch += 1;
+                let (current, prev) = (self.epoch, self.epoch - 1);
+                let mut migrated = Vec::new();
+                for (k, v) in std::mem::take(&mut self.scores) {
+                    if k.3 == current {
+                        self.scores.insert(k, v);
+                    } else if k.3 == prev && keep(k.0, &k.4) {
+                        migrated.push(((k.0, k.1, k.2, current, k.4), v));
+                    } else {
+                        self.purges[shard_of(&k.4)] += 1;
+                    }
+                }
+                let count = migrated.len() as u64;
+                self.scores.extend(migrated);
+                (current, count)
+            }
+
+            pub fn clear(&mut self) {
+                self.scores.clear();
+                self.hits = [0; SHARDS];
+                self.misses = [0; SHARDS];
+                self.purges = [0; SHARDS];
+            }
+
+            pub fn stats(&self) -> CacheStats {
+                let mut shard_entries = [0usize; SHARDS];
+                for k in self.scores.keys() {
+                    shard_entries[shard_of(&k.4)] += 1;
+                }
+                CacheStats {
+                    hits: self.hits.iter().sum(),
+                    misses: self.misses.iter().sum(),
+                    entries: self.scores.len(),
+                    purges: self.purges.iter().sum(),
+                    shard_entries,
+                    shard_hits: self.hits,
+                    shard_misses: self.misses,
+                    shard_purges: self.purges,
+                }
+            }
+        }
+    }
+
+    const CLASSES: [&str; 2] = ["a", "b"];
+
+    /// A keyspace's class, mode and metric from one small integer.
+    fn keyspace(k: usize) -> (&'static str, Mode, Option<&'static str>) {
+        let mode = [Mode::Exact, Mode::Approximate][k / 2 % 2];
+        (CLASSES[k % 2], mode, [None, Some("m")][k / 4 % 2])
+    }
+
+    /// One of 41 tuples over six columns, so random ops collide often.
+    fn tuple(u: usize) -> AttrTuple {
+        let (a, b, c) = (u / 3 % 6, u / 18 % 6, u / 108 % 6);
+        match u % 3 {
+            0 => AttrTuple::One(a),
+            1 if a != b => AttrTuple::Two(a.min(b), a.max(b)),
+            2 if a != b && b != c && a != c => {
+                let mut v = [a, b, c];
+                v.sort_unstable();
+                AttrTuple::Three(v[0], v[1], v[2])
+            }
+            _ => AttrTuple::One(a),
+        }
+    }
+
+    fn tuples(seed: u64, n: usize) -> Vec<AttrTuple> {
+        (0..n as u64)
+            .map(|i| {
+                tuple((seed.wrapping_mul(2_654_435_761).wrapping_add(i * 40_503) % 648) as usize)
+            })
+            .collect()
+    }
+
+    fn score(x: u64) -> Option<f64> {
+        (!x.is_multiple_of(5)).then(|| (x % 1000) as f64 / 7.0)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn matches_a_reference_model(
+            ops in proptest::collection::vec((0u8..16, 0usize..8, 0usize..648, 0usize..6, 0u64..1_000_000), 1..120),
+        ) {
+            let cache = ScoreCache::new();
+            let mut m = model::Model::default();
+            for (step, &(kind, k, u, e, x)) in ops.iter().enumerate() {
+                let (class, mode, metric) = keyspace(k);
+                // the current epoch, or one or two behind it: a straggler
+                // still reading a retired snapshot
+                let epoch = m.epoch.saturating_sub(e as u64 % 3);
+                match kind {
+                    0..=2 => {
+                        let attrs = tuple(u);
+                        cache.store(class, &attrs, mode, metric, score(x), epoch);
+                        m.store(model::key(class, mode, metric, epoch, attrs), score(x));
+                    }
+                    3..=5 | 14 => {
+                        let epoch = if kind == 14 { m.epoch.saturating_sub(1) } else { epoch };
+                        let batch: Vec<(AttrTuple, Option<f64>)> = tuples(x, u % 12)
+                            .into_iter()
+                            .enumerate()
+                            .map(|(i, attrs)| (attrs, score(x + i as u64)))
+                            .collect();
+                        let written = cache.store_batch(class, &batch, mode, metric, epoch);
+                        prop_assert_eq!(written, batch.len() as u64);
+                        for &(attrs, s) in &batch {
+                            m.store(model::key(class, mode, metric, epoch, attrs), s);
+                        }
+                    }
+                    6 | 7 => {
+                        let attrs = tuple(u);
+                        prop_assert_eq!(
+                            cache.lookup(class, &attrs, mode, metric, epoch),
+                            m.lookup(&model::key(class, mode, metric, epoch, attrs)),
+                            "lookup at step {}", step
+                        );
+                    }
+                    8..=10 => {
+                        let candidates = tuples(x, u % 24);
+                        let got = cache.lookup_batch(class, &candidates, mode, metric, epoch);
+                        let want: Vec<Option<Option<f64>>> = candidates
+                            .iter()
+                            .map(|&attrs| m.lookup(&model::key(class, mode, metric, epoch, attrs)))
+                            .collect();
+                        let hits = want.iter().filter(|s| s.is_some()).count() as u64;
+                        prop_assert_eq!(&got.scores, &want, "lookup_batch at step {}", step);
+                        prop_assert_eq!((got.hits, got.misses), (hits, want.len() as u64 - hits));
+                    }
+                    11 => prop_assert_eq!(cache.bump_epoch(), m.bump()),
+                    12 | 13 => {
+                        let dirty = u % 6;
+                        let dropped = CLASSES.get(e % 3).copied();
+                        let keep = |class: &'static str, attrs: &AttrTuple| {
+                            Some(class) != dropped && !attrs.contains(dirty)
+                        };
+                        prop_assert_eq!(
+                            cache.bump_epoch_retaining(keep),
+                            m.bump_retaining(keep),
+                            "migration at step {}", step
+                        );
+                    }
+                    _ => {
+                        cache.clear();
+                        m.clear();
+                    }
+                }
+                prop_assert_eq!(cache.epoch(), m.epoch);
+                prop_assert_eq!(cache.stats(), m.stats(), "stats after step {}", step);
+            }
+        }
+    }
+
+    /// Two readers look one query's keyspace up in epoch 0 while a writer
+    /// migrates it: a reader sees each tuple's own score or a miss, never a
+    /// score from a neighbouring keyspace, and the new epoch ends up
+    /// holding exactly the migrated set.
+    #[test]
+    fn readers_stay_in_their_keyspace_across_a_retaining_bump() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let tuples: Vec<AttrTuple> = (0..40)
+            .flat_map(|a| (a + 1..40).map(move |b| AttrTuple::Two(a, b)))
+            .collect();
+        // four keyspaces share every tuple; the readers query the first
+        let spaces: [(&'static str, Mode, Option<&'static str>); 4] = [
+            ("q", Mode::Exact, None),
+            ("q", Mode::Exact, Some("alt")),
+            ("q", Mode::Approximate, None),
+            ("r", Mode::Exact, None),
+        ];
+        let value = |space: usize, i: usize| Some((space * 100_000 + i) as f64);
+        let keep = |_: &'static str, attrs: &AttrTuple| !attrs.contains(7);
+        for _round in 0..8 {
+            let cache = ScoreCache::new();
+            for (k, &(class, mode, metric)) in spaces.iter().enumerate() {
+                let entries: Vec<(AttrTuple, Option<f64>)> = tuples
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &attrs)| (attrs, value(k, i)))
+                    .collect();
+                cache.store_batch(class, &entries, mode, metric, 0);
+            }
+            let start = Barrier::new(3);
+            let done = AtomicBool::new(false);
+            let migrated = std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut rounds = 0;
+                        while !done.load(Ordering::Acquire) || rounds < 4 {
+                            for epoch in [0, 1] {
+                                let looked =
+                                    cache.lookup_batch("q", &tuples, Mode::Exact, None, epoch);
+                                for (i, found) in looked.scores.iter().enumerate() {
+                                    if let Some(found) = found {
+                                        assert_eq!(*found, value(0, i), "epoch {epoch}, tuple {i}");
+                                        assert!(epoch == 0 || keep("q", &tuples[i]));
+                                    }
+                                }
+                            }
+                            rounds += 1;
+                        }
+                    });
+                }
+                start.wait();
+                std::thread::yield_now();
+                let (epoch, migrated) = cache.bump_epoch_retaining(keep);
+                assert_eq!(epoch, 1);
+                done.store(true, Ordering::Release);
+                migrated
+            });
+            let clean = tuples.iter().filter(|t| keep("q", t)).count();
+            assert_eq!(migrated as usize, spaces.len() * clean);
+            assert_eq!(cache.len(), spaces.len() * clean);
+            for (k, &(class, mode, metric)) in spaces.iter().enumerate() {
+                let now = cache.lookup_batch(class, &tuples, mode, metric, 1);
+                for (i, found) in now.scores.iter().enumerate() {
+                    let want = keep(class, &tuples[i]).then(|| value(k, i));
+                    assert_eq!(*found, want, "space {k}, tuple {i}");
+                }
+                let old = cache.lookup_batch(class, &tuples, mode, metric, 0);
+                assert_eq!(old.hits, 0, "epoch 0 is retired whole");
+            }
+        }
     }
 }

@@ -280,7 +280,8 @@ impl<'a> Executor<'a> {
     /// over what it did not answer, and one batched store; without one,
     /// every candidate is a miss. Queries, carousels and the insight
     /// index's build and refresh all score through here, so tracing,
-    /// parallelism and caching never change a score.
+    /// parallelism and caching never change a score. A trace sees the three
+    /// steps as `cache_lookup`, `score_misses` and `cache_store` spans.
     pub(crate) fn score_candidates(
         &self,
         class: &dyn InsightClass,
@@ -290,7 +291,11 @@ impl<'a> Executor<'a> {
     ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>) {
         let (mut slots, traffic) = match self.cache {
             Some((cache, epoch)) => {
+                trace.begin("cache_lookup");
                 let looked = cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch);
+                trace.attr("hits", || looked.hits.to_string());
+                trace.attr("misses", || looked.misses.to_string());
+                trace.end();
                 (looked.scores, Some((looked.hits, looked.misses)))
             }
             None => (vec![None; candidates.len()], None),
@@ -306,25 +311,34 @@ impl<'a> Executor<'a> {
             .enumerate()
             .filter_map(|(i, (slot, attrs))| slot.is_none().then_some((i, *attrs)))
             .unzip();
-        let mut stored = 0;
-        if !missing.is_empty() {
-            let (scores, paths): (Vec<Option<f64>>, Vec<ScorePath>) = self
-                .score_misses(class, metric, &missing)
+        trace.begin("score_misses");
+        trace.attr("tuples", || missing.len().to_string());
+        let (scores, paths): (Vec<Option<f64>>, Vec<ScorePath>) = if missing.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            self.score_misses(class, metric, &missing)
                 .into_iter()
-                .unzip();
-            for (&i, &score) in pending.iter().zip(&scores) {
-                slots[i] = Some(score);
+                .unzip()
+        };
+        for (&i, &score) in pending.iter().zip(&scores) {
+            slots[i] = Some(score);
+        }
+        if trace.is_active() {
+            for (&i, path) in pending.iter().zip(paths) {
+                provenance[i] = (false, path);
             }
-            if trace.is_active() {
-                for (&i, path) in pending.iter().zip(paths) {
-                    provenance[i] = (false, path);
-                }
-            }
-            if let Some((cache, epoch)) = self.cache {
+        }
+        trace.end();
+        let mut stored = 0;
+        if let Some((cache, epoch)) = self.cache {
+            trace.begin("cache_store");
+            if !missing.is_empty() {
                 let fresh: Vec<(AttrTuple, Option<f64>)> =
                     missing.into_iter().zip(scores).collect();
                 stored = cache.store_batch(class.id(), &fresh, self.mode, metric, epoch);
             }
+            trace.attr("stored", || stored.to_string());
+            trace.end();
         }
         if let Some((hits, misses)) = traffic {
             trace.set_cache_traffic(hits, misses, stored);

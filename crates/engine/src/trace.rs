@@ -121,8 +121,9 @@ impl ScorePath {
 /// trees (only the timing values vary).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSpan {
-    /// Stage name (`query`, `candidates`, `score`, `rank`, `diversify`,
-    /// `describe`, `index_serve`).
+    /// Stage name (`query`, `candidates`, `score` — with its
+    /// `cache_lookup`, `score_misses` and `cache_store` steps — `rank`,
+    /// `diversify`, `describe`, `index_serve`).
     pub name: String,
     /// Offset from the trace start, ns.
     pub start_ns: u64,

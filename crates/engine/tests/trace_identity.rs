@@ -69,6 +69,23 @@ proptest! {
                 // scores in the trace are the served scores, bit for bit
                 prop_assert_eq!(rec.score.to_bits(), inst.score.to_bits());
             }
+            // the score span splits into its three steps, which account
+            // for every eligible candidate
+            let steps = score_steps(&trace);
+            prop_assert_eq!(
+                steps,
+                (
+                    trace.cache_hits,
+                    trace.cache_misses,
+                    trace.cache_misses,
+                    trace.cache_stored
+                )
+            );
+            prop_assert_eq!(
+                (trace.cache_hits + trace.cache_misses) as usize,
+                trace.candidates_eligible
+            );
+            prop_assert_eq!(trace.cache_stored, trace.cache_misses);
         } else {
             prop_assert!(trace.is_none(), "no trace without the feature");
         }
@@ -94,6 +111,30 @@ proptest! {
             let span = trace.root.child("candidates").expect("candidates span");
             let name = format!("col{fixed}");
             prop_assert_eq!(span.attr("pinned"), Some(name.as_str()));
+            // the scan above scored every pair: the pinned walk is all hits
+            prop_assert_eq!(score_steps(&trace), ((cols - 1) as u64, 0, 0, 0));
         }
     }
+}
+
+/// `(hits, misses, tuples scored, stored)` as the `score` span's
+/// `cache_lookup`, `score_misses` and `cache_store` children report them.
+fn score_steps(trace: &foresight_engine::QueryTrace) -> (u64, u64, u64, u64) {
+    let score = trace.root.child("score").expect("score span");
+    let names: Vec<&str> = score.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["cache_lookup", "score_misses", "cache_store"]);
+    let read = |span: &str, key: &str| -> u64 {
+        score
+            .child(span)
+            .and_then(|s| s.attr(key))
+            .unwrap_or_else(|| panic!("{span} carries {key}"))
+            .parse()
+            .expect("a count")
+    };
+    (
+        read("cache_lookup", "hits"),
+        read("cache_lookup", "misses"),
+        read("score_misses", "tuples"),
+        read("cache_store", "stored"),
+    )
 }

@@ -73,6 +73,9 @@ fn explain_pinned_oecd_exact_query() {
     assert!(text.contains("276 hits / 0 misses"));
     assert!(text.contains("path=cache"));
     assert!(text.contains("|pearson|"));
+    // where the score stage's time went: lookup, scoring, store
+    assert_eq!(score_steps(&trace), [276, 0, 0, 0]);
+    assert!(text.contains("cache_lookup") && text.contains("hits=276 misses=0"));
 
     // a cold core shows precise per-candidate provenance instead
     let mut cold = Foresight::new(datasets::oecd());
@@ -84,6 +87,36 @@ fn explain_pinned_oecd_exact_query() {
         assert!(!traced.cache_hit);
         assert_eq!(traced.path, "exact");
     }
+    assert_eq!(score_steps(&cold_trace), [0, 276, 276, 276]);
+    let score = cold_trace.root.child("score").unwrap();
+    let stepped: u64 = score.children.iter().map(|c| c.dur_ns).sum();
+    assert!(
+        stepped <= score.dur_ns,
+        "the steps nest inside the score span"
+    );
+}
+
+/// The `score` span's three children, in order, as `[hits, misses,
+/// tuples scored, stored]` read from their attributes.
+fn score_steps(trace: &foresight::engine::QueryTrace) -> [u64; 4] {
+    let score = trace.root.child("score").expect("score span");
+    let names: Vec<&str> = score.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["cache_lookup", "score_misses", "cache_store"]);
+    let read = |span: &str, key: &str| -> u64 {
+        score
+            .child(span)
+            .unwrap()
+            .attr(key)
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    [
+        read("cache_lookup", "hits"),
+        read("cache_lookup", "misses"),
+        read("score_misses", "tuples"),
+        read("cache_store", "stored"),
+    ]
 }
 
 /// A fixed-attribute query on a pair-shaped class walks the pinned
@@ -391,8 +424,9 @@ fn chrome_export_is_loadable_trace_event_json() {
     let parsed: Value =
         serde_json::from_str(&trace.to_chrome_json()).expect("chrome export is valid JSON");
     let events = parsed.as_array().expect("trace-event format: a JSON array");
-    // one complete event per span: root + 4 stages
-    assert_eq!(events.len(), 5);
+    // one complete event per span: root + 4 stages + the score stage's
+    // cache_lookup, score_misses and cache_store steps
+    assert_eq!(events.len(), 8);
     let mut last_ts = f64::MIN;
     for ev in events {
         assert_eq!(ev.get("ph").and_then(Value::as_str), Some("X"));
@@ -419,6 +453,23 @@ fn chrome_export_is_loadable_trace_event_json() {
         .get("args")
         .and_then(|a| a.get("cache_misses"))
         .is_some());
+    let names: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(Value::as_str))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "query",
+            "candidates",
+            "score",
+            "cache_lookup",
+            "score_misses",
+            "cache_store",
+            "rank",
+            "describe"
+        ]
+    );
 }
 
 #[test]
