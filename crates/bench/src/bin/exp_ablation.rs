@@ -9,7 +9,7 @@
 use foresight_bench::{fmt_duration, print_table, time, workload};
 use foresight_data::datasets::dist::Zipf;
 use foresight_engine::recommend::carousels;
-use foresight_engine::{Executor, InsightQuery, NeighborhoodWeights, Session};
+use foresight_engine::{CarouselConfig, Executor, InsightQuery, NeighborhoodWeights, Session};
 use foresight_insight::InsightRegistry;
 use foresight_sketch::freq::MisraGries;
 use foresight_sketch::hyperplane::{HyperplaneConfig, HyperplaneKind, SharedHyperplanes};
@@ -184,14 +184,12 @@ fn a4_neighborhood_weight() {
 
     let mut rows = Vec::new();
     for &w in &[0.0, 0.25, 0.5, 0.75, 0.95] {
-        let cs = carousels(
-            &ex,
-            &registry,
-            &session,
-            5,
-            NeighborhoodWeights { similarity: w },
-        )
-        .expect("carousels");
+        let config = CarouselConfig {
+            per_class: 5,
+            weights: NeighborhoodWeights { similarity: w },
+            ..CarouselConfig::default()
+        };
+        let cs = carousels(&ex, &session, &config).expect("carousels");
         let linear = cs
             .iter()
             .find(|c| c.class_id == "linear-relationship")

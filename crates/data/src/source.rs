@@ -87,9 +87,8 @@ impl TableSource {
 
     /// A source that never held raw rows: only a schema and a row count.
     /// This is the shape of a *derived* core whose answers come entirely
-    /// from a sketch catalog built elsewhere — e.g. a tail-window snapshot
-    /// over the last `rows` ingested rows. `rows` must be ≥ 1 (a window
-    /// snapshot is only published once it covers data).
+    /// from a sketch catalog built elsewhere and restored into it. `rows`
+    /// must be ≥ 1 (a catalog that covers no data answers nothing).
     ///
     /// # Panics
     /// When `rows` is zero.
@@ -177,17 +176,6 @@ impl TableSource {
     /// A schema error when the shard disagrees with the source's schema on
     /// column names, order, or types.
     pub fn append_shard(&mut self, shard: Table) -> Result<usize> {
-        self.append_shard_arc(Arc::new(shard))
-    }
-
-    /// [`TableSource::append_shard`] for a shard already behind an [`Arc`]
-    /// — lets a streaming writer share one batch between the source and
-    /// e.g. a windowed catalog without copying the rows.
-    ///
-    /// # Errors
-    /// A schema error when the shard disagrees with the source's schema on
-    /// column names, order, or types.
-    pub fn append_shard_arc(&mut self, shard: Arc<Table>) -> Result<usize> {
         check_schema(self.schema(), &shard)?;
         let offset = self.n_rows();
         match self {
@@ -197,7 +185,7 @@ impl TableSource {
                     name: first.name().to_owned(),
                     schema: first.schema().clone(),
                     total_rows: first.n_rows() + shard.n_rows(),
-                    shards: vec![Arc::new(first), shard],
+                    shards: vec![Arc::new(first), Arc::new(shard)],
                     dropped_rows: 0,
                 };
             }
@@ -205,7 +193,7 @@ impl TableSource {
                 shards, total_rows, ..
             } => {
                 *total_rows += shard.n_rows();
-                shards.push(shard);
+                shards.push(Arc::new(shard));
             }
         }
         Ok(offset)

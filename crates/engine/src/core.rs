@@ -21,10 +21,10 @@ use crate::error::{EngineError, Result};
 use crate::executor::{Executor, Mode};
 use crate::profile::DatasetProfile;
 use crate::query::InsightQuery;
-use crate::recommend::{carousels_with, Carousel, CarouselConfig};
+use crate::recommend::{Carousel, CarouselConfig};
 use crate::session::Session;
 use crate::telemetry::{clock, Metrics, MetricsSnapshot, Stage};
-use crate::trace::{QueryTrace, TraceBuilder, Tracer};
+use crate::trace::{Explained, TraceBuilder, Tracer};
 use foresight_data::{Table, TableSource};
 use foresight_insight::{InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::lsh::LshIndex;
@@ -35,6 +35,128 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// How a query is traced — see [`EngineCore::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TraceMode {
+    /// Untraced: no trace is begun, and the dormant trace layer costs one
+    /// relaxed load of the slow-query threshold.
+    #[default]
+    Off,
+    /// Traced while the tracer's runtime switch is on — per-session
+    /// sampling.
+    Sampled,
+    /// Always traced (with the `trace` cargo feature) — EXPLAIN.
+    Forced,
+}
+
+/// How a query is answered, resolved once per call: the scoring mode, the
+/// rayon-parallel flag, the candidate strategy and the trace setting.
+///
+/// [`EngineCore::options`] gives a snapshot's published defaults; a
+/// [`SessionHandle`](crate::SessionHandle) holds one `QueryOptions`,
+/// seeded from them and overridden by its setters, and passes it whole to
+/// [`EngineCore::run`], [`EngineCore::carousels`] and the executor.
+/// Nothing below the entry point re-reads a default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryOptions {
+    /// Exact or sketch-backed scoring.
+    pub mode: Mode,
+    /// Rayon-parallel scoring of per-candidate work (and one carousel per
+    /// task).
+    pub parallel: bool,
+    /// How pairwise classes generate candidates.
+    pub candidates: CandidateStrategy,
+    /// Whether [`EngineCore::run`] captures a trace.
+    pub trace: TraceMode,
+}
+
+/// The raw side of a snapshot: the source and what derives from its rows
+/// alone. A staged builder and the core it freezes hold one each, and both
+/// build their executors through [`Rows::executor`].
+struct Rows {
+    source: TableSource,
+    /// Lazy vstack of a sharded source, built on first exact-mode use.
+    materialized: OnceLock<Table>,
+    /// Lazy zero-row table carrying the schema (and semantic tags) — what
+    /// the executor enumerates candidates against when the raw rows stay
+    /// sharded.
+    schema_table: OnceLock<Table>,
+    /// Centred values / centred ranks of the raw table's numeric columns,
+    /// filled on demand by exact batch scoring and kept for the snapshot's
+    /// life. Derived from [`try_table`](Self::try_table) and nothing else:
+    /// the writer path replaces it whenever the rows change, so it is
+    /// dropped with its table, never invalidated.
+    prepared: PreparedColumns,
+}
+
+impl Rows {
+    fn new(source: TableSource) -> Self {
+        Self {
+            source,
+            materialized: OnceLock::new(),
+            schema_table: OnceLock::new(),
+            prepared: PreparedColumns::new(),
+        }
+    }
+
+    fn try_table(&self) -> Result<&Table> {
+        if let Some(t) = self.source.as_materialized() {
+            return Ok(t);
+        }
+        if let Some(t) = self.materialized.get() {
+            return Ok(t);
+        }
+        let t = self.source.materialize()?;
+        Ok(self.materialized.get_or_init(|| t))
+    }
+
+    /// Whether `mode` runs off the merged catalog with no raw-row fallback.
+    fn sketch_backed(&self, mode: Mode) -> bool {
+        self.source.as_materialized().is_none() && mode == Mode::Approximate
+    }
+
+    /// The table the executor (and insight index) runs against under
+    /// `mode`: the real rows when available and needed, a zero-row schema
+    /// table when a sharded source answers from sketches alone.
+    fn exec_table(&self, mode: Mode) -> Result<&Table> {
+        if self.sketch_backed(mode) {
+            Ok(self.schema_table.get_or_init(|| self.source.schema_table()))
+        } else {
+            self.try_table()
+        }
+    }
+
+    /// The one executor constructor: these rows, `catalog` and `registry`
+    /// under `mode`, reporting to `metrics`. Serial, uncached and
+    /// exhaustive — [`EngineCore::executor`] adds the query's options and
+    /// the snapshot's cache; an index build uses it as is.
+    fn executor<'a>(
+        &'a self,
+        registry: &'a InsightRegistry,
+        catalog: Option<&'a SketchCatalog>,
+        metrics: &'a Metrics,
+        mode: Mode,
+    ) -> Result<Executor<'a>> {
+        let sketch_backed = self.sketch_backed(mode);
+        let ex = match (mode, catalog) {
+            (Mode::Approximate, Some(catalog)) => {
+                Executor::approximate(self.exec_table(mode)?, registry, catalog)
+                    .sketch_only(sketch_backed)
+            }
+            (Mode::Approximate, None) => return Err(EngineError::NoCatalog),
+            (Mode::Exact, _) => Executor::exact(self.try_table()?, registry),
+        };
+        // the store is over the raw rows; a sketch-backed executor sees only
+        // the zero-row schema table and scores nothing exactly
+        let ex = if sketch_backed {
+            ex
+        } else {
+            ex.with_prepared(&self.prepared)
+        };
+        Ok(ex.with_metrics(metrics))
+    }
+}
 
 /// An insight index together with the mode whose scores it memoizes. The
 /// index only serves queries executed under that same mode; a session that
@@ -55,19 +177,7 @@ struct IndexedAt {
 /// construction — share it across threads with [`Arc`] and hand each user
 /// a [`crate::SessionHandle`].
 pub struct EngineCore {
-    source: TableSource,
-    /// Lazy vstack of a sharded source, built on first exact-mode use.
-    materialized: OnceLock<Table>,
-    /// Lazy zero-row table carrying the schema (and semantic tags) — what
-    /// the executor enumerates candidates against when the raw rows stay
-    /// sharded.
-    schema_table: OnceLock<Table>,
-    /// Centred values / centred ranks of the raw table's numeric columns,
-    /// filled on demand by exact batch scoring and kept for the snapshot's
-    /// life. Derived from [`try_table`](Self::try_table) and nothing else:
-    /// the writer path replaces it whenever the rows change, so it is
-    /// dropped with its table, never invalidated.
-    prepared: PreparedColumns,
+    rows: Rows,
     registry: Arc<InsightRegistry>,
     catalog: Option<SketchCatalog>,
     index: Option<IndexedAt>,
@@ -144,7 +254,7 @@ impl EngineCore {
 
     /// The underlying source (materialized table or row shards).
     pub fn source(&self) -> &TableSource {
-        &self.source
+        &self.rows.source
     }
 
     /// The frozen class registry.
@@ -179,11 +289,6 @@ impl EngineCore {
         self.mode
     }
 
-    /// Whether rayon-parallel execution is the published default.
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// The score-cache data generation this snapshot reads through.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -191,7 +296,7 @@ impl EngineCore {
 
     /// Rows this snapshot covers.
     pub fn snapshot_rows(&self) -> u64 {
-        self.source.n_rows() as u64
+        self.rows.source.n_rows() as u64
     }
 
     /// Rows absorbed by the ingest head feeding this core, when a stream
@@ -257,7 +362,7 @@ impl EngineCore {
         crate::telemetry::ResourceSnapshot {
             catalog_bytes: self.catalog.as_ref().map_or(0, |c| c.approx_bytes()) as u64,
             cache_bytes: self.cache.approx_bytes() as u64,
-            prepared_bytes: self.prepared.approx_bytes() as u64,
+            prepared_bytes: self.rows.prepared.approx_bytes() as u64,
             lsh_bytes: self.lsh.as_deref().map_or(0, |l| l.size_bytes()) as u64,
             trace_bytes: self.tracer.approx_bytes() as u64,
             session_table_bytes: sessions_live * SESSION_ENTRY_BYTES,
@@ -320,198 +425,94 @@ impl EngineCore {
     /// vstack happens once, on first need; approximate-mode work never
     /// triggers it).
     pub fn try_table(&self) -> Result<&Table> {
-        if let Some(t) = self.source.as_materialized() {
-            return Ok(t);
-        }
-        if let Some(t) = self.materialized.get() {
-            return Ok(t);
-        }
-        let t = self.source.materialize()?;
-        Ok(self.materialized.get_or_init(|| t))
-    }
-
-    fn schema_table(&self) -> &Table {
-        self.schema_table.get_or_init(|| self.source.schema_table())
+        self.rows.try_table()
     }
 
     /// The snapshot's store of prepared columns (see
     /// [`PreparedColumns`]) — exposed for its occupancy and byte gauges.
     pub fn prepared_columns(&self) -> &PreparedColumns {
-        &self.prepared
+        &self.rows.prepared
     }
 
-    /// Whether `mode` runs off the merged catalog with no raw-row fallback.
-    fn sketch_backed_at(&self, mode: Mode) -> bool {
-        self.source.as_materialized().is_none() && mode == Mode::Approximate
-    }
-
-    /// The table the executor (and insight index) runs against under
-    /// `mode`: the real rows when available and needed, a zero-row schema
-    /// table when a sharded source answers from sketches alone.
-    fn exec_table_at(&self, mode: Mode) -> Result<&Table> {
-        if self.sketch_backed_at(mode) {
-            Ok(self.schema_table())
-        } else {
-            self.try_table()
+    /// The published defaults every query starts from: the snapshot's
+    /// mode and parallelism, [`CandidateStrategy::Auto`], untraced. A
+    /// [`SessionHandle`](crate::SessionHandle) seeds its own options from
+    /// these and overrides them per user.
+    pub fn options(&self) -> QueryOptions {
+        QueryOptions {
+            mode: self.mode,
+            parallel: self.parallel,
+            candidates: CandidateStrategy::Auto,
+            trace: TraceMode::Off,
         }
     }
 
-    /// An executor over this snapshot under an explicit mode/parallelism —
-    /// the building block sessions use. Scores read and write the shared
-    /// cache in this snapshot's epoch keyspace. Candidates follow the
-    /// default [`CandidateStrategy::Auto`].
-    pub fn executor_at(&self, mode: Mode, parallel: bool) -> Result<Executor<'_>> {
-        self.executor_strategy(mode, parallel, CandidateStrategy::Auto)
-    }
-
-    /// [`executor_at`](Self::executor_at) with an explicit candidate
-    /// strategy — the recall-vs-speed knob sessions thread through.
-    pub fn executor_strategy(
-        &self,
-        mode: Mode,
-        parallel: bool,
-        strategy: CandidateStrategy,
-    ) -> Result<Executor<'_>> {
-        let ex = match (mode, self.catalog.as_ref()) {
-            (Mode::Approximate, Some(catalog)) => {
-                Executor::approximate(self.exec_table_at(mode)?, &self.registry, catalog)
-                    .sketch_only(self.sketch_backed_at(mode))
-            }
-            (Mode::Approximate, None) => return Err(EngineError::NoCatalog),
-            _ => Executor::exact(self.try_table()?, &self.registry),
-        };
-        // the store is over the raw rows; a sketch-backed executor sees only
-        // the zero-row schema table and scores nothing exactly
-        let ex = if self.sketch_backed_at(mode) {
-            ex
-        } else {
-            ex.with_prepared(&self.prepared)
-        };
-        Ok(ex
-            .parallel(parallel)
+    /// An executor over this snapshot under `opts` (its trace setting is
+    /// not consulted). Scores read and write the shared cache in this
+    /// snapshot's epoch keyspace.
+    pub(crate) fn executor(&self, opts: &QueryOptions) -> Result<Executor<'_>> {
+        Ok(self
+            .rows
+            .executor(
+                &self.registry,
+                self.catalog.as_ref(),
+                &self.metrics,
+                opts.mode,
+            )?
+            .parallel(opts.parallel)
             .with_cache_at(&self.cache, self.epoch)
-            .with_candidates(self.candidate_source(strategy))
-            .with_metrics(&self.metrics))
+            .with_candidates(self.candidate_source(opts.candidates)))
     }
 
-    /// An executor under the published defaults.
-    pub fn executor(&self) -> Result<Executor<'_>> {
-        self.executor_at(self.mode, self.parallel)
-    }
-
-    /// Runs an insight query under the published defaults. Stateless —
-    /// nothing is recorded; sessions record their own history.
-    pub fn run_query(&self, query: &InsightQuery) -> Result<Vec<InsightInstance>> {
-        self.run_query_at(query, self.mode, self.parallel)
-    }
-
-    /// Runs an insight query under an explicit mode/parallelism.
+    /// Runs an insight query under `opts` — the one query entry point.
+    /// Stateless: nothing is recorded; sessions record their own history.
     ///
-    /// Served from the insight index when one is built for the same mode
-    /// and covers the query; otherwise scored by the executor.
-    pub fn run_query_at(
-        &self,
-        query: &InsightQuery,
-        mode: Mode,
-        parallel: bool,
-    ) -> Result<Vec<InsightInstance>> {
-        self.run_query_strategy(query, mode, parallel, CandidateStrategy::Auto)
-    }
-
-    /// [`run_query_at`](Self::run_query_at) with an explicit candidate
-    /// strategy. A strategy that resolves to LSH for the queried class
-    /// bypasses the prebuilt (exhaustively generated) insight index so the
-    /// collision-generated candidate list is actually what gets scored.
-    pub fn run_query_strategy(
-        &self,
-        query: &InsightQuery,
-        mode: Mode,
-        parallel: bool,
-        strategy: CandidateStrategy,
-    ) -> Result<Vec<InsightInstance>> {
+    /// Served from the insight index when one is built for `opts.mode`,
+    /// covers the query, and `opts.candidates` does not resolve to LSH for
+    /// the queried class (the index's entries came from the exhaustive
+    /// scan); otherwise scored by the executor.
+    ///
+    /// The trace is `Some` only when `opts.trace` asks for one and it is
+    /// captured: [`TraceMode::Forced`] always is, [`TraceMode::Sampled`]
+    /// only while the tracer's runtime switch is on, and neither without
+    /// the `trace` cargo feature. The results are bit-identical whatever
+    /// `opts.trace` says.
+    pub fn run(&self, query: &InsightQuery, opts: &QueryOptions) -> Result<Explained> {
+        let mut trace = match opts.trace {
+            TraceMode::Off => TraceBuilder::disabled(),
+            TraceMode::Sampled => self.tracer.begin_trace(query, opts.mode, false),
+            TraceMode::Forced => self.tracer.begin_trace(query, opts.mode, true),
+        };
         // the entire cost of the dormant trace layer on the untraced path:
         // one relaxed load of the slow-query threshold
-        if cfg!(feature = "trace") && self.tracer.slow_threshold_ns() > 0 {
-            let start = clock::now_ns();
-            let out = self.run_query_with(
-                query,
-                mode,
-                parallel,
-                strategy,
-                &mut TraceBuilder::disabled(),
-            )?;
-            self.tracer.maybe_record_slow(
-                query,
-                mode,
-                clock::now_ns().saturating_sub(start),
-                out.len(),
-                None,
-            );
-            return Ok(out);
-        }
-        self.run_query_with(
-            query,
-            mode,
-            parallel,
-            strategy,
-            &mut TraceBuilder::disabled(),
-        )
-    }
-
-    /// Runs an insight query and captures a [`QueryTrace`] for it — the
-    /// path behind [`explain`](crate::SessionHandle::explain) (`forced`)
-    /// and per-session trace sampling. The trace is `None` when the `trace`
-    /// cargo feature is compiled out, or when the trace was not forced and
-    /// the tracer's runtime switch is off; the results are bit-identical to
-    /// [`run_query_at`](Self::run_query_at) either way.
-    pub fn run_query_traced(
-        &self,
-        query: &InsightQuery,
-        mode: Mode,
-        parallel: bool,
-        forced: bool,
-    ) -> Result<(Vec<InsightInstance>, Option<Arc<QueryTrace>>)> {
-        self.run_query_traced_strategy(query, mode, parallel, CandidateStrategy::Auto, forced)
-    }
-
-    /// [`run_query_traced`](Self::run_query_traced) with an explicit
-    /// candidate strategy — EXPLAIN under the session's knob.
-    pub fn run_query_traced_strategy(
-        &self,
-        query: &InsightQuery,
-        mode: Mode,
-        parallel: bool,
-        strategy: CandidateStrategy,
-        forced: bool,
-    ) -> Result<(Vec<InsightInstance>, Option<Arc<QueryTrace>>)> {
-        let mut trace = self.tracer.begin_trace(query, mode, forced);
-        if !trace.is_active() {
-            return Ok((
-                self.run_query_strategy(query, mode, parallel, strategy)?,
-                None,
-            ));
+        let slow_log_armed = cfg!(feature = "trace") && self.tracer.slow_threshold_ns() > 0;
+        if !trace.is_active() && !slow_log_armed {
+            let results = self.run_with(query, opts, &mut trace)?;
+            return Ok(Explained {
+                results,
+                trace: None,
+            });
         }
         let start = clock::now_ns();
-        let out = self.run_query_with(query, mode, parallel, strategy, &mut trace)?;
+        let results = self.run_with(query, opts, &mut trace)?;
         let trace = self.tracer.finish(trace);
         self.tracer.maybe_record_slow(
             query,
-            mode,
+            opts.mode,
             clock::now_ns().saturating_sub(start),
-            out.len(),
+            results.len(),
             trace.clone(),
         );
-        Ok((out, trace))
+        Ok(Explained { results, trace })
     }
 
-    fn run_query_with(
+    fn run_with(
         &self,
         query: &InsightQuery,
-        mode: Mode,
-        parallel: bool,
-        strategy: CandidateStrategy,
+        opts: &QueryOptions,
         trace: &mut TraceBuilder,
     ) -> Result<Vec<InsightInstance>> {
+        let mode = opts.mode;
         if trace.is_active() {
             // staleness lands on the root span: which snapshot served this
             // query, and how far behind the ingest head it was
@@ -525,8 +526,8 @@ impl EngineCore {
         // answer: the caller asked for collision-generated candidates.
         let lsh_preferred = match self.registry.get(&query.class_id) {
             Some(class) => self
-                .candidate_source(strategy)
-                .would_use_lsh(class.as_ref(), self.exec_table_at(mode)?),
+                .candidate_source(opts.candidates)
+                .would_use_lsh(class.as_ref(), self.rows.exec_table(mode)?),
             None => false,
         };
         if let Some(ix) = self
@@ -537,7 +538,7 @@ impl EngineCore {
             let span = self.metrics.span(Stage::IndexServe);
             trace.begin("index_serve");
             if let Some(out) = ix.index.query(
-                self.exec_table_at(mode)?,
+                self.rows.exec_table(mode)?,
                 &self.registry,
                 query,
                 &self.cache,
@@ -552,7 +553,7 @@ impl EngineCore {
                         trace.set_metric(&first.metric);
                     }
                     trace.set_candidates(out.len(), out.len());
-                    trace.record_results(self.exec_table_at(mode)?, &out);
+                    trace.record_results(self.rows.exec_table(mode)?, &out);
                 }
                 return Ok(out);
             }
@@ -561,41 +562,26 @@ impl EngineCore {
             trace.end();
             span.cancel();
         }
-        let out = self
-            .executor_strategy(mode, parallel, strategy)?
-            .execute_traced(query, trace)?;
+        let out = self.executor(opts)?.execute_traced(query, trace)?;
         self.metrics.record_query(&query.class_id, mode, false);
         Ok(out)
     }
 
-    /// Builds all carousels (one per class) for a session's focus set,
-    /// under an explicit mode. Assembled in parallel (one task per class)
-    /// when `config.parallel` is set.
-    pub fn carousels_for(
+    /// Builds all carousels (one per class) for a session's focus set
+    /// under `opts` (untraced: its trace setting is not consulted).
+    /// Assembled in parallel (one task per class) when `opts.parallel` is
+    /// set.
+    pub fn carousels(
         &self,
         session: &Session,
         config: &CarouselConfig,
-        mode: Mode,
+        opts: &QueryOptions,
     ) -> Result<Vec<Carousel>> {
-        self.carousels_strategy(session, config, mode, CandidateStrategy::Auto)
+        crate::recommend::carousels(&self.executor(opts)?, session, config)
     }
 
-    /// [`carousels_for`](Self::carousels_for) with an explicit candidate
-    /// strategy: every pairwise class's carousel draws candidates through
-    /// it.
-    pub fn carousels_strategy(
-        &self,
-        session: &Session,
-        config: &CarouselConfig,
-        mode: Mode,
-        strategy: CandidateStrategy,
-    ) -> Result<Vec<Carousel>> {
-        let executor = self.executor_strategy(mode, config.parallel, strategy)?;
-        carousels_with(&executor, &self.registry, session, config)
-    }
-
-    /// Profiles the dataset under an explicit mode: per-column summaries
-    /// plus the strongest instance of every registered class.
+    /// Profiles the dataset under `mode`: per-column summaries plus the
+    /// strongest instance of every registered class.
     ///
     /// A profile is a function of (snapshot, mode). The headlines are this
     /// core's own answers to `class.top_k(1)` under `mode` — served from
@@ -608,7 +594,7 @@ impl EngineCore {
     ///
     /// Memoized per snapshot and mode — the first call does the work,
     /// every later one clones the cached profile.
-    pub fn profile_at(&self, mode: Mode) -> Result<DatasetProfile> {
+    pub fn profile(&self, mode: Mode) -> Result<DatasetProfile> {
         let memo = &self.profile_memo[match mode {
             Mode::Exact => 0,
             Mode::Approximate => 1,
@@ -617,34 +603,31 @@ impl EngineCore {
             return Ok(profile.clone());
         }
         let _span = self.metrics.span(Stage::Profile);
-        let columns = if self.sketch_backed_at(mode) {
+        let columns = if self.rows.sketch_backed(mode) {
             let catalog = self.catalog.as_ref().ok_or(EngineError::NoCatalog)?;
-            crate::profile::column_profiles_from_catalog(&self.source, catalog)
+            crate::profile::column_profiles_from_catalog(&self.rows.source, catalog)
         } else {
             crate::profile::column_profiles(self.try_table()?)?
         };
+        let opts = QueryOptions {
+            mode,
+            ..self.options()
+        };
         let mut headline_insights = Vec::new();
         for class in self.registry.classes() {
-            headline_insights.append(&mut self.run_query_with(
+            headline_insights.append(&mut self.run_with(
                 &InsightQuery::class(class.id()).top_k(1),
-                mode,
-                self.parallel,
-                CandidateStrategy::Auto,
+                &opts,
                 &mut TraceBuilder::disabled(),
             )?);
         }
         let profile = DatasetProfile {
-            name: self.source.name().to_owned(),
-            rows: self.source.n_rows(),
+            name: self.rows.source.name().to_owned(),
+            rows: self.rows.source.n_rows(),
             columns,
             headline_insights,
         };
         Ok(memo.get_or_init(|| profile).clone())
-    }
-
-    /// Profiles the dataset under the published default mode.
-    pub fn profile(&self) -> Result<DatasetProfile> {
-        self.profile_at(self.mode)
     }
 
     /// The chart for one insight instance (reads raw rows — errors on a
@@ -679,12 +662,9 @@ impl EngineCore {
 /// old snapshot continue unharmed (their stores land in the retired
 /// epoch, never the new one).
 pub struct CoreBuilder {
-    source: TableSource,
-    materialized: OnceLock<Table>,
-    schema_table: OnceLock<Table>,
-    /// Prepared columns over the staged raw rows; travels with them into
-    /// the frozen snapshot and is replaced whenever they change.
-    prepared: PreparedColumns,
+    /// The staged rows; they travel into the frozen snapshot, and their
+    /// memos are replaced whenever the rows change.
+    rows: Rows,
     registry: Arc<InsightRegistry>,
     catalog: Option<SketchCatalog>,
     index: Option<IndexedAt>,
@@ -717,10 +697,7 @@ impl CoreBuilder {
         let cache = Arc::new(ScoreCache::new());
         let epoch = cache.epoch();
         Self {
-            source,
-            materialized: OnceLock::new(),
-            schema_table: OnceLock::new(),
-            prepared: PreparedColumns::new(),
+            rows: Rows::new(source),
             registry: InsightRegistry::default().freeze(),
             catalog: None,
             index: None,
@@ -746,10 +723,7 @@ impl CoreBuilder {
     pub fn from_arc(core: Arc<EngineCore>) -> Self {
         match Arc::try_unwrap(core) {
             Ok(core) => Self {
-                source: core.source,
-                materialized: core.materialized,
-                schema_table: core.schema_table,
-                prepared: core.prepared,
+                rows: core.rows,
                 registry: core.registry,
                 catalog: core.catalog,
                 index: core.index,
@@ -766,10 +740,7 @@ impl CoreBuilder {
                 appended: false,
             },
             Err(shared) => Self {
-                source: shared.source.clone(),
-                materialized: OnceLock::new(),
-                schema_table: OnceLock::new(),
-                prepared: PreparedColumns::new(),
+                rows: Rows::new(shared.rows.source.clone()),
                 registry: Arc::clone(&shared.registry),
                 catalog: shared.catalog.clone(),
                 index: shared.index.clone(),
@@ -806,21 +777,6 @@ impl CoreBuilder {
         self.dirty = true;
     }
 
-    fn try_table(&self) -> Result<&Table> {
-        if let Some(t) = self.source.as_materialized() {
-            return Ok(t);
-        }
-        if let Some(t) = self.materialized.get() {
-            return Ok(t);
-        }
-        let t = self.source.materialize()?;
-        Ok(self.materialized.get_or_init(|| t))
-    }
-
-    fn schema_table(&self) -> &Table {
-        self.schema_table.get_or_init(|| self.source.schema_table())
-    }
-
     /// Runs the paper's preprocessing phase: builds the sketch catalog and
     /// switches the published mode to approximate (interactive). For a
     /// sharded source the per-shard catalogs are built independently
@@ -834,13 +790,14 @@ impl CoreBuilder {
     /// [`EngineError::Merge`] if per-shard catalogs fail to combine.
     pub fn preprocess(&mut self, config: &CatalogConfig) -> Result<()> {
         let _span = self.metrics.span(Stage::Preprocess);
-        let catalog = match self.source.as_materialized() {
+        let source = &self.rows.source;
+        let catalog = match source.as_materialized() {
             Some(t) => {
                 let _build = self.metrics.span(Stage::SketchBuild);
                 SketchCatalog::build(t, config)
             }
             None => {
-                if self.source.is_sketch_only() {
+                if source.is_sketch_only() {
                     return Err(EngineError::ExactUnavailable(
                         "cannot rebuild the catalog: the raw shards were dropped",
                     ));
@@ -848,7 +805,7 @@ impl CoreBuilder {
                 // per-shard builds + the sequential merge fold both happen
                 // inside build_sharded; the whole fan-out is one build span
                 let _build = self.metrics.span(Stage::SketchBuild);
-                let shards: Vec<&Table> = self.source.shards().collect();
+                let shards: Vec<&Table> = source.shards().collect();
                 SketchCatalog::build_sharded(&shards, config)?
             }
         };
@@ -882,30 +839,25 @@ impl CoreBuilder {
     /// Schema mismatches surface as [`EngineError::Data`]; catalog merge
     /// failures as [`EngineError::Merge`].
     pub fn append_shard(&mut self, shard: Table) -> Result<usize> {
-        self.append_shard_arc(Arc::new(shard))
-    }
-
-    /// [`CoreBuilder::append_shard`] for a batch already behind an `Arc` —
-    /// the stream writer's path, where the same batch also feeds a windowed
-    /// catalog without copying rows.
-    pub fn append_shard_arc(&mut self, shard: Arc<Table>) -> Result<usize> {
         if shard.n_rows() == 0 {
             // zero-row short-circuit: validate the schema, change nothing
-            return Ok(self.source.append_shard_arc(shard)?);
+            return Ok(self.rows.source.append_shard(shard)?);
         }
         let rows = shard.n_rows() as u64;
         let touched = present_columns(&shard);
-        let offset = self.source.append_shard_arc(Arc::clone(&shard))?;
+        let offset = self.rows.source.append_shard(shard)?;
         self.appended = true;
         // the rows changed: everything derived from them goes with them
-        self.materialized = OnceLock::new();
-        self.prepared = PreparedColumns::new();
+        self.rows.materialized = OnceLock::new();
+        self.rows.prepared = PreparedColumns::new();
         self.dirty_columns.extend(touched);
         self.metrics.record_ingest_batch(rows);
         if let Some(catalog) = self.catalog.as_mut() {
             let config = catalog.config().clone();
             let build = self.metrics.span(Stage::SketchBuild);
-            let shard_catalog = SketchCatalog::build_shard(&shard, &config, offset as u64);
+            // shards iterate in global row order: the last is this batch
+            let shard = self.rows.source.shards().last().expect("just appended");
+            let shard_catalog = SketchCatalog::build_shard(shard, &config, offset as u64);
             drop(build);
             let _merge = self.metrics.span(Stage::SketchMerge);
             catalog.merge(&shard_catalog)?;
@@ -943,7 +895,7 @@ impl CoreBuilder {
     pub fn set_mode(&mut self, mode: Mode) -> Result<()> {
         match mode {
             Mode::Approximate if self.catalog.is_none() => Err(EngineError::NoCatalog),
-            Mode::Exact if self.source.is_sketch_only() => Err(EngineError::ExactUnavailable(
+            Mode::Exact if self.rows.source.is_sketch_only() => Err(EngineError::ExactUnavailable(
                 "exact mode needs raw rows, but this source kept only sketches",
             )),
             _ => {
@@ -969,43 +921,23 @@ impl CoreBuilder {
     /// for a sketch-only source with no catalog restored.
     pub fn build_index(&mut self) -> Result<()> {
         let _span = self.metrics.span(Stage::IndexBuild);
-        let index = crate::index::InsightIndex::build(&self.index_executor(self.mode)?);
+        // the index is scored serially and uncached: every exact score of a
+        // primary-metric pass is batched, so rayon would split only the
+        // sketch estimates — less work than the split costs on every
+        // republish — and nothing staged has an epoch yet (the freeze hands
+        // the index's scores to the cache under the one it publishes)
+        let executor = self.rows.executor(
+            &self.registry,
+            self.catalog.as_ref(),
+            &self.metrics,
+            self.mode,
+        )?;
+        let index = crate::index::InsightIndex::build(&executor);
         self.index = Some(IndexedAt {
             index,
             mode: self.mode,
         });
         Ok(())
-    }
-
-    /// The executor an index of `mode` is scored through: the staged
-    /// source, catalog, registry and telemetry, and *no* cache — nothing
-    /// staged has an epoch yet; [`freeze`](Self::freeze) hands the index's
-    /// scores to the cache under the one it publishes. Serial: every exact
-    /// score of a primary-metric pass is batched, so rayon would split only
-    /// the sketch estimates — microseconds of work per class, less than
-    /// the split costs on every republish.
-    fn index_executor(&self, mode: Mode) -> Result<Executor<'_>> {
-        // sketch-backed: the executor sees only the zero-row schema table,
-        // so there are no raw rows for prepared columns to derive from
-        let sketch_backed = mode == Mode::Approximate && self.source.as_materialized().is_none();
-        let ex = match mode {
-            Mode::Approximate => {
-                let catalog = self.catalog.as_ref().ok_or(EngineError::NoCatalog)?;
-                let table = if sketch_backed {
-                    self.schema_table()
-                } else {
-                    self.try_table()?
-                };
-                Executor::approximate(table, &self.registry, catalog).sketch_only(sketch_backed)
-            }
-            Mode::Exact => Executor::exact(self.try_table()?, &self.registry),
-        };
-        let ex = if sketch_backed {
-            ex
-        } else {
-            ex.with_prepared(&self.prepared)
-        };
-        Ok(ex.with_metrics(&self.metrics))
     }
 
     /// Restores a previously persisted catalog (or lack of one) as part of
@@ -1029,9 +961,16 @@ impl CoreBuilder {
         let mut ix = self.index.take()?;
         let dirty: Vec<usize> = self.dirty_columns.iter().copied().collect();
         let _span = self.metrics.span(Stage::IndexRefresh);
-        let stats = ix
-            .index
-            .refresh(&self.index_executor(ix.mode).ok()?, &dirty);
+        let executor = self
+            .rows
+            .executor(
+                &self.registry,
+                self.catalog.as_ref(),
+                &self.metrics,
+                ix.mode,
+            )
+            .ok()?;
+        let stats = ix.index.refresh(&executor, &dirty);
         self.index = Some(ix);
         Some(stats)
     }
@@ -1123,10 +1062,7 @@ impl CoreBuilder {
             }
         }
         Arc::new(EngineCore {
-            source: self.source,
-            materialized: self.materialized,
-            schema_table: self.schema_table,
-            prepared: self.prepared,
+            rows: self.rows,
             registry: self.registry,
             catalog: self.catalog,
             index: self.index,
@@ -1179,15 +1115,18 @@ mod tests {
     use super::*;
     use foresight_data::datasets;
 
+    /// `query` under the snapshot's published defaults.
+    fn run(core: &EngineCore, query: &InsightQuery) -> Vec<InsightInstance> {
+        core.run(query, &core.options()).unwrap().results
+    }
+
     #[test]
     fn core_is_send_sync_and_shareable() {
         let core = CoreBuilder::new(TableSource::materialized(datasets::oecd())).freeze();
         let q = InsightQuery::class("linear-relationship").top_k(2);
-        let a = core.run_query(&q).unwrap();
+        let a = run(&core, &q);
         let other = Arc::clone(&core);
-        let b = std::thread::spawn(move || other.run_query(&q).unwrap())
-            .join()
-            .unwrap();
+        let b = std::thread::spawn(move || run(&other, &q)).join().unwrap();
         assert_eq!(a, b);
     }
 
@@ -1197,7 +1136,7 @@ mod tests {
         builder.preprocess(&CatalogConfig::default()).unwrap();
         let old = builder.freeze();
         let q = InsightQuery::class("skew").top_k(3);
-        let before = old.run_query(&q).unwrap();
+        let before = run(&old, &q);
 
         // writer republishes with a different roster; the old Arc is live
         let mut writer = CoreBuilder::from_arc(Arc::clone(&old));
@@ -1206,15 +1145,14 @@ mod tests {
 
         assert_ne!(old.epoch(), new.epoch(), "republish mints a new epoch");
         // the old snapshot still answers, bit-identically
-        assert_eq!(old.run_query(&q).unwrap(), before);
-        assert_eq!(new.run_query(&q).unwrap(), before);
+        assert_eq!(run(&old, &q), before);
+        assert_eq!(run(&new, &q), before);
     }
 
     #[test]
     fn clean_republish_keeps_epoch_and_cache() {
         let core = CoreBuilder::new(TableSource::materialized(datasets::oecd())).freeze();
-        core.run_query(&InsightQuery::class("skew").top_k(2))
-            .unwrap();
+        run(&core, &InsightQuery::class("skew").top_k(2));
         let entries = core.cache_stats().entries;
         assert!(entries > 0);
         let mut writer = CoreBuilder::from_arc(Arc::clone(&core));
@@ -1222,6 +1160,21 @@ mod tests {
         let new = writer.freeze();
         assert_eq!(core.epoch(), new.epoch());
         assert_eq!(new.cache_stats().entries, entries, "warm cache survives");
+    }
+
+    #[test]
+    fn options_are_the_published_defaults() {
+        let mut builder = CoreBuilder::new(TableSource::materialized(datasets::oecd()));
+        builder.set_parallel(true);
+        let core = builder.freeze();
+        let opts = core.options();
+        assert_eq!(opts.mode, Mode::Exact);
+        assert!(opts.parallel);
+        assert_eq!(opts.candidates, CandidateStrategy::Auto);
+        assert_eq!(opts.trace, TraceMode::Off);
+        let handle = core.handle();
+        assert_eq!(handle.mode(), opts.mode);
+        assert_eq!(handle.candidate_strategy(), opts.candidates);
     }
 
     #[test]
@@ -1240,8 +1193,16 @@ mod tests {
         let q = InsightQuery::class("linear-relationship").top_k(2);
         // approximate (the index's mode) and exact both answer; exact must
         // come from the executor, not the approximate index
-        let approx = core.run_query_at(&q, Mode::Approximate, false).unwrap();
-        let exact = core.run_query_at(&q, Mode::Exact, false).unwrap();
+        let at = |mode| {
+            let opts = QueryOptions {
+                mode,
+                parallel: false,
+                ..core.options()
+            };
+            core.run(&q, &opts).unwrap().results
+        };
+        let approx = at(Mode::Approximate);
+        let exact = at(Mode::Exact);
         assert_eq!(approx.len(), 2);
         assert_eq!(exact.len(), 2);
         assert!(exact[0].detail != approx[0].detail || exact[0].score != approx[0].score);

@@ -49,7 +49,7 @@ pub struct Executor<'a> {
     /// run unobserved).
     metrics: Option<&'a Metrics>,
     mode: Mode,
-    parallel: bool,
+    pub(crate) parallel: bool,
     pub(crate) sketch_only: bool,
     /// How candidate tuples are generated: the class's own scan for a
     /// standalone executor; a core snapshot passes its [`CandidateSource`]

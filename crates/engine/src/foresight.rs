@@ -2,22 +2,22 @@
 //! [`TableSource`]), preprocess sketches, run insight queries, focus
 //! insights, assemble carousels, save sessions.
 //!
-//! The facade is a thin convenience over the real split: an immutable,
-//! shareable [`EngineCore`] plus one owned [`Session`]. Mutating calls
-//! (`register_class`, `preprocess`, `append_shard`, `load_state`,
-//! `set_mode`) republish the core through [`CoreBuilder`]; read calls
-//! delegate to the current snapshot. Call [`Foresight::core`] /
-//! [`Foresight::handle`] to serve additional concurrent users over the
-//! same snapshot.
+//! The facade is one [`SessionHandle`] plus the writer path. Mutating
+//! calls (`register_class`, `build_index`, `preprocess`, `append_shard`,
+//! `load_state`, `set_mode`, `set_parallel`) republish the handle's core
+//! through [`CoreBuilder`]; every read and session call delegates to the
+//! handle. Call [`Foresight::core`] / [`Foresight::handle`] to serve
+//! additional concurrent users over the same snapshot.
 
 use crate::cache::CacheStats;
 use crate::candidates::CandidateStrategy;
 use crate::core::{CoreBuilder, EngineCore};
 use crate::error::{EngineError, Result};
 use crate::executor::Mode;
+use crate::handle::SessionHandle;
 use crate::neighborhood::NeighborhoodWeights;
 use crate::query::InsightQuery;
-use crate::recommend::{Carousel, CarouselConfig, DEFAULT_FOCUS_OVERFETCH};
+use crate::recommend::Carousel;
 use crate::session::Session;
 use foresight_data::{Table, TableSource};
 use foresight_insight::{InsightClass, InsightInstance, InsightRegistry};
@@ -30,8 +30,9 @@ use std::sync::Arc;
 /// reads). Version 0 is the legacy pre-versioning format, still accepted.
 pub const STATE_FORMAT_VERSION: u32 = 1;
 
-/// The Foresight system over one dataset: a shared [`EngineCore`] snapshot
-/// plus this caller's own [`Session`].
+/// The Foresight system over one dataset: this caller's own
+/// [`SessionHandle`] over a shared [`EngineCore`] snapshot, plus the
+/// writer path that republishes it.
 ///
 /// # Examples
 /// ```
@@ -57,17 +58,14 @@ pub const STATE_FORMAT_VERSION: u32 = 1;
 ///
 /// Every query path runs `&self` on the underlying core. To serve many
 /// users over one dataset, share [`Foresight::core`] and give each user a
-/// [`crate::SessionHandle`] via [`Foresight::handle`]; the facade's own
-/// mutating methods republish a fresh snapshot without disturbing
-/// handles that hold the old one.
+/// [`SessionHandle`] via [`Foresight::handle`]; the facade's own mutating
+/// methods republish a fresh snapshot without disturbing handles that hold
+/// the old one.
 pub struct Foresight {
-    /// Always `Some` between method calls; taken transiently while the
-    /// writer path republishes a new snapshot.
-    core: Option<Arc<EngineCore>>,
-    session: Session,
-    focus_overfetch: usize,
-    weights: NeighborhoodWeights,
-    candidates: CandidateStrategy,
+    /// Always `Some` between method calls; taken while the writer path
+    /// republishes, so the handle's `Arc` is the snapshot's only owner and
+    /// [`CoreBuilder::from_arc`] moves the core instead of cloning it.
+    handle: Option<SessionHandle>,
 }
 
 impl Foresight {
@@ -97,38 +95,47 @@ impl Foresight {
 
     /// Wraps an already-published core snapshot (plus a fresh session).
     pub fn from_core(core: Arc<EngineCore>) -> Self {
-        let session = Session::new(core.source().name());
         Self {
-            core: Some(core),
-            session,
-            focus_overfetch: DEFAULT_FOCUS_OVERFETCH,
-            weights: NeighborhoodWeights::default(),
-            candidates: CandidateStrategy::Auto,
+            handle: Some(SessionHandle::new(core)),
         }
+    }
+
+    fn own(&self) -> &SessionHandle {
+        self.handle.as_ref().expect("session handle always present")
+    }
+
+    fn own_mut(&mut self) -> &mut SessionHandle {
+        self.handle.as_mut().expect("session handle always present")
     }
 
     /// The current core snapshot — share it (via [`Arc::clone`]) to serve
     /// concurrent sessions.
     pub fn core(&self) -> &Arc<EngineCore> {
-        self.core.as_ref().expect("engine core always present")
+        self.own().core()
     }
 
-    /// A fresh per-user [`crate::SessionHandle`] over the current
-    /// snapshot. Later mutations of this facade republish a *new*
-    /// snapshot; existing handles keep the one they were created with.
-    pub fn handle(&self) -> crate::SessionHandle {
+    /// A fresh per-user [`SessionHandle`] over the current snapshot. Later
+    /// mutations of this facade republish a *new* snapshot; existing
+    /// handles keep the one they were created with.
+    pub fn handle(&self) -> SessionHandle {
         self.core().handle()
     }
 
-    /// Runs a mutation through the writer path: takes the snapshot,
-    /// stages edits on a [`CoreBuilder`], and republishes. When the facade
-    /// is the sole owner the core is edited in place (no copies).
+    /// Runs a mutation through the writer path: takes the snapshot out of
+    /// the handle, stages edits on a [`CoreBuilder`], and republishes into
+    /// the same handle, whose mode and parallelism follow the new
+    /// snapshot. When nothing else holds the snapshot it is edited in place
+    /// (no copies).
     fn edit<R>(&mut self, f: impl FnOnce(&mut CoreBuilder) -> Result<R>) -> Result<R> {
-        let arc = self.core.take().expect("engine core always present");
-        let mut builder = CoreBuilder::from_arc(arc);
+        let mut handle = self.handle.take().expect("session handle always present");
+        let mut builder = CoreBuilder::from_arc(handle.core);
         let out = f(&mut builder);
         // republish even on error: failed stages leave prior state intact
-        self.core = Some(builder.freeze());
+        handle.core = builder.freeze();
+        let published = handle.core.options();
+        handle.opts.mode = published.mode;
+        handle.opts.parallel = published.parallel;
+        self.handle = Some(handle);
         out
     }
 
@@ -191,17 +198,17 @@ impl Foresight {
 
     /// The current session state.
     pub fn session(&self) -> &Session {
-        &self.session
+        self.own().session()
     }
 
     /// Replaces the session (e.g. one restored via [`Session::load`]).
     pub fn restore_session(&mut self, session: Session) {
-        self.session = session;
+        self.own_mut().restore_session(session);
     }
 
     /// Sets the neighborhood re-ranking weights.
     pub fn set_weights(&mut self, weights: NeighborhoodWeights) {
-        self.weights = weights;
+        self.own_mut().set_weights(weights);
     }
 
     /// Enables rayon-parallel query execution and carousel assembly (on by
@@ -216,14 +223,15 @@ impl Foresight {
     }
 
     /// Sets the focus over-fetch factor used by carousel assembly (see
-    /// [`DEFAULT_FOCUS_OVERFETCH`]); values below 1 are treated as 1.
+    /// [`DEFAULT_FOCUS_OVERFETCH`](crate::recommend::DEFAULT_FOCUS_OVERFETCH));
+    /// values below 1 are treated as 1.
     pub fn set_focus_overfetch(&mut self, factor: usize) {
-        self.focus_overfetch = factor.max(1);
+        self.own_mut().set_focus_overfetch(factor);
     }
 
     /// The candidate-generation strategy in effect.
     pub fn candidate_strategy(&self) -> CandidateStrategy {
-        self.candidates
+        self.own().candidate_strategy()
     }
 
     /// Sets how pairwise queries generate candidates — the recall-vs-speed
@@ -232,7 +240,7 @@ impl Foresight {
     /// [`CandidateStrategy::Exhaustive`] pins recall to 1.0. No republish:
     /// this is session state, like the focus set.
     pub fn set_candidate_strategy(&mut self, strategy: CandidateStrategy) {
-        self.candidates = strategy;
+        self.own_mut().set_candidate_strategy(strategy);
     }
 
     /// Hit/miss/occupancy/purge counters of the cross-query score cache.
@@ -245,7 +253,7 @@ impl Foresight {
     /// registry survives republishes, so preprocess/freeze timings stay
     /// visible after later mutations.
     pub fn metrics(&self) -> crate::telemetry::MetricsSnapshot {
-        self.core().metrics_snapshot()
+        self.own().metrics()
     }
 
     /// Drops every cached score. Normally unnecessary — the engine retires
@@ -276,10 +284,11 @@ impl Foresight {
     /// The shard is appended to the source (a materialized table is
     /// promoted to a sharded source in place) and, when a catalog exists,
     /// sketched at its global row offset and merged in — no rebuild, no
-    /// concatenation. The insight index is invalidated, any lazily
-    /// materialized concatenation is discarded, and the score cache's data
-    /// generation is bumped: stale scores become unreachable without
-    /// discarding still-valid describe memoization.
+    /// concatenation. Invalidation is column-granular (see
+    /// [`CoreBuilder::append_shard`]): a built insight index is refreshed
+    /// in place, rescoring only the tuples that touch a column the batch
+    /// carries values in, and clean score-cache entries migrate into the
+    /// new epoch. Any lazily materialized concatenation is discarded.
     ///
     /// Returns the appended shard's global row offset.
     ///
@@ -301,7 +310,7 @@ impl Foresight {
 
     /// The current mode.
     pub fn mode(&self) -> Mode {
-        self.core().mode()
+        self.own().mode()
     }
 
     /// The sketch catalog, if preprocessing ran.
@@ -309,39 +318,16 @@ impl Foresight {
         self.core().catalog()
     }
 
-    /// Runs an insight query and records it in the session history.
-    ///
-    /// Served from the insight index when one is built and covers the
-    /// query; otherwise scored by the executor (sketch or exact mode).
-    /// Only the history append needs `&mut` — the core itself is
-    /// read-only (see [`EngineCore::run_query`]).
+    /// Runs an insight query and records it in the session history (see
+    /// [`SessionHandle::query`]).
     pub fn query(&mut self, query: &InsightQuery) -> Result<Vec<InsightInstance>> {
-        let core = self.core();
-        let out = core.run_query_strategy(query, core.mode(), core.parallel(), self.candidates)?;
-        self.session.record_query(query, out.len());
-        Ok(out)
+        self.own_mut().query(query)
     }
 
     /// EXPLAIN: runs the query with a forced trace and returns the results
-    /// together with the captured [`QueryTrace`] — per-stage timings, this
-    /// query's cache hits and misses, each candidate's sketch-vs-exact
-    /// path, typed skip reasons, and the final top-k with rank deltas.
-    /// Results are bit-identical to [`query`](Self::query); the trace is
-    /// `None` only when the `trace` cargo feature is compiled out. Recorded
-    /// in the session history like any other query.
-    ///
-    /// [`QueryTrace`]: crate::trace::QueryTrace
+    /// together with the captured trace (see [`SessionHandle::explain`]).
     pub fn explain(&mut self, query: &InsightQuery) -> Result<crate::trace::Explained> {
-        let core = self.core();
-        let (results, trace) = core.run_query_traced_strategy(
-            query,
-            core.mode(),
-            core.parallel(),
-            self.candidates,
-            true,
-        )?;
-        self.session.record_query(query, results.len());
-        Ok(crate::trace::Explained { results, trace })
+        self.own_mut().explain(query)
     }
 
     /// The shared request-tracing registry — recent [`QueryTrace`]s, the
@@ -354,48 +340,31 @@ impl Foresight {
     }
 
     /// Re-executes every query recorded in the current session's history
-    /// (e.g. one restored from a colleague's saved session) and returns the
-    /// per-query results. The replay itself is appended to the history.
+    /// (see [`SessionHandle::replay_session`]).
     pub fn replay_session(&mut self) -> Result<Vec<Vec<InsightInstance>>> {
-        let queries: Vec<InsightQuery> = self.session.queries().into_iter().cloned().collect();
-        queries.iter().map(|q| self.query(q)).collect()
+        self.own_mut().replay_session()
     }
 
     /// Builds all carousels (one per class), re-ranked toward the focus set.
-    /// Assembled in parallel (one task per class) when parallelism is on.
     pub fn carousels(&self, per_class: usize) -> Result<Vec<Carousel>> {
-        let core = self.core();
-        core.carousels_strategy(
-            &self.session,
-            &CarouselConfig {
-                per_class,
-                weights: self.weights,
-                focus_overfetch: self.focus_overfetch,
-                parallel: core.parallel(),
-            },
-            core.mode(),
-            self.candidates,
-        )
+        self.own().carousels(per_class)
     }
 
     /// Focuses an insight, steering future recommendations toward its
     /// neighborhood.
     pub fn focus(&mut self, instance: InsightInstance) {
-        self.session.focus(instance);
+        self.own_mut().focus(instance);
     }
 
     /// Removes a focused insight.
     pub fn unfocus(&mut self, attrs: &foresight_insight::AttrTuple) -> bool {
-        self.session.unfocus(attrs)
+        self.own_mut().unfocus(attrs)
     }
 
     /// Profiles the dataset: per-column summaries plus the strongest
-    /// instance of every registered class. A sharded source in approximate
-    /// mode is profiled entirely from the merged catalog (moments, KLL
-    /// quantiles, heavy hitters, entropy, HLL cardinality) — no shard
-    /// concatenation.
+    /// instance of every registered class (see [`EngineCore::profile`]).
     pub fn profile(&self) -> Result<crate::profile::DatasetProfile> {
-        self.core().profile()
+        self.own().profile()
     }
 
     /// Persists the full engine state — session *and* sketch catalog,
@@ -404,7 +373,7 @@ impl Foresight {
     pub fn save_state(&self, writer: impl std::io::Write) -> Result<()> {
         let state = PersistedState {
             version: STATE_FORMAT_VERSION,
-            session: self.session.clone(),
+            session: self.session().clone(),
             catalog: self.core().catalog().cloned(),
         };
         serde_json::to_writer(writer, &state)?;
@@ -426,7 +395,7 @@ impl Foresight {
                 supported: STATE_FORMAT_VERSION,
             });
         }
-        self.session = state.session;
+        self.restore_session(state.session);
         self.edit(|b| {
             b.restore_catalog(state.catalog);
             Ok(())
@@ -637,7 +606,7 @@ mod tests {
         assert!(fs.insight_index().is_some());
         let indexed = fs.query(&q).unwrap();
         assert_eq!(unindexed, indexed);
-        // registering a class invalidates the index
+        // preprocessing rescores everything in a new mode: the index goes
         fs.preprocess(&CatalogConfig::default()).unwrap();
         assert!(fs.insight_index().is_none());
     }
@@ -800,5 +769,108 @@ mod tests {
             fs.query(&q).unwrap(),
             Foresight::new(whole).query(&q).unwrap()
         );
+    }
+
+    /// The script the facade and the handle both run in
+    /// `facade_and_handle_answer_alike`.
+    macro_rules! script {
+        ($explorer:expr) => {{
+            let d = $explorer;
+            let top = d
+                .query(&InsightQuery::class("linear-relationship").top_k(3))
+                .unwrap();
+            let explained = d
+                .explain(&InsightQuery::class("skew").top_k(2))
+                .unwrap()
+                .results;
+            d.focus(top[0].clone());
+            let carousels = d.carousels(2).unwrap();
+            let replayed = d.replay_session().unwrap();
+            let profile = d.profile().unwrap();
+            (top, explained, carousels, replayed, profile)
+        }};
+    }
+
+    /// The facade is a session handle: driven through the same script as a
+    /// plain handle over the same snapshot, it answers and records the
+    /// same, before and after a republish.
+    #[test]
+    fn facade_and_handle_answer_alike() {
+        let (whole, mut shards) = whole_and_shards(600, &[250, 450]);
+        let last = shards.pop().expect("three shards");
+        let config = CatalogConfig::default();
+        let exact = Foresight::new(whole.clone());
+        let mut approximate = Foresight::new(whole);
+        approximate.preprocess(&config).unwrap();
+        let mut sharded = Foresight::from_source(TableSource::sharded(shards).unwrap());
+        sharded.preprocess(&config).unwrap();
+        for (what, mut fs) in [
+            ("exact", exact),
+            ("approximate", approximate),
+            ("sharded", sharded),
+        ] {
+            let mut handle = fs.handle();
+            assert_eq!(script!(&mut fs), script!(&mut handle), "{what}");
+            assert_eq!(fs.session(), handle.session(), "{what}");
+
+            // republish; a fresh handle over the new snapshot carries the
+            // old handle's own session forward
+            if fs.catalog().is_none() {
+                fs.preprocess(&config).unwrap();
+            } else {
+                fs.append_shard(last.clone()).unwrap();
+            }
+            let mut next = fs.handle();
+            next.restore_session(handle.session().clone());
+            assert_eq!(fs.mode(), next.mode(), "{what}");
+            assert_eq!(script!(&mut fs), script!(&mut next), "{what} republished");
+            assert_eq!(fs.session(), next.session(), "{what} republished");
+        }
+    }
+
+    /// A facade mutation edits the snapshot in place: the facade holds the
+    /// only `Arc`, so `CoreBuilder::from_arc` moves the core — prepared
+    /// columns included — where its clone branch would start them empty.
+    #[test]
+    fn facade_mutations_move_the_core() {
+        let mut fs = oecd();
+        assert_eq!(fs.mode(), Mode::Exact);
+        fs.query(&InsightQuery::class("linear-relationship").top_k(3))
+            .unwrap();
+        assert!(fs.core().prepared_columns().approx_bytes() > 0);
+        let parallel = fs.core().options().parallel;
+        fs.set_parallel(!parallel);
+        assert_eq!(fs.core().options().parallel, !parallel);
+        assert!(fs.core().prepared_columns().approx_bytes() > 0);
+    }
+
+    /// A session saved from the facade carries the schema fingerprint, so
+    /// it cannot be restored onto a same-named dataset whose columns were
+    /// reordered.
+    #[test]
+    fn facade_sessions_carry_the_schema_fingerprint() {
+        let table = |names: [&str; 3]| {
+            let mut builder = TableBuilder::new("t");
+            for (i, name) in names.into_iter().enumerate() {
+                builder = builder.numeric(name, (0..50).map(|r| (r * (i + 1)) as f64).collect());
+            }
+            builder.build().unwrap()
+        };
+        let mut fs = Foresight::new(table(["a", "b", "c"]));
+        fs.query(&InsightQuery::class("linear-relationship").top_k(1))
+            .unwrap();
+        let mut buf = Vec::new();
+        fs.session().save(&mut buf).unwrap();
+
+        let reordered =
+            CoreBuilder::new(TableSource::materialized(table(["c", "b", "a"]))).freeze();
+        let mut handle = reordered.handle();
+        let saved = Session::load(buf.as_slice()).unwrap();
+        assert!(matches!(
+            handle.restore_session_checked(saved.clone()),
+            Err(EngineError::SessionMismatch(_))
+        ));
+        // the same save restores onto the table it was taken from
+        fs.handle().restore_session_checked(saved).unwrap();
     }
 }

@@ -8,7 +8,7 @@
 //! core snapshot.
 
 use crate::candidates::CandidateStrategy;
-use crate::core::{EngineCore, Staleness};
+use crate::core::{EngineCore, QueryOptions, Staleness, TraceMode};
 use crate::error::{EngineError, Result};
 use crate::executor::Mode;
 use crate::neighborhood::NeighborhoodWeights;
@@ -39,15 +39,17 @@ pub enum AdoptPolicy {
 /// per-user execution knobs. All heavy state lives in the
 /// [`EngineCore`]; queries on a handle never block other handles.
 pub struct SessionHandle {
-    core: Arc<EngineCore>,
+    /// The snapshot this handle reads through. Crate-visible so the
+    /// [`Foresight`](crate::Foresight) facade can move it through the
+    /// writer path without a second owner.
+    pub(crate) core: Arc<EngineCore>,
     session: Session,
-    /// This user's scoring mode (seeded from the core's published default).
-    mode: Mode,
-    /// This user's parallel-execution preference.
-    parallel: bool,
-    /// This user's candidate-generation strategy — the recall-vs-speed
-    /// knob for pairwise classes over wide tables.
-    candidates: CandidateStrategy,
+    /// This user's query options: mode and parallelism seeded from the
+    /// core's published defaults, the candidate strategy (the
+    /// recall-vs-speed knob for pairwise classes over wide tables), and a
+    /// trace setting that stays [`TraceMode::Off`] — the sampling schedule
+    /// and [`explain`](Self::explain) override it per query.
+    pub(crate) opts: QueryOptions,
     focus_overfetch: usize,
     weights: NeighborhoodWeights,
     /// Trace one query in every `trace_every` (0 = sampling off). Plain
@@ -81,14 +83,10 @@ impl SessionHandle {
         // stamp the schema fingerprint so saves from this handle can be
         // validated by `restore_session_checked` on any other core
         session.schema = Some(core.source().schema().names().map(str::to_owned).collect());
-        let mode = core.mode();
-        let parallel = core.parallel();
         Self {
+            opts: core.options(),
             core,
             session,
-            mode,
-            parallel,
-            candidates: CandidateStrategy::Auto,
             focus_overfetch: DEFAULT_FOCUS_OVERFETCH,
             weights: NeighborhoodWeights::default(),
             trace_every: 0,
@@ -256,7 +254,7 @@ impl SessionHandle {
 
     /// This user's scoring mode.
     pub fn mode(&self) -> Mode {
-        self.mode
+        self.opts.mode
     }
 
     /// Overrides the scoring mode for this session only.
@@ -273,7 +271,7 @@ impl SessionHandle {
                 ))
             }
             _ => {
-                self.mode = mode;
+                self.opts.mode = mode;
                 Ok(())
             }
         }
@@ -281,12 +279,12 @@ impl SessionHandle {
 
     /// Enables rayon-parallel execution for this session's queries.
     pub fn set_parallel(&mut self, on: bool) {
-        self.parallel = on;
+        self.opts.parallel = on;
     }
 
     /// This user's candidate-generation strategy.
     pub fn candidate_strategy(&self) -> CandidateStrategy {
-        self.candidates
+        self.opts.candidates
     }
 
     /// Sets how this session's pairwise queries generate candidates — the
@@ -297,7 +295,7 @@ impl SessionHandle {
     /// probe tables. Per-session state — other handles over the same core
     /// are unaffected.
     pub fn set_candidate_strategy(&mut self, strategy: CandidateStrategy) {
-        self.candidates = strategy;
+        self.opts.candidates = strategy;
     }
 
     /// Sets this session's neighborhood re-ranking weights.
@@ -354,14 +352,15 @@ impl SessionHandle {
     /// query, its trace is captured into the core's ring as a side effect.
     pub fn query(&mut self, query: &InsightQuery) -> Result<Vec<InsightInstance>> {
         self.maybe_adopt();
-        let out = if self.sample_this_query() {
-            self.core
-                .run_query_traced_strategy(query, self.mode, self.parallel, self.candidates, false)?
-                .0
+        let trace = if self.sample_this_query() {
+            TraceMode::Sampled
         } else {
-            self.core
-                .run_query_strategy(query, self.mode, self.parallel, self.candidates)?
+            TraceMode::Off
         };
+        let out = self
+            .core
+            .run(query, &QueryOptions { trace, ..self.opts })?
+            .results;
         self.session.record_query(query, out.len());
         Ok(out)
     }
@@ -376,15 +375,15 @@ impl SessionHandle {
     /// [`QueryTrace`]: crate::trace::QueryTrace
     pub fn explain(&mut self, query: &InsightQuery) -> Result<Explained> {
         self.maybe_adopt();
-        let (results, trace) = self.core.run_query_traced_strategy(
+        let explained = self.core.run(
             query,
-            self.mode,
-            self.parallel,
-            self.candidates,
-            true,
+            &QueryOptions {
+                trace: TraceMode::Forced,
+                ..self.opts
+            },
         )?;
-        self.session.record_query(query, results.len());
-        Ok(Explained { results, trace })
+        self.session.record_query(query, explained.results.len());
+        Ok(explained)
     }
 
     /// Re-executes every query recorded in this session's history (e.g.
@@ -398,16 +397,14 @@ impl SessionHandle {
     /// Builds all carousels (one per class), re-ranked toward this
     /// session's focus set.
     pub fn carousels(&self, per_class: usize) -> Result<Vec<Carousel>> {
-        self.core.carousels_strategy(
+        self.core.carousels(
             &self.session,
             &CarouselConfig {
                 per_class,
                 weights: self.weights,
                 focus_overfetch: self.focus_overfetch,
-                parallel: self.parallel,
             },
-            self.mode,
-            self.candidates,
+            &self.opts,
         )
     }
 
@@ -429,7 +426,7 @@ impl SessionHandle {
 
     /// Profiles the dataset under this session's mode.
     pub fn profile(&self) -> Result<crate::profile::DatasetProfile> {
-        self.core.profile_at(self.mode)
+        self.core.profile(self.opts.mode)
     }
 
     /// A deterministic snapshot of the shared core's telemetry — per-stage

@@ -9,13 +9,14 @@
 //! * [`cache`] — the cross-query score cache
 //! * [`candidates`] — candidate generation strategies: the quadratic
 //!   class scan vs. LSH bucket collisions over the catalog's signatures
-//! * [`core`] — the shared, `Send + Sync` [`EngineCore`] snapshot and its
-//!   [`CoreBuilder`] writer path
+//! * [`core`] — the shared, `Send + Sync` [`EngineCore`] snapshot, its one
+//!   query entry point ([`EngineCore::run`] under [`QueryOptions`]) and
+//!   its [`CoreBuilder`] writer path
 //! * [`handle`] — cheap per-user [`SessionHandle`]s over one core
 //! * [`neighborhood`] — insight similarity and focus-driven re-ranking
 //! * [`session`] — focus set, history, save/restore
 //! * [`stream`] — streaming ingest: a writer thread republishing
-//!   snapshots at bounded cadence, with optional tail-window catalogs
+//!   snapshots at bounded cadence
 //! * [`monitor`] — continuous self-monitoring: a sampler thread deriving
 //!   rate/latency series from snapshot deltas, a threshold watchdog with
 //!   hysteresis, and `Healthy`/`Degraded`/`Unready` health gating
@@ -25,7 +26,8 @@
 //! * [`trace`] — request-scoped tracing: per-query span trees, EXPLAIN,
 //!   the trace ring, and the slow-query log (compiled out without the
 //!   `trace` cargo feature)
-//! * [`foresight`] — the [`Foresight`] facade tying everything together
+//! * [`foresight`] — the [`Foresight`] facade: one [`SessionHandle`] plus
+//!   the writer path
 
 #![warn(missing_docs)]
 
@@ -47,7 +49,7 @@ pub mod stream;
 pub mod telemetry;
 pub mod trace;
 
-pub use crate::core::{CoreBuilder, EngineCore, Staleness};
+pub use crate::core::{CoreBuilder, EngineCore, QueryOptions, Staleness, TraceMode};
 pub use cache::{BatchLookup, CacheStats, ScoreCache, CACHE_SHARDS};
 pub use candidates::{
     lsh_disabled, CandidateOrigin, CandidatePlan, CandidateSource, CandidateStrategy,

@@ -4,7 +4,7 @@
 //!
 //! This module owns the profile's shape and the per-column summaries. The
 //! headline insights are the core's own answers to `class.top_k(1)` —
-//! [`EngineCore::profile_at`](crate::EngineCore::profile_at) runs that loop
+//! [`EngineCore::profile`](crate::EngineCore::profile) runs that loop
 //! through its query path, so a profile never scores anything a query
 //! would not.
 
@@ -227,7 +227,7 @@ mod tests {
     fn exact_profile(t: Table) -> DatasetProfile {
         CoreBuilder::new(TableSource::materialized(t))
             .freeze()
-            .profile()
+            .profile(Mode::Exact)
             .unwrap()
     }
 
@@ -286,7 +286,7 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-        let approx = builder.freeze().profile_at(Mode::Approximate).unwrap();
+        let approx = builder.freeze().profile(Mode::Approximate).unwrap();
 
         assert_eq!(approx.rows, exact.rows);
         assert_eq!(approx.columns.len(), exact.columns.len());

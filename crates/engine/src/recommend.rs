@@ -7,7 +7,7 @@ use crate::neighborhood::{rerank, NeighborhoodWeights};
 use crate::query::InsightQuery;
 use crate::session::Session;
 use crate::telemetry::{maybe_span, Stage};
-use foresight_insight::{InsightClass, InsightInstance, InsightRegistry};
+use foresight_insight::{InsightClass, InsightInstance};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -43,12 +43,6 @@ pub struct CarouselConfig {
     pub weights: NeighborhoodWeights,
     /// Focus over-fetch factor (see [`DEFAULT_FOCUS_OVERFETCH`]).
     pub focus_overfetch: usize,
-    /// Assemble carousels through rayon — one task per class, output order
-    /// preserved, results identical to serial assembly. The vendored rayon
-    /// stand-in runs any fan-out narrower than 32 items inline on the
-    /// caller's thread, so with the twelve built-in classes this is serial
-    /// assembly today.
-    pub parallel: bool,
 }
 
 impl Default for CarouselConfig {
@@ -57,42 +51,25 @@ impl Default for CarouselConfig {
             per_class: 5,
             weights: NeighborhoodWeights::default(),
             focus_overfetch: DEFAULT_FOCUS_OVERFETCH,
-            parallel: false,
         }
     }
 }
 
-/// Builds one carousel per registered class.
+/// Builds one carousel per class registered with `executor`.
 ///
 /// Without a focus set this shows each class's strongest instances — the
 /// first, open-ended stage of exploration. With focused insights, each
 /// carousel is re-ranked toward the focus neighborhood (§4.1: "Foresight
 /// updates its recommendations by choosing a subset of insights within the
 /// neighborhood of the focused insight").
+///
+/// A parallel executor assembles one task per class, output order
+/// preserved and results identical to serial assembly. The vendored rayon
+/// stand-in runs any fan-out narrower than 32 items inline on the caller's
+/// thread, so with the twelve built-in classes this is serial assembly
+/// today.
 pub fn carousels(
     executor: &Executor<'_>,
-    registry: &InsightRegistry,
-    session: &Session,
-    per_class: usize,
-    weights: NeighborhoodWeights,
-) -> Result<Vec<Carousel>> {
-    carousels_with(
-        executor,
-        registry,
-        session,
-        &CarouselConfig {
-            per_class,
-            weights,
-            ..CarouselConfig::default()
-        },
-    )
-}
-
-/// Builds one carousel per registered class under an explicit
-/// [`CarouselConfig`] — the configurable form of [`carousels`].
-pub fn carousels_with(
-    executor: &Executor<'_>,
-    registry: &InsightRegistry,
     session: &Session,
     config: &CarouselConfig,
 ) -> Result<Vec<Carousel>> {
@@ -117,11 +94,12 @@ pub fn carousels_with(
             instances,
         })
     };
-    if config.parallel {
+    let classes = executor.registry.classes();
+    if executor.parallel {
         // one task per class; collect preserves registry order
-        registry.classes().par_iter().map(one).collect()
+        classes.par_iter().map(one).collect()
     } else {
-        registry.classes().iter().map(one).collect()
+        classes.iter().map(one).collect()
     }
 }
 
@@ -129,7 +107,15 @@ pub fn carousels_with(
 mod tests {
     use super::*;
     use foresight_data::TableBuilder;
-    use foresight_insight::AttrTuple;
+    use foresight_insight::{AttrTuple, InsightRegistry};
+
+    fn config(per_class: usize, weights: NeighborhoodWeights) -> CarouselConfig {
+        CarouselConfig {
+            per_class,
+            weights,
+            ..CarouselConfig::default()
+        }
+    }
 
     fn setup() -> (foresight_data::Table, InsightRegistry) {
         let x: Vec<f64> = (0..200).map(|i| i as f64).collect();
@@ -150,7 +136,7 @@ mod tests {
         let (t, r) = setup();
         let ex = Executor::exact(&t, &r);
         let session = Session::new("t");
-        let cs = carousels(&ex, &r, &session, 3, NeighborhoodWeights::default()).unwrap();
+        let cs = carousels(&ex, &session, &config(3, NeighborhoodWeights::default())).unwrap();
         assert_eq!(cs.len(), 12);
         for c in &cs {
             assert!(c.instances.len() <= 3);
@@ -166,7 +152,8 @@ mod tests {
         let (t, r) = setup();
         let ex = Executor::exact(&t, &r);
         let mut session = Session::new("t");
-        let unfocused = carousels(&ex, &r, &session, 3, NeighborhoodWeights::default()).unwrap();
+        let unfocused =
+            carousels(&ex, &session, &config(3, NeighborhoodWeights::default())).unwrap();
         // focus an insight about column z (index 2)
         session.focus(InsightInstance {
             class_id: "dispersion".into(),
@@ -177,10 +164,8 @@ mod tests {
         });
         let focused = carousels(
             &ex,
-            &r,
             &session,
-            3,
-            NeighborhoodWeights { similarity: 0.9 },
+            &config(3, NeighborhoodWeights { similarity: 0.9 }),
         )
         .unwrap();
         // the linear carousel should now lead with pairs touching column 2

@@ -13,11 +13,6 @@
 //! columns, and clean score-cache entries migrate into the new epoch (see
 //! [`CoreBuilder::append_shard`] and [`CoreBuilder::freeze`]).
 //!
-//! Optionally the writer also maintains a [`WindowedCatalog`] over the
-//! tail of the stream and publishes a second, sketch-only snapshot per
-//! republish — "insights over the last N rows" without retaining N raw
-//! rows anywhere.
-//!
 //! ```
 //! use foresight_engine::{CoreBuilder, InsightQuery, StreamConfig, StreamWriter};
 //! use foresight_data::{datasets, TableSource};
@@ -28,14 +23,13 @@
 //! writer.send(seed).unwrap();
 //! writer.flush().unwrap();
 //! let snapshot = writer.published().latest();
-//! snapshot.run_query(&InsightQuery::class("skew").top_k(2)).unwrap();
+//! snapshot.run(&InsightQuery::class("skew").top_k(2), &snapshot.options()).unwrap();
 //! writer.finish().unwrap();
 //! ```
 
 use crate::core::{CoreBuilder, EngineCore};
 use crate::error::{EngineError, Result};
-use foresight_data::{Table, TableSource};
-use foresight_sketch::{CatalogConfig, WindowedCatalog};
+use foresight_data::Table;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -72,12 +66,6 @@ impl Default for RepublishPolicy {
 pub struct StreamConfig {
     /// The republish cadence bounds.
     pub policy: RepublishPolicy,
-    /// Maintain a windowed catalog over the last `window_rows` ingested
-    /// rows and publish a sketch-only tail snapshot alongside the full one.
-    pub window_rows: Option<usize>,
-    /// Sketch configuration for the windowed catalog (the live core's
-    /// catalog config when `None`).
-    pub window_config: Option<CatalogConfig>,
     /// Queue depth, in batches, before [`StreamWriter::send`] blocks
     /// (backpressure). 0 means the default of 64.
     pub queue_depth: usize,
@@ -134,7 +122,7 @@ impl PublishedCore {
 }
 
 enum Msg {
-    Batch(Arc<Table>),
+    Batch(Table),
     /// Republish staged rows now and ack when done.
     Flush(SyncSender<()>),
 }
@@ -152,7 +140,6 @@ enum Msg {
 pub struct StreamWriter {
     tx: Option<SyncSender<Msg>>,
     published: Arc<PublishedCore>,
-    window: Option<Arc<PublishedCore>>,
     head_rows: Arc<AtomicU64>,
     thread: Option<JoinHandle<Result<()>>>,
 }
@@ -162,14 +149,6 @@ impl StreamWriter {
     /// writer thread.
     pub fn spawn(core: Arc<EngineCore>, config: StreamConfig) -> Self {
         let head_rows = Arc::new(AtomicU64::new(core.snapshot_rows()));
-        let window_catalog = config.window_rows.map(|rows| {
-            let catalog_config = config.window_config.clone().unwrap_or_else(|| {
-                core.catalog()
-                    .map(|c| c.config().clone())
-                    .unwrap_or_default()
-            });
-            WindowedCatalog::new(catalog_config, rows)
-        });
         // re-freeze the seed so it carries the ingest head (readers of the
         // original Arc are untouched)
         let mut seed = CoreBuilder::from_arc(core);
@@ -179,12 +158,6 @@ impl StreamWriter {
             Arc::clone(&core),
             Arc::clone(&head_rows),
         ));
-        let window = window_catalog.is_some().then(|| {
-            Arc::new(PublishedCore::new(
-                Arc::clone(&core),
-                Arc::clone(&head_rows),
-            ))
-        });
         let depth = if config.queue_depth == 0 {
             64
         } else {
@@ -195,8 +168,6 @@ impl StreamWriter {
             rx,
             builder: Some(CoreBuilder::from_arc(core)),
             published: Arc::clone(&published),
-            window_published: window.clone(),
-            window: window_catalog,
             policy: config.policy,
             staged_rows: 0,
             staged_bytes: 0,
@@ -208,7 +179,6 @@ impl StreamWriter {
         Self {
             tx: Some(tx),
             published,
-            window,
             head_rows,
             thread: Some(thread),
         }
@@ -218,12 +188,6 @@ impl StreamWriter {
     /// hand it to as many reader threads as needed.
     pub fn published(&self) -> Arc<PublishedCore> {
         Arc::clone(&self.published)
-    }
-
-    /// The publication point for sketch-only tail-window snapshots, when
-    /// [`StreamConfig::window_rows`] is set.
-    pub fn window(&self) -> Option<Arc<PublishedCore>> {
-        self.window.clone()
     }
 
     /// Rows accepted into the stream so far.
@@ -241,7 +205,7 @@ impl StreamWriter {
     pub fn send(&self, batch: Table) -> Result<()> {
         let rows = batch.n_rows() as u64;
         let tx = self.tx.as_ref().expect("sender alive until finish/drop");
-        tx.send(Msg::Batch(Arc::new(batch)))
+        tx.send(Msg::Batch(batch))
             .map_err(|_| EngineError::StreamClosed)?;
         self.head_rows.fetch_add(rows, Ordering::AcqRel);
         Ok(())
@@ -295,8 +259,6 @@ struct Worker {
     /// `Option` only so republish can move the builder out for `freeze`.
     builder: Option<CoreBuilder>,
     published: Arc<PublishedCore>,
-    window_published: Option<Arc<PublishedCore>>,
-    window: Option<WindowedCatalog>,
     policy: RepublishPolicy,
     staged_rows: u64,
     staged_bytes: u64,
@@ -353,16 +315,13 @@ impl Worker {
         Ok(())
     }
 
-    fn ingest(&mut self, batch: Arc<Table>) -> Result<()> {
+    fn ingest(&mut self, batch: Table) -> Result<()> {
         let rows = batch.n_rows() as u64;
         let bytes = approx_bytes(&batch);
-        if let Some(window) = self.window.as_mut() {
-            window.push_batch(&batch);
-        }
         self.builder
             .as_mut()
             .expect("builder present between publishes")
-            .append_shard_arc(batch)?;
+            .append_shard(batch)?;
         self.staged_rows += rows;
         self.staged_bytes += bytes;
         Ok(())
@@ -378,20 +337,6 @@ impl Worker {
         self.builder = Some(CoreBuilder::from_arc(core));
         self.staged_rows = 0;
         self.staged_bytes = 0;
-        if let (Some(window), Some(slot)) = (self.window.as_ref(), self.window_published.as_ref()) {
-            if window.covered_rows() > 0 {
-                if let Some(catalog) = window.merged()? {
-                    let source = TableSource::sketch_only(
-                        format!("{}:window", self.published.latest().source().name()),
-                        self.published.latest().source().schema().clone(),
-                        window.covered_rows(),
-                    );
-                    let mut builder = CoreBuilder::new(source);
-                    builder.restore_catalog(Some(catalog));
-                    slot.publish(builder.freeze());
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -400,7 +345,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::query::InsightQuery;
-    use foresight_data::TableBuilder;
+    use foresight_data::{TableBuilder, TableSource};
 
     fn batch(offset: usize, rows: usize) -> Table {
         let x: Vec<f64> = (offset..offset + rows).map(|i| i as f64).collect();
@@ -440,7 +385,7 @@ mod tests {
         assert_eq!(new.rows_behind(), 0, "flush drains the stream");
         // the old snapshot still answers (from its own, retired keyspace)
         let q = InsightQuery::class("linear-relationship").top_k(1);
-        assert_eq!(old.run_query(&q).unwrap().len(), 1);
+        assert_eq!(old.run(&q, &old.options()).unwrap().results.len(), 1);
         let last = writer.finish().unwrap();
         assert_eq!(last.snapshot_rows(), 300);
     }
@@ -484,33 +429,5 @@ mod tests {
         writer.send(bad).unwrap();
         // the writer thread dies on the schema error; finish reports it
         assert!(writer.finish().is_err());
-    }
-
-    #[test]
-    fn window_snapshot_covers_only_the_tail() {
-        let core = CoreBuilder::new(TableSource::materialized(batch(0, 100))).freeze();
-        let writer = StreamWriter::spawn(
-            core,
-            StreamConfig {
-                policy: RepublishPolicy {
-                    max_rows: 100,
-                    ..RepublishPolicy::default()
-                },
-                window_rows: Some(200),
-                ..StreamConfig::default()
-            },
-        );
-        let window = writer.window().expect("window configured");
-        for i in 0..6 {
-            writer.send(batch(100 + i * 100, 100)).unwrap();
-        }
-        writer.flush().unwrap();
-        let tail = window.latest();
-        assert!(tail.source().is_sketch_only());
-        assert_eq!(tail.snapshot_rows(), 200, "window covers the last 200 rows");
-        // tail snapshot answers sketch-only queries
-        let q = InsightQuery::class("skew").top_k(1);
-        assert_eq!(tail.run_query(&q).unwrap().len(), 1);
-        writer.finish().unwrap();
     }
 }

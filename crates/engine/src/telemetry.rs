@@ -8,7 +8,7 @@
 //! by the core (and shared across republished snapshots, like the score
 //! cache), recording
 //!
-//! * per-stage latency histograms — one cacheline-padded [`StageCell`] of
+//! * per-stage latency histograms — one cacheline-padded `StageCell` of
 //!   atomic counters per [`Stage`], with log₂-bucketed sample counts, so a
 //!   recording is a handful of relaxed atomic adds and never a lock;
 //! * query counters by class and by mode, index-served counts, and

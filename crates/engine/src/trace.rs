@@ -163,7 +163,7 @@ pub struct TracedResult {
     pub metric: String,
     /// Whether this query got the score from the cross-query cache.
     pub cache_hit: bool,
-    /// The scoring path ([`ScorePath::name`]: `exact`, `sketch`,
+    /// The scoring path (`ScorePath::name`: `exact`, `sketch`,
     /// `exact-fallback`, `cache`, or `index`).
     pub path: String,
     /// `undiversified_rank − final_rank`: positive means diversification
@@ -178,7 +178,7 @@ pub struct SkipSummary {
     pub reason: String,
     /// How many candidates it claimed (exact).
     pub count: u64,
-    /// Up to [`MAX_SKIP_SAMPLES`] example tuples, by column name.
+    /// Up to `MAX_SKIP_SAMPLES` (8) example tuples, by column name.
     pub samples: Vec<String>,
 }
 
@@ -952,14 +952,16 @@ impl Tracer {
     }
 }
 
-/// What [`explain`](crate::SessionHandle::explain) returns: the query's
-/// results (bit-identical to an untraced run) plus the captured trace —
-/// `None` only when the `trace` cargo feature is compiled out.
+/// What [`EngineCore::run`](crate::EngineCore::run) and
+/// [`explain`](crate::SessionHandle::explain) return: the query's results
+/// (bit-identical to an untraced run) plus the trace, when one was
+/// captured.
 #[derive(Debug, Clone)]
 pub struct Explained {
     /// The ranked insight instances, exactly as `query()` would return.
     pub results: Vec<InsightInstance>,
-    /// The captured trace (absent without the `trace` feature).
+    /// The captured trace (EXPLAIN's is absent only without the `trace`
+    /// feature).
     pub trace: Option<Arc<QueryTrace>>,
 }
 

@@ -11,6 +11,11 @@ use std::sync::Arc;
 
 const THREADS: usize = 8;
 
+/// `query` under the snapshot's published defaults.
+fn run(core: &EngineCore, query: &InsightQuery) -> Vec<InsightInstance> {
+    core.run(query, &core.options()).unwrap().results
+}
+
 fn synth_table(cols: usize, rows: usize, seed: u64) -> foresight_data::Table {
     let mut builder = TableBuilder::new("synthetic");
     for c in 0..cols {
@@ -167,7 +172,7 @@ fn republish_under_concurrent_readers_never_tears() {
     builder.preprocess(&CatalogConfig::default()).unwrap();
     let old = builder.freeze();
     let q = InsightQuery::class("linear-relationship").top_k(2);
-    let baseline = old.run_query(&q).unwrap();
+    let baseline = run(&old, &q);
 
     let readers: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -176,7 +181,7 @@ fn republish_under_concurrent_readers_never_tears() {
             let baseline = baseline.clone();
             std::thread::spawn(move || {
                 for _ in 0..20 {
-                    assert_eq!(old.run_query(&q).unwrap(), baseline);
+                    assert_eq!(run(&old, &q), baseline);
                 }
             })
         })
@@ -189,7 +194,7 @@ fn republish_under_concurrent_readers_never_tears() {
     assert_ne!(old.epoch(), new.epoch());
     assert_eq!(new.source().n_rows(), 120);
     assert_eq!(new.mode(), Mode::Approximate);
-    let grown = new.run_query(&q).unwrap();
+    let grown = run(&new, &q);
     assert_eq!(grown.len(), 2);
 
     for reader in readers {
@@ -198,5 +203,5 @@ fn republish_under_concurrent_readers_never_tears() {
             .expect("old-snapshot readers stayed consistent");
     }
     // the old snapshot still answers its original catalog, post-republish
-    assert_eq!(old.run_query(&q).unwrap(), baseline);
+    assert_eq!(run(&old, &q), baseline);
 }

@@ -6,7 +6,7 @@
 use foresight_data::datasets::{self, SynthConfig};
 use foresight_data::{Table, TableSource};
 use foresight_engine::profile::column_profiles;
-use foresight_engine::{CoreBuilder, EngineCore, Executor, InsightQuery, Mode};
+use foresight_engine::{CoreBuilder, EngineCore, Executor, InsightQuery, Mode, QueryOptions};
 use foresight_insight::{InsightInstance, InsightRegistry};
 use foresight_sketch::CatalogConfig;
 use std::sync::Arc;
@@ -94,7 +94,7 @@ fn headlines_are_the_cores_own_top_1_answers() {
     ];
     for (what, core, mode) in cases {
         // profile first, so the headlines cannot be echoes of the queries
-        let profile = core.profile_at(mode).unwrap();
+        let profile = core.profile(mode).unwrap();
         assert!(!profile.headline_insights.is_empty(), "{what}");
         assert_eq!(
             profile.headline_insights,
@@ -141,7 +141,7 @@ fn exact_profiles_match_the_bare_executor_loop() {
                 core(TableSource::materialized(table.clone()), true, true),
             ),
         ] {
-            let profile = core.profile_at(Mode::Exact).unwrap();
+            let profile = core.profile(Mode::Exact).unwrap();
             assert_eq!(profile.name, table.name(), "{what}");
             assert_eq!(profile.rows, table.n_rows(), "{what}");
             assert_eq!(profile.columns, columns, "{} / {what}", table.name());
@@ -165,25 +165,25 @@ fn profile_on_an_indexed_core_scores_nothing() {
         let core = core(source, true, true);
         assert_eq!(core.mode(), Mode::Approximate);
         let before = core.cache_stats();
-        let first = core.profile().unwrap();
+        let first = core.profile(core.mode()).unwrap();
         let after = core.cache_stats();
         assert_eq!(
             (after.hits, after.misses, after.entries),
             (before.hits, before.misses, before.entries),
-            "profile() reached the scoring path"
+            "profile reached the scoring path"
         );
         let served = core.metrics_snapshot().queries;
         if cfg!(feature = "telemetry") {
             assert_eq!(served.total, core.registry().len() as u64);
             assert_eq!(served.index_served, served.total);
         }
-        let second = core.profile().unwrap();
+        let second = core.profile(core.mode()).unwrap();
         assert_eq!(first, second);
         assert_eq!(core.cache_stats().misses, before.misses);
         assert_eq!(
             core.metrics_snapshot().queries.total,
             served.total,
-            "the second profile() ran queries instead of cloning the memo"
+            "the second profile ran queries instead of cloning the memo"
         );
     }
 }
@@ -203,10 +203,15 @@ fn index_served_detail_is_describe_on_miss_and_hit() {
             Mode::Approximate,
         ),
     ] {
+        let opts = QueryOptions {
+            mode,
+            parallel: false,
+            ..core.options()
+        };
         for class in core.registry().classes() {
             let q = InsightQuery::class(class.id()).top_k(3);
-            let miss = core.run_query_at(&q, mode, false).unwrap();
-            let hit = core.run_query_at(&q, mode, false).unwrap();
+            let miss = core.run(&q, &opts).unwrap().results;
+            let hit = core.run(&q, &opts).unwrap().results;
             assert_eq!(miss, hit, "class {}", class.id());
             for instance in &miss {
                 assert_eq!(
@@ -302,7 +307,10 @@ fn index_build_fallbacks_are_counted_and_explained() {
     let cold = unindexed.handle().explain(&q).unwrap();
     let warm = unindexed.handle().explain(&q).unwrap();
     assert_eq!(cold.results, warm.results);
-    assert_eq!(cold.results, indexed.run_query(&q).unwrap());
+    assert_eq!(
+        cold.results,
+        indexed.run(&q, &indexed.options()).unwrap().results
+    );
     if cfg!(feature = "trace") {
         for (explained, path) in [(cold, "exact-fallback"), (warm, "cache")] {
             let trace = explained.trace.expect("forced trace");

@@ -17,7 +17,9 @@ use foresight_data::datasets::{synth, SynthConfig};
 use foresight_data::{Table, TableSource};
 use foresight_engine::{
     lsh_disabled, CandidateStrategy, CoreBuilder, EngineCore, Executor, InsightQuery, Mode,
+    QueryOptions,
 };
+use foresight_insight::InsightInstance;
 use foresight_sketch::CatalogConfig;
 use foresight_stats::correlation::pearson_complete;
 use proptest::prelude::*;
@@ -58,6 +60,21 @@ fn wide_core(seed: u64, cols: usize, rows: usize, hyperplane_k: usize) -> Arc<En
         })
         .unwrap();
     builder.freeze()
+}
+
+/// `query` in approximate mode, serially, under `candidates`.
+fn approximate(
+    core: &EngineCore,
+    query: &InsightQuery,
+    candidates: CandidateStrategy,
+) -> Vec<InsightInstance> {
+    let opts = QueryOptions {
+        mode: Mode::Approximate,
+        parallel: false,
+        candidates,
+        ..core.options()
+    };
+    core.run(query, &opts).unwrap().results
 }
 
 /// The exact top-k column pairs by |Pearson| over the raw values.
@@ -127,9 +144,7 @@ proptest! {
     ) {
         let core = wide_core(seed, 72, 256, 256);
         let query = InsightQuery::class(class).top_k(12);
-        let via_strategy = core
-            .run_query_strategy(&query, Mode::Approximate, false, CandidateStrategy::Exhaustive)
-            .unwrap();
+        let via_strategy = approximate(&core, &query, CandidateStrategy::Exhaustive);
         // the pre-index code path: an executor with no candidate source at
         // all, generating through InsightClass::candidates
         let bare = Executor::approximate(
@@ -182,17 +197,8 @@ fn explain_reports_lsh_collisions_on_wide_tables() {
 fn auto_keeps_scan_below_width_threshold() {
     let core = wide_core(11, 24, 256, 256);
     let query = InsightQuery::class("linear-relationship").top_k(8);
-    let auto = core
-        .run_query_strategy(&query, Mode::Approximate, false, CandidateStrategy::Auto)
-        .unwrap();
-    let exhaustive = core
-        .run_query_strategy(
-            &query,
-            Mode::Approximate,
-            false,
-            CandidateStrategy::Exhaustive,
-        )
-        .unwrap();
+    let auto = approximate(&core, &query, CandidateStrategy::Auto);
+    let exhaustive = approximate(&core, &query, CandidateStrategy::Exhaustive);
     assert_eq!(auto, exhaustive);
 }
 

@@ -5,7 +5,7 @@
 
 use foresight_data::TableBuilder;
 use foresight_engine::executor::rank_top_k;
-use foresight_engine::recommend::{carousels_with, CarouselConfig};
+use foresight_engine::recommend::{carousels, CarouselConfig};
 use foresight_engine::{Executor, InsightQuery, NeighborhoodWeights, ScoreCache, Session};
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
 use foresight_stats::prepared::PreparedColumns;
@@ -287,21 +287,15 @@ proptest! {
                 detail: String::new(),
             });
         }
-        let base = CarouselConfig {
+        let config = CarouselConfig {
             per_class: 3,
             weights: NeighborhoodWeights::default(),
             focus_overfetch: 4,
-            parallel: false,
         };
-        let serial = carousels_with(&ex, &r, &session, &base).expect("serial");
+        // assembly follows the executor's flag: one task per class
+        let serial = carousels(&ex, &session, &config).expect("serial");
         let parallel_ex = Executor::exact(&t, &r).parallel(true).with_cache(&cache);
-        let parallel = carousels_with(
-            &parallel_ex,
-            &r,
-            &session,
-            &CarouselConfig { parallel: true, ..base },
-        )
-        .expect("parallel");
+        let parallel = carousels(&parallel_ex, &session, &config).expect("parallel");
         prop_assert_eq!(serial, parallel);
     }
 

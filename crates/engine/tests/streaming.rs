@@ -7,7 +7,8 @@
 
 use foresight_data::{Table, TableBuilder, TableSource};
 use foresight_engine::stream::{RepublishPolicy, StreamConfig, StreamWriter};
-use foresight_engine::{AdoptPolicy, CoreBuilder, EngineCore, InsightQuery, Mode};
+use foresight_engine::{AdoptPolicy, CoreBuilder, EngineCore, InsightQuery, Mode, QueryOptions};
+use foresight_insight::InsightInstance;
 use foresight_sketch::CatalogConfig;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,6 +69,21 @@ fn cold_core(shards: Vec<Table>, config: &CatalogConfig, index: bool) -> Arc<Eng
     builder.freeze()
 }
 
+/// `query` under the snapshot's published defaults.
+fn run(core: &EngineCore, query: &InsightQuery) -> Vec<InsightInstance> {
+    core.run(query, &core.options()).unwrap().results
+}
+
+/// `query` under `mode`, serially.
+fn run_at(core: &EngineCore, query: &InsightQuery, mode: Mode) -> Vec<InsightInstance> {
+    let opts = QueryOptions {
+        mode,
+        parallel: false,
+        ..core.options()
+    };
+    core.run(query, &opts).unwrap().results
+}
+
 /// Every registered class, top-3, in both modes.
 fn assert_same_answers(streamed: &EngineCore, cold: &EngineCore) {
     assert_eq!(
@@ -87,8 +103,8 @@ fn assert_same_answers(streamed: &EngineCore, cold: &EngineCore) {
     for class in streamed.registry().classes() {
         let q = InsightQuery::class(class.id()).top_k(3);
         for mode in [Mode::Approximate, Mode::Exact] {
-            let a = streamed.run_query_at(&q, mode, false).unwrap();
-            let b = cold.run_query_at(&q, mode, false).unwrap();
+            let a = run_at(streamed, &q, mode);
+            let b = run_at(cold, &q, mode);
             assert_eq!(
                 a,
                 b,
@@ -138,7 +154,7 @@ proptest! {
             core = writer.freeze();
 
             // warm the cache so later republishes exercise entry migration
-            core.run_query(&InsightQuery::class("skew").top_k(2)).unwrap();
+            run(&core, &InsightQuery::class("skew").top_k(2));
 
             let cold = cold_core(shards.clone(), &config, true);
             assert_same_answers(&core, &cold);
@@ -160,14 +176,11 @@ fn index_served_details_are_retired_by_a_republish() {
     let mut builder = CoreBuilder::new(TableSource::sharded(vec![seed_table]).unwrap());
     builder.build_index().unwrap();
     let old = builder.freeze();
-    let served = |core: &EngineCore| -> Vec<foresight_insight::InsightInstance> {
+    let served = |core: &EngineCore| -> Vec<InsightInstance> {
         core.registry()
             .classes()
             .iter()
-            .flat_map(|class| {
-                core.run_query(&InsightQuery::class(class.id()).top_k(2))
-                    .unwrap()
-            })
+            .flat_map(|class| run(core, &InsightQuery::class(class.id()).top_k(2)))
             .collect()
     };
     // fill the memo from the old snapshot, twice (miss, then hit)
@@ -343,8 +356,8 @@ fn churn_queries_stay_consistent_and_final_state_matches_batch() {
                     // a snapshot must answer the same query identically
                     // twice in a row — no torn state under republish
                     let snapshot = Arc::clone(handle.core());
-                    let first = snapshot.run_query(&q).expect("query under churn");
-                    let second = snapshot.run_query(&q).expect("query under churn");
+                    let first = run(&snapshot, &q);
+                    let second = run(&snapshot, &q);
                     assert_eq!(first, second, "torn read on a published snapshot");
                     handle.query(&q).expect("handle query under churn");
                     served += 1;
@@ -394,61 +407,4 @@ fn churn_queries_stay_consistent_and_final_state_matches_batch() {
             "clean columns must carry over"
         );
     }
-}
-
-/// The tail-window mode end to end: stream past the window, then ask the
-/// window snapshot for tail statistics — they must reflect only the last
-/// `window` rows, not the whole stream.
-#[test]
-fn windowed_mode_tracks_the_tail_distribution() {
-    // phase 1 centered near 0, phase 2 shifted by +1000: a window that
-    // covers only phase 2 must profile the shifted distribution
-    let mk = |offset: usize, rows: usize, shift: f64| {
-        let vals: Vec<f64> = (offset..offset + rows)
-            .map(|r| shift + ((r * 31) % 100) as f64 / 10.0)
-            .collect();
-        TableBuilder::new("win")
-            .numeric("v", vals.clone())
-            .numeric("w", vals.iter().map(|x| x * 0.5).collect())
-            .build()
-            .unwrap()
-    };
-    let core = CoreBuilder::new(TableSource::materialized(mk(0, 100, 0.0))).freeze();
-    let writer = StreamWriter::spawn(
-        core,
-        StreamConfig {
-            policy: RepublishPolicy {
-                max_rows: 100,
-                ..RepublishPolicy::default()
-            },
-            window_rows: Some(200),
-            ..StreamConfig::default()
-        },
-    );
-    for i in 0..4 {
-        writer.send(mk(100 + i * 100, 100, 0.0)).unwrap();
-    }
-    for i in 0..2 {
-        writer.send(mk(500 + i * 100, 100, 1000.0)).unwrap();
-    }
-    writer.flush().unwrap();
-    let tail = writer.window().expect("window configured").latest();
-    assert!(tail.source().is_sketch_only());
-    assert_eq!(tail.snapshot_rows(), 200);
-    let profile = tail.profile().expect("sketch-only profile");
-    let median = profile
-        .columns
-        .iter()
-        .find_map(|c| match c {
-            foresight_engine::ColumnProfile::Numeric { name, summary } if name == "v" => {
-                summary.as_ref().map(|s| s.median)
-            }
-            _ => None,
-        })
-        .expect("column v profiled");
-    assert!(
-        median >= 1000.0,
-        "window median {median} must reflect the shifted tail, not the full stream"
-    );
-    writer.finish().unwrap();
 }

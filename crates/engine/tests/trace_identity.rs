@@ -1,11 +1,12 @@
 //! Property tests pinning the tracing layer's zero-interference contract:
-//! a traced query — forced via `explain` or selected by sampling — must
-//! return bit-identical results to the same query run untraced, across
+//! a traced query — `run` under `TraceMode::Forced` (what `explain` does)
+//! or selected by sampling — must return bit-identical results to the same
+//! query run under `TraceMode::Off`, across
 //! exact and approximate modes, serial and parallel execution, cold and
 //! warm caches, with and without diversification.
 
 use foresight_data::{TableBuilder, TableSource};
-use foresight_engine::{EngineCore, InsightQuery, Mode};
+use foresight_engine::{EngineCore, InsightQuery, Mode, QueryOptions, TraceMode};
 use foresight_sketch::CatalogConfig;
 use proptest::prelude::*;
 
@@ -51,14 +52,24 @@ proptest! {
         if lambda > 0.05 {
             q = q.diversify(lambda);
         }
-        let parallel = parallel == 1;
+        let core_ref = &core;
+        let run = |query: &InsightQuery, trace| {
+            let opts = QueryOptions {
+                mode,
+                parallel: parallel == 1,
+                trace,
+                ..core_ref.options()
+            };
+            core_ref.run(query, &opts)
+        };
 
         // cold cache: the forced trace runs first, so the instrumented
         // scoring path itself fills the cache other runs then hit
-        let (traced, trace) = core
-            .run_query_traced(&q, mode, parallel, true)
-            .expect("traced run");
-        let untraced = core.run_query_at(&q, mode, parallel).expect("untraced run");
+        let forced = run(&q, TraceMode::Forced).expect("traced run");
+        let (traced, trace) = (forced.results, forced.trace);
+        let off = run(&q, TraceMode::Off).expect("untraced run");
+        prop_assert!(off.trace.is_none(), "an untraced run carries no trace");
+        let untraced = off.results;
         prop_assert_eq!(&traced, &untraced);
 
         if cfg!(feature = "trace") {
@@ -100,10 +111,9 @@ proptest! {
         // scan filtered, and the trace counts what was walked — the pinned
         // column's cols − 1 partners — while the scan above counts them all
         let pinned = q.clone().fix_attr(fixed);
-        let (traced, trace) = core
-            .run_query_traced(&pinned, mode, parallel, true)
-            .expect("traced pinned run");
-        prop_assert_eq!(&traced, &core.run_query_at(&pinned, mode, parallel).expect("pinned run"));
+        let forced = run(&pinned, TraceMode::Forced).expect("traced pinned run");
+        let (traced, trace) = (forced.results, forced.trace);
+        prop_assert_eq!(&traced, &run(&pinned, TraceMode::Off).expect("pinned run").results);
         prop_assert!(traced.iter().all(|i| i.attrs.contains(fixed)));
         if let Some(trace) = trace {
             prop_assert_eq!(trace.candidates_generated, cols - 1);

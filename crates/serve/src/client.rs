@@ -287,8 +287,8 @@ impl Client {
         )
     }
 
-    /// Switches the session's candidate-generation strategy ("auto" /
-    /// "exhaustive" / "lsh" / "lsh:<probes>"); returns the canonical
+    /// Switches the session's candidate-generation strategy (`auto` /
+    /// `exhaustive` / `lsh` / `lsh:<probes>`); returns the canonical
     /// spelling now in effect.
     pub fn set_candidates(&mut self, session: u64, strategy: &str) -> ClientResult<String> {
         expect_reply!(

@@ -127,7 +127,7 @@ impl SharedHyperplanes {
 
     /// Builds one partition accumulator per column for a shard of equal-length
     /// columns starting at global row `row_offset`, materializing each block
-    /// of [`ROW_BLOCK`] rows' shared components once and applying it to every
+    /// of `ROW_BLOCK` rows' shared components once and applying it to every
     /// column — the batch analogue of [`HyperplaneAccumulator::update_rows`],
     /// bit-identical to calling it per column (both route through one
     /// kernel) but `|B|×` cheaper on component streaming.

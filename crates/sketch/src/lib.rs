@@ -12,13 +12,12 @@
 //! * [`freq`] — Misra–Gries, SpaceSaving, Count-Min frequent-items sketches
 //! * [`hll`] — HyperLogLog distinct counting
 //! * [`entropy`] — maximally-skewed-stable entropy sketch
-//! * [`projection`] — Johnson–Lindenstrauss random projections (F₂, dots)
 //! * [`sample`] — reservoir samples (plain and row-aligned pairs)
+//! * [`dyadic`] — moment aggregation over a fixed dyadic merge tree, so a
+//!   catalog is bit-identical however its rows were sharded
 //! * [`catalog`] — the per-table catalog built in the preprocessing phase
-//! * [`window`] — windowed / exponentially decayed variants for streams:
-//!   ring-of-sub-sketches "last N rows" views and decayed moments and
-//!   frequency sketches
-
+//! * [`bits`] and [`traits`] — the packed bit vector and the
+//!   `Sketch` / `Mergeable` contracts every family implements
 #![warn(missing_docs)]
 
 pub mod bits;
@@ -29,11 +28,9 @@ pub mod freq;
 pub mod hll;
 pub mod hyperplane;
 pub mod lsh;
-pub mod projection;
 pub mod quantile;
 pub mod sample;
 pub mod traits;
-pub mod window;
 
 pub use bits::BitVec;
 pub use catalog::{CatalogConfig, SketchCatalog};
@@ -43,8 +40,6 @@ pub use freq::{CountMin, MisraGries, SpaceSaving};
 pub use hll::HyperLogLog;
 pub use hyperplane::{HyperplaneConfig, HyperplaneSketch, SharedHyperplanes};
 pub use lsh::{LshConfig, LshIndex, LshSkip};
-pub use projection::{ProjectionConfig, ProjectionSketch, SharedProjections};
 pub use quantile::{GkSketch, KllSketch};
 pub use sample::{PairReservoir, Reservoir};
 pub use traits::{MergeError, Mergeable, Sketch};
-pub use window::{DecayedFrequency, DecayedMoments, SketchRing, WindowedCatalog};

@@ -20,7 +20,6 @@ use foresight_sketch::hyperplane::{
     HyperplaneAccumulator, HyperplaneConfig, HyperplaneKind, SharedHyperplanes,
 };
 use foresight_sketch::quantile::KllSketch;
-use foresight_sketch::window::{DecayedFrequency, DecayedMoments, SketchRing};
 use foresight_sketch::{Mergeable, Sketch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -226,148 +225,6 @@ proptest! {
         let whole = shard(&values, 0).finalize();
         let vs_whole = sl.bits().hamming(whole.bits());
         prop_assert!(vs_whole <= 2, "{} bits differ from the unsharded sketch", vs_whole);
-    }
-}
-
-// Laws of the streaming variants (`window` module). The decayed sketches
-// are *ordered* monoids: merge is defined for an (older, newer) pair of
-// adjacent stream segments, and the law is
-//
-//     decay(A ++ B) = decay(A)·λ^|B| ⊕ decay(B)
-//
-// — aging the older side by the newer side's span, then adding states.
-// Associativity of that ordered merge must also hold: a stream cut into
-// three adjacent segments gives the same summary under either grouping.
-// The ring is simpler: its window view must equal a sketch of exactly the
-// rows its live buckets cover.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn decayed_moments_ordered_merge_law_any_grouping(
-        values in proptest::collection::vec(-1e3f64..1e3, 3..300),
-        nan_every in 2usize..9,
-        ij in splits(300),
-    ) {
-        // sprinkle missing rows: the clock must advance through them
-        let values: Vec<f64> = values
-            .iter()
-            .enumerate()
-            .map(|(r, &v)| if r % nan_every == 0 { f64::NAN } else { v })
-            .collect();
-        let (i, j) = ij;
-        let (i, j) = (i.min(values.len()), j.min(values.len()));
-        let (i, j) = (i.min(j), i.max(j));
-        let segment = |r: &[f64]| {
-            let mut dm = DecayedMoments::new(0.97);
-            for &v in r { dm.insert(v); }
-            dm
-        };
-        let whole = segment(&values);
-        let (a, b, c) = (segment(&values[..i]), segment(&values[i..j]), segment(&values[j..]));
-
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(&b).unwrap();
-        left.merge(&c).unwrap();
-        // a ⊕ (b ⊕ c)
-        let mut bc = b;
-        bc.merge(&c).unwrap();
-        let mut right = a;
-        right.merge(&bc).unwrap();
-
-        for merged in [&mut left, &mut right] {
-            prop_assert_eq!(merged.span(), whole.span());
-            // λ^span powers reassociate the weights, so the law holds to
-            // round-off, not bit-exactly
-            prop_assert!(
-                (merged.weight() - whole.weight()).abs() <= 1e-9 * whole.weight().max(1e-9),
-                "weight {} vs {}", merged.weight(), whole.weight()
-            );
-            match (merged.mean(), whole.mean()) {
-                (Some(m), Some(w)) => {
-                    prop_assert!((m - w).abs() <= 1e-9 * w.abs().max(1.0), "mean {m} vs {w}");
-                    let (mv, wv) = (merged.variance().unwrap(), whole.variance().unwrap());
-                    prop_assert!((mv - wv).abs() <= 1e-6 * wv.max(1.0), "var {mv} vs {wv}");
-                }
-                (m, w) => prop_assert_eq!(m.is_some(), w.is_some()),
-            }
-        }
-    }
-
-    #[test]
-    fn decayed_frequency_ordered_merge_law_any_grouping(
-        stream in proptest::collection::vec(0u8..12, 3..400),
-        ij in splits(400),
-    ) {
-        let (i, j) = ij;
-        let (i, j) = (i.min(stream.len()), j.min(stream.len()));
-        let (i, j) = (i.min(j), i.max(j));
-        let segment = |r: &[u8]| {
-            // capacity ≥ distinct labels: no counter eviction, so the only
-            // error left is the λ-power reassociation of the merge law
-            let mut df = DecayedFrequency::new(16, 0.95);
-            for item in r { df.insert(&format!("v{item}")); }
-            df
-        };
-        let whole = segment(&stream);
-        let (a, b, c) = (segment(&stream[..i]), segment(&stream[i..j]), segment(&stream[j..]));
-
-        let mut left = a.clone();
-        left.merge(&b).unwrap();
-        left.merge(&c).unwrap();
-        let mut bc = b;
-        bc.merge(&c).unwrap();
-        let mut right = a;
-        right.merge(&bc).unwrap();
-
-        for merged in [&left, &right] {
-            prop_assert_eq!(merged.span(), whole.span());
-            prop_assert!(
-                (merged.total_weight() - whole.total_weight()).abs()
-                    <= 1e-9 * whole.total_weight().max(1.0)
-            );
-            // with ≤ 12 distinct labels and 8 counters the whole-stream
-            // sketch is near-exact; every label it tracks must carry the
-            // same decayed weight after either merge grouping
-            for (label, w) in whole.top() {
-                let est = merged.estimate(&label);
-                prop_assert!(
-                    (est - w).abs() <= 1e-6 * w.max(1.0),
-                    "{}: merged {} vs direct {}", label, est, w
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ring_window_equals_sketch_of_covered_tail(
-        values in proptest::collection::vec(-1e6f64..1e6, 1..400),
-        bucket_rows in 1u64..40,
-        max_buckets in 1usize..6,
-    ) {
-        let mut ring = SketchRing::new(KllSketch::new(64), bucket_rows, max_buckets);
-        for &v in &values {
-            ring.insert(v);
-        }
-        prop_assert_eq!(ring.rows_seen(), values.len() as u64);
-        let covered = ring.window_rows();
-        prop_assert!(covered <= ring.window_capacity());
-        prop_assert!(covered as usize <= values.len());
-
-        // the merged view must summarize exactly the covered tail rows
-        let merged = ring.merged().unwrap();
-        prop_assert_eq!(merged.count(), covered);
-        let tail = &values[values.len() - covered as usize..];
-        let mut sorted = tail.to_vec();
-        sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        prop_assert_eq!(merged.quantile(0.0), Some(sorted[0]));
-        prop_assert_eq!(merged.quantile(1.0), Some(sorted[sorted.len() - 1]));
-        if sorted.len() >= 20 {
-            let est = merged.quantile(0.5).unwrap();
-            let rank = sorted.iter().filter(|&&v| v <= est).count() as f64 / sorted.len() as f64;
-            prop_assert!((rank - 0.5).abs() < 0.15, "median rank {rank}");
-        }
     }
 }
 

@@ -9,9 +9,7 @@
 //! answers exactly like a cold batch build over the rows it covers.
 //!
 //! The stream here is a drifting "sensor" feed: halfway through, the
-//! signal shifts. A bounded tail window (windowed sketches) tracks the
-//! shifted regime while the full-history snapshot still profiles
-//! everything seen.
+//! signal shifts, and the final snapshot profiles both regimes.
 //!
 //! ```sh
 //! cargo run --release --example streaming
@@ -91,7 +89,6 @@ fn main() {
                 max_interval: Duration::from_millis(50),
                 ..RepublishPolicy::default()
             },
-            window_rows: Some(1_000), // and keep a 1 000-row tail window
             ..StreamConfig::default()
         },
     );
@@ -150,30 +147,23 @@ fn main() {
          worst observed staleness {worst_staleness} rows"
     );
 
-    // The tail window sees only the shifted regime; the full snapshot
-    // averages both.
-    let window = writer.window().expect("window configured").latest();
-    let median = |core: &EngineCore, col: &str| -> Option<f64> {
-        core.profile().ok()?.columns.iter().find_map(|c| match c {
-            ColumnProfile::Numeric { name, summary } if name == col => {
+    let last = writer.finish().expect("writer drained");
+    let temp_median = last
+        .profile(last.mode())
+        .expect("full-history profile")
+        .columns
+        .iter()
+        .find_map(|c| match c {
+            ColumnProfile::Numeric { name, summary } if name == "temp" => {
                 summary.as_ref().map(|s| s.median)
             }
             _ => None,
         })
-    };
-    let tail_median = median(&window, "temp").expect("windowed temp profile");
-    println!(
-        "tail window: {} rows, temp median {:.1} (shifted regime)",
-        window.snapshot_rows(),
-        tail_median
-    );
-
-    let last = writer.finish().expect("writer drained");
-    let full_median = median(&last, "temp").expect("full-history temp profile");
+        .expect("temp is profiled");
     println!(
         "full history: {} rows, temp median {:.1}, {} rows behind",
         last.snapshot_rows(),
-        full_median,
+        temp_median,
         last.rows_behind()
     );
     assert_eq!(
@@ -181,10 +171,6 @@ fn main() {
         SEED_ROWS + BATCHES * BATCH_ROWS
     );
     assert_eq!(last.rows_behind(), 0, "finish() drains everything");
-    assert!(
-        tail_median > full_median + 20.0,
-        "the window must track the shifted tail, not the whole stream"
-    );
 
     let snap = last.metrics_snapshot();
     if snap.ingest.batches > 0 {

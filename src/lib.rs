@@ -92,9 +92,9 @@ pub mod prelude {
         profile, AdoptPolicy, AlertEvent, CandidateStrategy, Carousel, ColumnProfile, CoreBuilder,
         DatasetProfile, EngineCore, EngineError, Executor, Explained, Foresight, HealthPolicy,
         HealthState, InsightQuery, Metrics, MetricsSnapshot, Mode, Monitor, MonitorConfig,
-        MonitorSample, MonitorTarget, NeighborhoodWeights, PublishedCore, QueryTrace,
+        MonitorSample, MonitorTarget, NeighborhoodWeights, PublishedCore, QueryOptions, QueryTrace,
         RepublishPolicy, Session, SessionHandle, SlowQuery, Staleness, StreamConfig, StreamWriter,
-        Tracer,
+        TraceMode, Tracer,
     };
     pub use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
     pub use foresight_sketch::{CatalogConfig, SketchCatalog};
