@@ -1,28 +1,56 @@
 //! **Experiment T3 — interactive query latency.** The paper claims
 //! "interactive speeds during exploration" (§3). We measure wall-clock
 //! latency of representative insight queries at the paper's target scale
-//! (100K rows, attributes in the hundreds), in sketch-backed approximate
-//! mode vs exact mode.
+//! (100K rows, attributes in the hundreds): served by an indexed core
+//! (every class's rank order completed at freeze), by a sketch-backed
+//! approximate executor, and by an exact executor.
 
 use foresight_bench::{fmt_duration, time, workload};
-use foresight_engine::{Executor, InsightIndex, InsightQuery, ScoreCache};
+use foresight_data::TableSource;
+use foresight_engine::{
+    kernel_name, CandidateStrategy, CoreBuilder, Executor, InsightQuery, QueryOptions,
+};
 use foresight_insight::InsightRegistry;
-use foresight_sketch::{CatalogConfig, SketchCatalog};
+use foresight_sketch::CatalogConfig;
 
 fn main() {
     println!("# Experiment T3: insight-query latency (paper claim: interactive)\n");
+    println!(
+        "threads: {}, kernel: {}\n",
+        rayon::current_num_threads(),
+        kernel_name()
+    );
 
     for &(rows, cols) in &[(100_000usize, 50usize), (100_000, 100), (100_000, 200)] {
         let (table, _) = workload(rows, cols, 33);
         let registry = InsightRegistry::default();
-        let catalog = SketchCatalog::build(&table, &CatalogConfig::default());
-        let approx = Executor::approximate(&table, &registry, &catalog);
-        let exact = Executor::exact(&table, &registry);
-        let (index, t_index_build) = time(|| InsightIndex::build(&approx));
+        let mut builder = CoreBuilder::new(TableSource::materialized(table));
+        let ((), t_preprocess) = time(|| {
+            builder
+                .preprocess(&CatalogConfig::default())
+                .expect("preprocess")
+        });
+        let (core, t_index) = time(|| {
+            builder.build_index().expect("index");
+            builder.freeze()
+        });
+        let (table, catalog) = (core.table(), core.catalog().expect("preprocessed"));
+        let approx = Executor::approximate(table, &registry, catalog);
+        let exact = Executor::exact(table, &registry);
+        // the class scan, so a wide table's pairwise queries walk their
+        // orders instead of drawing LSH candidates
+        let opts = QueryOptions {
+            candidates: CandidateStrategy::Exhaustive,
+            ..core.options()
+        };
         println!("### {rows} rows × {cols} numeric columns\n");
         println!(
-            "insight index materialized in {}\n",
-            fmt_duration(t_index_build)
+            "catalog built in {}; `build_index` + `freeze` (every class's \
+             rank order) in {} ({} orders, {:.1} MB)\n",
+            fmt_duration(t_preprocess),
+            fmt_duration(t_index),
+            core.rank_orders().filled(),
+            core.rank_orders().approx_bytes() as f64 / 1e6
         );
         println!(
             "| {:<46} | {:>10} | {:>10} | {:>10} |",
@@ -71,24 +99,20 @@ fn main() {
         ];
 
         for (name, q) in queries {
-            // a fresh memo per call: the index column stays a cold describe,
-            // like the two executor columns beside it
-            let (idx_out, t_index) =
-                time(|| index.query(&table, &registry, &q, &ScoreCache::new()));
+            // each query runs once, so the indexed column pays a cold
+            // describe like the two executor columns beside it (a fixed
+            // attribute takes the pinned walk over cached scores instead of
+            // an order)
+            let (served, t_served) = time(|| core.run(&q, &opts).expect("valid query"));
             let (a, t_approx) = time(|| approx.execute(&q).expect("valid query"));
             // exact correlation scans at this scale are the slow path the
             // paper's sketches exist to avoid; run them once for contrast
             let (e, t_exact) = time(|| exact.execute(&q).expect("valid query"));
             assert!(a.len() <= 5 && e.len() <= 5);
-            let idx_cell = match idx_out {
-                Some(out) => {
-                    assert_eq!(out, a, "{name}: index disagrees with executor");
-                    fmt_duration(t_index)
-                }
-                None => "—".to_owned(),
-            };
+            assert_eq!(served.results, a, "{name}: indexed core disagrees");
             println!(
-                "| {name:<46} | {idx_cell:>10} | {:>10} | {:>10} |",
+                "| {name:<46} | {:>10} | {:>10} | {:>10} |",
+                fmt_duration(t_served),
                 fmt_duration(t_approx),
                 fmt_duration(t_exact)
             );

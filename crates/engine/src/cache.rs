@@ -17,7 +17,8 @@
 //! candidates — class, mode, metric and epoch, a *keyspace* — selects a
 //! table of scores keyed by the attribute tuple alone, and a tuple's shard
 //! is chosen from the tuple alone. A batch resolves its keyspace once per
-//! touched shard and then hashes and compares only 32-byte tuples.
+//! touched shard and then hashes and compares one word a tuple: a table
+//! entry is the packed tuple and the score's bits, 16 bytes.
 //! Degenerate results (`None` — constant columns, too few rows) are cached
 //! too; re-proving a column degenerate costs as much as scoring it.
 //!
@@ -112,12 +113,88 @@ struct Keyspace {
     epoch: u64,
 }
 
-/// One keyspace's scores within one shard, keyed by the `Copy` tuple.
-type Scores = FxMap<AttrTuple, Option<f64>>;
+/// One keyspace's scores within one shard: a tuple's [`Packed`] word to
+/// its score's [`encode`]d word.
+type Scores = FxMap<Packed, u64>;
 
-/// Bytes a [`Scores`] slot occupies: the `(tuple, score)` bucket plus the
-/// hash table's one control byte.
-const SCORE_SLOT_BYTES: usize = std::mem::size_of::<(AttrTuple, Option<f64>)>() + 1;
+/// Bytes a [`Scores`] slot occupies: the two-word bucket plus the hash
+/// table's one control byte (the tuple and an `Option<f64>` took 48 B).
+const SCORE_SLOT_BYTES: usize = std::mem::size_of::<(Packed, u64)>() + 1;
+
+/// Bits an attribute index takes in a [`Packed`] tuple.
+const FIELD_BITS: u32 = 21;
+
+/// A [`Packed`] field with no attribute in it; also the first column index
+/// a packed tuple cannot name.
+const EMPTY: u64 = (1 << FIELD_BITS) - 1;
+
+/// An attribute tuple packed into one word: three 21-bit fields, [`EMPTY`]
+/// where an arity below three leaves a slot free. A tuple that names a
+/// column at or past [`EMPTY`] (two million columns) has no word: it is
+/// never cached — scored every time, like any miss — and its class gets no
+/// rank order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Packed(u64);
+
+impl Packed {
+    pub(crate) fn new(attrs: &AttrTuple) -> Option<Self> {
+        let slots = match *attrs {
+            AttrTuple::One(a) => [Some(a), None, None],
+            AttrTuple::Two(a, b) => [Some(a), Some(b), None],
+            AttrTuple::Three(a, b, c) => [Some(a), Some(b), Some(c)],
+        };
+        let mut word = 0;
+        for (slot, index) in (0..).zip(slots) {
+            let field = match index.map(|i| i as u64) {
+                Some(i) if i >= EMPTY => return None,
+                Some(i) => i,
+                None => EMPTY,
+            };
+            word |= field << (slot * FIELD_BITS);
+        }
+        Some(Self(word))
+    }
+
+    pub(crate) fn tuple(self) -> AttrTuple {
+        let field = |slot: u32| (self.0 >> (slot * FIELD_BITS)) & EMPTY;
+        match (field(0) as usize, field(1), field(2)) {
+            (a, EMPTY, _) => AttrTuple::One(a),
+            (a, b, EMPTY) => AttrTuple::Two(a, b as usize),
+            (a, b, c) => AttrTuple::Three(a, b as usize, c as usize),
+        }
+    }
+}
+
+impl Hash for Packed {
+    /// The word through the SplitMix64 finalizer: the score table picks a
+    /// bucket by the hash's low bits, which one Fx round of the bare word
+    /// would take from the first attribute alone.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        state.write_u64(x ^ (x >> 31));
+    }
+}
+
+/// The word a degenerate (`None`) score is stored as: a signalling NaN,
+/// which no arithmetic produces.
+const DEGENERATE: u64 = 0x7FF0_0000_0000_0001;
+
+/// A score as one word: its bits, or [`DEGENERATE`]. A score that is that
+/// very NaN is stored as [`f64::NAN`] — NaN either way, and the engine drops
+/// every non-finite score whatever its payload.
+fn encode(score: Option<f64>) -> u64 {
+    match score.map(f64::to_bits) {
+        None => DEGENERATE,
+        Some(DEGENERATE) => f64::NAN.to_bits(),
+        Some(bits) => bits,
+    }
+}
+
+fn decode(word: u64) -> Option<f64> {
+    (word != DEGENERATE).then(|| f64::from_bits(word))
+}
 
 /// Bytes a keyspace costs beyond its score slots: its own slot in the
 /// shard's keyspace table (which holds the score table's header).
@@ -376,7 +453,7 @@ impl ScoreCache {
             for (space, mut scores) in retiring {
                 let before = scores.len();
                 if space.epoch == prev {
-                    scores.retain(|attrs, _| keep(space.class_id, attrs));
+                    scores.retain(|key, _| keep(space.class_id, &key.tuple()));
                 } else {
                     scores.clear();
                 }
@@ -406,69 +483,6 @@ impl ScoreCache {
         (current, migrated)
     }
 
-    /// Looks up a previously stored score in the `epoch` keyspace.
-    ///
-    /// `Some(score)` is a hit — including `Some(None)`, a tuple already
-    /// proven degenerate. `None` means the tuple was never scored under this
-    /// `(mode, metric, epoch)` and the caller must compute (and [`store`])
-    /// it. The epoch comes from the engine-core snapshot the caller is
-    /// reading through, not from the cache, so snapshots never cross-talk.
-    ///
-    /// [`store`]: ScoreCache::store
-    pub fn lookup(
-        &self,
-        class_id: &'static str,
-        attrs: &AttrTuple,
-        mode: Mode,
-        metric: Option<&'static str>,
-        epoch: u64,
-    ) -> Option<Option<f64>> {
-        let space = Keyspace {
-            class_id,
-            mode,
-            metric,
-            epoch,
-        };
-        let shard = &self.shards[shard_of(attrs)];
-        let found = shard
-            .spaces
-            .read()
-            .get(&space)
-            .and_then(|scores| scores.get(attrs).copied());
-        let counter = if found.is_some() {
-            &shard.hits
-        } else {
-            &shard.misses
-        };
-        Shard::count(counter, 1);
-        found
-    }
-
-    /// Stores a computed score (or a degenerate `None`) in the `epoch`
-    /// keyspace.
-    pub fn store(
-        &self,
-        class_id: &'static str,
-        attrs: &AttrTuple,
-        mode: Mode,
-        metric: Option<&'static str>,
-        score: Option<f64>,
-        epoch: u64,
-    ) {
-        let space = Keyspace {
-            class_id,
-            mode,
-            metric,
-            epoch,
-        };
-        self.shards[shard_of(attrs)]
-            .spaces
-            .write()
-            .entry(space)
-            .or_default()
-            .insert(*attrs, score);
-    }
-
     /// Looks up every candidate of one query in a single pass: candidates
     /// are grouped by shard, so each touched shard is read-locked **once**,
     /// its keyspace resolved once, and its hit/miss counters updated
@@ -481,10 +495,12 @@ impl ScoreCache {
     /// serializes otherwise-independent sessions. Batching collapses that to
     /// at most [`CACHE_SHARDS`] lock acquisitions per query. The returned
     /// [`BatchLookup`] carries the scores — positionally aligned with
-    /// `candidates`, `None` meaning "never scored under this
-    /// `(mode, metric, epoch)`" exactly as in [`lookup`](ScoreCache::lookup)
-    /// — together with this call's own hit/miss counts for per-query
-    /// attribution (tracing, EXPLAIN).
+    /// `candidates`: `Some(score)` is a hit (`Some(None)` a tuple already
+    /// proven degenerate), `None` a tuple never scored under this
+    /// `(mode, metric, epoch)`, which the caller computes and stores — with
+    /// this call's own hit/miss counts for per-query attribution (tracing,
+    /// EXPLAIN). The epoch comes from the engine-core snapshot the caller
+    /// reads through, not from the cache, so snapshots never cross-talk.
     pub fn lookup_batch(
         &self,
         class_id: &'static str,
@@ -499,6 +515,30 @@ impl ScoreCache {
             metric,
             epoch,
         };
+        self.batch(space, candidates, true)
+    }
+
+    /// [`lookup_batch`](ScoreCache::lookup_batch) without moving the
+    /// hit/miss counters — for a freeze completing rank orders, which is not
+    /// query traffic.
+    pub(crate) fn peek_batch(
+        &self,
+        class_id: &'static str,
+        candidates: &[AttrTuple],
+        mode: Mode,
+        metric: Option<&'static str>,
+        epoch: u64,
+    ) -> BatchLookup {
+        let space = Keyspace {
+            class_id,
+            mode,
+            metric,
+            epoch,
+        };
+        self.batch(space, candidates, false)
+    }
+
+    fn batch(&self, space: Keyspace, candidates: &[AttrTuple], count: bool) -> BatchLookup {
         let mut scores = vec![None; candidates.len()];
         let mut total_hits = 0u64;
         for (s, group) in ByShard::new(candidates.iter()).groups() {
@@ -506,14 +546,17 @@ impl ScoreCache {
             let mut hits = 0u64;
             if let Some(stored) = shard.spaces.read().get(&space) {
                 for &i in group {
-                    if let Some(&found) = stored.get(&candidates[i]) {
-                        scores[i] = Some(found);
+                    let found = Packed::new(&candidates[i]).and_then(|key| stored.get(&key));
+                    if let Some(&word) = found {
+                        scores[i] = Some(decode(word));
                         hits += 1;
                     }
                 }
             }
-            Shard::count(&shard.hits, hits);
-            Shard::count(&shard.misses, group.len() as u64 - hits);
+            if count {
+                Shard::count(&shard.hits, hits);
+                Shard::count(&shard.misses, group.len() as u64 - hits);
+            }
             total_hits += hits;
         }
         BatchLookup {
@@ -526,7 +569,8 @@ impl ScoreCache {
     /// Stores one query's freshly computed scores, write-locking each
     /// touched shard once — the storing counterpart of
     /// [`lookup_batch`](ScoreCache::lookup_batch). Returns the number of
-    /// entries written (for per-query attribution).
+    /// entries written (for per-query attribution): all of them, but for a
+    /// tuple past the packable columns.
     pub fn store_batch(
         &self,
         class_id: &'static str,
@@ -541,15 +585,19 @@ impl ScoreCache {
             metric,
             epoch,
         };
+        let mut written = 0;
         for (s, group) in ByShard::new(entries.iter().map(|(attrs, _)| attrs)).groups() {
             let mut spaces = self.shards[s].spaces.write();
             let stored = spaces.entry(space).or_default();
             for &i in group {
                 let (attrs, score) = entries[i];
-                stored.insert(attrs, score);
+                if let Some(key) = Packed::new(&attrs) {
+                    stored.insert(key, encode(score));
+                    written += 1;
+                }
             }
         }
-        entries.len() as u64
+        written
     }
 
     /// Returns the memoized description for `(class, attrs, score)`,
@@ -661,6 +709,33 @@ impl ScoreCache {
 mod tests {
     use super::*;
 
+    /// One tuple at a time, through the batch paths.
+    impl ScoreCache {
+        fn lookup(
+            &self,
+            class_id: &'static str,
+            attrs: &AttrTuple,
+            mode: Mode,
+            metric: Option<&'static str>,
+            epoch: u64,
+        ) -> Option<Option<f64>> {
+            self.lookup_batch(class_id, &[*attrs], mode, metric, epoch)
+                .scores[0]
+        }
+
+        fn store(
+            &self,
+            class_id: &'static str,
+            attrs: &AttrTuple,
+            mode: Mode,
+            metric: Option<&'static str>,
+            score: Option<f64>,
+            epoch: u64,
+        ) {
+            self.store_batch(class_id, &[(*attrs, score)], mode, metric, epoch);
+        }
+    }
+
     #[test]
     fn miss_then_hit() {
         let cache = ScoreCache::new();
@@ -674,6 +749,41 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// Tuples and scores round-trip through their words bit for bit; a
+    /// tuple past the packable columns is never stored.
+    #[test]
+    fn words_round_trip_and_wide_tuples_stay_uncached() {
+        let edge = EMPTY as usize - 1;
+        for attrs in [
+            AttrTuple::One(edge),
+            AttrTuple::Two(3, 1),
+            AttrTuple::Three(7, edge, 0),
+        ] {
+            assert_eq!(Packed::new(&attrs).unwrap().tuple(), attrs);
+        }
+        for score in [
+            None,
+            Some(-0.0),
+            Some(-1.5),
+            Some(f64::INFINITY),
+            Some(f64::NAN),
+        ] {
+            let bits = |s: Option<f64>| s.map(f64::to_bits);
+            assert_eq!(bits(decode(encode(score))), bits(score));
+        }
+        // the one NaN that spells `None` is kept a NaN
+        let spelled = Some(f64::from_bits(DEGENERATE));
+        assert!(decode(encode(spelled)).is_some_and(f64::is_nan));
+        let cache = ScoreCache::new();
+        let wide = [
+            (AttrTuple::Two(1, EMPTY as usize), Some(0.5)),
+            (AttrTuple::One(1), None),
+        ];
+        assert_eq!(cache.store_batch("c", &wide, Mode::Exact, None, 0), 1);
+        assert_eq!(cache.lookup("c", &wide[0].0, Mode::Exact, None, 0), None);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -888,10 +998,11 @@ mod tests {
     fn approx_bytes_counts_table_capacity_and_a_bump_returns_it() {
         let cache = ScoreCache::new();
         assert_eq!(cache.approx_bytes(), 0);
-        // the bucket the keyspace split buys: a tuple and its score, where
-        // the flat key also carried class, mode, metric and epoch (96 B)
-        let bucket = std::mem::size_of::<(AttrTuple, Option<f64>)>();
-        assert_eq!(bucket, 48);
+        // the bucket the keyspace split and the packed words buy: a tuple
+        // and its score in two words, where the flat key also carried
+        // class, mode, metric and epoch (96 B) and the unpacked pair took 48
+        let bucket = std::mem::size_of::<(Packed, u64)>();
+        assert_eq!(bucket, 16);
         let n = 4096;
         let entries: Vec<(AttrTuple, Option<f64>)> = (0..n)
             .map(|i| (AttrTuple::Two(i, i + 1), Some(i as f64)))

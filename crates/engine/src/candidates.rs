@@ -143,8 +143,8 @@ impl<'a> CandidateSource<'a> {
     }
 
     /// Would `class` on `table` draw candidates from LSH collisions under
-    /// this source? (Used by the core to decide whether the prebuilt
-    /// exhaustive index may serve the query instead of the executor.)
+    /// this source? (Used by the executor to decide whether a class's rank
+    /// order — a ranked class scan — may answer the query.)
     pub fn would_use_lsh(&self, class: &dyn InsightClass, table: &Table) -> bool {
         self.resolves_to_lsh(class.pruning(), table)
     }

@@ -1,8 +1,8 @@
 //! The shared service core and its writer path.
 //!
 //! [`EngineCore`] is the immutable heart of the engine: the table source,
-//! the merged sketch catalog, the optional insight index, the frozen class
-//! registry, and the (internally synchronized) score cache. Every read
+//! the merged sketch catalog, the frozen class registry, the (internally
+//! synchronized) score cache, and the snapshot's rank orders. Every read
 //! path — queries, carousels, profiles, charts — takes `&self`, so one
 //! `Arc<EngineCore>` serves any number of concurrent sessions without a
 //! lock around the engine itself.
@@ -19,6 +19,7 @@ use crate::cache::{CacheStats, ScoreCache};
 use crate::candidates::{CandidateSource, CandidateStrategy};
 use crate::error::{EngineError, Result};
 use crate::executor::{Executor, Mode};
+use crate::order::RankOrders;
 use crate::profile::DatasetProfile;
 use crate::query::InsightQuery;
 use crate::recommend::{Carousel, CarouselConfig};
@@ -116,9 +117,9 @@ impl Rows {
         self.source.as_materialized().is_none() && mode == Mode::Approximate
     }
 
-    /// The table the executor (and insight index) runs against under
-    /// `mode`: the real rows when available and needed, a zero-row schema
-    /// table when a sharded source answers from sketches alone.
+    /// The table the executor runs against under `mode`: the real rows
+    /// when available and needed, a zero-row schema table when a sharded
+    /// source answers from sketches alone.
     fn exec_table(&self, mode: Mode) -> Result<&Table> {
         if self.sketch_backed(mode) {
             Ok(self.schema_table.get_or_init(|| self.source.schema_table()))
@@ -129,8 +130,9 @@ impl Rows {
 
     /// The one executor constructor: these rows, `catalog` and `registry`
     /// under `mode`, reporting to `metrics`. Serial, uncached and
-    /// exhaustive — [`EngineCore::executor`] adds the query's options and
-    /// the snapshot's cache; an index build uses it as is.
+    /// exhaustive — [`EngineCore::executor`] adds the query's options, the
+    /// snapshot's cache and its rank orders; a freeze completing the orders
+    /// adds the cache and the orders alone.
     fn executor<'a>(
         &'a self,
         registry: &'a InsightRegistry,
@@ -158,29 +160,27 @@ impl Rows {
     }
 }
 
-/// An insight index together with the mode whose scores it memoizes. The
-/// index only serves queries executed under that same mode; a session that
-/// overrides its mode falls back to the executor.
-#[derive(Clone)]
-struct IndexedAt {
-    index: crate::index::InsightIndex,
-    mode: Mode,
-}
-
 /// The immutable, `Arc`-shareable engine core: everything about a dataset
 /// that is *not* per-user exploration state.
 ///
 /// All query paths take `&self`; the only interior mutability is the
 /// sharded [`ScoreCache`] and the `OnceLock` memos (lazy shard
-/// concatenation, the zero-row schema table, the prepared columns), each
-/// of which is synchronized and write-once. The type is `Send + Sync` by
-/// construction — share it across threads with [`Arc`] and hand each user
-/// a [`crate::SessionHandle`].
+/// concatenation, the zero-row schema table, the prepared columns, the
+/// rank orders), each of which is synchronized and write-once. The type is
+/// `Send + Sync` by construction — share it across threads with [`Arc`]
+/// and hand each user a [`crate::SessionHandle`].
 pub struct EngineCore {
     rows: Rows,
     registry: Arc<InsightRegistry>,
     catalog: Option<SketchCatalog>,
-    index: Option<IndexedAt>,
+    /// The mode [`CoreBuilder::build_index`] asked rank orders for: every
+    /// freeze completes every class's order under it.
+    index: Option<Mode>,
+    /// Every class's ranked class scan, per mode, filled once (see
+    /// [`RankOrders`]). Scores live in the cache's keyspace for `epoch`, so
+    /// the store lives exactly as long: a clean republish shares it, a
+    /// freeze that mints an epoch starts an empty one.
+    orders: Arc<RankOrders>,
     /// The LSH candidate index over the catalog's hyperplane signatures,
     /// maintained by the freeze path whenever a catalog exists. Arc'd so a
     /// clean republish shares it with the previous snapshot.
@@ -267,9 +267,10 @@ impl EngineCore {
         self.catalog.as_ref()
     }
 
-    /// The insight index, if one was built.
-    pub fn insight_index(&self) -> Option<&crate::index::InsightIndex> {
-        self.index.as_ref().map(|ix| &ix.index)
+    /// The snapshot's rank orders (see [`RankOrders`]) — exposed for their
+    /// occupancy and byte gauges.
+    pub fn rank_orders(&self) -> &RankOrders {
+        &self.orders
     }
 
     /// The LSH candidate index, if a catalog exists to build it over.
@@ -449,7 +450,8 @@ impl EngineCore {
 
     /// An executor over this snapshot under `opts` (its trace setting is
     /// not consulted). Scores read and write the shared cache in this
-    /// snapshot's epoch keyspace.
+    /// snapshot's epoch keyspace, and whole class scans walk (or fill) the
+    /// snapshot's rank orders.
     pub(crate) fn executor(&self, opts: &QueryOptions) -> Result<Executor<'_>> {
         Ok(self
             .rows
@@ -461,16 +463,17 @@ impl EngineCore {
             )?
             .parallel(opts.parallel)
             .with_cache_at(&self.cache, self.epoch)
+            .with_orders(&self.orders)
             .with_candidates(self.candidate_source(opts.candidates)))
     }
 
     /// Runs an insight query under `opts` — the one query entry point.
     /// Stateless: nothing is recorded; sessions record their own history.
     ///
-    /// Served from the insight index when one is built for `opts.mode`,
-    /// covers the query, and `opts.candidates` does not resolve to LSH for
-    /// the queried class (the index's entries came from the exhaustive
-    /// scan); otherwise scored by the executor.
+    /// An unfixed, undiversified primary-metric query whose candidates are
+    /// the class scan walks the class's rank order once one is filled for
+    /// `opts.mode`; LSH plans, pinned walks, alternative metrics and MMR
+    /// are scored.
     ///
     /// The trace is `Some` only when `opts.trace` asks for one and it is
     /// captured: [`TraceMode::Forced`] always is, [`TraceMode::Sampled`]
@@ -512,7 +515,6 @@ impl EngineCore {
         opts: &QueryOptions,
         trace: &mut TraceBuilder,
     ) -> Result<Vec<InsightInstance>> {
-        let mode = opts.mode;
         if trace.is_active() {
             // staleness lands on the root span: which snapshot served this
             // query, and how far behind the ingest head it was
@@ -521,49 +523,9 @@ impl EngineCore {
                 trace.attr("rows_behind", || self.rows_behind().to_string());
             }
         }
-        // When the strategy resolves to LSH for this class, the prebuilt
-        // index (whose entries came from the exhaustive scan) must not
-        // answer: the caller asked for collision-generated candidates.
-        let lsh_preferred = match self.registry.get(&query.class_id) {
-            Some(class) => self
-                .candidate_source(opts.candidates)
-                .would_use_lsh(class.as_ref(), self.rows.exec_table(mode)?),
-            None => false,
-        };
-        if let Some(ix) = self
-            .index
-            .as_ref()
-            .filter(|ix| ix.mode == mode && !lsh_preferred)
-        {
-            let span = self.metrics.span(Stage::IndexServe);
-            trace.begin("index_serve");
-            if let Some(out) = ix.index.query(
-                self.rows.exec_table(mode)?,
-                &self.registry,
-                query,
-                &self.cache,
-            ) {
-                drop(span);
-                self.metrics.record_query(&query.class_id, mode, true);
-                trace.set_index_served();
-                trace.attr("results", || out.len().to_string());
-                trace.end();
-                if trace.is_active() {
-                    if let Some(first) = out.first() {
-                        trace.set_metric(&first.metric);
-                    }
-                    trace.set_candidates(out.len(), out.len());
-                    trace.record_results(self.rows.exec_table(mode)?, &out);
-                }
-                return Ok(out);
-            }
-            // the index didn't cover the query; don't count a serve
-            trace.attr("covered", || "false".to_owned());
-            trace.end();
-            span.cancel();
-        }
-        let out = self.executor(opts)?.execute_traced(query, trace)?;
-        self.metrics.record_query(&query.class_id, mode, false);
+        let (out, walked) = self.executor(opts)?.execute_traced(query, trace)?;
+        self.metrics
+            .record_query(&query.class_id, opts.mode, walked);
         Ok(out)
     }
 
@@ -584,13 +546,12 @@ impl EngineCore {
     /// strongest instance of every registered class.
     ///
     /// A profile is a function of (snapshot, mode). The headlines are this
-    /// core's own answers to `class.top_k(1)` under `mode` — served from
-    /// the insight index when one exists for that mode, scored through the
-    /// cached executor otherwise — so they are exactly what a session
-    /// querying in that mode sees, and nothing is scored twice. Column
-    /// summaries are exact on a materialized source; a sharded source in
-    /// approximate mode takes them from the merged catalog with no shard
-    /// concatenation.
+    /// core's own answers to `class.top_k(1)` under `mode` — walked from
+    /// the class's rank order when filled, scored through the cached
+    /// executor otherwise — so they are exactly what a session querying in
+    /// that mode sees, and nothing is scored twice. Column summaries are
+    /// exact on a materialized source; a sharded source in approximate mode
+    /// takes them from the merged catalog with no shard concatenation.
     ///
     /// Memoized per snapshot and mode — the first call does the work,
     /// every later one clones the cached profile.
@@ -667,7 +628,8 @@ pub struct CoreBuilder {
     rows: Rows,
     registry: Arc<InsightRegistry>,
     catalog: Option<SketchCatalog>,
-    index: Option<IndexedAt>,
+    index: Option<Mode>,
+    orders: Arc<RankOrders>,
     lsh: Option<Arc<LshIndex>>,
     cache: Arc<ScoreCache>,
     epoch: u64,
@@ -681,9 +643,9 @@ pub struct CoreBuilder {
     dirty: bool,
     /// Columns perturbed by staged appends: the columns in which some
     /// appended batch carried at least one present value. A freeze with
-    /// only column-level dirt keeps the index (rescoring just the tuples
-    /// that touch these columns) and migrates clean cache entries into the
-    /// new epoch instead of purging everything.
+    /// only column-level dirt migrates clean cache entries into the new
+    /// epoch instead of purging everything, so completing the rank orders
+    /// rescores just the tuples that touch these columns.
     dirty_columns: BTreeSet<usize>,
     /// Whether any batch (even a zero-row one) was appended — gates the
     /// ingest republish counters so batch-built cores report all zeros.
@@ -701,6 +663,7 @@ impl CoreBuilder {
             registry: InsightRegistry::default().freeze(),
             catalog: None,
             index: None,
+            orders: Arc::new(RankOrders::new()),
             lsh: None,
             cache,
             epoch,
@@ -727,6 +690,7 @@ impl CoreBuilder {
                 registry: core.registry,
                 catalog: core.catalog,
                 index: core.index,
+                orders: core.orders,
                 lsh: core.lsh,
                 cache: core.cache,
                 epoch: core.epoch,
@@ -743,7 +707,8 @@ impl CoreBuilder {
                 rows: Rows::new(shared.rows.source.clone()),
                 registry: Arc::clone(&shared.registry),
                 catalog: shared.catalog.clone(),
-                index: shared.index.clone(),
+                index: shared.index,
+                orders: Arc::clone(&shared.orders),
                 lsh: shared.lsh.clone(),
                 cache: Arc::clone(&shared.cache),
                 epoch: shared.epoch,
@@ -759,8 +724,8 @@ impl CoreBuilder {
         }
     }
 
-    /// Replaces the class roster wholesale (drops any staged index and
-    /// marks scores dirty).
+    /// Replaces the class roster wholesale (drops any staged index request
+    /// and marks scores dirty).
     pub fn with_registry(mut self, registry: InsightRegistry) -> Self {
         self.registry = registry.freeze();
         self.index = None;
@@ -769,8 +734,8 @@ impl CoreBuilder {
     }
 
     /// Plugs in an insight class (§2.2 extensibility). Drops any staged
-    /// index; a re-registered id may score differently, so the freeze will
-    /// mint a fresh cache epoch.
+    /// index request; a re-registered id may score differently, so the
+    /// freeze will mint a fresh cache epoch.
     pub fn register_class(&mut self, class: Arc<dyn InsightClass>) {
         Arc::make_mut(&mut self.registry).register(class);
         self.index = None;
@@ -781,8 +746,8 @@ impl CoreBuilder {
     /// switches the published mode to approximate (interactive). For a
     /// sharded source the per-shard catalogs are built independently
     /// (fanned out with rayon when `config.parallel` is set) and merged —
-    /// the shards themselves are never concatenated. Any staged insight
-    /// index is dropped (its scores were computed in the old mode).
+    /// the shards themselves are never concatenated. Any staged index
+    /// request is dropped (it asked for the old mode).
     ///
     /// # Errors
     /// [`EngineError::ExactUnavailable`] when the raw shards were dropped
@@ -826,10 +791,11 @@ impl CoreBuilder {
     ///
     /// Invalidation is *column-granular*: only the columns in which the
     /// batch carries at least one present value are marked dirty. The
-    /// freeze then keeps any staged index (rescoring just the tuples that
-    /// touch a dirty column) and migrates clean cache entries into the new
-    /// epoch — a column whose appended rows are all null keeps bit-identical
-    /// sketches and NaN-masked exact statistics, so its scores stand.
+    /// freeze then migrates clean cache entries into the new epoch, and
+    /// completing the rank orders rescores just the tuples that touch a
+    /// dirty column — a column whose appended rows are all null keeps
+    /// bit-identical sketches and NaN-masked exact statistics, so its
+    /// scores stand.
     /// A zero-row batch short-circuits entirely: the schema is still
     /// validated, but nothing is invalidated, sketched, or merged.
     ///
@@ -910,33 +876,25 @@ impl CoreBuilder {
         self.parallel = on;
     }
 
-    /// Stages the insight index — the "indexes" of the paper's
-    /// preprocessing triad, built eagerly against the current source,
-    /// catalog, and mode. Basic top-k queries on the frozen core are then
-    /// answered from a precomputed sorted list without re-scoring.
+    /// Asks for the paper's "indexes" (§3): every freeze from here on
+    /// completes every class's rank order under the current mode — scored
+    /// through the snapshot's cache, so the first carousels and profile
+    /// walk orders and score nothing. Dropped by anything that changes the
+    /// mode or the roster.
     ///
     /// # Errors
-    /// [`EngineError::ExactUnavailable`] when the index would need raw
+    /// [`EngineError::ExactUnavailable`] when the orders would need raw
     /// rows a sketch-only source cannot provide; [`EngineError::NoCatalog`]
     /// for a sketch-only source with no catalog restored.
     pub fn build_index(&mut self) -> Result<()> {
-        let _span = self.metrics.span(Stage::IndexBuild);
-        // the index is scored serially and uncached: every exact score of a
-        // primary-metric pass is batched, so rayon would split only the
-        // sketch estimates — less work than the split costs on every
-        // republish — and nothing staged has an epoch yet (the freeze hands
-        // the index's scores to the cache under the one it publishes)
-        let executor = self.rows.executor(
+        // fail here rather than at freeze
+        self.rows.executor(
             &self.registry,
             self.catalog.as_ref(),
             &self.metrics,
             self.mode,
         )?;
-        let index = crate::index::InsightIndex::build(&executor);
-        self.index = Some(IndexedAt {
-            index,
-            mode: self.mode,
-        });
+        self.index = Some(self.mode);
         Ok(())
     }
 
@@ -953,26 +911,37 @@ impl CoreBuilder {
         self.dirty = true;
     }
 
-    /// Refreshes a staged index in place after appends: tuples touching a
-    /// dirty column are rescored, everything else carries over. Drops the
-    /// index instead when it needs raw rows the source can no longer
-    /// provide.
-    fn refresh_index(&mut self) -> Option<crate::index::RefreshStats> {
-        let mut ix = self.index.take()?;
-        let dirty: Vec<usize> = self.dirty_columns.iter().copied().collect();
-        let _span = self.metrics.span(Stage::IndexRefresh);
-        let executor = self
-            .rows
-            .executor(
-                &self.registry,
-                self.catalog.as_ref(),
-                &self.metrics,
-                ix.mode,
-            )
-            .ok()?;
-        let stats = ix.index.refresh(&executor, &dirty);
-        self.index = Some(ix);
-        Some(stats)
+    /// Completes every class's rank order under the mode
+    /// [`build_index`](Self::build_index) asked for, scoring through the
+    /// cache's `epoch` keyspace. Returns `(classes rescored, tuples rescored, tuples
+    /// reused)`. Drops the request instead when it needs raw rows the
+    /// source can no longer provide.
+    fn complete_orders(&mut self, epoch: u64, stage: Stage) -> (u64, u64, u64) {
+        let Some(mode) = self.index else {
+            return (0, 0, 0);
+        };
+        let _span = self.metrics.span(stage);
+        let executor =
+            match self
+                .rows
+                .executor(&self.registry, self.catalog.as_ref(), &self.metrics, mode)
+            {
+                Ok(executor) => executor
+                    .with_cache_at(&self.cache, epoch)
+                    .with_orders(&self.orders),
+                Err(_) => {
+                    self.index = None;
+                    return (0, 0, 0);
+                }
+            };
+        let mut stats = (0, 0, 0);
+        for class in self.registry.classes() {
+            let (reused, rescored) = executor.complete(class.as_ref());
+            stats.0 += u64::from(rescored > 0);
+            stats.1 += rescored as u64;
+            stats.2 += reused as u64;
+        }
+        stats
     }
 
     /// Publishes the staged state as a new immutable snapshot.
@@ -982,16 +951,16 @@ impl CoreBuilder {
     /// * a score-global mutation (registry change, preprocess, catalog
     ///   restore) bumps the shared cache's epoch outright — the new
     ///   snapshot starts from a clean keyspace;
-    /// * appends that dirtied only some columns keep the staged index
-    ///   (rescoring just the tuples that touch a dirty column) and
-    ///   *migrate* clean cache entries into the new epoch instead of
-    ///   purging them;
+    /// * appends that dirtied only some columns *migrate* clean cache
+    ///   entries into the new epoch instead of purging them;
     /// * a no-op republish (nothing staged, or only zero-row batches)
-    ///   keeps the epoch — warm cache and index survive untouched.
+    ///   keeps the epoch — warm cache and rank orders survive untouched.
     ///
-    /// Whatever a staged index scored since the last freeze — a cold
-    /// [`build_index`](Self::build_index) or the incremental refresh above
-    /// — is then stored in the score cache under the published epoch.
+    /// A new epoch starts an empty store of rank orders. Once
+    /// [`build_index`](Self::build_index) asked for them, every class's
+    /// order is then completed through the cache in the published epoch:
+    /// a cold build scores every candidate, an incremental republish only
+    /// the tuples its migration did not carry over.
     ///
     /// Readers of older snapshots keep their own (now-retired) keyspace
     /// either way.
@@ -999,11 +968,6 @@ impl CoreBuilder {
         // keep the registry alive past the field-by-field move below
         let metrics = Arc::clone(&self.metrics);
         let _span = metrics.span(Stage::Freeze);
-        let refresh = if self.index.is_some() && !self.dirty_columns.is_empty() {
-            self.refresh_index()
-        } else {
-            None
-        };
         // Maintain the LSH candidate index alongside the catalog: rebuilt
         // on score-global mutations (or when absent), refreshed column-wise
         // after appends — clean columns keep bit-identical signatures, so
@@ -1027,6 +991,7 @@ impl CoreBuilder {
                 Some(prev) => Some(prev),
             },
         };
+        let mut migrated = None;
         let epoch = if self.dirty {
             if self.appended {
                 metrics.record_republish_full();
@@ -1034,16 +999,10 @@ impl CoreBuilder {
             self.cache.bump_epoch()
         } else if !self.dirty_columns.is_empty() {
             let dirty = std::mem::take(&mut self.dirty_columns);
-            let (epoch, migrated) = self.cache.bump_epoch_retaining(|_, attrs| {
+            let (epoch, moved) = self.cache.bump_epoch_retaining(|_, attrs| {
                 attrs.indices().iter().all(|i| !dirty.contains(i))
             });
-            let stats = refresh.unwrap_or_default();
-            metrics.record_republish_incremental(
-                stats.classes_rescored as u64,
-                stats.tuples_rescored as u64,
-                stats.tuples_reused as u64,
-                migrated,
-            );
+            migrated = Some(moved);
             epoch
         } else {
             if self.appended {
@@ -1051,21 +1010,25 @@ impl CoreBuilder {
             }
             self.epoch
         };
-        // after the bump, so the index's scores land in the published
-        // keyspace and no reader of a retired epoch sees them; in the order
-        // they were computed, so a refresh's score replaces the one an
-        // unpublished build gave the same tuple before the append
-        if let Some(ix) = self.index.as_mut() {
-            for (class_id, scores) in ix.index.take_fresh() {
-                self.cache
-                    .store_batch(class_id, &scores, ix.mode, None, epoch);
-            }
+        if epoch != self.epoch {
+            self.orders = Arc::new(RankOrders::new());
+        }
+        // after the bump, so the orders' scores land in the published
+        // keyspace and no reader of a retired epoch sees them
+        let stage = match migrated {
+            Some(_) => Stage::IndexRefresh,
+            None => Stage::IndexBuild,
+        };
+        let (classes, rescored, reused) = self.complete_orders(epoch, stage);
+        if let Some(migrated) = migrated {
+            metrics.record_republish_incremental(classes, rescored, reused, migrated);
         }
         Arc::new(EngineCore {
             rows: self.rows,
             registry: self.registry,
             catalog: self.catalog,
             index: self.index,
+            orders: self.orders,
             lsh: self.lsh,
             cache: self.cache,
             epoch,
@@ -1182,17 +1145,17 @@ mod tests {
         let mut builder = CoreBuilder::new(TableSource::materialized(datasets::oecd()));
         builder.build_index().unwrap();
         builder.preprocess(&CatalogConfig::default()).unwrap();
-        // preprocess dropped the exact-mode index
+        // preprocess dropped the exact-mode request
         let core = builder.freeze();
-        assert!(core.insight_index().is_none());
+        assert_eq!(core.rank_orders().filled(), 0);
 
         let mut builder = CoreBuilder::from_arc(core);
         builder.build_index().unwrap();
         let core = builder.freeze();
-        assert!(core.insight_index().is_some());
+        assert_eq!(core.rank_orders().filled(), core.registry().len());
         let q = InsightQuery::class("linear-relationship").top_k(2);
-        // approximate (the index's mode) and exact both answer; exact must
-        // come from the executor, not the approximate index
+        // approximate (the orders' mode) and exact both answer; exact must
+        // come from the executor, not the approximate orders
         let at = |mode| {
             let opts = QueryOptions {
                 mode,

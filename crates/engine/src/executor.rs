@@ -3,9 +3,10 @@
 //! paper's future-work "parallel search methods that speed up insight
 //! queries").
 
-use crate::cache::ScoreCache;
+use crate::cache::{Packed, ScoreCache};
 use crate::candidates::{CandidateOrigin, CandidateSource};
 use crate::error::{EngineError, Result};
+use crate::order::RankOrders;
 use crate::query::InsightQuery;
 use crate::telemetry::{Lap, Metrics, Stage};
 use crate::trace::{LshCandidates, ScorePath, TraceBuilder};
@@ -60,6 +61,11 @@ pub struct Executor<'a> {
     /// centred or ranked once per snapshot; `None` (standalone executors)
     /// = one store per scoring call, dropped with it.
     prepared: Option<&'a PreparedColumns>,
+    /// The snapshot's rank orders (see [`RankOrders`]): an unfixed
+    /// primary-metric query on the class scan walks its class's order when
+    /// filled, and a pass that scores the whole scan fills it. `None`
+    /// (standalone executors) = every query scores and ranks.
+    orders: Option<&'a RankOrders>,
 }
 
 impl<'a> Executor<'a> {
@@ -76,6 +82,7 @@ impl<'a> Executor<'a> {
             sketch_only: false,
             candidates: CandidateSource::exhaustive(),
             prepared: None,
+            orders: None,
         }
     }
 
@@ -96,6 +103,7 @@ impl<'a> Executor<'a> {
             sketch_only: false,
             candidates: CandidateSource::exhaustive(),
             prepared: None,
+            orders: None,
         }
     }
 
@@ -157,6 +165,15 @@ impl<'a> Executor<'a> {
     /// Scores are bit-identical with or without it.
     pub fn with_prepared(mut self, prepared: &'a PreparedColumns) -> Self {
         self.prepared = Some(prepared);
+        self
+    }
+
+    /// Lends the executor a [`RankOrders`] store over its own registry,
+    /// table, catalog and cache epoch — the caller's obligation, as for
+    /// [`with_prepared`](Self::with_prepared). Results are bit-identical
+    /// with or without it.
+    pub(crate) fn with_orders(mut self, orders: &'a RankOrders) -> Self {
+        self.orders = Some(orders);
         self
     }
 
@@ -273,26 +290,34 @@ impl<'a> Executor<'a> {
     /// The one scoring routine: scores for `candidates` under `metric`
     /// (`None` = the class's primary metric), positionally aligned, plus —
     /// only when `trace` is active, empty otherwise — each candidate's
-    /// `(cache-hit, path)` provenance.
+    /// `(cache-hit, path)` provenance, plus how many scores were computed
+    /// rather than found in the cache. `counted` says whether the lookups
+    /// are query traffic for the cache's hit/miss counters; a freeze
+    /// completing rank orders is not.
     ///
     /// With a cache attached this is one batched lookup (a single lock
     /// acquisition per touched shard), [`score_misses`](Self::score_misses)
     /// over what it did not answer, and one batched store; without one,
-    /// every candidate is a miss. Queries, carousels and the insight
-    /// index's build and refresh all score through here, so tracing,
-    /// parallelism and caching never change a score. A trace sees the three
-    /// steps as `cache_lookup`, `score_misses` and `cache_store` spans.
+    /// every candidate is a miss. Queries, carousels and the rank orders a
+    /// freeze completes all score through here, so tracing, parallelism
+    /// and caching never change a score. A trace sees the three steps as
+    /// `cache_lookup`, `score_misses` and `cache_store` spans.
     pub(crate) fn score_candidates(
         &self,
         class: &dyn InsightClass,
         metric: Option<&'static str>,
         candidates: &[AttrTuple],
+        counted: bool,
         trace: &mut TraceBuilder,
-    ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>) {
+    ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>, usize) {
         let (mut slots, traffic) = match self.cache {
             Some((cache, epoch)) => {
                 trace.begin("cache_lookup");
-                let looked = cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch);
+                let looked = if counted {
+                    cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch)
+                } else {
+                    cache.peek_batch(class.id(), candidates, self.mode, metric, epoch)
+                };
                 trace.attr("hits", || looked.hits.to_string());
                 trace.attr("misses", || looked.misses.to_string());
                 trace.end();
@@ -329,6 +354,7 @@ impl<'a> Executor<'a> {
             }
         }
         trace.end();
+        let computed = missing.len();
         let mut stored = 0;
         if let Some((cache, epoch)) = self.cache {
             trace.begin("cache_store");
@@ -352,22 +378,31 @@ impl<'a> Executor<'a> {
                 .map(|s| s.expect("all slots filled"))
                 .collect(),
             provenance,
+            computed,
         )
     }
 
     /// Runs a query, returning instances sorted by descending score.
     pub fn execute(&self, query: &InsightQuery) -> Result<Vec<InsightInstance>> {
-        self.execute_traced(query, &mut TraceBuilder::disabled())
+        Ok(self.execute_traced(query, &mut TraceBuilder::disabled())?.0)
     }
 
-    /// [`execute`](Self::execute) with a request-scoped trace collector.
-    /// With an inert builder (the untraced path, and every build without
-    /// the `trace` feature) each trace call is an empty inlined no-op.
+    /// [`execute`](Self::execute) with a request-scoped trace collector,
+    /// also saying whether the query walked a precomputed rank order. With
+    /// an inert builder (the untraced path, and every build without the
+    /// `trace` feature) each trace call is an empty inlined no-op.
+    ///
+    /// An unfixed, undiversified primary-metric query whose candidates
+    /// would be the class scan walks the class's order when the lent
+    /// [`RankOrders`] holds one; LSH plans, pinned walks, alternative
+    /// metrics and MMR's whole-pool ranking never consult it. A pass that
+    /// scores the whole scan — no semantic or exclusion filter either —
+    /// fills the order on the way.
     pub(crate) fn execute_traced(
         &self,
         query: &InsightQuery,
         trace: &mut TraceBuilder,
-    ) -> Result<Vec<InsightInstance>> {
+    ) -> Result<(Vec<InsightInstance>, bool)> {
         let class = self
             .registry
             .get(&query.class_id)
@@ -397,6 +432,23 @@ impl<'a> Executor<'a> {
         };
 
         trace.set_metric(metric.unwrap_or_else(|| class.metric()));
+        let class_scan = self.orders.is_some()
+            && metric.is_none()
+            && query.fixed_attrs.is_empty()
+            && !self.candidates.would_use_lsh(class.as_ref(), self.table);
+        let diversify = query.diversify.filter(|&lambda| lambda > 0.0);
+        let order = self
+            .orders
+            .filter(|_| class_scan)
+            .and_then(|orders| orders.get(self.registry, class.id(), self.mode));
+        if let Some(order) = order.filter(|_| diversify.is_none()) {
+            let mut lap = Lap::start(self.metrics);
+            let ranked = self.walk(order, query, trace);
+            lap.mark(Stage::IndexServe);
+            let out = self.describe(class.as_ref(), query, metric, ranked, lap, trace);
+            return Ok((out, true));
+        }
+
         trace.begin("candidates");
         let plan = self
             .candidates
@@ -453,9 +505,14 @@ impl<'a> Executor<'a> {
         trace.attr("kernel", || {
             foresight_stats::kernel::mode().name().to_owned()
         });
-        let (scores, provenance) =
-            self.score_candidates(class.as_ref(), metric, &candidates, trace);
+        let (scores, provenance, _) =
+            self.score_candidates(class.as_ref(), metric, &candidates, true, trace);
         trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
+        // the class's whole scan, unfiltered: its scores are the rank order
+        let whole_scan = order.is_none() && query.semantic.is_none() && query.exclude.is_empty();
+        if let Some(orders) = self.orders.filter(|_| class_scan && whole_scan) {
+            self.fill_order(orders, class.as_ref(), &candidates, &scores);
+        }
         let mut scored: Vec<(AttrTuple, f64)> = scores
             .into_iter()
             .zip(&candidates)
@@ -465,8 +522,8 @@ impl<'a> Executor<'a> {
         trace.end();
         lap.mark(Stage::Score);
 
-        match query.diversify {
-            Some(lambda) if lambda > 0.0 => {
+        match diversify {
+            Some(lambda) => {
                 trace.begin("diversify");
                 // MMR needs the full descending-score ordering as input
                 scored.sort_by(rank_order);
@@ -481,7 +538,7 @@ impl<'a> Executor<'a> {
                 trace.end();
                 lap.mark(Stage::Diversify);
             }
-            _ => {
+            None => {
                 trace.begin("rank");
                 trace.attr("pool", || scored.len().to_string());
                 trace.attr("k", || query.top_k.to_string());
@@ -490,9 +547,23 @@ impl<'a> Executor<'a> {
                 lap.mark(Stage::Rank);
             }
         }
+        let out = self.describe(class.as_ref(), query, metric, scored, lap, trace);
+        Ok((out, false))
+    }
 
+    /// The ranked tuples as instances, each `detail` through the cache's
+    /// description memo — the last stage of every query, walked or scored.
+    fn describe(
+        &self,
+        class: &dyn InsightClass,
+        query: &InsightQuery,
+        metric: Option<&'static str>,
+        ranked: Vec<(AttrTuple, f64)>,
+        mut lap: Lap<'_>,
+        trace: &mut TraceBuilder,
+    ) -> Vec<InsightInstance> {
         trace.begin("describe");
-        let out: Vec<InsightInstance> = scored
+        let out: Vec<InsightInstance> = ranked
             .into_iter()
             .map(|(attrs, score)| InsightInstance {
                 class_id: query.class_id.clone(),
@@ -523,7 +594,72 @@ impl<'a> Executor<'a> {
         trace.end();
         lap.mark(Stage::Describe);
         trace.record_results(self.table, &out);
-        Ok(out)
+        out
+    }
+
+    /// Walks a rank order with the query's range, exclusion and semantic
+    /// filters, up to the first `k` admitted entries.
+    fn walk(
+        &self,
+        order: &[(Packed, f64)],
+        query: &InsightQuery,
+        trace: &mut TraceBuilder,
+    ) -> Vec<(AttrTuple, f64)> {
+        trace.begin("index_serve");
+        trace.set_index_served();
+        let pool: Vec<(AttrTuple, f64)> = order
+            .iter()
+            .map(|&(key, score)| (key.tuple(), score))
+            .filter(|(attrs, score)| {
+                query.matches_range(*score)
+                    && !query.exclude.contains(attrs)
+                    && query.matches_semantic(self.table, attrs)
+            })
+            .take(query.top_k)
+            .collect();
+        trace.set_candidates(order.len(), pool.len());
+        trace.attr("order", || order.len().to_string());
+        trace.attr("pool", || pool.len().to_string());
+        trace.end();
+        pool
+    }
+
+    /// Fills `class`'s rank order from its whole scan and the scan's
+    /// scores: the finite ones, in the ranking order.
+    fn fill_order(
+        &self,
+        orders: &RankOrders,
+        class: &dyn InsightClass,
+        scan: &[AttrTuple],
+        scores: &[Option<f64>],
+    ) {
+        let mut ranked: Vec<(AttrTuple, f64)> = scan
+            .iter()
+            .zip(scores)
+            .filter_map(|(&attrs, &score)| Some((attrs, score.filter(|s| s.is_finite())?)))
+            .collect();
+        ranked.sort_unstable_by(rank_order);
+        orders.fill(self.registry, class.id(), self.mode, &ranked);
+    }
+
+    /// Completes `class`'s rank order unless it is filled: the whole class
+    /// scan scored through [`score_candidates`](Self::score_candidates) —
+    /// cache first, so a republish rescores only what it did not migrate,
+    /// and uncounted, since a freeze is not query traffic. Returns how many
+    /// scores the cache answered and how many were computed; `(0, 0)`
+    /// without a store or with the order already there.
+    pub(crate) fn complete(&self, class: &dyn InsightClass) -> (usize, usize) {
+        let Some(orders) = self.orders else {
+            return (0, 0);
+        };
+        if orders.get(self.registry, class.id(), self.mode).is_some() {
+            return (0, 0);
+        }
+        let scan = class.candidates(self.table);
+        let (scores, _, computed) =
+            self.score_candidates(class, None, &scan, false, &mut TraceBuilder::disabled());
+        self.fill_order(orders, class, &scan, &scores);
+        (scan.len() - computed, computed)
     }
 }
 
@@ -558,14 +694,15 @@ pub fn rank_top_k(mut scored: Vec<(AttrTuple, f64)>, k: usize) -> Vec<(AttrTuple
 
 /// Greedy maximal-marginal-relevance selection: repeatedly picks the
 /// candidate maximizing `(1−λ)·normalized_score − λ·max_attr_overlap` with
-/// the already-selected set. Input must be sorted by descending score.
+/// the already-selected set. Input must be in the ranking order
+/// (descending score, ascending tuple), as the executor hands it over.
 ///
 /// Candidates are tombstoned in place and the per-candidate similarity to
 /// the selected set is maintained incrementally (only the most recently
 /// selected tuple can raise it), so selection is `O(k·n)` rather than the
 /// `O(k·n²)` of rescanning the selected set and `Vec::remove`-compacting
 /// the remainder on every round.
-pub(crate) fn diversify_scored(
+pub fn diversify_scored(
     scored: Vec<(AttrTuple, f64)>,
     top_k: usize,
     lambda: f64,

@@ -166,7 +166,7 @@ impl Foresight {
     }
 
     /// Plugs in an insight class (§2.2 extensibility). Republishes the
-    /// core: any built insight index is dropped (rebuild with
+    /// core: any built index is dropped (rebuild with
     /// [`Foresight::build_index`]) and a fresh score-cache epoch is minted
     /// (a re-registered id may score differently).
     pub fn register_class(&mut self, class: Arc<dyn InsightClass>) {
@@ -177,23 +177,18 @@ impl Foresight {
         .expect("register_class cannot fail");
     }
 
-    /// Materializes the insight index — the "indexes" of the paper's
-    /// preprocessing triad. Basic top-k queries are then answered from a
-    /// precomputed sorted list without re-scoring candidates. Uses sketch
+    /// Materializes the paper's "indexes" (§3): every class's rank order,
+    /// completed now and on every later republish (see
+    /// [`CoreBuilder::build_index`]). Basic top-k queries are then walked
+    /// off a precomputed order without re-scoring candidates. Uses sketch
     /// scores when [`Foresight::preprocess`] ran first.
     ///
     /// # Errors
-    /// [`EngineError::ExactUnavailable`] when the index would need raw rows
-    /// a sketch-only source cannot provide (exact mode without materialized
-    /// data).
-    pub fn build_index(&mut self) -> Result<&crate::index::InsightIndex> {
-        self.edit(|b| b.build_index())?;
-        Ok(self.core().insight_index().expect("just built"))
-    }
-
-    /// The insight index, if one was built.
-    pub fn insight_index(&self) -> Option<&crate::index::InsightIndex> {
-        self.core().insight_index()
+    /// [`EngineError::ExactUnavailable`] when the orders would need raw
+    /// rows a sketch-only source cannot provide (exact mode without
+    /// materialized data).
+    pub fn build_index(&mut self) -> Result<()> {
+        self.edit(|b| b.build_index())
     }
 
     /// The current session state.
@@ -266,8 +261,8 @@ impl Foresight {
     /// switches the engine to approximate (interactive) mode. For a sharded
     /// source the per-shard catalogs are built independently (fanned out
     /// with rayon when `config.parallel` is set) and merged — the shards
-    /// themselves are never concatenated. Any built insight index is
-    /// invalidated (its scores were computed in the old mode); call
+    /// themselves are never concatenated. Any built index is dropped (its
+    /// orders were ranked in the old mode); call
     /// [`Foresight::build_index`] again to re-materialize it.
     ///
     /// # Errors
@@ -285,10 +280,10 @@ impl Foresight {
     /// promoted to a sharded source in place) and, when a catalog exists,
     /// sketched at its global row offset and merged in — no rebuild, no
     /// concatenation. Invalidation is column-granular (see
-    /// [`CoreBuilder::append_shard`]): a built insight index is refreshed
-    /// in place, rescoring only the tuples that touch a column the batch
-    /// carries values in, and clean score-cache entries migrate into the
-    /// new epoch. Any lazily materialized concatenation is discarded.
+    /// [`CoreBuilder::append_shard`]): clean score-cache entries migrate
+    /// into the new epoch, and a built index's orders are completed again
+    /// by rescoring only the tuples that touch a column the batch carries
+    /// values in. Any lazily materialized concatenation is discarded.
     ///
     /// Returns the appended shard's global row offset.
     ///
@@ -603,12 +598,12 @@ mod tests {
         let q = InsightQuery::class("linear-relationship").top_k(4);
         let unindexed = fs.query(&q).unwrap();
         fs.build_index().unwrap();
-        assert!(fs.insight_index().is_some());
+        assert_eq!(fs.core().rank_orders().filled(), fs.registry().len());
         let indexed = fs.query(&q).unwrap();
         assert_eq!(unindexed, indexed);
-        // preprocessing rescores everything in a new mode: the index goes
+        // preprocessing rescores everything in a new mode: the orders go
         fs.preprocess(&CatalogConfig::default()).unwrap();
-        assert!(fs.insight_index().is_none());
+        assert_eq!(fs.core().rank_orders().filled(), 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! * [`executor`] — exact or sketch-backed query execution, optionally
 //!   rayon-parallel with batch scoring and quickselect top-k
 //! * [`cache`] — the cross-query score cache
+//! * [`order`] — per-snapshot rank orders: each class's scan, ranked once
 //! * [`candidates`] — candidate generation strategies: the quadratic
 //!   class scan vs. LSH bucket collisions over the catalog's signatures
 //! * [`core`] — the shared, `Send + Sync` [`EngineCore`] snapshot, its one
@@ -38,9 +39,9 @@ pub mod error;
 pub mod executor;
 pub mod foresight;
 pub mod handle;
-pub mod index;
 pub mod monitor;
 pub mod neighborhood;
+pub mod order;
 pub mod profile;
 pub mod query;
 pub mod recommend;
@@ -59,7 +60,6 @@ pub use error::{EngineError, Result};
 pub use executor::{Executor, Mode};
 pub use foresight::{Foresight, STATE_FORMAT_VERSION};
 pub use handle::{AdoptPolicy, SessionHandle};
-pub use index::InsightIndex;
 pub use monitor::{
     AlertEvent, AlertKind, HealthPolicy, HealthReason, HealthState, Monitor, MonitorConfig,
     MonitorSample, MonitorTarget, StageWindow,

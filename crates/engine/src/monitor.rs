@@ -335,6 +335,11 @@ impl Monitor {
         if std::env::var("FORESIGHT_DISABLE_MONITOR").is_ok_and(|v| v == "1") {
             return Self::disabled(target, config);
         }
+        Self::start(target, config)
+    }
+
+    /// Starts the sampler thread whatever the kill-switch says.
+    fn start(target: MonitorTarget, config: MonitorConfig) -> Self {
         let shared = Arc::new(MonitorShared {
             target,
             config,
@@ -945,7 +950,7 @@ mod tests {
     #[test]
     fn monitor_over_a_static_core_reaches_healthy() {
         let core = tiny_core();
-        let mut monitor = Monitor::spawn(
+        let mut monitor = Monitor::start(
             MonitorTarget::Static(core),
             MonitorConfig {
                 cadence_ms: 5,
@@ -979,7 +984,7 @@ mod tests {
     #[test]
     fn ring_capacity_is_bounded() {
         let core = tiny_core();
-        let mut monitor = Monitor::spawn(
+        let mut monitor = Monitor::start(
             MonitorTarget::Static(core),
             MonitorConfig {
                 cadence_ms: 1,
@@ -1015,7 +1020,7 @@ mod tests {
     #[test]
     fn mark_discontinuity_zeroes_the_next_window() {
         let core = tiny_core();
-        let mut monitor = Monitor::spawn(
+        let mut monitor = Monitor::start(
             MonitorTarget::Static(Arc::clone(&core)),
             MonitorConfig {
                 cadence_ms: 5,

@@ -9,9 +9,9 @@
 //! [`RepublishPolicy`] bounds how much staged data (rows, bytes, or wall
 //! time) may accumulate before the writer freezes and swaps in a new
 //! snapshot. Each freeze is *incremental* — per-shard sketches are merged
-//! (never rebuilt), the insight index rescores only tuples touching dirty
-//! columns, and clean score-cache entries migrate into the new epoch (see
-//! [`CoreBuilder::append_shard`] and [`CoreBuilder::freeze`]).
+//! (never rebuilt), clean score-cache entries migrate into the new epoch,
+//! and an indexed core's rank orders rescore only tuples touching dirty
+//! columns (see [`CoreBuilder::append_shard`] and [`CoreBuilder::freeze`]).
 //!
 //! ```
 //! use foresight_engine::{CoreBuilder, InsightQuery, StreamConfig, StreamWriter};

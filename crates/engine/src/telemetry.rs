@@ -123,12 +123,14 @@ pub enum Stage {
     SketchBuild,
     /// Merging a shard catalog into the global one.
     SketchMerge,
-    /// Building the insight index.
+    /// Completing every class's rank order at freeze, once
+    /// [`CoreBuilder::build_index`](crate::CoreBuilder::build_index) asked
+    /// for them.
     IndexBuild,
-    /// Incrementally refreshing the insight index after an append
-    /// (rescoring only tuples that touch dirty columns).
+    /// Completing the rank orders at an incremental republish (rescoring
+    /// only tuples that touch dirty columns).
     IndexRefresh,
-    /// Serving a query from the prebuilt insight index.
+    /// Walking a precomputed rank order instead of scoring a query.
     IndexServe,
     /// Building or incrementally refreshing the LSH candidate index.
     LshBuild,
@@ -449,7 +451,8 @@ impl Metrics {
     }
 
     /// Counts one executed query: per-mode (the total is the sum of the
-    /// mode counters), per-class, and whether the prebuilt index served it.
+    /// mode counters), per-class, and whether it walked a precomputed rank
+    /// order.
     pub fn record_query(&self, class_id: &str, mode: Mode, index_served: bool) {
         if !self.enabled() {
             return;
@@ -831,14 +834,6 @@ pub struct Span<'a> {
     active: Option<(&'a Metrics, Stage, u64)>,
 }
 
-impl Span<'_> {
-    /// Discards the span without recording a sample (e.g. when the timed
-    /// path turned out not to apply).
-    pub fn cancel(mut self) {
-        self.active = None;
-    }
-}
-
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some((metrics, stage, start_ns)) = self.active.take() {
@@ -942,7 +937,7 @@ pub struct QuerySnapshot {
     pub exact: u64,
     /// Queries run in approximate (sketch-backed) mode.
     pub approximate: u64,
-    /// Queries answered from the prebuilt insight index.
+    /// Queries that walked a precomputed rank order instead of scoring.
     pub index_served: u64,
     /// Queries per insight class, sorted by class id.
     pub by_class: BTreeMap<String, u64>,
@@ -959,19 +954,21 @@ pub struct IngestSnapshot {
     pub batches: u64,
     /// Shard-catalog merges into the global sketch catalog.
     pub merges: u64,
-    /// Republishes that rebuilt the index from scratch (source replaced,
-    /// registry changed, or no index was alive to refresh).
+    /// Republishes that minted a clean cache epoch (source replaced,
+    /// registry or catalog changed), so every score starts over.
     pub republishes_full: u64,
-    /// Republishes that kept the index and rescored only dirty tuples.
+    /// Republishes that migrated clean cache entries, so completing the
+    /// rank orders rescored only dirty tuples.
     pub republishes_incremental: u64,
     /// Republishes with no dirty columns at all — epoch and cache kept.
     pub republishes_clean: u64,
     /// Insight classes with at least one rescored tuple, summed over
     /// incremental republishes.
     pub rescored_classes: u64,
-    /// Tuples rescored by incremental republishes.
+    /// Tuples rescored by incremental republishes' rank-order completion.
     pub rescored_tuples: u64,
-    /// Tuples whose scores were carried over by incremental republishes.
+    /// Tuples whose migrated scores answered incremental republishes'
+    /// rank-order completion.
     pub reused_tuples: u64,
     /// Clean score-cache entries migrated into the new epoch instead of
     /// being purged.
@@ -1369,7 +1366,7 @@ impl MetricsSnapshot {
         counter(
             &mut o,
             "foresight_queries_index_served_total",
-            "Queries answered from the prebuilt insight index.",
+            "Queries that walked a precomputed rank order instead of scoring.",
             q.index_served,
         );
         // declared only when populated: a family with HELP/TYPE but no

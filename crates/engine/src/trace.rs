@@ -208,7 +208,8 @@ pub struct QueryTrace {
     pub mode: String,
     /// Whether the trace was forced by `explain` (vs. sampled).
     pub forced: bool,
-    /// Whether the prebuilt insight index answered the query.
+    /// Whether the query walked a precomputed rank order instead of being
+    /// scored.
     pub index_served: bool,
     /// End-to-end wall time, ns.
     pub total_ns: u64,

@@ -1,7 +1,7 @@
 //! First contact computes each thing once: a profile's headlines are the
-//! core's own answers to `class.top_k(1)` (index-served when an index of
-//! that mode exists), and index-served results take their descriptions
-//! through the same memo executor results do.
+//! core's own answers to `class.top_k(1)` (walked off a rank order when
+//! one of that mode is filled), and order-served results take their
+//! descriptions through the same memo executor results do.
 
 use foresight_data::datasets::{self, SynthConfig};
 use foresight_data::{Table, TableSource};
@@ -155,9 +155,9 @@ fn exact_profiles_match_the_bare_executor_loop() {
     }
 }
 
-/// (iii) on a freshly frozen indexed core the headlines come off the index:
-/// the score cache is never consulted (every executor query looks its
-/// candidates up there first), and a second call is a memo clone.
+/// (iii) on a freshly frozen indexed core the headlines come off the rank
+/// orders: the score cache is never consulted (every executor query looks
+/// its candidates up there first), and a second call is a memo clone.
 #[test]
 fn profile_on_an_indexed_core_scores_nothing() {
     let table = synth(500, 6, 3);
@@ -188,7 +188,7 @@ fn profile_on_an_indexed_core_scores_nothing() {
     }
 }
 
-/// (iv) an index-served result's `detail` is `class.describe` bit for bit,
+/// (iv) an order-served result's `detail` is `class.describe` bit for bit,
 /// the first time (memo miss) and every time after (memo hit).
 #[test]
 fn index_served_detail_is_describe_on_miss_and_hit() {
@@ -222,16 +222,17 @@ fn index_served_detail_is_describe_on_miss_and_hit() {
                 );
             }
         }
-        // every one of those was served from the index, none scored
+        // every one of those walked an order, none scored
         let stats = core.cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 }
 
-/// (v) `freeze` hands the staged index's scores to the snapshot's cache:
-/// the first carousels — which go through the executor, not the index —
-/// score nothing, and are byte-identical to the carousels of the same
-/// table frozen without an index, where every candidate is a miss.
+/// (v) `freeze` completes every class's rank order through the snapshot's
+/// cache without counting a lookup: every score lands in the cache, the
+/// first carousels walk the orders and touch the cache not at all, and
+/// they are byte-identical to the carousels of the same table frozen
+/// without an index, where every candidate is a miss.
 #[test]
 fn first_carousels_after_an_index_build_score_nothing() {
     let table = synth(600, 8, 7);
@@ -258,7 +259,7 @@ fn first_carousels_after_an_index_build_score_nothing() {
         let first = indexed.handle().carousels(5).unwrap();
         let after = indexed.cache_stats();
         assert_eq!(after.misses, 0, "{what}: first carousels rescored");
-        assert_eq!(after.hits, candidates as u64, "{what}");
+        assert_eq!(after.hits, 0, "{what}: first carousels looked scores up");
         assert_eq!(after.entries, candidates, "{what}");
 
         let plain = core(source, preprocess, false);
@@ -275,7 +276,8 @@ fn first_carousels_after_an_index_build_score_nothing() {
 /// (vi) an index build scores through the executor's one routine, so its
 /// exact fallbacks are counted like a query's: on the benchmark's 24 + 4
 /// columns, one per candidate that no sketch estimator covers. EXPLAIN on
-/// such a class still names the path per result.
+/// such a class still names the path per result: the cold run's exact
+/// fallback, then the rank order that run filled.
 #[test]
 fn index_build_fallbacks_are_counted_and_explained() {
     let table = synth(300, 24, 13);
@@ -312,7 +314,7 @@ fn index_build_fallbacks_are_counted_and_explained() {
         indexed.run(&q, &indexed.options()).unwrap().results
     );
     if cfg!(feature = "trace") {
-        for (explained, path) in [(cold, "exact-fallback"), (warm, "cache")] {
+        for (explained, path) in [(cold, "exact-fallback"), (warm, "index")] {
             let trace = explained.trace.expect("forced trace");
             assert_eq!(trace.results.len(), 5);
             for result in &trace.results {

@@ -223,11 +223,12 @@ fn index_served_details_are_retired_by_a_republish() {
     assert_eq!(served(&new), new_answers);
 }
 
-/// The republish hand-off: what the index refresh rescored at freeze is
-/// stored under the epoch that freeze publishes, so the new snapshot's
-/// executor scores nothing — clean tuples were migrated, dirty ones handed
-/// over — while a handle still on the old snapshot stays in its own
-/// keyspace: it finds none of the new scores and plants none.
+/// The republish hand-off: what completing the rank orders rescored at
+/// freeze is stored under the epoch that freeze publishes, so the new
+/// snapshot scores nothing — clean tuples were migrated, dirty ones
+/// rescored into the new keyspace, and its carousels walk the new orders —
+/// while a handle still on the old snapshot stays in its own keyspace: it
+/// finds none of the new scores and plants none.
 #[test]
 fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     let seed_table = batch(0, 120, 31, &[]);
@@ -236,7 +237,7 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     builder.build_index().unwrap();
     let old = builder.freeze();
     let config = old.catalog().unwrap().config().clone();
-    let stale = old.handle();
+    let mut stale = old.handle();
     let old_carousels = stale.carousels(3).unwrap();
 
     // x, y and z move; the categorical receives only nulls and stays clean
@@ -250,7 +251,7 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     let new_carousels = new.handle().carousels(3).unwrap();
     let after = new.cache_stats();
     assert_eq!(after.misses, before.misses, "the new snapshot rescored");
-    assert!(after.hits > before.hits);
+    assert_eq!(after.hits, before.hits, "the carousels walk the new orders");
     assert_eq!(after.entries, before.entries);
     let cold = cold_core(vec![seed_table, appended], &config, true);
     assert_eq!(new_carousels, cold.handle().carousels(3).unwrap());
@@ -259,18 +260,26 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     // old one until the stale reader recomputes it over its own rows
     let moved = foresight_insight::AttrTuple::Two(0, 2);
     let lookup = |epoch| {
-        new.cache().lookup(
-            "linear-relationship",
-            &moved,
-            Mode::Approximate,
-            None,
-            epoch,
-        )
+        new.cache()
+            .lookup_batch(
+                "linear-relationship",
+                &[moved],
+                Mode::Approximate,
+                None,
+                epoch,
+            )
+            .scores[0]
     };
     let handed_off = lookup(new.epoch()).expect("handed off at freeze");
     assert_eq!(lookup(old.epoch()), None);
     assert_eq!(stale.core().epoch(), old.epoch());
+    // the stale reader's carousels walk its own snapshot's orders
     assert_eq!(stale.carousels(3).unwrap(), old_carousels);
+    assert_eq!(lookup(old.epoch()), None);
+    // a pinned query scores through the cache, over the old rows
+    stale
+        .query(&InsightQuery::class("linear-relationship").fix_attr(0))
+        .unwrap();
     let recomputed = lookup(old.epoch()).expect("the stale reader's own store");
     assert_ne!(recomputed, handed_off, "the append moved x × z");
     assert_eq!(lookup(new.epoch()), Some(handed_off));

@@ -40,7 +40,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -161,7 +161,20 @@ pub struct Server {
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     worker_txs: Vec<SyncSender<Job>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connections: Arc<Connections>,
+}
+
+/// The connection threads not yet reaped: the acceptor joins the finished
+/// ones on every accept, so the registry tracks the live connections
+/// rather than every connection since start.
+type Connections = Mutex<Vec<JoinHandle<()>>>;
+
+/// Locks the connection registry. A thread that panicked while holding it
+/// left nothing half-written — a `Vec` push or drain — so a poisoned lock
+/// is taken over instead of cascading the panic into the acceptor and
+/// `shutdown`.
+fn registry(connections: &Connections) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
+    connections.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Server {
@@ -240,8 +253,7 @@ impl Server {
                 let _ = acceptor.join();
             }
         }
-        let conns: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.connections.lock().expect("connection registry"));
+        let conns = std::mem::take(&mut *registry(&self.connections));
         for conn in conns {
             let _ = conn.join();
         }
@@ -273,7 +285,7 @@ fn acceptor_loop(
     shared: Arc<Shared>,
     listener: TcpListener,
     worker_txs: Vec<SyncSender<Job>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connections: Arc<Connections>,
 ) {
     loop {
         // blocking: a new connection is picked up as soon as the kernel
@@ -302,10 +314,16 @@ fn acceptor_loop(
                             shared_.live_connections.fetch_sub(1, Ordering::SeqCst);
                         });
                 match spawned {
-                    Ok(handle) => connections
-                        .lock()
-                        .expect("connection registry")
-                        .push(handle),
+                    Ok(handle) => {
+                        let mut live = registry(&connections);
+                        let finished: Vec<_> =
+                            live.extract_if(.., |conn| conn.is_finished()).collect();
+                        live.push(handle);
+                        drop(live);
+                        for conn in finished {
+                            let _ = conn.join();
+                        }
+                    }
                     Err(_) => {
                         shared.live_connections.fetch_sub(1, Ordering::SeqCst);
                     }
@@ -781,5 +799,53 @@ fn unknown_session(id: u64) -> WireError {
     WireError {
         code: ErrorCode::UnknownSession,
         message: format!("session {id} does not exist (never created, expired, or evicted)"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use foresight_data::{TableBuilder, TableSource};
+    use foresight_engine::CoreBuilder;
+
+    /// Closed connections leave the registry as new ones arrive: after 200
+    /// connect → hello → close cycles it holds no more handles than there
+    /// are live connections.
+    #[test]
+    fn closed_connections_are_reaped_on_accept() {
+        let table = TableBuilder::new("reaped")
+            .numeric("x", (0..16).map(|r| r as f64).collect())
+            .numeric("y", (0..16).map(|r| (r * 7 % 5) as f64).collect())
+            .build()
+            .unwrap();
+        let core = CoreBuilder::new(TableSource::materialized(table)).freeze();
+        let config = ServeConfig {
+            workers: 1,
+            enable_monitor: false,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(ServeCore::Static(core), "127.0.0.1:0", config).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(server.addr()).unwrap();
+            client.hello().unwrap();
+        }
+        // every closed connection's thread runs to its end …
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !registry(&server.connections)
+            .iter()
+            .all(JoinHandle::is_finished)
+        {
+            assert!(Instant::now() < deadline, "connection threads never ended");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // … and the next accept reaps them all
+        let mut open = Client::connect(server.addr()).unwrap();
+        open.hello().unwrap();
+        let live = server.shared.live_connections.load(Ordering::SeqCst);
+        assert_eq!(live, 1);
+        assert!(registry(&server.connections).len() <= live);
+        drop(open);
+        server.shutdown();
     }
 }

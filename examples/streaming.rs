@@ -1,8 +1,8 @@
 //! Streaming ingest: rows keep arriving while readers keep querying.
 //!
 //! A `StreamWriter` owns the write path: it absorbs row batches on a
-//! background thread, maintains the index incrementally (only columns a
-//! batch actually touches are rescored), and republishes an immutable
+//! background thread, maintains the rank orders incrementally (only columns
+//! a batch actually touches are rescored), and republishes an immutable
 //! `EngineCore` snapshot at a bounded cadence. Readers bind their
 //! `SessionHandle` to the published slot and adopt fresh snapshots
 //! between queries — no reader ever blocks on ingest, and every snapshot

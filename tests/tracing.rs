@@ -20,16 +20,49 @@ fn oecd_corr_query() -> InsightQuery {
 fn explain_pinned_oecd_exact_query() {
     let mut fs = Foresight::new(datasets::oecd());
     let q = oecd_corr_query();
-    let plain = fs.query(&q).unwrap();
+    // warm the core's cache but not its rank orders: a standalone executor
+    // over the same rows, in the snapshot's own keyspace
+    let core = fs.core();
+    let plain = Executor::exact(core.table(), core.registry())
+        .with_cache_at(core.cache(), core.epoch())
+        .execute(&q)
+        .unwrap();
     let explained = fs.explain(&q).unwrap();
     assert_eq!(
         explained.results, plain,
         "explain returns bit-identical results"
     );
+    // that explain scored the class's whole scan, so it filled the class's
+    // rank order: the next one walks it
+    let walked = fs.explain(&q).unwrap();
+    assert_eq!(walked.results, plain);
     if !TRACE_ON {
         assert!(explained.trace.is_none(), "no trace without the feature");
+        assert!(walked.trace.is_none());
         return;
     }
+    let trace = walked.trace.expect("forced trace captured");
+    assert!(trace.index_served);
+    let children: Vec<&str> = trace
+        .root
+        .children
+        .iter()
+        .map(|c| c.name.as_str())
+        .collect();
+    assert_eq!(children, vec!["index_serve", "describe"]);
+    let walk = trace.root.child("index_serve").unwrap();
+    assert_eq!(walk.attr("order"), Some("276"));
+    assert_eq!(walk.attr("pool"), Some("5"));
+    assert_eq!(
+        (trace.cache_hits, trace.cache_misses, trace.cache_stored),
+        (0, 0, 0)
+    );
+    for traced in &trace.results {
+        assert!(!traced.cache_hit);
+        assert_eq!(traced.path, "index");
+    }
+    assert!(trace.to_text().contains("index-served"));
+
     let trace = explained.trace.expect("forced trace captured");
     assert_eq!(trace.class_id, "linear-relationship");
     assert_eq!(trace.metric, "|pearson|");
