@@ -709,41 +709,21 @@ impl ScoreCache {
 mod tests {
     use super::*;
 
-    /// One tuple at a time, through the batch paths.
-    impl ScoreCache {
-        fn lookup(
-            &self,
-            class_id: &'static str,
-            attrs: &AttrTuple,
-            mode: Mode,
-            metric: Option<&'static str>,
-            epoch: u64,
-        ) -> Option<Option<f64>> {
-            self.lookup_batch(class_id, &[*attrs], mode, metric, epoch)
-                .scores[0]
-        }
-
-        fn store(
-            &self,
-            class_id: &'static str,
-            attrs: &AttrTuple,
-            mode: Mode,
-            metric: Option<&'static str>,
-            score: Option<f64>,
-            epoch: u64,
-        ) {
-            self.store_batch(class_id, &[(*attrs, score)], mode, metric, epoch);
-        }
-    }
-
     #[test]
     fn miss_then_hit() {
         let cache = ScoreCache::new();
         let attrs = AttrTuple::Two(0, 1);
-        assert_eq!(cache.lookup("c", &attrs, Mode::Exact, None, 0), None);
-        cache.store("c", &attrs, Mode::Exact, None, Some(0.75), 0);
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Exact, None, 0),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Exact, None, 0)
+                .scores[0],
+            None
+        );
+        cache.store_batch("c", &[(attrs, Some(0.75))], Mode::Exact, None, 0);
+        assert_eq!(
+            cache
+                .lookup_batch("c", &[attrs], Mode::Exact, None, 0)
+                .scores[0],
             Some(Some(0.75))
         );
         let stats = cache.stats();
@@ -782,7 +762,12 @@ mod tests {
             (AttrTuple::One(1), None),
         ];
         assert_eq!(cache.store_batch("c", &wide, Mode::Exact, None, 0), 1);
-        assert_eq!(cache.lookup("c", &wide[0].0, Mode::Exact, None, 0), None);
+        assert_eq!(
+            cache
+                .lookup_batch("c", &[wide[0].0], Mode::Exact, None, 0)
+                .scores[0],
+            None
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -790,30 +775,52 @@ mod tests {
     fn degenerate_none_is_a_hit() {
         let cache = ScoreCache::new();
         let attrs = AttrTuple::One(3);
-        cache.store("c", &attrs, Mode::Exact, None, None, 0);
-        assert_eq!(cache.lookup("c", &attrs, Mode::Exact, None, 0), Some(None));
+        cache.store_batch("c", &[(attrs, None)], Mode::Exact, None, 0);
+        assert_eq!(
+            cache
+                .lookup_batch("c", &[attrs], Mode::Exact, None, 0)
+                .scores[0],
+            Some(None)
+        );
     }
 
     #[test]
     fn key_distinguishes_mode_and_metric() {
         let cache = ScoreCache::new();
         let attrs = AttrTuple::Two(1, 2);
-        cache.store("c", &attrs, Mode::Exact, None, Some(1.0), 0);
-        cache.store("c", &attrs, Mode::Approximate, None, Some(2.0), 0);
-        cache.store("c", &attrs, Mode::Exact, Some("|spearman|"), Some(3.0), 0);
+        cache.store_batch("c", &[(attrs, Some(1.0))], Mode::Exact, None, 0);
+        cache.store_batch("c", &[(attrs, Some(2.0))], Mode::Approximate, None, 0);
+        cache.store_batch(
+            "c",
+            &[(attrs, Some(3.0))],
+            Mode::Exact,
+            Some("|spearman|"),
+            0,
+        );
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Exact, None, 0),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Exact, None, 0)
+                .scores[0],
             Some(Some(1.0))
         );
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Approximate, None, 0),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Approximate, None, 0)
+                .scores[0],
             Some(Some(2.0))
         );
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Exact, Some("|spearman|"), 0),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Exact, Some("|spearman|"), 0)
+                .scores[0],
             Some(Some(3.0))
         );
-        assert_eq!(cache.lookup("d", &attrs, Mode::Exact, None, 0), None);
+        assert_eq!(
+            cache
+                .lookup_batch("d", &[attrs], Mode::Exact, None, 0)
+                .scores[0],
+            None
+        );
     }
 
     #[test]
@@ -846,14 +853,16 @@ mod tests {
     fn epoch_bump_retires_scores_and_details() {
         let cache = ScoreCache::new();
         let attrs = AttrTuple::Two(0, 1);
-        cache.store("c", &attrs, Mode::Approximate, None, Some(0.5), 0);
+        cache.store_batch("c", &[(attrs, Some(0.5))], Mode::Approximate, None, 0);
         let mut calls = 0;
         cache.detail("c", &attrs, 0.5, || {
             calls += 1;
             "first description".into()
         });
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Approximate, None, 0),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Approximate, None, 0)
+                .scores[0],
             Some(Some(0.5))
         );
         assert_eq!(cache.epoch(), 0);
@@ -861,7 +870,12 @@ mod tests {
         assert_eq!(cache.bump_epoch(), 1);
         assert_eq!(cache.epoch(), 1);
         // the pre-bump score is unreachable from the new epoch and purged
-        assert_eq!(cache.lookup("c", &attrs, Mode::Approximate, None, 1), None);
+        assert_eq!(
+            cache
+                .lookup_batch("c", &[attrs], Mode::Approximate, None, 1)
+                .scores[0],
+            None
+        );
         assert!(cache.is_empty());
         assert_eq!(cache.stats().purges, 1);
         // the describe memo is retired with it: the same score bits can
@@ -874,16 +888,20 @@ mod tests {
         assert_eq!(d, "rebuilt description");
         assert_eq!(calls, 2);
         // the new generation stores and serves fresh scores normally
-        cache.store("c", &attrs, Mode::Approximate, None, Some(0.7), 1);
+        cache.store_batch("c", &[(attrs, Some(0.7))], Mode::Approximate, None, 1);
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Approximate, None, 1),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Approximate, None, 1)
+                .scores[0],
             Some(Some(0.7))
         );
         // a straggler still reading the old snapshot writes into its own
         // keyspace and never pollutes the new generation
-        cache.store("c", &attrs, Mode::Approximate, None, Some(0.4), 0);
+        cache.store_batch("c", &[(attrs, Some(0.4))], Mode::Approximate, None, 0);
         assert_eq!(
-            cache.lookup("c", &attrs, Mode::Approximate, None, 1),
+            cache
+                .lookup_batch("c", &[attrs], Mode::Approximate, None, 1)
+                .scores[0],
             Some(Some(0.7))
         );
         // counters survived the bump (2 hits: pre-bump + post-bump)
@@ -900,7 +918,7 @@ mod tests {
             (AttrTuple::Two(1, 2), 0.7),
             (AttrTuple::One(2), 0.2),
         ] {
-            cache.store("c", &attrs, Mode::Approximate, None, Some(score), 0);
+            cache.store_batch("c", &[(attrs, Some(score))], Mode::Approximate, None, 0);
         }
         cache.detail("c", &AttrTuple::One(1), 0.4, || "clean detail".into());
         cache.detail("c", &AttrTuple::One(2), 0.2, || "dirty detail".into());
@@ -925,27 +943,37 @@ mod tests {
         assert_eq!(calls, 1);
         // clean tuples answer from the new epoch without recomputation…
         assert_eq!(
-            cache.lookup("c", &AttrTuple::Two(0, 1), Mode::Approximate, None, 1),
+            cache
+                .lookup_batch("c", &[AttrTuple::Two(0, 1)], Mode::Approximate, None, 1)
+                .scores[0],
             Some(Some(0.9))
         );
         assert_eq!(
-            cache.lookup("c", &AttrTuple::One(1), Mode::Approximate, None, 1),
+            cache
+                .lookup_batch("c", &[AttrTuple::One(1)], Mode::Approximate, None, 1)
+                .scores[0],
             Some(Some(0.4))
         );
         // …dirty ones were retired (and counted as purges)
         assert_eq!(
-            cache.lookup("c", &AttrTuple::Two(1, 2), Mode::Approximate, None, 1),
+            cache
+                .lookup_batch("c", &[AttrTuple::Two(1, 2)], Mode::Approximate, None, 1)
+                .scores[0],
             None
         );
         assert_eq!(
-            cache.lookup("c", &AttrTuple::One(2), Mode::Approximate, None, 1),
+            cache
+                .lookup_batch("c", &[AttrTuple::One(2)], Mode::Approximate, None, 1)
+                .scores[0],
             None
         );
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().purges, 2);
         // the retired keyspace is gone entirely
         assert_eq!(
-            cache.lookup("c", &AttrTuple::Two(0, 1), Mode::Approximate, None, 0),
+            cache
+                .lookup_batch("c", &[AttrTuple::Two(0, 1)], Mode::Approximate, None, 0)
+                .scores[0],
             None
         );
     }
@@ -979,12 +1007,11 @@ mod tests {
     fn clear_resets_entries_and_counters() {
         let cache = ScoreCache::new();
         for i in 0..100 {
-            cache.store(
+            cache.store_batch(
                 "c",
-                &AttrTuple::One(i),
+                &[(AttrTuple::One(i), Some(i as f64))],
                 Mode::Exact,
                 None,
-                Some(i as f64),
                 0,
             );
         }
@@ -1185,7 +1212,7 @@ mod tests {
                 match kind {
                     0..=2 => {
                         let attrs = tuple(u);
-                        cache.store(class, &attrs, mode, metric, score(x), epoch);
+                        cache.store_batch(class, &[(attrs, score(x))], mode, metric, epoch);
                         m.store(model::key(class, mode, metric, epoch, attrs), score(x));
                     }
                     3..=5 | 14 => {
@@ -1204,7 +1231,7 @@ mod tests {
                     6 | 7 => {
                         let attrs = tuple(u);
                         prop_assert_eq!(
-                            cache.lookup(class, &attrs, mode, metric, epoch),
+                            cache.lookup_batch(class, &[attrs], mode, metric, epoch).scores[0],
                             m.lookup(&model::key(class, mode, metric, epoch, attrs)),
                             "lookup at step {}", step
                         );

@@ -364,6 +364,7 @@ impl EngineCore {
             catalog_bytes: self.catalog.as_ref().map_or(0, |c| c.approx_bytes()) as u64,
             cache_bytes: self.cache.approx_bytes() as u64,
             prepared_bytes: self.rows.prepared.approx_bytes() as u64,
+            orders_bytes: self.orders.approx_bytes() as u64,
             lsh_bytes: self.lsh.as_deref().map_or(0, |l| l.size_bytes()) as u64,
             trace_bytes: self.tracer.approx_bytes() as u64,
             session_table_bytes: sessions_live * SESSION_ENTRY_BYTES,
@@ -915,11 +916,20 @@ impl CoreBuilder {
     /// [`build_index`](Self::build_index) asked for, scoring through the
     /// cache's `epoch` keyspace. Returns `(classes rescored, tuples rescored, tuples
     /// reused)`. Drops the request instead when it needs raw rows the
-    /// source can no longer provide.
+    /// source can no longer provide. Opens `stage`'s span only when some
+    /// order is missing, so a republish that kept every order records
+    /// nothing.
     fn complete_orders(&mut self, epoch: u64, stage: Stage) -> (u64, u64, u64) {
         let Some(mode) = self.index else {
             return (0, 0, 0);
         };
+        let classes = self.registry.classes();
+        if classes
+            .iter()
+            .all(|c| self.orders.get(&self.registry, c.id(), mode).is_some())
+        {
+            return (0, 0, 0);
+        }
         let _span = self.metrics.span(stage);
         let executor =
             match self
@@ -935,7 +945,7 @@ impl CoreBuilder {
                 }
             };
         let mut stats = (0, 0, 0);
-        for class in self.registry.classes() {
+        for class in classes {
             let (reused, rescored) = executor.complete(class.as_ref());
             stats.0 += u64::from(rescored > 0);
             stats.1 += rescored as u64;
@@ -1148,11 +1158,15 @@ mod tests {
         // preprocess dropped the exact-mode request
         let core = builder.freeze();
         assert_eq!(core.rank_orders().filled(), 0);
+        assert_eq!(core.resource_snapshot(0).orders_bytes, 0);
 
         let mut builder = CoreBuilder::from_arc(core);
         builder.build_index().unwrap();
         let core = builder.freeze();
         assert_eq!(core.rank_orders().filled(), core.registry().len());
+        let bytes = core.resource_snapshot(0).orders_bytes;
+        assert!(bytes > 0);
+        assert_eq!(bytes, core.rank_orders().approx_bytes() as u64);
         let q = InsightQuery::class("linear-relationship").top_k(2);
         // approximate (the orders' mode) and exact both answer; exact must
         // come from the executor, not the approximate orders

@@ -508,16 +508,25 @@ impl<'a> Executor<'a> {
         let (scores, provenance, _) =
             self.score_candidates(class.as_ref(), metric, &candidates, true, trace);
         trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
-        // the class's whole scan, unfiltered: its scores are the rank order
+        // the class's whole scan, unfiltered: its scores are the rank order,
+        // and the survivors come out of it already ranked
         let whole_scan = order.is_none() && query.semantic.is_none() && query.exclude.is_empty();
-        if let Some(orders) = self.orders.filter(|_| class_scan && whole_scan) {
-            self.fill_order(orders, class.as_ref(), &candidates, &scores);
-        }
-        let mut scored: Vec<(AttrTuple, f64)> = scores
-            .into_iter()
-            .zip(&candidates)
-            .filter_map(|(score, attrs)| keep(attrs, score))
-            .collect();
+        let (mut scored, ranked): (Vec<(AttrTuple, f64)>, bool) =
+            match self.orders.filter(|_| class_scan && whole_scan) {
+                Some(orders) => {
+                    let mut ranked = self.fill_order(orders, class.as_ref(), &candidates, &scores);
+                    ranked.retain(|&(_, score)| query.matches_range(score));
+                    (ranked, true)
+                }
+                None => (
+                    scores
+                        .into_iter()
+                        .zip(&candidates)
+                        .filter_map(|(score, attrs)| keep(attrs, score))
+                        .collect(),
+                    false,
+                ),
+            };
         trace.attr("survivors", || scored.len().to_string());
         trace.end();
         lap.mark(Stage::Score);
@@ -526,7 +535,9 @@ impl<'a> Executor<'a> {
             Some(lambda) => {
                 trace.begin("diversify");
                 // MMR needs the full descending-score ordering as input
-                scored.sort_by(rank_order);
+                if !ranked {
+                    scored.sort_by(rank_order);
+                }
                 if trace.is_active() {
                     // snapshot the plain ranking so final ranks get deltas
                     trace.set_undiversified(scored.iter().map(|(a, _)| *a).collect());
@@ -542,7 +553,11 @@ impl<'a> Executor<'a> {
                 trace.begin("rank");
                 trace.attr("pool", || scored.len().to_string());
                 trace.attr("k", || query.top_k.to_string());
-                scored = rank_top_k(scored, query.top_k);
+                if ranked {
+                    scored.truncate(query.top_k);
+                } else {
+                    scored = rank_top_k(scored, query.top_k);
+                }
                 trace.end();
                 lap.mark(Stage::Rank);
             }
@@ -625,14 +640,14 @@ impl<'a> Executor<'a> {
     }
 
     /// Fills `class`'s rank order from its whole scan and the scan's
-    /// scores: the finite ones, in the ranking order.
+    /// scores: the finite ones, in the ranking order, which it returns.
     fn fill_order(
         &self,
         orders: &RankOrders,
         class: &dyn InsightClass,
         scan: &[AttrTuple],
         scores: &[Option<f64>],
-    ) {
+    ) -> Vec<(AttrTuple, f64)> {
         let mut ranked: Vec<(AttrTuple, f64)> = scan
             .iter()
             .zip(scores)
@@ -640,6 +655,7 @@ impl<'a> Executor<'a> {
             .collect();
         ranked.sort_unstable_by(rank_order);
         orders.fill(self.registry, class.id(), self.mode, &ranked);
+        ranked
     }
 
     /// Completes `class`'s rank order unless it is filled: the whole class
@@ -694,15 +710,14 @@ pub fn rank_top_k(mut scored: Vec<(AttrTuple, f64)>, k: usize) -> Vec<(AttrTuple
 
 /// Greedy maximal-marginal-relevance selection: repeatedly picks the
 /// candidate maximizing `(1−λ)·normalized_score − λ·max_attr_overlap` with
-/// the already-selected set. Input must be in the ranking order
-/// (descending score, ascending tuple), as the executor hands it over.
+/// the already-selected set. Input must be sorted by descending score.
 ///
 /// Candidates are tombstoned in place and the per-candidate similarity to
 /// the selected set is maintained incrementally (only the most recently
 /// selected tuple can raise it), so selection is `O(k·n)` rather than the
 /// `O(k·n²)` of rescanning the selected set and `Vec::remove`-compacting
 /// the remainder on every round.
-pub fn diversify_scored(
+pub(crate) fn diversify_scored(
     scored: Vec<(AttrTuple, f64)>,
     top_k: usize,
     lambda: f64,
@@ -1106,5 +1121,120 @@ mod tests {
         assert_eq!(out[0].attrs, AttrTuple::Two(0, 1));
         assert_eq!(out[1].attrs, AttrTuple::Two(0, 2));
         assert_eq!(out[2].attrs, AttrTuple::Two(1, 2));
+    }
+
+    /// `diversify_scored`'s maximal-marginal-relevance loop as it stands,
+    /// copied verbatim: the oracle any rewrite of it must match bit for bit.
+    fn reference_mmr(
+        scored: Vec<(AttrTuple, f64)>,
+        top_k: usize,
+        lambda: f64,
+    ) -> Vec<(AttrTuple, f64)> {
+        if scored.len() <= 1 {
+            return scored;
+        }
+        let max_score = scored
+            .iter()
+            .map(|(_, s)| s.abs())
+            .fold(f64::MIN_POSITIVE, f64::max);
+        let overlap = |a: &AttrTuple, b: &AttrTuple| -> f64 {
+            let shared = a.overlap(b) as f64;
+            let union = (a.arity() + b.arity()) as f64 - shared;
+            shared / union.max(1.0)
+        };
+        let n = scored.len();
+        let mut alive = vec![true; n];
+        let mut selected: Vec<(AttrTuple, f64)> = Vec::with_capacity(top_k.min(n));
+        alive[0] = false;
+        selected.push(scored[0]);
+        let mut best_sim: Vec<f64> = scored
+            .iter()
+            .map(|(attrs, _)| overlap(attrs, &scored[0].0))
+            .collect();
+        while selected.len() < top_k && selected.len() < n {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, (_, score)) in scored.iter().enumerate() {
+                if !alive[i] {
+                    continue;
+                }
+                let mmr = (1.0 - lambda) * (score.abs() / max_score) - lambda * best_sim[i];
+                if best.is_none() || mmr >= best.expect("just checked").1 {
+                    best = Some((i, mmr));
+                }
+            }
+            let (chosen, _) = best.expect("alive candidates remain");
+            alive[chosen] = false;
+            selected.push(scored[chosen]);
+            for (i, (attrs, _)) in scored.iter().enumerate() {
+                if alive[i] {
+                    best_sim[i] = best_sim[i].max(overlap(attrs, &scored[chosen].0));
+                }
+            }
+        }
+        selected
+    }
+
+    /// `n` distinct tuples of arity 1, 2 and 3 over 40 columns, scored in
+    /// [-1, 1] — continuously, or on `levels` steps so that ties occur —
+    /// in the ranking order, as the executor hands them to MMR.
+    fn mmr_pool(seed: u64, n: usize, levels: u64) -> Vec<(AttrTuple, f64)> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut seen = std::collections::HashSet::new();
+        let mut pool = Vec::with_capacity(n);
+        while pool.len() < n {
+            let mut cols = [next() % 40, next() % 40, next() % 40].map(|c| c as usize);
+            cols.sort_unstable();
+            let attrs = match next() % 3 {
+                0 => AttrTuple::One(cols[0]),
+                1 if cols[0] != cols[1] => AttrTuple::Two(cols[0], cols[1]),
+                2 if cols[0] != cols[1] && cols[1] != cols[2] => {
+                    AttrTuple::Three(cols[0], cols[1], cols[2])
+                }
+                _ => continue,
+            };
+            if !seen.insert(attrs) {
+                continue;
+            }
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let score = match levels {
+                0 => 2.0 * unit - 1.0,
+                steps => (unit * steps as f64).floor() / steps as f64 * 2.0 - 1.0,
+            };
+            pool.push((attrs, score));
+        }
+        pool.sort_by(rank_order);
+        pool
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn diversify_matches_the_reference_loop(
+            seed in 0u64..1_000_000,
+            n in 0usize..2_001,
+            k in 0usize..2_003,
+            lambda in 0usize..5,
+            levels in 0u64..4,
+        ) {
+            let lambda = [0.0, 0.1, 0.5, 0.9, 1.0][lambda];
+            let k = k % (n + 3);
+            let pool = mmr_pool(seed, n, [0, 1, 3, 17][levels as usize]);
+            let bits = |picked: Vec<(AttrTuple, f64)>| -> Vec<(AttrTuple, u64)> {
+                picked.into_iter().map(|(attrs, score)| (attrs, score.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                bits(diversify_scored(pool.clone(), k, lambda)),
+                bits(reference_mmr(pool, k, lambda))
+            );
+        }
     }
 }

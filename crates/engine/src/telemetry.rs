@@ -1045,6 +1045,11 @@ pub struct ResourceSnapshot {
     /// deserialize so snapshots from older peers still parse.
     #[serde(default)]
     pub prepared_bytes: u64,
+    /// The snapshot's rank orders (one ranked class scan per filled
+    /// class and mode). Defaults on deserialize so snapshots from older
+    /// peers still parse.
+    #[serde(default)]
+    pub orders_bytes: u64,
     /// LSH candidate index (bucket tables + key cache), 0 when absent.
     pub lsh_bytes: u64,
     /// Trace ring + slow-query log (capacity-based estimate).
@@ -1257,10 +1262,11 @@ impl MetricsSnapshot {
         if let Some(r) = &self.resources {
             let _ = writeln!(
                 out,
-                "resources: catalog {} KiB, cache {} KiB, prepared {} KiB, lsh {} KiB, traces {} KiB, sessions {} ({} KiB)",
+                "resources: catalog {} KiB, cache {} KiB, prepared {} KiB, orders {} KiB, lsh {} KiB, traces {} KiB, sessions {} ({} KiB)",
                 r.catalog_bytes / 1024,
                 r.cache_bytes / 1024,
                 r.prepared_bytes / 1024,
+                r.orders_bytes / 1024,
                 r.lsh_bytes / 1024,
                 r.trace_bytes / 1024,
                 r.sessions_live,
@@ -1567,6 +1573,7 @@ impl MetricsSnapshot {
                 ("catalog", r.catalog_bytes),
                 ("score_cache", r.cache_bytes),
                 ("prepared_columns", r.prepared_bytes),
+                ("rank_orders", r.orders_bytes),
                 ("lsh_index", r.lsh_bytes),
                 ("trace_ring", r.trace_bytes),
                 ("session_table", r.session_table_bytes),

@@ -81,6 +81,7 @@ fn fully_populated() -> MetricsSnapshot {
             catalog_bytes: fresh(),
             cache_bytes: fresh(),
             prepared_bytes: fresh(),
+            orders_bytes: fresh(),
             lsh_bytes: fresh(),
             trace_bytes: fresh(),
             session_table_bytes: fresh(),
@@ -109,6 +110,7 @@ const SKIP_TEXT: &[&str] = &[
     "catalog_bytes",
     "cache_bytes",
     "prepared_bytes",
+    "orders_bytes",
     "lsh_bytes",
     "trace_bytes",
     "session_table_bytes",

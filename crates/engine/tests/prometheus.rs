@@ -208,6 +208,7 @@ fn populated_snapshot() -> foresight_engine::MetricsSnapshot {
         catalog_bytes: 1 << 20,
         cache_bytes: 4096,
         prepared_bytes: 2048,
+        orders_bytes: 256,
         lsh_bytes: 512,
         trace_bytes: 64,
         session_table_bytes: 1024,

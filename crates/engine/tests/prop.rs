@@ -4,7 +4,7 @@
 //! to the slow path it replaces.
 
 use foresight_data::TableBuilder;
-use foresight_engine::executor::{diversify_scored, rank_top_k};
+use foresight_engine::executor::rank_top_k;
 use foresight_engine::recommend::{carousels, CarouselConfig};
 use foresight_engine::{Executor, InsightQuery, NeighborhoodWeights, ScoreCache, Session};
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
@@ -322,122 +322,5 @@ proptest! {
         });
         reference.truncate(k);
         prop_assert_eq!(rank_top_k(scored, k), reference);
-    }
-}
-
-/// `diversify_scored`'s maximal-marginal-relevance loop as it stands,
-/// copied verbatim: the oracle any rewrite of it must match bit for bit.
-fn reference_mmr(
-    scored: Vec<(AttrTuple, f64)>,
-    top_k: usize,
-    lambda: f64,
-) -> Vec<(AttrTuple, f64)> {
-    if scored.len() <= 1 {
-        return scored;
-    }
-    let max_score = scored
-        .iter()
-        .map(|(_, s)| s.abs())
-        .fold(f64::MIN_POSITIVE, f64::max);
-    let overlap = |a: &AttrTuple, b: &AttrTuple| -> f64 {
-        let shared = a.overlap(b) as f64;
-        let union = (a.arity() + b.arity()) as f64 - shared;
-        shared / union.max(1.0)
-    };
-    let n = scored.len();
-    let mut alive = vec![true; n];
-    let mut selected: Vec<(AttrTuple, f64)> = Vec::with_capacity(top_k.min(n));
-    alive[0] = false;
-    selected.push(scored[0]);
-    let mut best_sim: Vec<f64> = scored
-        .iter()
-        .map(|(attrs, _)| overlap(attrs, &scored[0].0))
-        .collect();
-    while selected.len() < top_k && selected.len() < n {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, (_, score)) in scored.iter().enumerate() {
-            if !alive[i] {
-                continue;
-            }
-            let mmr = (1.0 - lambda) * (score.abs() / max_score) - lambda * best_sim[i];
-            if best.is_none() || mmr >= best.expect("just checked").1 {
-                best = Some((i, mmr));
-            }
-        }
-        let (chosen, _) = best.expect("alive candidates remain");
-        alive[chosen] = false;
-        selected.push(scored[chosen]);
-        for (i, (attrs, _)) in scored.iter().enumerate() {
-            if alive[i] {
-                best_sim[i] = best_sim[i].max(overlap(attrs, &scored[chosen].0));
-            }
-        }
-    }
-    selected
-}
-
-/// `n` distinct tuples of arity 1, 2 and 3 over 40 columns, scored in
-/// [-1, 1] — continuously, or on `levels` steps so that ties occur —
-/// in the ranking order, as the executor hands them to MMR.
-fn mmr_pool(seed: u64, n: usize, levels: u64) -> Vec<(AttrTuple, f64)> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut seen = std::collections::HashSet::new();
-    let mut pool = Vec::with_capacity(n);
-    while pool.len() < n {
-        let mut cols = [next() % 40, next() % 40, next() % 40].map(|c| c as usize);
-        cols.sort_unstable();
-        let attrs = match next() % 3 {
-            0 => AttrTuple::One(cols[0]),
-            1 if cols[0] != cols[1] => AttrTuple::Two(cols[0], cols[1]),
-            2 if cols[0] != cols[1] && cols[1] != cols[2] => {
-                AttrTuple::Three(cols[0], cols[1], cols[2])
-            }
-            _ => continue,
-        };
-        if !seen.insert(attrs) {
-            continue;
-        }
-        let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
-        let score = match levels {
-            0 => 2.0 * unit - 1.0,
-            steps => (unit * steps as f64).floor() / steps as f64 * 2.0 - 1.0,
-        };
-        pool.push((attrs, score));
-    }
-    pool.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("finite")
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    pool
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn diversify_matches_the_reference_loop(
-        seed in 0u64..1_000_000,
-        n in 0usize..2_001,
-        k in 0usize..2_003,
-        lambda in 0usize..5,
-        levels in 0u64..4,
-    ) {
-        let lambda = [0.0, 0.1, 0.5, 0.9, 1.0][lambda];
-        let k = k % (n + 3);
-        let pool = mmr_pool(seed, n, [0, 1, 3, 17][levels as usize]);
-        let bits = |picked: Vec<(AttrTuple, f64)>| -> Vec<(AttrTuple, u64)> {
-            picked.into_iter().map(|(attrs, score)| (attrs, score.to_bits())).collect()
-        };
-        prop_assert_eq!(
-            bits(diversify_scored(pool.clone(), k, lambda)),
-            bits(reference_mmr(pool, k, lambda))
-        );
     }
 }
