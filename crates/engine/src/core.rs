@@ -24,7 +24,7 @@ use crate::profile::DatasetProfile;
 use crate::query::InsightQuery;
 use crate::recommend::{Carousel, CarouselConfig};
 use crate::session::Session;
-use crate::telemetry::{clock, Metrics, MetricsSnapshot, Stage};
+use crate::telemetry::{clock, Counter, Metrics, MetricsSnapshot, Stage};
 use crate::trace::{Explained, TraceBuilder, Tracer};
 use foresight_data::{Table, TableSource};
 use foresight_insight::{InsightClass, InsightInstance, InsightRegistry};
@@ -44,10 +44,9 @@ pub enum TraceMode {
     /// relaxed load of the slow-query threshold.
     #[default]
     Off,
-    /// Traced while the tracer's runtime switch is on — per-session
-    /// sampling.
+    /// Traced by a session's sampling schedule.
     Sampled,
-    /// Always traced (with the `trace` cargo feature) — EXPLAIN.
+    /// Traced on demand — EXPLAIN.
     Forced,
 }
 
@@ -407,8 +406,8 @@ impl EngineCore {
         }
     }
 
-    /// The shared request-tracing registry: recent traces, the slow-query
-    /// log, and their runtime switches.
+    /// The shared request-tracing registry: recent traces and the
+    /// slow-query log.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -476,11 +475,9 @@ impl EngineCore {
     /// `opts.mode`; LSH plans, pinned walks, alternative metrics and MMR
     /// are scored.
     ///
-    /// The trace is `Some` only when `opts.trace` asks for one and it is
-    /// captured: [`TraceMode::Forced`] always is, [`TraceMode::Sampled`]
-    /// only while the tracer's runtime switch is on, and neither without
-    /// the `trace` cargo feature. The results are bit-identical whatever
-    /// `opts.trace` says.
+    /// The trace is `Some` exactly when `opts.trace` asks for one
+    /// ([`TraceMode::Sampled`] or [`TraceMode::Forced`]). The results are
+    /// bit-identical whatever `opts.trace` says.
     pub fn run(&self, query: &InsightQuery, opts: &QueryOptions) -> Result<Explained> {
         let mut trace = match opts.trace {
             TraceMode::Off => TraceBuilder::disabled(),
@@ -489,7 +486,7 @@ impl EngineCore {
         };
         // the entire cost of the dormant trace layer on the untraced path:
         // one relaxed load of the slow-query threshold
-        let slow_log_armed = cfg!(feature = "trace") && self.tracer.slow_threshold_ns() > 0;
+        let slow_log_armed = self.tracer.slow_threshold_ns() > 0;
         if !trace.is_active() && !slow_log_armed {
             let results = self.run_with(query, opts, &mut trace)?;
             return Ok(Explained {
@@ -818,7 +815,8 @@ impl CoreBuilder {
         self.rows.materialized = OnceLock::new();
         self.rows.prepared = PreparedColumns::new();
         self.dirty_columns.extend(touched);
-        self.metrics.record_ingest_batch(rows);
+        self.metrics.add(Counter::IngestBatches, 1);
+        self.metrics.add(Counter::IngestRows, rows);
         if let Some(catalog) = self.catalog.as_mut() {
             let config = catalog.config().clone();
             let build = self.metrics.span(Stage::SketchBuild);
@@ -828,7 +826,7 @@ impl CoreBuilder {
             drop(build);
             let _merge = self.metrics.span(Stage::SketchMerge);
             catalog.merge(&shard_catalog)?;
-            self.metrics.record_ingest_merge();
+            self.metrics.add(Counter::IngestMerges, 1);
         }
         Ok(offset)
     }
@@ -847,7 +845,7 @@ impl CoreBuilder {
     /// so server operators can deepen it for debugging or shrink it to
     /// bound memory. Any traces and slow-log entries captured so far (by
     /// this builder or by cores sharing the previous tracer) are dropped;
-    /// the threshold and runtime switch reset to their defaults. Snapshots
+    /// the slow-query threshold resets to off. Snapshots
     /// frozen later inherit the new tracer.
     pub fn set_trace_capacities(&mut self, ring: usize, slow: usize) {
         self.tracer = Arc::new(Tracer::with_capacities(ring, slow));
@@ -1004,7 +1002,7 @@ impl CoreBuilder {
         let mut migrated = None;
         let epoch = if self.dirty {
             if self.appended {
-                metrics.record_republish_full();
+                metrics.add(Counter::RepublishesFull, 1);
             }
             self.cache.bump_epoch()
         } else if !self.dirty_columns.is_empty() {
@@ -1016,7 +1014,7 @@ impl CoreBuilder {
             epoch
         } else {
             if self.appended {
-                metrics.record_republish_clean();
+                metrics.add(Counter::RepublishesClean, 1);
             }
             self.epoch
         };
@@ -1031,7 +1029,11 @@ impl CoreBuilder {
         };
         let (classes, rescored, reused) = self.complete_orders(epoch, stage);
         if let Some(migrated) = migrated {
-            metrics.record_republish_incremental(classes, rescored, reused, migrated);
+            metrics.add(Counter::RepublishesIncremental, 1);
+            metrics.add(Counter::RescoredClasses, classes);
+            metrics.add(Counter::RescoredTuples, rescored);
+            metrics.add(Counter::ReusedTuples, reused);
+            metrics.add(Counter::CacheEntriesMigrated, migrated);
         }
         Arc::new(EngineCore {
             rows: self.rows,

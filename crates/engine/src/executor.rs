@@ -8,7 +8,7 @@ use crate::candidates::{CandidateOrigin, CandidateSource};
 use crate::error::{EngineError, Result};
 use crate::order::RankOrders;
 use crate::query::InsightQuery;
-use crate::telemetry::{Lap, Metrics, Stage};
+use crate::telemetry::{Counter, Lap, Metrics, Stage};
 use crate::trace::{LshCandidates, ScorePath, TraceBuilder};
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
@@ -179,8 +179,7 @@ impl<'a> Executor<'a> {
 
     /// Attaches a [`Metrics`] registry: stage spans (score, rank,
     /// diversify, describe, carousel) and sketch-fallback counts are
-    /// recorded into it. A no-op build (no `telemetry` feature) records
-    /// nothing either way.
+    /// recorded into it.
     pub fn with_metrics(mut self, metrics: &'a Metrics) -> Self {
         self.metrics = Some(metrics);
         self
@@ -277,9 +276,7 @@ impl<'a> Executor<'a> {
             })
             .unzip();
         if let Some(metrics) = self.metrics {
-            for _ in &unsketched {
-                metrics.record_sketch_fallback();
-            }
+            metrics.add(Counter::SketchFallbacks, unsketched.len() as u64);
         }
         for (i, score) in slots.into_iter().zip(exact(&unsketched, class.metric())) {
             out[i] = (score, ScorePath::SketchFallbackExact);
@@ -389,8 +386,8 @@ impl<'a> Executor<'a> {
 
     /// [`execute`](Self::execute) with a request-scoped trace collector,
     /// also saying whether the query walked a precomputed rank order. With
-    /// an inert builder (the untraced path, and every build without the
-    /// `trace` feature) each trace call is an empty inlined no-op.
+    /// an inert builder (the untraced path) each trace call is an empty
+    /// inlined no-op.
     ///
     /// An unfixed, undiversified primary-metric query whose candidates
     /// would be the class scan walks the class's order when the lent
@@ -487,7 +484,8 @@ impl<'a> Executor<'a> {
             });
             trace.attr("lsh_tables_probed", || tables_probed.to_string());
             if let Some(metrics) = self.metrics {
-                metrics.record_lsh_candidates(collision_pairs as u64);
+                metrics.add(Counter::LshQueries, 1);
+                metrics.add(Counter::LshCandidatePairs, collision_pairs as u64);
             }
         }
         trace.end();

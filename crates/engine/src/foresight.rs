@@ -325,8 +325,8 @@ impl Foresight {
         self.own_mut().explain(query)
     }
 
-    /// The shared request-tracing registry — recent [`QueryTrace`]s, the
-    /// slow-query log, and their runtime switches. Survives republishes
+    /// The shared request-tracing registry — recent [`QueryTrace`]s and the
+    /// slow-query log. Survives republishes
     /// like the telemetry registry.
     ///
     /// [`QueryTrace`]: crate::trace::QueryTrace

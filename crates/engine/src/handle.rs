@@ -317,8 +317,8 @@ impl SessionHandle {
     /// counter — seeded by `seed`, free of RNG on the query path — so the
     /// same (rate, seed, query sequence) always traces the same queries.
     ///
-    /// Requires the `trace` cargo feature to have any effect; see also
-    /// [`explain`](Self::explain) for forcing a single query's trace.
+    /// See also [`explain`](Self::explain) for forcing a single query's
+    /// trace.
     ///
     /// [`QueryTrace`]: crate::trace::QueryTrace
     pub fn set_trace_sampling(&mut self, rate: f64, seed: u64) {
@@ -337,7 +337,7 @@ impl SessionHandle {
     /// Does the sampling schedule select the next query? Advances the
     /// per-handle counter; zero atomics when sampled out.
     fn sample_this_query(&mut self) -> bool {
-        if !cfg!(feature = "trace") || self.trace_every == 0 {
+        if self.trace_every == 0 {
             return false;
         }
         let n = self.trace_counter;
@@ -366,11 +366,10 @@ impl SessionHandle {
     }
 
     /// EXPLAIN: runs the query with a forced trace — regardless of the
-    /// sampling schedule or the tracer's runtime switch — and returns the
-    /// results together with the captured [`QueryTrace`]. Results are
-    /// bit-identical to [`query`](Self::query); the trace is `None` only
-    /// when the `trace` cargo feature is compiled out. The query is
-    /// recorded in this session's history like any other.
+    /// sampling schedule — and returns the results together with the
+    /// captured [`QueryTrace`]. Results are bit-identical to
+    /// [`query`](Self::query). The query is recorded in this session's
+    /// history like any other.
     ///
     /// [`QueryTrace`]: crate::trace::QueryTrace
     pub fn explain(&mut self, query: &InsightQuery) -> Result<Explained> {
@@ -512,35 +511,29 @@ mod tests {
         h.carousels(2).unwrap();
         h.profile().unwrap();
         let snap = h.metrics();
-        if cfg!(feature = "telemetry") {
-            for stage in [
-                "preprocess",
-                "sketch_build",
-                "score",
-                "rank",
-                "diversify",
-                "describe",
-                "carousel",
-                "profile",
-                "freeze",
-            ] {
-                assert!(
-                    snap.stage(stage).unwrap().count > 0,
-                    "stage {stage} has no samples:\n{}",
-                    snap.to_text()
-                );
-            }
-            // the two queries above, plus the profile's own top-1 query
-            // per class — its headlines go through the query path
-            let headlines = core.registry().len() as u64;
-            assert_eq!(snap.queries.total, 2 + headlines);
-            assert_eq!(snap.queries.approximate, 2 + headlines);
-            assert_eq!(snap.queries.by_class["skew"], 2);
-        } else {
-            assert_eq!(snap.queries.total, 0);
-            assert!(snap.stages.iter().all(|s| s.count == 0));
+        for stage in [
+            "preprocess",
+            "sketch_build",
+            "score",
+            "rank",
+            "diversify",
+            "describe",
+            "carousel",
+            "profile",
+            "freeze",
+        ] {
+            assert!(
+                snap.stage(stage).unwrap().count > 0,
+                "stage {stage} has no samples:\n{}",
+                snap.to_text()
+            );
         }
-        // cache counters flow regardless of the telemetry feature
+        // the two queries above, plus the profile's own top-1 query
+        // per class — its headlines go through the query path
+        let headlines = core.registry().len() as u64;
+        assert_eq!(snap.queries.total, 2 + headlines);
+        assert_eq!(snap.queries.approximate, 2 + headlines);
+        assert_eq!(snap.queries.by_class["skew"], 2);
         let cache = snap.cache.expect("core snapshots carry cache traffic");
         assert!(cache.hits + cache.misses > 0);
     }
@@ -556,16 +549,14 @@ mod tests {
         writer.set_parallel(false);
         let republished = writer.freeze();
         assert_eq!(republished.metrics_snapshot().queries.total, before);
-        if cfg!(feature = "telemetry") {
-            assert!(
-                republished
-                    .metrics_snapshot()
-                    .stage("freeze")
-                    .unwrap()
-                    .count
-                    >= 2
-            );
-        }
+        assert!(
+            republished
+                .metrics_snapshot()
+                .stage("freeze")
+                .unwrap()
+                .count
+                >= 2
+        );
     }
 
     #[test]
@@ -577,13 +568,9 @@ mod tests {
         let ex = h
             .explain(&InsightQuery::class("linear-relationship").top_k(2))
             .unwrap();
-        match ex.trace {
-            Some(trace) => {
-                let score = trace.root.child("score").expect("score span");
-                assert_eq!(score.attr("kernel"), Some(expected));
-            }
-            None => assert!(!cfg!(feature = "trace")),
-        }
+        let trace = ex.trace.expect("explain captures a trace");
+        let score = trace.root.child("score").expect("score span");
+        assert_eq!(score.attr("kernel"), Some(expected));
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //!   rate/latency series from snapshot deltas, a threshold watchdog with
 //!   hysteresis, and `Healthy`/`Degraded`/`Unready` health gating
 //! * [`recommend`] — Figure-1 carousel assembly
-//! * [`telemetry`] — per-stage latency histograms and query counters
-//!   (compiled out without the `telemetry` cargo feature)
+//! * [`telemetry`] — per-stage latency histograms, query counters, and
+//!   the one metric schema every rendering walks
 //! * [`trace`] — request-scoped tracing: per-query span trees, EXPLAIN,
-//!   the trace ring, and the slow-query log (compiled out without the
-//!   `trace` cargo feature)
+//!   the trace ring, and the slow-query log
 //! * [`foresight`] — the [`Foresight`] facade: one [`SessionHandle`] plus
 //!   the writer path
 
@@ -71,7 +70,7 @@ pub use recommend::{Carousel, CarouselConfig};
 pub use session::{Session, SessionEvent, MAX_HISTORY_EVENTS};
 pub use stream::{PublishedCore, RepublishPolicy, StreamConfig, StreamWriter};
 pub use telemetry::{
-    build_features, build_version, kernel_name, Endpoint, LshSnapshot, Metrics, MetricsSnapshot,
+    build_version, kernel_name, Counter, Endpoint, LshSnapshot, Metrics, MetricsSnapshot,
     ResourceSnapshot, ServeSnapshot, Stage, StageSnapshot,
 };
 pub use trace::{

@@ -17,17 +17,16 @@
 //!   `Unready(reasons)` — derived from typed, configurable
 //!   [`HealthPolicy`] conditions, for load-balancer gating (`/healthz`).
 //!
-//! A counter **discontinuity** (a wire `ResetMetrics`, or any counter
-//! shrinking under a still-advancing `sample_seq`) is detected and marked
-//! on the next sample instead of producing negative rates.
-//!
-//! The `FORESIGHT_DISABLE_MONITOR=1` environment kill-switch (mirroring
-//! `FORESIGHT_DISABLE_LSH`) forces the disabled mode: no thread, an empty
-//! ring, and health computed on demand from the instantaneous conditions.
+//! A counter **discontinuity** (a wire `ResetMetrics`, a score-cache
+//! clear, or any [`Kind::Counter`] row of the metric schema shrinking under
+//! a still-advancing `sample_seq`) is detected and marked on the next
+//! sample instead of producing negative rates.
 
 use crate::core::EngineCore;
 use crate::stream::PublishedCore;
-use crate::telemetry::{quantile_from_buckets, HistogramBucket, MetricsSnapshot, StageSnapshot};
+use crate::telemetry::{
+    quantile_from_buckets, scalar_rows, HistogramBucket, Kind, MetricsSnapshot,
+};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -290,18 +289,6 @@ pub struct MonitorSample {
     pub discontinuity: bool,
 }
 
-/// What the previous tick saw — the minuend state rates are computed from.
-struct PrevState {
-    uptime_secs: f64,
-    requests: u64,
-    load_shed: u64,
-    queries: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    /// Raw cumulative bucket counts per stage, `(floor_ns, count)`.
-    stage_buckets: Vec<Vec<(u64, u64)>>,
-}
-
 /// Per-rule watchdog latch.
 #[derive(Default)]
 struct WatchdogState {
@@ -328,18 +315,8 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Starts the sampler thread over `target`. Honors the
-    /// `FORESIGHT_DISABLE_MONITOR=1` kill-switch by returning a disabled
-    /// monitor instead (no thread; health is computed on demand).
+    /// Starts the sampler thread over `target`.
     pub fn spawn(target: MonitorTarget, config: MonitorConfig) -> Self {
-        if std::env::var("FORESIGHT_DISABLE_MONITOR").is_ok_and(|v| v == "1") {
-            return Self::disabled(target, config);
-        }
-        Self::start(target, config)
-    }
-
-    /// Starts the sampler thread whatever the kill-switch says.
-    fn start(target: MonitorTarget, config: MonitorConfig) -> Self {
         let shared = Arc::new(MonitorShared {
             target,
             config,
@@ -450,7 +427,7 @@ impl Drop for Monitor {
 
 fn sampler_loop(shared: &MonitorShared) {
     let cadence = Duration::from_millis(shared.config.cadence_ms.max(1));
-    let mut prev: Option<PrevState> = None;
+    let mut prev: Option<MetricsSnapshot> = None;
     let mut watchdog = WatchdogState::default();
     while !shared.stop.load(Ordering::Relaxed) {
         tick(shared, &mut prev, &mut watchdog);
@@ -458,43 +435,43 @@ fn sampler_loop(shared: &MonitorShared) {
     }
 }
 
-/// Raw cumulative `(floor_ns, count)` pairs for every stage cell, in
-/// snapshot order.
-fn raw_buckets(stages: &[StageSnapshot]) -> Vec<Vec<(u64, u64)>> {
-    stages
-        .iter()
-        .map(|s| s.buckets.iter().map(|b| (b.floor_ns, b.count)).collect())
-        .collect()
-}
-
 /// The positive per-bucket deltas `now − prev` for one stage, as synthetic
 /// histogram buckets (a reset shows up as a shrink and yields nothing —
-/// the caller marks the discontinuity from the top-level counters).
-fn bucket_deltas(now: &[(u64, u64)], prev: &[(u64, u64)]) -> Vec<HistogramBucket> {
+/// the caller marks the discontinuity from the schema's counters).
+fn bucket_deltas(now: &[HistogramBucket], prev: &[HistogramBucket]) -> Vec<HistogramBucket> {
     now.iter()
-        .map(|&(floor_ns, count)| {
+        .map(|b| {
             let before = prev
                 .iter()
-                .find(|&&(f, _)| f == floor_ns)
-                .map_or(0, |&(_, c)| c);
+                .find(|p| p.floor_ns == b.floor_ns)
+                .map_or(0, |p| p.count);
             HistogramBucket {
-                floor_ns,
-                count: count.saturating_sub(before),
+                floor_ns: b.floor_ns,
+                count: b.count.saturating_sub(before),
             }
         })
         .filter(|b| b.count > 0)
         .collect()
 }
 
+/// Whether any counter row of the metric schema shrank between two
+/// snapshots — a reset or a score-cache clear, across which no rate is
+/// defined. An absent section reads as zero.
+fn counters_shrank(prev: &MetricsSnapshot, now: &MetricsSnapshot) -> bool {
+    scalar_rows()
+        .filter(|series| series.kind == Kind::Counter)
+        .any(|series| (series.read)(now).unwrap_or(0.0) < (series.read)(prev).unwrap_or(0.0))
+}
+
 /// One sampler tick: snapshot, delta, ring push, watchdog, health.
-fn tick(shared: &MonitorShared, prev: &mut Option<PrevState>, watchdog: &mut WatchdogState) {
+fn tick(shared: &MonitorShared, prev: &mut Option<MetricsSnapshot>, watchdog: &mut WatchdogState) {
     let core = shared.target.latest();
     let snap = core.metrics_snapshot();
     let rows_behind = core.rows_behind();
     let sample = derive_sample(
         &snap,
         rows_behind,
-        prev,
+        prev.as_ref(),
         shared.discontinuity.swap(false, Ordering::Relaxed),
     );
 
@@ -559,15 +536,7 @@ fn tick(shared: &MonitorShared, prev: &mut Option<PrevState>, watchdog: &mut Wat
         HealthState::Degraded(reasons)
     };
 
-    *prev = Some(PrevState {
-        uptime_secs: snap.uptime_secs,
-        requests: snap.serve.requests,
-        load_shed: snap.serve.load_shed,
-        queries: snap.queries.total,
-        cache_hits: snap.cache.as_ref().map_or(0, |c| c.hits),
-        cache_misses: snap.cache.as_ref().map_or(0, |c| c.misses),
-        stage_buckets: raw_buckets(&snap.stages),
-    });
+    *prev = Some(snap);
 
     {
         let mut ring = shared.ring.lock();
@@ -589,67 +558,49 @@ fn tick(shared: &MonitorShared, prev: &mut Option<PrevState>, watchdog: &mut Wat
 }
 
 /// Builds the derived sample for one window. `forced_discontinuity` comes
-/// from [`Monitor::mark_discontinuity`]; counter shrinks (a reset racing
-/// the flag) force it too.
+/// from [`Monitor::mark_discontinuity`]; a shrinking counter (a reset
+/// racing the flag, or a score-cache clear) forces it too.
 fn derive_sample(
     snap: &MetricsSnapshot,
     rows_behind: u64,
-    prev: &Option<PrevState>,
+    prev: Option<&MetricsSnapshot>,
     forced_discontinuity: bool,
 ) -> MonitorSample {
-    let hits = snap.cache.as_ref().map_or(0, |c| c.hits);
-    let misses = snap.cache.as_ref().map_or(0, |c| c.misses);
-    let cumulative_hit_rate = snap.cache.as_ref().map_or(0.0, |c| c.hit_rate);
-    let (discontinuity, interval_secs) = match prev {
-        None => (true, 0.0),
-        Some(p) => {
-            let shrank = snap.serve.requests < p.requests
-                || snap.serve.load_shed < p.load_shed
-                || snap.queries.total < p.queries
-                || hits < p.cache_hits;
-            (
-                forced_discontinuity || shrank,
-                (snap.uptime_secs - p.uptime_secs).max(0.0),
-            )
-        }
-    };
+    let prev = prev.filter(|p| !forced_discontinuity && !counters_shrank(p, snap));
     let mut sample = MonitorSample {
         seq: snap.sample_seq,
         uptime_secs: snap.uptime_secs,
-        interval_secs: if discontinuity { 0.0 } else { interval_secs },
+        interval_secs: 0.0,
         request_rate: 0.0,
         shed_rate: 0.0,
         query_rate: 0.0,
-        cache_hit_rate: cumulative_hit_rate,
+        cache_hit_rate: snap.cache.as_ref().map_or(0.0, |c| c.hit_rate),
         rows_behind,
         requests_total: snap.serve.requests,
         load_shed_total: snap.serve.load_shed,
         queries_total: snap.queries.total,
         stages: Vec::new(),
-        discontinuity,
+        discontinuity: prev.is_none(),
     };
-    if discontinuity {
+    let Some(p) = prev else {
         return sample;
-    }
-    let p = prev.as_ref().expect("non-discontinuity implies prev");
+    };
+    let interval_secs = (snap.uptime_secs - p.uptime_secs).max(0.0);
+    sample.interval_secs = interval_secs;
     if interval_secs > 0.0 {
-        sample.request_rate = (snap.serve.requests - p.requests) as f64 / interval_secs;
-        sample.shed_rate = (snap.serve.load_shed - p.load_shed) as f64 / interval_secs;
-        sample.query_rate = (snap.queries.total - p.queries) as f64 / interval_secs;
+        sample.request_rate = (snap.serve.requests - p.serve.requests) as f64 / interval_secs;
+        sample.shed_rate = (snap.serve.load_shed - p.serve.load_shed) as f64 / interval_secs;
+        sample.query_rate = (snap.queries.total - p.queries.total) as f64 / interval_secs;
     }
-    let window_lookups = (hits - p.cache_hits) + (misses - p.cache_misses);
+    let cache = |s: &MetricsSnapshot| s.cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
+    let ((hits, misses), (prev_hits, prev_misses)) = (cache(snap), cache(p));
+    let window_lookups = (hits - prev_hits) + (misses - prev_misses);
     if window_lookups > 0 {
-        sample.cache_hit_rate = (hits - p.cache_hits) as f64 / window_lookups as f64;
+        sample.cache_hit_rate = (hits - prev_hits) as f64 / window_lookups as f64;
     }
     for (i, stage) in snap.stages.iter().enumerate() {
-        let empty = Vec::new();
-        let before = p.stage_buckets.get(i).unwrap_or(&empty);
-        let now: Vec<(u64, u64)> = stage
-            .buckets
-            .iter()
-            .map(|b| (b.floor_ns, b.count))
-            .collect();
-        let deltas = bucket_deltas(&now, before);
+        let before = p.stages.get(i).map_or(&[][..], |s| &s.buckets);
+        let deltas = bucket_deltas(&stage.buckets, before);
         let count: u64 = deltas.iter().map(|b| b.count).sum();
         if count > 0 {
             sample.stages.push(StageWindow {
@@ -724,7 +675,7 @@ fn evaluate_rule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::Metrics;
+    use crate::telemetry::{CacheSnapshot, Counter, Metrics};
     use crate::CoreBuilder;
     use foresight_data::{TableBuilder, TableSource};
 
@@ -862,22 +813,13 @@ mod tests {
         }
         let mut snap_a = m.snapshot();
         snap_a.uptime_secs = 10.0;
-        let prev = Some(PrevState {
-            uptime_secs: snap_a.uptime_secs,
-            requests: snap_a.serve.requests,
-            load_shed: snap_a.serve.load_shed,
-            queries: snap_a.queries.total,
-            cache_hits: 0,
-            cache_misses: 0,
-            stage_buckets: raw_buckets(&snap_a.stages),
-        });
         for _ in 0..30 {
             m.record_request(crate::telemetry::Endpoint::Query, 1_000);
         }
-        m.record_load_shed();
+        m.add(Counter::LoadShed, 1);
         let mut snap_b = m.snapshot();
         snap_b.uptime_secs = 12.0; // a 2-second window
-        let sample = derive_sample(&snap_b, 7, &prev, false);
+        let sample = derive_sample(&snap_b, 7, Some(&snap_a), false);
         assert!(!sample.discontinuity);
         assert_eq!(sample.interval_secs, 2.0);
         assert_eq!(sample.request_rate, 15.0);
@@ -893,64 +835,65 @@ mod tests {
             m.record_request(crate::telemetry::Endpoint::Query, 1_000);
         }
         let snap_a = m.snapshot();
-        let prev = Some(PrevState {
-            uptime_secs: snap_a.uptime_secs,
-            requests: snap_a.serve.requests,
-            load_shed: snap_a.serve.load_shed,
-            queries: snap_a.queries.total,
-            cache_hits: 0,
-            cache_misses: 0,
-            stage_buckets: raw_buckets(&snap_a.stages),
-        });
         m.reset();
         m.record_request(crate::telemetry::Endpoint::Query, 1_000);
         let snap_b = m.snapshot();
         assert!(snap_b.sample_seq > snap_a.sample_seq, "seq survives reset");
-        let sample = derive_sample(&snap_b, 0, &prev, false);
+        let sample = derive_sample(&snap_b, 0, Some(&snap_a), false);
         assert!(sample.discontinuity, "counter shrink is a discontinuity");
         assert_eq!(sample.request_rate, 0.0);
         assert_eq!(sample.shed_rate, 0.0);
     }
 
     #[test]
+    fn cache_clear_before_any_hit_is_a_discontinuity() {
+        // `ScoreCache::clear` zeroes misses too: a window that only missed
+        // before the clear must not subtract past zero
+        let cache = |hits, misses| CacheSnapshot {
+            hits,
+            misses,
+            entries: misses,
+            purges: 0,
+            hit_rate: 0.0,
+        };
+        let m = Metrics::new();
+        let mut snap_a = m.snapshot();
+        snap_a.cache = Some(cache(0, 5));
+        let mut snap_b = m.snapshot();
+        snap_b.uptime_secs = snap_a.uptime_secs + 1.0;
+        snap_b.cache = Some(cache(0, 0));
+        let sample = derive_sample(&snap_b, 0, Some(&snap_a), false);
+        assert!(sample.discontinuity, "a shrinking miss count is a reset");
+        assert_eq!(sample.cache_hit_rate, 0.0);
+    }
+
+    #[test]
     fn stage_windows_come_from_bucket_deltas() {
         let m = Metrics::new();
         m.record_ns(crate::telemetry::Stage::Score, 1_000);
-        let snap_a = m.snapshot();
-        let prev = Some(PrevState {
-            uptime_secs: 0.0,
-            requests: 0,
-            load_shed: 0,
-            queries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            stage_buckets: raw_buckets(&snap_a.stages),
-        });
+        let mut snap_a = m.snapshot();
+        snap_a.uptime_secs = 0.0;
         for _ in 0..8 {
             m.record_ns(crate::telemetry::Stage::Score, 100_000);
         }
         let mut snap_b = m.snapshot();
         snap_b.uptime_secs = 1.0;
-        let sample = derive_sample(&snap_b, 0, &prev, false);
-        if cfg!(feature = "telemetry") {
-            let score = sample
-                .stages
-                .iter()
-                .find(|s| s.stage == "score")
-                .expect("score stage sampled");
-            // only the 8 new 100 µs samples are in the window — the old
-            // 1 µs sample must not drag the windowed median down
-            assert_eq!(score.count, 8);
-            assert!(score.p50_ns > 10_000);
-        } else {
-            assert!(sample.stages.is_empty());
-        }
+        let sample = derive_sample(&snap_b, 0, Some(&snap_a), false);
+        let score = sample
+            .stages
+            .iter()
+            .find(|s| s.stage == "score")
+            .expect("score stage sampled");
+        // only the 8 new 100 µs samples are in the window — the old
+        // 1 µs sample must not drag the windowed median down
+        assert_eq!(score.count, 8);
+        assert!(score.p50_ns > 10_000);
     }
 
     #[test]
     fn monitor_over_a_static_core_reaches_healthy() {
         let core = tiny_core();
-        let mut monitor = Monitor::start(
+        let mut monitor = Monitor::spawn(
             MonitorTarget::Static(core),
             MonitorConfig {
                 cadence_ms: 5,
@@ -984,7 +927,7 @@ mod tests {
     #[test]
     fn ring_capacity_is_bounded() {
         let core = tiny_core();
-        let mut monitor = Monitor::start(
+        let mut monitor = Monitor::spawn(
             MonitorTarget::Static(core),
             MonitorConfig {
                 cadence_ms: 1,
@@ -1020,7 +963,7 @@ mod tests {
     #[test]
     fn mark_discontinuity_zeroes_the_next_window() {
         let core = tiny_core();
-        let mut monitor = Monitor::start(
+        let mut monitor = Monitor::spawn(
             MonitorTarget::Static(Arc::clone(&core)),
             MonitorConfig {
                 cadence_ms: 5,

@@ -11,8 +11,9 @@
 //! * per-stage latency histograms — one cacheline-padded `StageCell` of
 //!   atomic counters per [`Stage`], with log₂-bucketed sample counts, so a
 //!   recording is a handful of relaxed atomic adds and never a lock;
-//! * query counters by class and by mode, index-served counts, and
-//!   sketch-fallback-to-exact events;
+//! * one array of monotonic [`Counter`]s (queries by mode, sketch
+//!   fallbacks, LSH candidates, ingest and republish work, serve
+//!   admission and session lifecycle) plus per-class query counts;
 //! * cache traffic, folded in from the [`ScoreCache`](crate::ScoreCache)'s
 //!   own counters at snapshot time.
 //!
@@ -26,36 +27,34 @@
 //!     // ... the instrumented stage ...
 //! } // recorded on drop
 //! let snap = metrics.snapshot();
-//! assert!(!cfg!(feature = "telemetry") || snap.stage("score").unwrap().count == 1);
+//! assert_eq!(snap.stage("score").unwrap().count, 1);
 //! ```
 //!
-//! # The `telemetry` cargo feature
+//! # One schema
 //!
-//! Recording is compiled out unless the crate is built with
-//! `--features telemetry`: every record path is behind a
-//! `cfg!(feature = "telemetry")` constant, so without the feature a span is
-//! a no-op that never reads the clock and the optimizer removes the guard
-//! entirely. With the feature on, a runtime [`Metrics::set_enabled`] switch
-//! remains (one relaxed atomic load per span) so a single binary can
-//! measure its own instrumentation overhead — `exp_telemetry` asserts the
-//! enabled/disabled gap stays within 3% on warm queries.
+//! Every scalar series a snapshot carries is one row of [`SCHEMA`]: its
+//! Prometheus name, help, kind and label, its `to_text` label, and an
+//! accessor into [`MetricsSnapshot`]. [`Metrics::snapshot`] fills the
+//! counter-fed fields through the rows, and [`MetricsSnapshot::to_text`],
+//! [`MetricsSnapshot::to_prometheus`] and the monitor's discontinuity check
+//! walk the same rows — so a new counter is one [`Counter`] variant, one
+//! row and its snapshot field.
 //!
-//! Snapshots ([`MetricsSnapshot`]) are plain data with *deterministic*
-//! JSON and text renderings: fixed stage order, sorted class maps, stable
-//! field order — diffable across runs even though the timing values
-//! themselves naturally vary.
+//! Snapshots are plain data with *deterministic* JSON and text renderings:
+//! fixed stage order, sorted class maps, stable field order — diffable
+//! across runs even though the timing values themselves naturally vary.
 
 use crate::cache::CacheStats;
 use crate::executor::Mode;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The span clock. `Instant::now` costs tens of nanoseconds when
-/// `clock_gettime` leaves the vDSO (typical under VM hypervisors), which
-/// alone would blow the ≤3% overhead budget on a ~10 µs warm query that
-/// crosses several span boundaries. On x86_64 we read the invariant TSC
+/// `clock_gettime` leaves the vDSO (typical under VM hypervisors), a
+/// visible share of a ~10 µs warm query that crosses several span
+/// boundaries. On x86_64 we read the invariant TSC
 /// instead (a few ns) and convert to nanoseconds with a once-per-process
 /// calibration against the OS clock; elsewhere we fall back to `Instant`.
 pub(crate) mod clock {
@@ -306,58 +305,87 @@ impl StageCell {
     }
 }
 
+/// The registry's monotonic counters, one slot each in [`Metrics`]. Each
+/// variant feeds exactly one [`SCHEMA`] row, which names the snapshot
+/// field it fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Counter {
+    /// Queries executed (index-served included).
+    QueriesTotal,
+    /// Queries run in exact mode.
+    QueriesExact,
+    /// Queries run in approximate (sketch-backed) mode.
+    QueriesApproximate,
+    /// Queries that walked a precomputed rank order instead of scoring.
+    QueriesIndexServed,
+    /// Approximate-mode scorings that fell back to the exact path because
+    /// the class has no sketch estimator (one event per candidate tuple).
+    SketchFallbacks,
+    /// Queries whose candidate lists came from LSH bucket collisions.
+    LshQueries,
+    /// Collision pairs those LSH-served queries generated.
+    LshCandidatePairs,
+    /// Rows ingested across all appended batches.
+    IngestRows,
+    /// Row batches ingested.
+    IngestBatches,
+    /// Shard-catalog merges into the global sketch catalog.
+    IngestMerges,
+    /// Republishes that minted a clean cache epoch.
+    RepublishesFull,
+    /// Republishes that migrated clean cache entries.
+    RepublishesIncremental,
+    /// Republishes with no dirty columns at all.
+    RepublishesClean,
+    /// Classes with rescored tuples across incremental republishes.
+    RescoredClasses,
+    /// Tuples rescored by incremental republishes.
+    RescoredTuples,
+    /// Tuples whose migrated scores answered incremental republishes.
+    ReusedTuples,
+    /// Clean score-cache entries migrated into a new epoch.
+    CacheEntriesMigrated,
+    /// Network connections accepted.
+    Connections,
+    /// Connections refused by the connection budget.
+    ConnectionsShed,
+    /// Requests served (successes and typed errors alike).
+    Requests,
+    /// Requests shed because a worker queue was full.
+    LoadShed,
+    /// Requests answered with a typed protocol error (sheds not included).
+    Errors,
+    /// Server-side sessions created.
+    SessionsCreated,
+    /// Sessions expired by the idle TTL.
+    SessionsExpired,
+    /// Sessions evicted by the LRU capacity bound.
+    SessionsEvicted,
+    /// Sessions closed explicitly by their clients.
+    SessionsClosed,
+}
+
+impl Counter {
+    /// Number of counters (the registry's array length).
+    pub const COUNT: usize = Counter::SessionsClosed as usize + 1;
+}
+
 /// The engine's metrics registry: per-stage latency histograms plus query
 /// and approximation counters. Owned (behind an `Arc`) by the
 /// [`EngineCore`](crate::EngineCore) and shared — like the score cache —
 /// by every snapshot the writer path republishes, so a core's history
 /// survives `preprocess`/`append_shard`/`freeze` cycles.
 ///
-/// All recording is wait-free (relaxed atomics; the by-class map takes a
-/// read lock on the warm path) and compiled out entirely without the
-/// `telemetry` cargo feature.
+/// All recording is wait-free: relaxed atomics, plus a read lock on the
+/// by-class map on the warm path.
 pub struct Metrics {
     stages: [StageCell; Stage::ALL.len()],
-    queries_exact: AtomicU64,
-    queries_approximate: AtomicU64,
-    queries_index_served: AtomicU64,
-    /// Approximate-mode scorings that fell back to the exact path because
-    /// the class has no sketch estimator (one event per candidate tuple).
-    sketch_fallbacks: AtomicU64,
-    /// Queries whose candidate lists came from LSH bucket collisions, and
-    /// the total collision pairs those queries generated.
-    lsh_queries: AtomicU64,
-    lsh_candidate_pairs: AtomicU64,
+    /// Per-endpoint latency histograms for the network front end.
+    endpoints: [StageCell; Endpoint::ALL.len()],
+    counters: [AtomicU64; Counter::COUNT],
     /// Per-class query counts. First query of a class takes the write
     /// lock once to insert; every later count is a read lock + relaxed add.
     queries_by_class: RwLock<BTreeMap<String, AtomicU64>>,
-    /// Streaming-ingest counters (see [`IngestSnapshot`] for meanings).
-    ingest_rows: AtomicU64,
-    ingest_batches: AtomicU64,
-    ingest_merges: AtomicU64,
-    republishes_full: AtomicU64,
-    republishes_incremental: AtomicU64,
-    republishes_clean: AtomicU64,
-    rescored_classes: AtomicU64,
-    rescored_tuples: AtomicU64,
-    reused_tuples: AtomicU64,
-    cache_entries_migrated: AtomicU64,
-    /// Per-endpoint latency histograms for the network front end, gated by
-    /// [`Metrics::enabled`] like the stage cells.
-    endpoints: [StageCell; Endpoint::ALL.len()],
-    /// Network-serving counters (see [`ServeSnapshot`] for meanings).
-    /// Always-on, like score-cache traffic: admission-control accounting
-    /// (connections accepted or shed, requests load-shed) is service
-    /// bookkeeping, not instrumentation, so operators see shed counts even
-    /// in a build without the `telemetry` feature.
-    serve_connections: AtomicU64,
-    serve_connections_shed: AtomicU64,
-    serve_requests: AtomicU64,
-    serve_load_shed: AtomicU64,
-    serve_errors: AtomicU64,
-    serve_sessions_created: AtomicU64,
-    serve_sessions_expired: AtomicU64,
-    serve_sessions_evicted: AtomicU64,
-    serve_sessions_closed: AtomicU64,
     /// Registry birth time — snapshots report their age against it so two
     /// snapshots can be ordered and rated. The registry is created with the
     /// first core and shared across republishes, so this is effectively
@@ -366,10 +394,6 @@ pub struct Metrics {
     /// Monotonic snapshot sequence number (also survives `reset`, so a
     /// reset shows up as counters shrinking under a still-advancing seq).
     sample_seq: AtomicU64,
-    /// Runtime switch (only meaningful when the `telemetry` feature is
-    /// compiled in) — lets one binary compare instrumented vs.
-    /// uninstrumented latency.
-    enabled: AtomicBool,
 }
 
 impl Default for Metrics {
@@ -379,65 +403,24 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// A fresh registry. Recording starts enabled (when the `telemetry`
-    /// feature is compiled in at all).
+    /// A fresh, zeroed registry.
     pub fn new() -> Self {
         Self {
             stages: std::array::from_fn(|_| StageCell::new()),
-            queries_exact: AtomicU64::new(0),
-            queries_approximate: AtomicU64::new(0),
-            queries_index_served: AtomicU64::new(0),
-            sketch_fallbacks: AtomicU64::new(0),
-            lsh_queries: AtomicU64::new(0),
-            lsh_candidate_pairs: AtomicU64::new(0),
-            queries_by_class: RwLock::new(BTreeMap::new()),
-            ingest_rows: AtomicU64::new(0),
-            ingest_batches: AtomicU64::new(0),
-            ingest_merges: AtomicU64::new(0),
-            republishes_full: AtomicU64::new(0),
-            republishes_incremental: AtomicU64::new(0),
-            republishes_clean: AtomicU64::new(0),
-            rescored_classes: AtomicU64::new(0),
-            rescored_tuples: AtomicU64::new(0),
-            reused_tuples: AtomicU64::new(0),
-            cache_entries_migrated: AtomicU64::new(0),
             endpoints: std::array::from_fn(|_| StageCell::new()),
-            serve_connections: AtomicU64::new(0),
-            serve_connections_shed: AtomicU64::new(0),
-            serve_requests: AtomicU64::new(0),
-            serve_load_shed: AtomicU64::new(0),
-            serve_errors: AtomicU64::new(0),
-            serve_sessions_created: AtomicU64::new(0),
-            serve_sessions_expired: AtomicU64::new(0),
-            serve_sessions_evicted: AtomicU64::new(0),
-            serve_sessions_closed: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            queries_by_class: RwLock::new(BTreeMap::new()),
             started: std::time::Instant::now(),
             sample_seq: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
-    /// Whether recording is active: requires the `telemetry` cargo feature
-    /// (a compile-time constant the optimizer folds) *and* the runtime
-    /// switch. One relaxed load on the hot path.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        cfg!(feature = "telemetry") && self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flips the runtime recording switch. A no-op build (feature off)
-    /// stays off regardless.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Opens a scoped timer for `stage`; the elapsed time is recorded when
-    /// the returned guard drops. When recording is off (feature or runtime
-    /// switch) the guard is inert and the clock is never read.
+    /// the returned guard drops.
     #[inline]
     pub fn span(&self, stage: Stage) -> Span<'_> {
         Span {
-            active: self.enabled().then(|| (self, stage, clock::now_ns())),
+            active: Some((self, stage, clock::now_ns())),
         }
     }
 
@@ -445,25 +428,28 @@ impl Metrics {
     /// non-guard form, for callers that already measured).
     #[inline]
     pub fn record_ns(&self, stage: Stage, ns: u64) {
-        if self.enabled() {
-            self.stages[stage as usize].record(ns);
-        }
+        self.stages[stage as usize].record(ns);
     }
 
-    /// Counts one executed query: per-mode (the total is the sum of the
-    /// mode counters), per-class, and whether it walked a precomputed rank
-    /// order.
+    /// Adds `n` to one counter.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counts one executed query: in total, per mode, per class, and
+    /// whether it walked a precomputed rank order.
     pub fn record_query(&self, class_id: &str, mode: Mode, index_served: bool) {
-        if !self.enabled() {
-            return;
-        }
-        match mode {
-            Mode::Exact => &self.queries_exact,
-            Mode::Approximate => &self.queries_approximate,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::QueriesTotal, 1);
+        self.add(
+            match mode {
+                Mode::Exact => Counter::QueriesExact,
+                Mode::Approximate => Counter::QueriesApproximate,
+            },
+            1,
+        );
         if index_served {
-            self.queries_index_served.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::QueriesIndexServed, 1);
         }
         {
             let by_class = self.queries_by_class.read();
@@ -479,175 +465,23 @@ impl Metrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one approximate-mode scoring that fell back to the exact
-    /// path (the class had no sketch estimator for the tuple).
-    #[inline]
-    pub fn record_sketch_fallback(&self) {
-        if self.enabled() {
-            self.sketch_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one query whose candidates came from LSH bucket collisions,
-    /// with the number of collision pairs the index produced for it.
-    #[inline]
-    pub fn record_lsh_candidates(&self, pairs: u64) {
-        if self.enabled() {
-            self.lsh_queries.fetch_add(1, Ordering::Relaxed);
-            self.lsh_candidate_pairs.fetch_add(pairs, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one ingested row batch of `rows` rows.
-    #[inline]
-    pub fn record_ingest_batch(&self, rows: u64) {
-        if self.enabled() {
-            self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-            self.ingest_rows.fetch_add(rows, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one shard-catalog merge into the global catalog.
-    #[inline]
-    pub fn record_ingest_merge(&self) {
-        if self.enabled() {
-            self.ingest_merges.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one full (rebuild-everything) snapshot republish.
-    #[inline]
-    pub fn record_republish_full(&self) {
-        if self.enabled() {
-            self.republishes_full.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one republish that changed nothing observable (no dirty
-    /// columns) and therefore kept the cache epoch.
-    #[inline]
-    pub fn record_republish_clean(&self) {
-        if self.enabled() {
-            self.republishes_clean.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one incremental republish: `classes`/`rescored` index work
-    /// actually redone, `reused` index entries carried over, and `migrated`
-    /// clean score-cache entries moved into the new epoch.
-    pub fn record_republish_incremental(
-        &self,
-        classes: u64,
-        rescored: u64,
-        reused: u64,
-        migrated: u64,
-    ) {
-        if self.enabled() {
-            self.republishes_incremental.fetch_add(1, Ordering::Relaxed);
-            self.rescored_classes.fetch_add(classes, Ordering::Relaxed);
-            self.rescored_tuples.fetch_add(rescored, Ordering::Relaxed);
-            self.reused_tuples.fetch_add(reused, Ordering::Relaxed);
-            self.cache_entries_migrated
-                .fetch_add(migrated, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one accepted network connection.
-    #[inline]
-    pub fn record_connection(&self) {
-        self.serve_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection refused by the connection budget.
-    #[inline]
-    pub fn record_connection_shed(&self) {
-        self.serve_connections_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one served request and records its end-to-end latency
-    /// against `endpoint`. The request count is always-on; the histogram
-    /// sample lands only while recording is enabled.
+    /// against `endpoint`.
     #[inline]
     pub fn record_request(&self, endpoint: Endpoint, ns: u64) {
-        self.serve_requests.fetch_add(1, Ordering::Relaxed);
-        if self.enabled() {
-            self.endpoints[endpoint as usize].record(ns);
-        }
+        self.add(Counter::Requests, 1);
+        self.endpoints[endpoint as usize].record(ns);
     }
 
-    /// Counts one request shed because a worker queue was full.
-    #[inline]
-    pub fn record_load_shed(&self) {
-        self.serve_load_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request answered with a typed protocol error (bad
-    /// request, unknown session, engine error — sheds are counted
-    /// separately).
-    #[inline]
-    pub fn record_serve_error(&self) {
-        self.serve_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one server-side session created.
-    #[inline]
-    pub fn record_session_created(&self) {
-        self.serve_sessions_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one server-side session expired by its idle TTL.
-    #[inline]
-    pub fn record_session_expired(&self) {
-        self.serve_sessions_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one server-side session evicted by the LRU capacity bound.
-    #[inline]
-    pub fn record_session_evicted(&self) {
-        self.serve_sessions_evicted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one server-side session closed explicitly by its client.
-    #[inline]
-    pub fn record_session_closed(&self) {
-        self.serve_sessions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Zeroes every histogram and counter (the runtime switch is left as
-    /// is). Handy between benchmark phases.
+    /// Zeroes every histogram and counter. Handy between benchmark phases.
     pub fn reset(&self) {
-        for cell in &self.stages {
+        for cell in self.stages.iter().chain(&self.endpoints) {
             cell.reset();
         }
-        self.queries_exact.store(0, Ordering::Relaxed);
-        self.queries_approximate.store(0, Ordering::Relaxed);
-        self.queries_index_served.store(0, Ordering::Relaxed);
-        self.sketch_fallbacks.store(0, Ordering::Relaxed);
-        self.lsh_queries.store(0, Ordering::Relaxed);
-        self.lsh_candidate_pairs.store(0, Ordering::Relaxed);
+        for counter in &self.counters {
+            counter.store(0, Ordering::Relaxed);
+        }
         self.queries_by_class.write().clear();
-        self.ingest_rows.store(0, Ordering::Relaxed);
-        self.ingest_batches.store(0, Ordering::Relaxed);
-        self.ingest_merges.store(0, Ordering::Relaxed);
-        self.republishes_full.store(0, Ordering::Relaxed);
-        self.republishes_incremental.store(0, Ordering::Relaxed);
-        self.republishes_clean.store(0, Ordering::Relaxed);
-        self.rescored_classes.store(0, Ordering::Relaxed);
-        self.rescored_tuples.store(0, Ordering::Relaxed);
-        self.reused_tuples.store(0, Ordering::Relaxed);
-        self.cache_entries_migrated.store(0, Ordering::Relaxed);
-        for cell in &self.endpoints {
-            cell.reset();
-        }
-        self.serve_connections.store(0, Ordering::Relaxed);
-        self.serve_connections_shed.store(0, Ordering::Relaxed);
-        self.serve_requests.store(0, Ordering::Relaxed);
-        self.serve_load_shed.store(0, Ordering::Relaxed);
-        self.serve_errors.store(0, Ordering::Relaxed);
-        self.serve_sessions_created.store(0, Ordering::Relaxed);
-        self.serve_sessions_expired.store(0, Ordering::Relaxed);
-        self.serve_sessions_evicted.store(0, Ordering::Relaxed);
-        self.serve_sessions_closed.store(0, Ordering::Relaxed);
         // `started` and `sample_seq` deliberately survive: uptime stays
         // process uptime, and a still-advancing seq over shrinking counters
         // is how downstream raters detect the discontinuity.
@@ -662,65 +496,33 @@ impl Metrics {
     /// A point-in-time snapshot, folding the score cache's own counters
     /// into the `cache` section. Safe to take while other threads record.
     pub fn snapshot_with_cache(&self, cache: Option<&CacheStats>) -> MetricsSnapshot {
-        let stages = Stage::ALL
-            .iter()
-            .map(|&stage| cell_snapshot(stage.name(), &self.stages[stage as usize]))
-            .collect();
-        let endpoints = Endpoint::ALL
-            .iter()
-            .map(|&ep| cell_snapshot(ep.name(), &self.endpoints[ep as usize]))
-            .collect();
-        let exact = self.queries_exact.load(Ordering::Relaxed);
-        let approximate = self.queries_approximate.load(Ordering::Relaxed);
-        let queries = QuerySnapshot {
-            total: exact + approximate,
-            exact,
-            approximate,
-            index_served: self.queries_index_served.load(Ordering::Relaxed),
-            by_class: self
-                .queries_by_class
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-        };
-        MetricsSnapshot {
-            telemetry_compiled: cfg!(feature = "telemetry"),
-            telemetry_enabled: self.enabled(),
-            kernel: foresight_stats::kernel::mode().name().to_owned(),
+        let mut snap = MetricsSnapshot {
+            kernel: kernel_name().to_owned(),
             uptime_secs: self.started.elapsed().as_secs_f64(),
             sample_seq: self.sample_seq.fetch_add(1, Ordering::Relaxed) + 1,
-            stages,
-            queries,
-            ingest: IngestSnapshot {
-                rows: self.ingest_rows.load(Ordering::Relaxed),
-                batches: self.ingest_batches.load(Ordering::Relaxed),
-                merges: self.ingest_merges.load(Ordering::Relaxed),
-                republishes_full: self.republishes_full.load(Ordering::Relaxed),
-                republishes_incremental: self.republishes_incremental.load(Ordering::Relaxed),
-                republishes_clean: self.republishes_clean.load(Ordering::Relaxed),
-                rescored_classes: self.rescored_classes.load(Ordering::Relaxed),
-                rescored_tuples: self.rescored_tuples.load(Ordering::Relaxed),
-                reused_tuples: self.reused_tuples.load(Ordering::Relaxed),
-                cache_entries_migrated: self.cache_entries_migrated.load(Ordering::Relaxed),
+            stages: Stage::ALL
+                .iter()
+                .map(|&stage| cell_snapshot(stage.name(), &self.stages[stage as usize]))
+                .collect(),
+            queries: QuerySnapshot {
+                by_class: self
+                    .queries_by_class
+                    .read()
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+                    .collect(),
+                ..QuerySnapshot::default()
             },
+            ingest: IngestSnapshot::default(),
             serve: ServeSnapshot {
-                connections: self.serve_connections.load(Ordering::Relaxed),
-                connections_shed: self.serve_connections_shed.load(Ordering::Relaxed),
-                requests: self.serve_requests.load(Ordering::Relaxed),
-                load_shed: self.serve_load_shed.load(Ordering::Relaxed),
-                errors: self.serve_errors.load(Ordering::Relaxed),
-                sessions_created: self.serve_sessions_created.load(Ordering::Relaxed),
-                sessions_expired: self.serve_sessions_expired.load(Ordering::Relaxed),
-                sessions_evicted: self.serve_sessions_evicted.load(Ordering::Relaxed),
-                sessions_closed: self.serve_sessions_closed.load(Ordering::Relaxed),
-                endpoints,
+                endpoints: Endpoint::ALL
+                    .iter()
+                    .map(|&ep| cell_snapshot(ep.name(), &self.endpoints[ep as usize]))
+                    .collect(),
+                ..ServeSnapshot::default()
             },
-            sketch_fallbacks: self.sketch_fallbacks.load(Ordering::Relaxed),
-            lsh: LshSnapshot {
-                queries: self.lsh_queries.load(Ordering::Relaxed),
-                candidate_pairs: self.lsh_candidate_pairs.load(Ordering::Relaxed),
-            },
+            sketch_fallbacks: 0,
+            lsh: LshSnapshot::default(),
             cache: cache.map(|stats| CacheSnapshot {
                 hits: stats.hits,
                 misses: stats.misses,
@@ -729,7 +531,13 @@ impl Metrics {
                 hit_rate: stats.hit_rate(),
             }),
             resources: None,
+        };
+        for series in scalar_rows() {
+            if let Some((counter, field)) = series.counter {
+                *field(&mut snap) = self.counters[counter as usize].load(Ordering::Relaxed);
+            }
         }
+        snap
     }
 }
 
@@ -742,19 +550,6 @@ pub fn build_version() -> &'static str {
 /// thread — surfaced so serving layers need not depend on the stats crate.
 pub fn kernel_name() -> &'static str {
     foresight_stats::kernel::mode().name()
-}
-
-/// The observability-relevant cargo features this binary was compiled
-/// with, in a stable order.
-pub fn build_features() -> Vec<&'static str> {
-    let mut v = Vec::new();
-    if cfg!(feature = "telemetry") {
-        v.push("telemetry");
-    }
-    if cfg!(feature = "trace") {
-        v.push("trace");
-    }
-    v
 }
 
 /// One cell's plain-data summary under a stable `name` — shared by the
@@ -827,8 +622,7 @@ pub(crate) fn quantile_from_buckets(buckets: &[HistogramBucket], count: u64, q: 
 }
 
 /// A scoped stage timer: records the elapsed wall time into its
-/// [`Metrics`] when dropped. Inert (no clock read, no recording) when
-/// telemetry is compiled out or the runtime switch is off.
+/// [`Metrics`] when dropped. Inert when no registry is attached.
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span<'a> {
     active: Option<(&'a Metrics, Stage, u64)>,
@@ -837,7 +631,7 @@ pub struct Span<'a> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some((metrics, stage, start_ns)) = self.active.take() {
-            metrics.stages[stage as usize].record(clock::now_ns().saturating_sub(start_ns));
+            metrics.record_ns(stage, clock::now_ns().saturating_sub(start_ns));
         }
     }
 }
@@ -857,8 +651,7 @@ pub(crate) fn maybe_span<'a>(metrics: Option<&'a Metrics>, stage: Stage) -> Span
 /// read. Back-to-back stages timed with individual [`Span`]s pay two clock
 /// reads per stage; a `Lap` pays one per boundary — the executor's hot
 /// path (score → rank/diversify → describe) costs four reads per query
-/// instead of six, which is what keeps instrumentation inside the 3%
-/// overhead budget on ~10 µs warm queries.
+/// instead of six.
 pub struct Lap<'a> {
     metrics: Option<&'a Metrics>,
     last_ns: u64,
@@ -866,17 +659,15 @@ pub struct Lap<'a> {
 
 impl<'a> Lap<'a> {
     /// Starts the lap clock (one read). Inert — no clock reads, marks are
-    /// no-ops — when `metrics` is absent or recording is off.
+    /// no-ops — when `metrics` is absent.
     #[inline]
     pub fn start(metrics: Option<&'a Metrics>) -> Self {
-        match metrics.filter(|m| m.enabled()) {
-            Some(m) => Lap {
-                metrics: Some(m),
-                last_ns: clock::now_ns(),
-            },
-            None => Lap {
-                metrics: None,
-                last_ns: 0,
+        Lap {
+            metrics,
+            last_ns: if metrics.is_some() {
+                clock::now_ns()
+            } else {
+                0
             },
         }
     }
@@ -887,7 +678,7 @@ impl<'a> Lap<'a> {
     pub fn mark(&mut self, stage: Stage) {
         if let Some(m) = self.metrics {
             let now = clock::now_ns();
-            m.stages[stage as usize].record(now.saturating_sub(self.last_ns));
+            m.record_ns(stage, now.saturating_sub(self.last_ns));
             self.last_ns = now;
         }
     }
@@ -929,7 +720,7 @@ pub struct StageSnapshot {
 }
 
 /// Query counters inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct QuerySnapshot {
     /// Queries executed (index-served included).
     pub total: u64,
@@ -1085,10 +876,6 @@ pub struct CacheSnapshot {
 /// diffs against a previous run line up.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Whether this build carries the `telemetry` feature at all.
-    pub telemetry_compiled: bool,
-    /// Whether recording was active when the snapshot was taken.
-    pub telemetry_enabled: bool,
     /// Stats-kernel mode (`vectorized` / `scalar`) on the snapshotting
     /// thread — the implementation serving this core's scoring passes.
     pub kernel: String,
@@ -1127,6 +914,235 @@ pub struct MetricsSnapshot {
     pub resources: Option<ResourceSnapshot>,
 }
 
+/// A series' Prometheus type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonic: only a reset or a cache clear shrinks it.
+    Counter,
+    /// A level that may move either way.
+    Gauge,
+}
+
+/// The snapshot field a counter-fed row fills and reads.
+pub type Field = fn(&mut MetricsSnapshot) -> &mut u64;
+
+/// One scalar series of the schema: everything every rendering needs.
+pub struct Series {
+    /// Prometheus family name. Consecutive rows may share one, told apart
+    /// by `label`.
+    pub name: &'static str,
+    /// Prometheus `# HELP` text (the family's first row's is used).
+    pub help: &'static str,
+    /// Prometheus type, and whether the monitor treats a shrink as a reset.
+    pub kind: Kind,
+    /// The `(label, value)` pair telling rows of one family apart.
+    pub label: Option<(&'static str, &'static str)>,
+    /// The row's label in [`MetricsSnapshot::to_text`].
+    pub text: &'static str,
+    /// Printed by `to_text` even at zero; other rows print only once
+    /// something happened.
+    pub always_on: bool,
+    /// The row's value — a Prometheus sample is a float — or `None` when
+    /// its snapshot section is absent.
+    pub read: fn(&MetricsSnapshot) -> Option<f64>,
+    /// The registry counter this row reports, and the snapshot field
+    /// [`Metrics::snapshot`] writes it into (the one `read` reads).
+    pub counter: Option<(Counter, Field)>,
+}
+
+/// One row of [`SCHEMA`], in rendering order.
+pub enum Row {
+    /// One scalar sample.
+    Scalar(Series),
+    /// A labelled log₂ latency histogram, one series per cell.
+    Latency {
+        /// Prometheus family name.
+        name: &'static str,
+        /// Prometheus `# HELP` text.
+        help: &'static str,
+        /// The label naming a cell (`stage`, `endpoint`).
+        label: &'static str,
+        /// `to_text` lists every cell when set, else only sampled ones.
+        always_on: bool,
+        /// The cells, in their enum's order.
+        cells: fn(&MetricsSnapshot) -> &[StageSnapshot],
+    },
+    /// Per-class query counts: one sample per class seen.
+    PerClass {
+        /// Prometheus family name.
+        name: &'static str,
+        /// Prometheus `# HELP` text.
+        help: &'static str,
+        /// The row's label prefix in `to_text`.
+        text: &'static str,
+        /// The counts, sorted by class id.
+        counts: fn(&MetricsSnapshot) -> &BTreeMap<String, u64>,
+    },
+}
+
+/// Every scalar row of [`SCHEMA`], in order.
+pub fn scalar_rows() -> impl Iterator<Item = &'static Series> {
+    SCHEMA.iter().filter_map(|row| match row {
+        Row::Scalar(series) => Some(series),
+        _ => None,
+    })
+}
+
+macro_rules! label {
+    () => {
+        None
+    };
+    ($key:literal, $value:literal) => {
+        Some(($key, $value))
+    };
+}
+
+/// `row!(Kind "name" ["label" = "value"], "text", always_on, help, source)`.
+/// `source` is `Counter => field.path` for a registry counter (written
+/// into and read from that field), `section?.field` for a field of an
+/// optional section, or `|s| reading` for anything else.
+macro_rules! row {
+    (@series $kind:ident $name:literal $([$key:literal = $value:literal])?, $text:literal,
+     $always:literal, $help:expr, $read:expr, $counter:expr) => {
+        Row::Scalar(Series {
+            name: $name,
+            help: $help,
+            kind: Kind::$kind,
+            label: label!($($key, $value)?),
+            text: $text,
+            always_on: $always,
+            read: $read,
+            counter: $counter,
+        })
+    };
+    ($kind:ident $name:literal $([$key:literal = $value:literal])?, $text:literal, $always:literal,
+     $help:expr, $counter:ident => $($field:ident).+) => {
+        row!(@series $kind $name $([$key = $value])?, $text, $always, $help,
+             |s| Some(s.$($field).+ as f64),
+             Some((Counter::$counter, |s| &mut s.$($field).+)))
+    };
+    ($kind:ident $name:literal $([$key:literal = $value:literal])?, $text:literal, $always:literal,
+     $help:expr, $section:ident ? . $field:ident) => {
+        row!(@series $kind $name $([$key = $value])?, $text, $always, $help,
+             |s| s.$section.as_ref().map(|x| x.$field as f64), None)
+    };
+    ($kind:ident $name:literal $([$key:literal = $value:literal])?, $text:literal, $always:literal,
+     $help:expr, |$s:ident| $read:expr) => {
+        row!(@series $kind $name $([$key = $value])?, $text, $always, $help, |$s| $read, None)
+    };
+}
+
+const REPUBLISHES: &str = "Snapshot republishes by kind (full rebuild, incremental, clean).";
+const RESIDENT: &str = "Approximate resident bytes per long-lived structure.";
+
+/// The metric schema: every series a [`MetricsSnapshot`] renders, in
+/// rendering order. `foresight_build_info` (version and kernel labels)
+/// heads the Prometheus exposition ahead of these rows.
+pub static SCHEMA: &[Row] = &[
+    row!(Gauge "foresight_uptime_seconds", "uptime seconds", true,
+        "Seconds since the metrics registry was created.", |s| Some(s.uptime_secs)),
+    row!(Gauge "foresight_metrics_sample_seq", "sample seq", true,
+        "Monotonic snapshot sequence number (survives resets).", |s| Some(s.sample_seq as f64)),
+    Row::Latency {
+        name: "foresight_stage_duration_ns",
+        help: "Per-stage latency histogram of the query path, nanoseconds.",
+        label: "stage",
+        always_on: true,
+        cells: |s| &s.stages,
+    },
+    Row::Latency {
+        name: "foresight_endpoint_duration_ns",
+        help: "Per-endpoint request latency histogram of the network front end, nanoseconds.",
+        label: "endpoint",
+        always_on: false,
+        cells: |s| &s.serve.endpoints,
+    },
+    row!(Counter "foresight_queries_total", "queries", true,
+        "Queries executed.", QueriesTotal => queries.total),
+    row!(Counter "foresight_queries_exact_total", "queries exact", true,
+        "Queries run in exact mode.", QueriesExact => queries.exact),
+    row!(Counter "foresight_queries_approximate_total", "queries approximate", true,
+        "Queries run in approximate (sketch-backed) mode.", QueriesApproximate => queries.approximate),
+    row!(Counter "foresight_queries_index_served_total", "queries index-served", true,
+        "Queries that walked a precomputed rank order instead of scoring.",
+        QueriesIndexServed => queries.index_served),
+    Row::PerClass {
+        name: "foresight_queries_by_class_total",
+        help: "Queries per insight class.",
+        text: "queries",
+        counts: |s| &s.queries.by_class,
+    },
+    row!(Counter "foresight_sketch_fallbacks_total", "sketch fallbacks to exact", true,
+        "Approximate-mode scorings that fell back to the exact path.", SketchFallbacks => sketch_fallbacks),
+    row!(Counter "foresight_lsh_queries_total", "lsh queries", false,
+        "Queries whose candidates came from LSH bucket collisions.", LshQueries => lsh.queries),
+    row!(Counter "foresight_lsh_candidate_pairs_total", "lsh candidate pairs", false,
+        "Collision pairs generated across LSH-served queries.", LshCandidatePairs => lsh.candidate_pairs),
+    row!(Counter "foresight_ingest_rows_total", "ingest rows", false,
+        "Rows ingested.", IngestRows => ingest.rows),
+    row!(Counter "foresight_ingest_batches_total", "ingest batches", false,
+        "Row batches ingested.", IngestBatches => ingest.batches),
+    row!(Counter "foresight_ingest_merges_total", "ingest sketch merges", false,
+        "Shard-catalog merges into the global sketch catalog.", IngestMerges => ingest.merges),
+    row!(Counter "foresight_republishes_total" ["kind" = "full"], "republishes full", false,
+        REPUBLISHES, RepublishesFull => ingest.republishes_full),
+    row!(Counter "foresight_republishes_total" ["kind" = "incremental"], "republishes incremental", false,
+        REPUBLISHES, RepublishesIncremental => ingest.republishes_incremental),
+    row!(Counter "foresight_republishes_total" ["kind" = "clean"], "republishes clean", false,
+        REPUBLISHES, RepublishesClean => ingest.republishes_clean),
+    row!(Counter "foresight_rescored_classes_total", "rescored classes", false,
+        "Classes with rescored tuples across incremental republishes.", RescoredClasses => ingest.rescored_classes),
+    row!(Counter "foresight_rescored_tuples_total", "rescored tuples", false,
+        "Tuples rescored by incremental republishes.", RescoredTuples => ingest.rescored_tuples),
+    row!(Counter "foresight_reused_tuples_total", "reused tuples", false,
+        "Tuples carried over by incremental republishes.", ReusedTuples => ingest.reused_tuples),
+    row!(Counter "foresight_cache_entries_migrated_total", "cache entries migrated", false,
+        "Clean score-cache entries migrated into a new epoch.", CacheEntriesMigrated => ingest.cache_entries_migrated),
+    row!(Counter "foresight_serve_connections_total", "serve connections", false,
+        "Network connections accepted.", Connections => serve.connections),
+    row!(Counter "foresight_serve_connections_shed_total", "serve connections shed", false,
+        "Connections refused by the connection budget.", ConnectionsShed => serve.connections_shed),
+    row!(Counter "foresight_serve_requests_total", "serve requests", false,
+        "Requests served.", Requests => serve.requests),
+    row!(Counter "foresight_serve_load_shed_total", "serve requests load-shed", false,
+        "Requests shed because a worker queue was full.", LoadShed => serve.load_shed),
+    row!(Counter "foresight_serve_errors_total", "serve errors", false,
+        "Requests answered with a typed protocol error.", Errors => serve.errors),
+    row!(Counter "foresight_serve_sessions_created_total", "serve sessions created", false,
+        "Server-side sessions created.", SessionsCreated => serve.sessions_created),
+    row!(Counter "foresight_serve_sessions_expired_total", "serve sessions expired (ttl)", false,
+        "Sessions expired by the idle TTL.", SessionsExpired => serve.sessions_expired),
+    row!(Counter "foresight_serve_sessions_evicted_total", "serve sessions evicted (lru)", false,
+        "Sessions evicted by the LRU capacity bound.", SessionsEvicted => serve.sessions_evicted),
+    row!(Counter "foresight_serve_sessions_closed_total", "serve sessions closed", false,
+        "Sessions closed explicitly by their clients.", SessionsClosed => serve.sessions_closed),
+    row!(Gauge "foresight_serve_sessions_live", "serve sessions live", false,
+        "Sessions currently alive in the server's table.", |s| Some(s.serve.sessions_live() as f64)),
+    row!(Counter "foresight_cache_hits_total", "cache hits", true, "Score-cache hits.", cache?.hits),
+    row!(Counter "foresight_cache_misses_total", "cache misses", true, "Score-cache misses.", cache?.misses),
+    row!(Counter "foresight_cache_purges_total", "cache purges", true,
+        "Score-cache entries retired by epoch bumps.", cache?.purges),
+    row!(Gauge "foresight_cache_entries", "cache entries", true, "Score-cache entries resident.", cache?.entries),
+    row!(Gauge "foresight_cache_hit_rate", "cache hit rate", true,
+        "Score-cache hit rate (0 when no lookups happened).", cache?.hit_rate),
+    row!(Gauge "foresight_resident_bytes" ["component" = "catalog"], "resident bytes catalog", true,
+        RESIDENT, resources?.catalog_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "score_cache"], "resident bytes score cache", true,
+        RESIDENT, resources?.cache_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "prepared_columns"], "resident bytes prepared columns",
+        true, RESIDENT, resources?.prepared_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "rank_orders"], "resident bytes rank orders", true,
+        RESIDENT, resources?.orders_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "lsh_index"], "resident bytes lsh index", true,
+        RESIDENT, resources?.lsh_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "trace_ring"], "resident bytes trace ring", true,
+        RESIDENT, resources?.trace_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "session_table"], "resident bytes session table", true,
+        RESIDENT, resources?.session_table_bytes),
+    row!(Gauge "foresight_sessions_live", "sessions live", true,
+        "Live server-side sessions (resource-gauge view).", resources?.sessions_live),
+];
+
 impl MetricsSnapshot {
     /// The summary for one stage, by its stable name.
     pub fn stage(&self, name: &str) -> Option<&StageSnapshot> {
@@ -1139,459 +1155,136 @@ impl MetricsSnapshot {
     }
 
     /// Deterministic fixed-width text rendering (the explorer's `metrics`
-    /// command).
+    /// command): one line per [`SCHEMA`] row that is `always_on` or
+    /// non-zero, with the latency histograms as tables.
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::new();
-        let state = match (self.telemetry_compiled, self.telemetry_enabled) {
-            (false, _) => "compiled out (build with --features telemetry)",
-            (true, false) => "compiled in, runtime-disabled",
-            (true, true) => "recording",
-        };
-        let _ = writeln!(out, "telemetry: {state}");
-        let _ = writeln!(out, "kernel: {}", self.kernel);
-        let _ = writeln!(
-            out,
-            "uptime: {:.1} s (sample {})",
-            self.uptime_secs, self.sample_seq
-        );
-        let _ = writeln!(
-            out,
-            "\n{:<14} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12}",
-            "stage", "count", "total_ms", "mean_us", "p50_us", "p99_us", "max_us"
-        );
-        for s in &self.stages {
-            let _ = writeln!(
-                out,
-                "{:<14} {:>8} {:>12.3} {:>10.1} {:>10.1} {:>10.1} {:>12.1}",
-                s.stage,
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.mean_ns as f64 / 1e3,
-                s.p50_ns as f64 / 1e3,
-                s.p99_ns as f64 / 1e3,
-                s.max_ns as f64 / 1e3,
-            );
-        }
-        let q = &self.queries;
-        let _ = writeln!(
-            out,
-            "\nqueries: {} total ({} exact, {} approximate, {} index-served)",
-            q.total, q.exact, q.approximate, q.index_served
-        );
-        for (class, n) in &q.by_class {
-            let _ = writeln!(out, "  {class:<28} {n:>8}");
-        }
-        let _ = writeln!(out, "sketch fallbacks to exact: {}", self.sketch_fallbacks);
-        if self.lsh.queries > 0 {
-            let _ = writeln!(
-                out,
-                "lsh candidates: {} queries from bucket collisions, {} collision pairs",
-                self.lsh.queries, self.lsh.candidate_pairs
-            );
-        }
-        let ing = &self.ingest;
-        if ing.batches > 0 {
-            let _ = writeln!(
-                out,
-                "ingest: {} rows in {} batches, {} sketch merges; republishes: {} full, {} incremental, {} clean",
-                ing.rows,
-                ing.batches,
-                ing.merges,
-                ing.republishes_full,
-                ing.republishes_incremental,
-                ing.republishes_clean,
-            );
-            let _ = writeln!(
-                out,
-                "  incremental refresh: {} classes / {} tuples rescored, {} tuples reused, {} cache entries migrated",
-                ing.rescored_classes,
-                ing.rescored_tuples,
-                ing.reused_tuples,
-                ing.cache_entries_migrated,
-            );
-        }
-        let sv = &self.serve;
-        if sv.connections + sv.connections_shed + sv.requests + sv.load_shed > 0 {
-            let _ = writeln!(
-                out,
-                "serve: {} connections accepted, {} connections shed; {} requests ({} load-shed, {} errors)",
-                sv.connections, sv.connections_shed, sv.requests, sv.load_shed, sv.errors,
-            );
-            let _ = writeln!(
-                out,
-                "  sessions: {} created, {} closed, {} expired (ttl), {} evicted (lru); {} live",
-                sv.sessions_created,
-                sv.sessions_closed,
-                sv.sessions_expired,
-                sv.sessions_evicted,
-                sv.sessions_live(),
-            );
-            if sv.endpoints.iter().any(|e| e.count > 0) {
-                let _ = writeln!(
-                    out,
-                    "{:<14} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12}",
-                    "  endpoint", "count", "total_ms", "mean_us", "p50_us", "p99_us", "max_us"
-                );
-                for e in sv.endpoints.iter().filter(|e| e.count > 0) {
+        let mut out = format!("foresight {} · {} kernel\n", build_version(), self.kernel);
+        for row in SCHEMA {
+            match row {
+                Row::Scalar(series) => {
+                    let reading = (series.read)(self);
+                    if let Some(v) = reading.filter(|v| series.always_on || *v != 0.0) {
+                        let _ = writeln!(out, "{:<36} {v}", series.text);
+                    }
+                }
+                Row::Latency {
+                    label,
+                    always_on,
+                    cells,
+                    ..
+                } => {
+                    let shown: Vec<&StageSnapshot> = cells(self)
+                        .iter()
+                        .filter(|c| *always_on || c.count > 0)
+                        .collect();
+                    if shown.is_empty() {
+                        continue;
+                    }
                     let _ = writeln!(
                         out,
-                        "  {:<12} {:>8} {:>12.3} {:>10.1} {:>10.1} {:>10.1} {:>12.1}",
-                        e.stage,
-                        e.count,
-                        e.total_ns as f64 / 1e6,
-                        e.mean_ns as f64 / 1e3,
-                        e.p50_ns as f64 / 1e3,
-                        e.p99_ns as f64 / 1e3,
-                        e.max_ns as f64 / 1e3,
+                        "{label:<14} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12}",
+                        "count", "total_ms", "mean_us", "p50_us", "p99_us", "max_us"
                     );
+                    for c in shown {
+                        let _ = writeln!(
+                            out,
+                            "{:<14} {:>8} {:>12.3} {:>10.1} {:>10.1} {:>10.1} {:>12.1}",
+                            c.stage,
+                            c.count,
+                            c.total_ns as f64 / 1e6,
+                            c.mean_ns as f64 / 1e3,
+                            c.p50_ns as f64 / 1e3,
+                            c.p99_ns as f64 / 1e3,
+                            c.max_ns as f64 / 1e3,
+                        );
+                    }
+                }
+                Row::PerClass { text, counts, .. } => {
+                    for (class, n) in counts(self) {
+                        let _ = writeln!(out, "{:<36} {n}", format!("{text} {class}"));
+                    }
                 }
             }
-        }
-        if let Some(c) = &self.cache {
-            let _ = writeln!(
-                out,
-                "cache: {} hits / {} misses ({:.1}% hit rate), {} entries, {} purged",
-                c.hits,
-                c.misses,
-                c.hit_rate * 100.0,
-                c.entries,
-                c.purges
-            );
-        }
-        if let Some(r) = &self.resources {
-            let _ = writeln!(
-                out,
-                "resources: catalog {} KiB, cache {} KiB, prepared {} KiB, orders {} KiB, lsh {} KiB, traces {} KiB, sessions {} ({} KiB)",
-                r.catalog_bytes / 1024,
-                r.cache_bytes / 1024,
-                r.prepared_bytes / 1024,
-                r.orders_bytes / 1024,
-                r.lsh_bytes / 1024,
-                r.trace_bytes / 1024,
-                r.sessions_live,
-                r.session_table_bytes / 1024,
-            );
         }
         out
     }
 
     /// Prometheus text exposition (format 0.0.4) of the whole snapshot:
-    /// every counter and histogram above, plus the resource gauges and a
-    /// `foresight_build_info` constant. Every family carries `# HELP` and
-    /// `# TYPE` lines; latencies stay in integer nanoseconds (`le` bounds
-    /// are the log₂ bucket ceilings) rather than lossy float seconds.
+    /// a `foresight_build_info` constant, then every [`SCHEMA`] row whose
+    /// section is present. Every family carries `# HELP` and `# TYPE`
+    /// lines; latencies stay in integer nanoseconds (`le` bounds are the
+    /// log₂ bucket ceilings) rather than lossy float seconds.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut o = String::new();
-        let meta = |o: &mut String, name: &str, help: &str, ty: &str| {
-            let _ = writeln!(o, "# HELP {name} {help}");
-            let _ = writeln!(o, "# TYPE {name} {ty}");
-        };
-        let counter = |o: &mut String, name: &str, help: &str, v: u64| {
-            meta(o, name, help, "counter");
-            let _ = writeln!(o, "{name} {v}");
-        };
-        let gauge_f = |o: &mut String, name: &str, help: &str, v: f64| {
-            meta(o, name, help, "gauge");
-            let _ = writeln!(o, "{name} {v}");
-        };
-        let gauge = |o: &mut String, name: &str, help: &str, v: u64| {
-            meta(o, name, help, "gauge");
-            let _ = writeln!(o, "{name} {v}");
-        };
-
         // build info first: one constant-1 gauge carrying the labels a
         // scraper joins on
-        meta(
+        family_header(
             &mut o,
             "foresight_build_info",
-            "Build metadata: crate version, stats-kernel mode, compiled features.",
+            "Build metadata: crate version and stats-kernel mode.",
             "gauge",
         );
         let _ = writeln!(
             o,
-            "foresight_build_info{{version=\"{}\",kernel=\"{}\",features=\"{}\"}} 1",
+            "foresight_build_info{{version=\"{}\",kernel=\"{}\"}} 1",
             prom_escape(build_version()),
             prom_escape(&self.kernel),
-            prom_escape(&build_features().join(",")),
         );
-        gauge_f(
-            &mut o,
-            "foresight_uptime_seconds",
-            "Seconds since the metrics registry was created.",
-            self.uptime_secs,
-        );
-        gauge(
-            &mut o,
-            "foresight_metrics_sample_seq",
-            "Monotonic snapshot sequence number (survives resets).",
-            self.sample_seq,
-        );
-        gauge(
-            &mut o,
-            "foresight_telemetry_enabled",
-            "1 when latency recording is compiled in and switched on.",
-            u64::from(self.telemetry_compiled && self.telemetry_enabled),
-        );
-
-        histogram_family(
-            &mut o,
-            "foresight_stage_duration_ns",
-            "Per-stage latency histogram of the query path, nanoseconds.",
-            "stage",
-            &self.stages,
-        );
-        histogram_family(
-            &mut o,
-            "foresight_endpoint_duration_ns",
-            "Per-endpoint request latency histogram of the network front end, nanoseconds.",
-            "endpoint",
-            &self.serve.endpoints,
-        );
-
-        let q = &self.queries;
-        counter(
-            &mut o,
-            "foresight_queries_total",
-            "Queries executed.",
-            q.total,
-        );
-        counter(
-            &mut o,
-            "foresight_queries_exact_total",
-            "Queries run in exact mode.",
-            q.exact,
-        );
-        counter(
-            &mut o,
-            "foresight_queries_approximate_total",
-            "Queries run in approximate (sketch-backed) mode.",
-            q.approximate,
-        );
-        counter(
-            &mut o,
-            "foresight_queries_index_served_total",
-            "Queries that walked a precomputed rank order instead of scoring.",
-            q.index_served,
-        );
-        // declared only when populated: a family with HELP/TYPE but no
-        // samples is legal yet trips strict scrapers' lint rules
-        if !q.by_class.is_empty() {
-            meta(
-                &mut o,
-                "foresight_queries_by_class_total",
-                "Queries per insight class.",
-                "counter",
-            );
-            for (class, n) in &q.by_class {
-                let _ = writeln!(
-                    o,
-                    "foresight_queries_by_class_total{{class=\"{}\"}} {n}",
-                    prom_escape(class)
-                );
+        let mut family = "";
+        for row in SCHEMA {
+            match row {
+                Row::Scalar(series) => {
+                    let Some(v) = (series.read)(self) else {
+                        continue;
+                    };
+                    if series.name != family {
+                        family = series.name;
+                        let kind = match series.kind {
+                            Kind::Counter => "counter",
+                            Kind::Gauge => "gauge",
+                        };
+                        family_header(&mut o, family, series.help, kind);
+                    }
+                    let _ = match series.label {
+                        Some((key, value)) => writeln!(o, "{family}{{{key}=\"{value}\"}} {v}"),
+                        None => writeln!(o, "{family} {v}"),
+                    };
+                }
+                Row::Latency {
+                    name,
+                    help,
+                    label,
+                    cells,
+                    ..
+                } => histogram_family(&mut o, name, help, label, cells(self)),
+                Row::PerClass {
+                    name, help, counts, ..
+                } => {
+                    // declared only when populated: a family with HELP/TYPE
+                    // but no samples is legal yet trips strict scrapers' lint
+                    // rules
+                    let counts = counts(self);
+                    if counts.is_empty() {
+                        continue;
+                    }
+                    family_header(&mut o, name, help, "counter");
+                    for (class, n) in counts {
+                        let _ = writeln!(o, "{name}{{class=\"{}\"}} {n}", prom_escape(class));
+                    }
+                }
             }
-        }
-        counter(
-            &mut o,
-            "foresight_sketch_fallbacks_total",
-            "Approximate-mode scorings that fell back to the exact path.",
-            self.sketch_fallbacks,
-        );
-        counter(
-            &mut o,
-            "foresight_lsh_queries_total",
-            "Queries whose candidates came from LSH bucket collisions.",
-            self.lsh.queries,
-        );
-        counter(
-            &mut o,
-            "foresight_lsh_candidate_pairs_total",
-            "Collision pairs generated across LSH-served queries.",
-            self.lsh.candidate_pairs,
-        );
-
-        let ing = &self.ingest;
-        counter(
-            &mut o,
-            "foresight_ingest_rows_total",
-            "Rows ingested.",
-            ing.rows,
-        );
-        counter(
-            &mut o,
-            "foresight_ingest_batches_total",
-            "Row batches ingested.",
-            ing.batches,
-        );
-        counter(
-            &mut o,
-            "foresight_ingest_merges_total",
-            "Shard-catalog merges into the global sketch catalog.",
-            ing.merges,
-        );
-        meta(
-            &mut o,
-            "foresight_republishes_total",
-            "Snapshot republishes by kind (full rebuild, incremental, clean).",
-            "counter",
-        );
-        for (kind, n) in [
-            ("full", ing.republishes_full),
-            ("incremental", ing.republishes_incremental),
-            ("clean", ing.republishes_clean),
-        ] {
-            let _ = writeln!(o, "foresight_republishes_total{{kind=\"{kind}\"}} {n}");
-        }
-        counter(
-            &mut o,
-            "foresight_rescored_classes_total",
-            "Classes with rescored tuples across incremental republishes.",
-            ing.rescored_classes,
-        );
-        counter(
-            &mut o,
-            "foresight_rescored_tuples_total",
-            "Tuples rescored by incremental republishes.",
-            ing.rescored_tuples,
-        );
-        counter(
-            &mut o,
-            "foresight_reused_tuples_total",
-            "Tuples carried over by incremental republishes.",
-            ing.reused_tuples,
-        );
-        counter(
-            &mut o,
-            "foresight_cache_entries_migrated_total",
-            "Clean score-cache entries migrated into a new epoch.",
-            ing.cache_entries_migrated,
-        );
-
-        let sv = &self.serve;
-        counter(
-            &mut o,
-            "foresight_serve_connections_total",
-            "Network connections accepted.",
-            sv.connections,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_connections_shed_total",
-            "Connections refused by the connection budget.",
-            sv.connections_shed,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_requests_total",
-            "Requests served.",
-            sv.requests,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_load_shed_total",
-            "Requests shed because a worker queue was full.",
-            sv.load_shed,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_errors_total",
-            "Requests answered with a typed protocol error.",
-            sv.errors,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_sessions_created_total",
-            "Server-side sessions created.",
-            sv.sessions_created,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_sessions_expired_total",
-            "Sessions expired by the idle TTL.",
-            sv.sessions_expired,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_sessions_evicted_total",
-            "Sessions evicted by the LRU capacity bound.",
-            sv.sessions_evicted,
-        );
-        counter(
-            &mut o,
-            "foresight_serve_sessions_closed_total",
-            "Sessions closed explicitly by their clients.",
-            sv.sessions_closed,
-        );
-        gauge(
-            &mut o,
-            "foresight_serve_sessions_live",
-            "Sessions currently alive in the server's table.",
-            sv.sessions_live(),
-        );
-
-        if let Some(c) = &self.cache {
-            counter(
-                &mut o,
-                "foresight_cache_hits_total",
-                "Score-cache hits.",
-                c.hits,
-            );
-            counter(
-                &mut o,
-                "foresight_cache_misses_total",
-                "Score-cache misses.",
-                c.misses,
-            );
-            counter(
-                &mut o,
-                "foresight_cache_purges_total",
-                "Score-cache entries retired by epoch bumps.",
-                c.purges,
-            );
-            gauge(
-                &mut o,
-                "foresight_cache_entries",
-                "Score-cache entries resident.",
-                c.entries,
-            );
-            gauge_f(
-                &mut o,
-                "foresight_cache_hit_rate",
-                "Score-cache hit rate (0 when no lookups happened).",
-                c.hit_rate,
-            );
-        }
-        if let Some(r) = &self.resources {
-            meta(
-                &mut o,
-                "foresight_resident_bytes",
-                "Approximate resident bytes per long-lived structure.",
-                "gauge",
-            );
-            for (component, bytes) in [
-                ("catalog", r.catalog_bytes),
-                ("score_cache", r.cache_bytes),
-                ("prepared_columns", r.prepared_bytes),
-                ("rank_orders", r.orders_bytes),
-                ("lsh_index", r.lsh_bytes),
-                ("trace_ring", r.trace_bytes),
-                ("session_table", r.session_table_bytes),
-            ] {
-                let _ = writeln!(
-                    o,
-                    "foresight_resident_bytes{{component=\"{component}\"}} {bytes}"
-                );
-            }
-            gauge(
-                &mut o,
-                "foresight_sessions_live",
-                "Live server-side sessions (resource-gauge view).",
-                r.sessions_live,
-            );
         }
         o
     }
+}
+
+/// Writes a family's `# HELP` and `# TYPE` lines.
+fn family_header(o: &mut String, name: &str, help: &str, kind: &str) {
+    use std::fmt::Write;
+    let _ = writeln!(o, "# HELP {name} {help}");
+    let _ = writeln!(o, "# TYPE {name} {kind}");
 }
 
 /// Escapes a Prometheus label value (backslash, double quote, newline).
@@ -1608,8 +1301,7 @@ fn prom_escape(s: &str) -> String {
 /// scraper.
 fn histogram_family(o: &mut String, name: &str, help: &str, label: &str, cells: &[StageSnapshot]) {
     use std::fmt::Write;
-    let _ = writeln!(o, "# HELP {name} {help}");
-    let _ = writeln!(o, "# TYPE {name} histogram");
+    family_header(o, name, help, "histogram");
     for c in cells {
         let v = prom_escape(&c.stage);
         let mut cum = 0u64;
@@ -1643,8 +1335,7 @@ fn histogram_family(o: &mut String, name: &str, help: &str, label: &str, cells: 
         ("p99_ns", "Histogram-estimated 99th-percentile latency.", 4),
     ] {
         let fam = format!("{name}_{suffix}");
-        let _ = writeln!(o, "# HELP {fam} {help}");
-        let _ = writeln!(o, "# TYPE {fam} gauge");
+        family_header(o, &fam, help, "gauge");
         for c in cells {
             let v = prom_escape(&c.stage);
             let x = [c.min_ns, c.max_ns, c.mean_ns, c.p50_ns, c.p99_ns][pick];
@@ -1681,40 +1372,20 @@ mod tests {
         }
         m.record_ns(Stage::Rank, 1000);
         let snap = m.snapshot();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(snap.stage("score").unwrap().count, 1);
-            let rank = snap.stage("rank").unwrap();
-            assert_eq!(rank.count, 1);
-            assert_eq!(rank.total_ns, 1000);
-            // min/max are histogram-bucket bounds: 1000 ns ∈ [512, 1024)
-            assert_eq!(rank.min_ns, 512);
-            assert_eq!(rank.max_ns, 1023);
-            assert_eq!(
-                rank.buckets,
-                vec![HistogramBucket {
-                    floor_ns: 512,
-                    count: 1
-                }]
-            );
-        } else {
-            assert!(snap.stages.iter().all(|s| s.count == 0));
-        }
-    }
-
-    #[test]
-    fn runtime_switch_stops_recording() {
-        let m = Metrics::new();
-        m.set_enabled(false);
-        {
-            let _span = m.span(Stage::Score);
-        }
-        m.record_ns(Stage::Score, 5);
-        m.record_query("skew", Mode::Exact, false);
-        m.record_sketch_fallback();
-        let snap = m.snapshot();
-        assert!(snap.stages.iter().all(|s| s.count == 0));
-        assert_eq!(snap.queries.total, 0);
-        assert_eq!(snap.sketch_fallbacks, 0);
+        assert_eq!(snap.stage("score").unwrap().count, 1);
+        let rank = snap.stage("rank").unwrap();
+        assert_eq!(rank.count, 1);
+        assert_eq!(rank.total_ns, 1000);
+        // min/max are histogram-bucket bounds: 1000 ns ∈ [512, 1024)
+        assert_eq!(rank.min_ns, 512);
+        assert_eq!(rank.max_ns, 1023);
+        assert_eq!(
+            rank.buckets,
+            vec![HistogramBucket {
+                floor_ns: 512,
+                count: 1
+            }]
+        );
     }
 
     #[test]
@@ -1724,16 +1395,12 @@ mod tests {
         m.record_query("skew", Mode::Approximate, true);
         m.record_query("dispersion", Mode::Approximate, false);
         let snap = m.snapshot();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(snap.queries.total, 3);
-            assert_eq!(snap.queries.exact, 1);
-            assert_eq!(snap.queries.approximate, 2);
-            assert_eq!(snap.queries.index_served, 1);
-            assert_eq!(snap.queries.by_class["skew"], 2);
-            assert_eq!(snap.queries.by_class["dispersion"], 1);
-        } else {
-            assert_eq!(snap.queries.total, 0);
-        }
+        assert_eq!(snap.queries.total, 3);
+        assert_eq!(snap.queries.exact, 1);
+        assert_eq!(snap.queries.approximate, 2);
+        assert_eq!(snap.queries.index_served, 1);
+        assert_eq!(snap.queries.by_class["skew"], 2);
+        assert_eq!(snap.queries.by_class["dispersion"], 1);
     }
 
     #[test]
@@ -1744,19 +1411,12 @@ mod tests {
         lap.mark(Stage::Score);
         lap.mark(Stage::Rank);
         let snap = m.snapshot();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(snap.stage("score").unwrap().count, 1);
-            assert_eq!(snap.stage("rank").unwrap().count, 1);
-        } else {
-            assert!(snap.stages.iter().all(|s| s.count == 0));
-        }
+        assert_eq!(snap.stage("score").unwrap().count, 1);
+        assert_eq!(snap.stage("rank").unwrap().count, 1);
         // inert with no registry attached
         let mut none = Lap::start(None);
         none.mark(Stage::Score);
-        assert_eq!(
-            m.snapshot().stage("score").unwrap().count,
-            snap.stage("score").unwrap().count
-        );
+        assert_eq!(m.snapshot().stage("score").unwrap().count, 1);
     }
 
     #[test]
@@ -1797,12 +1457,38 @@ mod tests {
             m.record_ns(Stage::Score, 1000); // bucket [512, 1024)
         }
         m.record_ns(Stage::Score, 1 << 20); // one outlier
+        let s = m.snapshot().stage("score").unwrap().clone();
+        assert_eq!(s.p50_ns, 512 + 256, "median sits in the common bucket");
+        assert!(s.p99_ns <= 1 << 10);
+        assert!(s.max_ns >= 1 << 20);
+    }
+
+    /// Every counter with a distinct value, in declaration order.
+    fn count_everything(m: &Metrics) {
+        for (i, (counter, _)) in scalar_rows().filter_map(|s| s.counter).enumerate() {
+            m.add(counter, 1_000 + i as u64);
+        }
+    }
+
+    #[test]
+    fn every_counter_feeds_the_row_that_reads_it() {
+        let m = Metrics::new();
+        count_everything(&m);
         let snap = m.snapshot();
-        if cfg!(feature = "telemetry") {
-            let s = snap.stage("score").unwrap();
-            assert_eq!(s.p50_ns, 512 + 256, "median sits in the common bucket");
-            assert!(s.p99_ns <= 1 << 10);
-            assert!(s.max_ns >= 1 << 20);
+        let fed: Vec<Counter> = scalar_rows()
+            .filter_map(|s| s.counter.map(|c| c.0))
+            .collect();
+        assert_eq!(fed.len(), Counter::COUNT, "one row per counter");
+        for (i, counter) in fed.iter().enumerate() {
+            assert_eq!(*counter as usize, i, "rows follow the enum's order");
+        }
+        for (i, series) in scalar_rows().filter(|s| s.counter.is_some()).enumerate() {
+            assert_eq!(
+                (series.read)(&snap),
+                Some(1_000.0 + i as f64),
+                "{} reads a field its counter does not fill",
+                series.name
+            );
         }
     }
 
@@ -1810,97 +1496,84 @@ mod tests {
     fn reset_zeroes_everything() {
         let m = Metrics::new();
         m.record_ns(Stage::Score, 42);
+        m.record_request(Endpoint::Query, 42);
         m.record_query("skew", Mode::Exact, false);
-        m.record_sketch_fallback();
-        m.record_ingest_batch(100);
-        m.record_republish_incremental(2, 10, 50, 7);
+        count_everything(&m);
         m.reset();
         let snap = m.snapshot();
         assert!(snap.stages.iter().all(|s| s.count == 0));
-        assert_eq!(snap.queries.total, 0);
+        assert!(snap.serve.endpoints.iter().all(|s| s.count == 0));
         assert!(snap.queries.by_class.is_empty());
-        assert_eq!(snap.sketch_fallbacks, 0);
-        assert_eq!(snap.ingest, IngestSnapshot::default());
+        for series in scalar_rows().filter(|s| s.counter.is_some()) {
+            assert_eq!((series.read)(&snap), Some(0.0), "{}", series.name);
+        }
     }
 
     #[test]
     fn serve_counters_are_always_on_and_reset() {
         let m = Metrics::new();
-        m.record_connection();
-        m.record_connection_shed();
         m.record_request(Endpoint::Query, 2000);
-        m.record_load_shed();
-        m.record_serve_error();
-        m.record_session_created();
-        m.record_session_created();
-        m.record_session_expired();
-        m.record_session_evicted();
-        m.record_session_closed();
+        m.add(Counter::SessionsCreated, 2);
+        m.add(Counter::SessionsExpired, 1);
+        m.add(Counter::SessionsEvicted, 1);
+        m.add(Counter::SessionsClosed, 1);
         let snap = m.snapshot();
-        // counters flow regardless of the telemetry feature
-        assert_eq!(snap.serve.connections, 1);
-        assert_eq!(snap.serve.connections_shed, 1);
         assert_eq!(snap.serve.requests, 1);
-        assert_eq!(snap.serve.load_shed, 1);
-        assert_eq!(snap.serve.errors, 1);
-        assert_eq!(snap.serve.sessions_created, 2);
-        assert_eq!(snap.serve.sessions_expired, 1);
-        assert_eq!(snap.serve.sessions_evicted, 1);
-        assert_eq!(snap.serve.sessions_closed, 1);
         // 2 created − (1 closed + 1 expired + 1 evicted) saturates to 0
         assert_eq!(snap.serve.sessions_live(), 0);
-        // the endpoint histogram is feature-gated like the stage cells
-        let names: Vec<&str> = snap
-            .serve
-            .endpoints
-            .iter()
-            .map(|e| e.stage.as_str())
-            .collect();
-        let expected: Vec<&str> = Endpoint::ALL.iter().map(|e| e.name()).collect();
-        assert_eq!(names, expected);
-        let query = snap
-            .serve
-            .endpoints
-            .iter()
-            .find(|e| e.stage == "query")
-            .unwrap();
-        assert_eq!(query.count > 0, cfg!(feature = "telemetry"));
         let text = snap.to_text();
-        assert!(text.contains("serve: 1 connections accepted"));
-        assert!(text
-            .contains("sessions: 2 created, 1 closed, 1 expired (ttl), 1 evicted (lru); 0 live"));
+        assert!(text.contains("serve requests "));
+        assert!(
+            text.contains("\nquery "),
+            "sampled endpoints are tabled:\n{text}"
+        );
         m.reset();
-        let clean = m.snapshot().serve;
-        assert_eq!(clean.connections + clean.requests + clean.load_shed, 0);
-        assert!(clean.endpoints.iter().all(|e| e.count == 0));
-        // a quiet registry prints no serve section at all
-        assert!(!m.snapshot().to_text().contains("serve:"));
+        // a quiet registry prints no serve rows and no endpoint table
+        let quiet = m.snapshot().to_text();
+        assert!(!quiet.lines().any(|l| l.starts_with("serve")), "{quiet}");
+        assert!(!quiet.contains("\nquery "), "{quiet}");
     }
 
     #[test]
     fn ingest_counters_accumulate_and_render() {
         let m = Metrics::new();
-        m.record_ingest_batch(100);
-        m.record_ingest_batch(28);
-        m.record_ingest_merge();
-        m.record_republish_full();
-        m.record_republish_clean();
-        m.record_republish_incremental(2, 10, 50, 7);
-        let snap = m.snapshot();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(snap.ingest.rows, 128);
-            assert_eq!(snap.ingest.batches, 2);
-            assert_eq!(snap.ingest.merges, 1);
-            assert_eq!(snap.ingest.republishes_full, 1);
-            assert_eq!(snap.ingest.republishes_incremental, 1);
-            assert_eq!(snap.ingest.republishes_clean, 1);
-            assert_eq!(snap.ingest.rescored_classes, 2);
-            assert_eq!(snap.ingest.rescored_tuples, 10);
-            assert_eq!(snap.ingest.reused_tuples, 50);
-            assert_eq!(snap.ingest.cache_entries_migrated, 7);
-            assert!(snap.to_text().contains("ingest: 128 rows in 2 batches"));
-        } else {
-            assert_eq!(snap.ingest, IngestSnapshot::default());
+        m.add(Counter::IngestRows, 100);
+        m.add(Counter::IngestRows, 28);
+        let text = m.snapshot().to_text();
+        assert!(text
+            .lines()
+            .any(|l| l.starts_with("ingest rows") && l.ends_with(" 128")));
+        // untouched rows that are not always-on stay quiet
+        assert!(!text.contains("republishes clean"));
+    }
+
+    #[test]
+    fn to_text_prints_every_row_of_a_populated_snapshot() {
+        let m = Metrics::new();
+        count_everything(&m);
+        m.record_query("skew", Mode::Exact, false);
+        let mut snap = m.snapshot();
+        snap.cache = Some(CacheSnapshot {
+            hits: 3,
+            misses: 1,
+            entries: 2,
+            purges: 1,
+            hit_rate: 0.75,
+        });
+        snap.resources = Some(ResourceSnapshot::default());
+        let text = snap.to_text();
+        for series in scalar_rows() {
+            let v = (series.read)(&snap).expect("every section present");
+            if v == 0.0 && !series.always_on {
+                continue;
+            }
+            assert!(
+                text.lines()
+                    .any(|l| l.starts_with(series.text) && l.ends_with(&format!(" {v}"))),
+                "`{}` missing from to_text:\n{text}",
+                series.text
+            );
         }
+        assert!(text.contains("queries skew"));
     }
 }

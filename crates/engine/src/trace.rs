@@ -26,14 +26,9 @@
 //! pretty JSON, and Chrome trace-event JSON loadable in Perfetto or
 //! `chrome://tracing`.
 //!
-//! # The `trace` cargo feature
-//!
-//! Everything here compiles out without `--features trace`: the
-//! [`TraceBuilder`] threaded through the executor is permanently inert
-//! (every method an empty no-op the optimizer removes), `explain` still
-//! returns results but no trace, and the only residual cost on the
-//! untraced query path is one relaxed atomic load for the slow-query
-//! threshold — `exp_trace` gates the 1%-sampled overhead at ≤3%.
+//! An untraced query carries an inert [`TraceBuilder`] (every method an
+//! empty no-op), and the only cost the trace layer adds to it is one
+//! relaxed atomic load for the slow-query threshold.
 
 use crate::executor::Mode;
 use crate::query::InsightQuery;
@@ -44,7 +39,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default capacity of the finished-trace ring on a [`Tracer`]: the last N
@@ -452,8 +447,7 @@ struct SpanRec {
 }
 
 /// The request-scoped collector threaded through the executor. Inert (all
-/// methods empty, no allocation) when the query is not being traced —
-/// which is always the case without the `trace` cargo feature.
+/// methods empty, no allocation) when the query is not being traced.
 pub struct TraceBuilder {
     inner: Option<Box<ActiveTrace>>,
 }
@@ -782,9 +776,6 @@ impl TraceRing {
 ///
 /// [`Metrics`]: crate::telemetry::Metrics
 pub struct Tracer {
-    /// Runtime master switch for *sampled* traces (forced `explain` traces
-    /// bypass it; a build without the `trace` feature ignores both).
-    enabled: AtomicBool,
     next_id: AtomicU64,
     ring: TraceRing,
     /// Slow-query threshold, ns; 0 disables the log. One relaxed load per
@@ -802,8 +793,7 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh tracer with the default capacities: sampling enabled
-    /// (feature permitting), slow log off.
+    /// A fresh tracer with the default capacities, slow log off.
     pub fn new() -> Self {
         Self::with_capacities(TRACE_RING_CAPACITY, SLOW_LOG_CAPACITY)
     }
@@ -814,7 +804,6 @@ impl Tracer {
     /// for post-hoc debugging, a shallow one to bound memory.
     pub fn with_capacities(ring: usize, slow: usize) -> Self {
         Self {
-            enabled: AtomicBool::new(true),
             next_id: AtomicU64::new(0),
             ring: TraceRing::new(ring),
             slow_threshold_ns: AtomicU64::new(0),
@@ -856,18 +845,6 @@ impl Tracer {
             + slow_bytes
     }
 
-    /// Whether sampled tracing is live: requires the `trace` cargo feature
-    /// and the runtime switch.
-    pub fn enabled(&self) -> bool {
-        cfg!(feature = "trace") && self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flips the runtime switch for sampled traces (`explain` is always
-    /// captured when the feature is compiled in).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// The slow-query threshold in nanoseconds (0 = off).
     pub fn slow_threshold_ns(&self) -> u64 {
         self.slow_threshold_ns.load(Ordering::Relaxed)
@@ -879,18 +856,13 @@ impl Tracer {
         self.slow_threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Starts a trace for one query. Returns an inert builder when the
-    /// `trace` feature is off, or when the runtime switch is off and the
-    /// trace is not forced.
+    /// Starts a trace for one query; `forced` marks an EXPLAIN.
     pub(crate) fn begin_trace(
         &self,
         query: &InsightQuery,
         mode: Mode,
         forced: bool,
     ) -> TraceBuilder {
-        if !cfg!(feature = "trace") || (!forced && !self.enabled.load(Ordering::Relaxed)) {
-            return TraceBuilder::disabled();
-        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         TraceBuilder::active(id, query, mode, forced)
     }
@@ -961,8 +933,7 @@ impl Tracer {
 pub struct Explained {
     /// The ranked insight instances, exactly as `query()` would return.
     pub results: Vec<InsightInstance>,
-    /// The captured trace (EXPLAIN's is absent only without the `trace`
-    /// feature).
+    /// The captured trace (always present for EXPLAIN).
     pub trace: Option<Arc<QueryTrace>>,
 }
 

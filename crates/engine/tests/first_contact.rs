@@ -173,10 +173,8 @@ fn profile_on_an_indexed_core_scores_nothing() {
             "profile reached the scoring path"
         );
         let served = core.metrics_snapshot().queries;
-        if cfg!(feature = "telemetry") {
-            assert_eq!(served.total, core.registry().len() as u64);
-            assert_eq!(served.index_served, served.total);
-        }
+        assert_eq!(served.total, core.registry().len() as u64);
+        assert_eq!(served.index_served, served.total);
         let second = core.profile(core.mode()).unwrap();
         assert_eq!(first, second);
         assert_eq!(core.cache_stats().misses, before.misses);
@@ -297,12 +295,10 @@ fn index_build_fallbacks_are_counted_and_explained() {
         })
         .sum();
     assert!(sketchless >= 28 * 27 / 2, "dependence has no sketch path");
-    if cfg!(feature = "telemetry") {
-        assert_eq!(
-            indexed.metrics_snapshot().sketch_fallbacks,
-            sketchless as u64
-        );
-    }
+    assert_eq!(
+        indexed.metrics_snapshot().sketch_fallbacks,
+        sketchless as u64
+    );
 
     let unindexed = core(TableSource::materialized(table), true, false);
     let q = InsightQuery::class("statistical-dependence").top_k(5);
@@ -313,14 +309,12 @@ fn index_build_fallbacks_are_counted_and_explained() {
         cold.results,
         indexed.run(&q, &indexed.options()).unwrap().results
     );
-    if cfg!(feature = "trace") {
-        for (explained, path) in [(cold, "exact-fallback"), (warm, "index")] {
-            let trace = explained.trace.expect("forced trace");
-            assert_eq!(trace.results.len(), 5);
-            for result in &trace.results {
-                assert_eq!(result.path, path);
-                assert_eq!(result.cache_hit, path == "cache");
-            }
+    for (explained, path) in [(cold, "exact-fallback"), (warm, "index")] {
+        let trace = explained.trace.expect("forced trace");
+        assert_eq!(trace.results.len(), 5);
+        for result in &trace.results {
+            assert_eq!(result.path, path);
+            assert_eq!(result.cache_hit, path == "cache");
         }
     }
 }

@@ -172,23 +172,19 @@ fn explain_reports_lsh_collisions_on_wide_tables() {
     let explained = handle
         .explain(&InsightQuery::class("linear-relationship").top_k(5))
         .unwrap();
-    match explained.trace {
-        Some(trace) => {
-            let lsh = trace.lsh.expect("wide-table Auto query routes through LSH");
-            assert_eq!(lsh.universe_columns, 96);
-            assert!(lsh.collision_pairs > 0);
-            assert_eq!(lsh.tables_probed, 16);
-            let text = trace.to_text();
-            assert!(
-                text.contains(&format!(
-                    "candidates from LSH bucket collisions: {} of {}\u{b2}, tables probed: {}",
-                    lsh.collision_pairs, lsh.universe_columns, lsh.tables_probed
-                )),
-                "EXPLAIN text missing the collision line:\n{text}"
-            );
-        }
-        None => assert!(!cfg!(feature = "trace")),
-    }
+    let trace = explained.trace.expect("explain captures a trace");
+    let lsh = trace.lsh.expect("wide-table Auto query routes through LSH");
+    assert_eq!(lsh.universe_columns, 96);
+    assert!(lsh.collision_pairs > 0);
+    assert_eq!(lsh.tables_probed, 16);
+    let text = trace.to_text();
+    assert!(
+        text.contains(&format!(
+            "candidates from LSH bucket collisions: {} of {}\u{b2}, tables probed: {}",
+            lsh.collision_pairs, lsh.universe_columns, lsh.tables_probed
+        )),
+        "EXPLAIN text missing the collision line:\n{text}"
+    );
 }
 
 /// Below the width threshold, Auto keeps the quadratic scan even though

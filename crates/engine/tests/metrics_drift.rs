@@ -1,24 +1,21 @@
-//! Drift guard for the `MetricsSnapshot` renderings. `to_json` is the
-//! machine-readable export; `to_text` is what the explorer's `metrics`
-//! command and a server operator read; `to_prometheus` is what a scraper
-//! ingests. Every scalar counter the JSON exposes (queries, ingest,
-//! serve, cache, resources, sketch fallbacks) must also be visible in
-//! the text and Prometheus renderings — a counter added to the snapshot
-//! struct but forgotten in a rendering fails here, by name.
+//! Drift guard for the metric schema. Every rendering walks
+//! `telemetry::SCHEMA`, so a renderer can no longer forget a counter; what
+//! can still drift is the schema against the snapshot struct. A field
+//! added to `MetricsSnapshot` without a row would be in `to_json` but in
+//! no other rendering, and a row whose accessor reads the wrong field
+//! would report one value twice. Both fail here, by name.
 //!
-//! The check is value-based: each counter gets a globally unique 4-digit
-//! value, so "visible in the rendering" is simply "that number is
-//! printed".
+//! The check is value-based: each scalar leaf gets a globally distinct
+//! value, so "row R reads leaf L" is simply "R's reading equals L".
 
 use foresight_engine::telemetry::{
-    CacheSnapshot, IngestSnapshot, LshSnapshot, MetricsSnapshot, QuerySnapshot, ResourceSnapshot,
-    ServeSnapshot,
+    scalar_rows, CacheSnapshot, IngestSnapshot, LshSnapshot, MetricsSnapshot, QuerySnapshot,
+    ResourceSnapshot, Series, ServeSnapshot,
 };
 use serde_json::Value;
 use std::collections::BTreeMap;
 
-/// A snapshot whose every scalar counter carries a distinct 4-digit
-/// value (4-digit so no value is a substring of another).
+/// A snapshot whose every scalar leaf carries a distinct value.
 fn fully_populated() -> MetricsSnapshot {
     let mut next = 4100u64;
     let mut fresh = || {
@@ -28,10 +25,8 @@ fn fully_populated() -> MetricsSnapshot {
     let mut by_class = BTreeMap::new();
     by_class.insert("linear-relationship".to_owned(), fresh());
     MetricsSnapshot {
-        telemetry_compiled: true,
-        telemetry_enabled: true,
         kernel: "scalar".to_owned(),
-        uptime_secs: 0.5,
+        uptime_secs: 0.25,
         sample_seq: fresh(),
         stages: Vec::new(),
         queries: QuerySnapshot {
@@ -75,7 +70,7 @@ fn fully_populated() -> MetricsSnapshot {
             misses: fresh(),
             entries: fresh(),
             purges: fresh(),
-            hit_rate: 0.5,
+            hit_rate: 0.75,
         }),
         resources: Some(ResourceSnapshot {
             catalog_bytes: fresh(),
@@ -90,111 +85,96 @@ fn fully_populated() -> MetricsSnapshot {
     }
 }
 
-/// Leaves every rendering skips: latency tables (rescaled to ms/us), the
-/// raw histogram, ratios and build metadata printed as words, and the
-/// float uptime.
-const SKIP_ALWAYS: &[&str] = &[
-    "stages",      // per-stage latency table, rescaled in text
-    "endpoints",   // per-endpoint latency table, rescaled in text
-    "buckets",     // raw histogram, intentionally JSON-only
-    "hit_rate",    // printed as a percentage
-    "uptime_secs", // float seconds, formatted per rendering
-    "telemetry_compiled",
-    "telemetry_enabled",
-    "kernel",
-];
+/// Rows computed from several leaves rather than read from one.
+const DERIVED: &[&str] = &["foresight_serve_sessions_live"];
 
-/// Additionally skipped for `to_text` only: the resident-memory gauges
-/// are rescaled to KiB there (Prometheus keeps raw bytes).
-const SKIP_TEXT: &[&str] = &[
-    "catalog_bytes",
-    "cache_bytes",
-    "prepared_bytes",
-    "orders_bytes",
-    "lsh_bytes",
-    "trace_bytes",
-    "session_table_bytes",
-];
+/// Numeric leaves the schema covers as something other than a scalar
+/// row: the latency histograms (arrays) and the per-class map.
+const NOT_SCALAR: &[&str] = &["stages", "endpoints", "by_class"];
 
-/// Collects `(path, value)` for every integer counter leaf in the JSON
-/// rendering, minus the given skip lists.
-fn counter_leaves(value: &Value, path: String, skip: &[&[&str]], out: &mut Vec<(String, u64)>) {
+/// Collects `(path, value)` for every numeric scalar leaf of the JSON
+/// rendering. String leaves (`kernel`) are `foresight_build_info` labels.
+fn scalar_leaves(value: &Value, path: String, out: &mut Vec<(String, Value)>) {
     match value {
         Value::Object(map) => {
             for (key, child) in map {
-                if skip.iter().any(|list| list.contains(&key.as_str())) {
-                    continue;
+                if !NOT_SCALAR.contains(&key.as_str()) {
+                    scalar_leaves(child, format!("{path}.{key}"), out);
                 }
-                counter_leaves(child, format!("{path}.{key}"), skip, out);
             }
         }
-        _ => {
-            if let Some(n) = value.as_u64() {
-                out.push((path, n));
-            }
-        }
+        Value::Number(_) => out.push((path, value.clone())),
+        _ => {}
     }
 }
 
-#[test]
-fn to_text_prints_every_counter_to_json_exposes() {
-    let snapshot = fully_populated();
-    let text = snapshot.to_text();
-    let json: Value = serde_json::from_str(&snapshot.to_json()).unwrap();
-    let mut counters = Vec::new();
-    counter_leaves(
-        &json,
-        "snapshot".to_owned(),
-        &[SKIP_ALWAYS, SKIP_TEXT],
-        &mut counters,
-    );
-
-    // the sweep must actually cover the sections this PR cares about
-    for section in ["queries", "ingest", "serve", "cache", "sketch_fallbacks"] {
-        assert!(
-            counters
-                .iter()
-                .any(|(path, _)| path.contains(&format!(".{section}"))),
-            "counter sweep no longer covers `{section}` — snapshot shape changed?"
-        );
+fn row_name(series: &Series) -> String {
+    match series.label {
+        Some((key, value)) => format!("{}{{{key}=\"{value}\"}}", series.name),
+        None => series.name.to_owned(),
     }
+}
+
+fn reads(series: &Series, snapshot: &MetricsSnapshot, leaf: &Value) -> bool {
+    (series.read)(snapshot).is_some_and(|v| leaf.as_f64() == Some(v))
+}
+
+fn leaves(snapshot: &MetricsSnapshot) -> Vec<(String, Value)> {
+    let json: Value = serde_json::from_str(&snapshot.to_json()).unwrap();
+    let mut leaves = Vec::new();
+    scalar_leaves(&json, "snapshot".to_owned(), &mut leaves);
+    leaves
+}
+
+#[test]
+fn every_scalar_leaf_has_exactly_one_schema_row() {
+    let snapshot = fully_populated();
+    let leaves = leaves(&snapshot);
     assert!(
-        counters.len() >= 28,
-        "expected at least 28 scalar counters, found {}: {counters:?}",
-        counters.len()
+        leaves.len() >= 40,
+        "expected at least 40 scalar leaves, found {}: {leaves:?}",
+        leaves.len()
     );
-    for (path, value) in &counters {
-        assert!(
-            text.contains(&value.to_string()),
-            "counter `{path}` (= {value}) is in to_json but not rendered by to_text:\n{text}"
+    for (path, leaf) in &leaves {
+        let rows: Vec<String> = scalar_rows()
+            .filter(|series| reads(series, &snapshot, leaf))
+            .map(row_name)
+            .collect();
+        assert_eq!(
+            rows.len(),
+            1,
+            "leaf `{path}` (= {leaf}) must have exactly one schema row, has {rows:?}"
         );
     }
 }
 
-/// The scrape-surface drift guard: every counter the JSON export carries
-/// must appear in the Prometheus exposition too — including the
-/// resource gauges, which Prometheus keeps in raw bytes.
 #[test]
-fn to_prometheus_exposes_every_counter_to_json_exposes() {
+fn every_schema_row_reads_a_distinct_leaf() {
     let snapshot = fully_populated();
-    let exposition = snapshot.to_prometheus();
-    let json: Value = serde_json::from_str(&snapshot.to_json()).unwrap();
-    let mut counters = Vec::new();
-    counter_leaves(&json, "snapshot".to_owned(), &[SKIP_ALWAYS], &mut counters);
-
-    for section in ["queries", "ingest", "serve", "cache", "resources"] {
-        assert!(
-            counters
-                .iter()
-                .any(|(path, _)| path.contains(&format!(".{section}"))),
-            "counter sweep no longer covers `{section}` — snapshot shape changed?"
-        );
-    }
-    for (path, value) in &counters {
-        assert!(
-            exposition.contains(&value.to_string()),
-            "counter `{path}` (= {value}) is in to_json but missing from to_prometheus:\n{exposition}"
-        );
+    let leaves = leaves(&snapshot);
+    let mut seen: BTreeMap<&str, String> = BTreeMap::new();
+    for series in scalar_rows() {
+        let read: Vec<&str> = leaves
+            .iter()
+            .filter(|(_, leaf)| reads(series, &snapshot, leaf))
+            .map(|(path, _)| path.as_str())
+            .collect();
+        if DERIVED.contains(&series.name) {
+            assert!(
+                read.is_empty(),
+                "derived row `{}` reads {read:?}",
+                series.name
+            );
+            continue;
+        }
+        assert_eq!(read.len(), 1, "row `{}` reads {read:?}", row_name(series));
+        if let Some(other) = seen.insert(read[0], row_name(series)) {
+            panic!(
+                "rows `{other}` and `{}` both read `{}`",
+                row_name(series),
+                read[0]
+            );
+        }
     }
 }
 
@@ -208,7 +188,7 @@ fn snapshot_json_round_trips() {
 #[test]
 fn serve_endpoints_follow_the_endpoint_enum() {
     // A snapshot taken from a live registry must carry one endpoint row
-    // per `Endpoint::ALL` entry, in order, regardless of features.
+    // per `Endpoint::ALL` entry, in order.
     let metrics = foresight_engine::Metrics::new();
     metrics.record_request(foresight_engine::Endpoint::Query, 1_000);
     let snapshot = metrics.snapshot();

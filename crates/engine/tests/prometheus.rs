@@ -13,7 +13,8 @@
 //!   family's `_count`
 //! * label values with quotes/backslashes/newlines arrive escaped
 
-use foresight_engine::{Endpoint, Metrics, Mode, Stage};
+use foresight_engine::telemetry::CacheSnapshot;
+use foresight_engine::{Counter, Endpoint, Metrics, Mode, Stage};
 use std::collections::BTreeMap;
 
 fn is_valid_metric_name(name: &str) -> bool {
@@ -184,7 +185,6 @@ fn parse(exposition: &str) -> BTreeMap<String, Family> {
 /// every family it can emit.
 fn populated_snapshot() -> foresight_engine::MetricsSnapshot {
     let metrics = Metrics::new();
-    metrics.set_enabled(true);
     for stage in Stage::ALL {
         metrics.record_ns(stage, 1_500);
         metrics.record_ns(stage, 65_000);
@@ -194,16 +194,29 @@ fn populated_snapshot() -> foresight_engine::MetricsSnapshot {
     }
     metrics.record_query("linear-relationship", Mode::Exact, false);
     metrics.record_query("skew", Mode::Approximate, true);
-    metrics.record_sketch_fallback();
-    metrics.record_lsh_candidates(42);
-    metrics.record_ingest_batch(1_000);
-    metrics.record_republish_full();
-    metrics.record_connection();
-    metrics.record_load_shed();
-    metrics.record_serve_error();
-    metrics.record_session_created();
-    metrics.record_session_closed();
+    for (counter, n) in [
+        (Counter::SketchFallbacks, 1),
+        (Counter::LshQueries, 1),
+        (Counter::LshCandidatePairs, 42),
+        (Counter::IngestBatches, 1),
+        (Counter::IngestRows, 1_000),
+        (Counter::RepublishesFull, 1),
+        (Counter::Connections, 1),
+        (Counter::LoadShed, 1),
+        (Counter::Errors, 1),
+        (Counter::SessionsCreated, 1),
+        (Counter::SessionsClosed, 1),
+    ] {
+        metrics.add(counter, n);
+    }
     let mut snap = metrics.snapshot();
+    snap.cache = Some(CacheSnapshot {
+        hits: 3,
+        misses: 1,
+        entries: 4,
+        purges: 0,
+        hit_rate: 0.75,
+    });
     snap.resources = Some(foresight_engine::ResourceSnapshot {
         catalog_bytes: 1 << 20,
         cache_bytes: 4096,
@@ -217,33 +230,79 @@ fn populated_snapshot() -> foresight_engine::MetricsSnapshot {
     snap
 }
 
+/// Every family a fully populated snapshot exposes, with its type — a
+/// renamed, retyped or dropped family fails here by name.
+const FAMILIES: &[(&str, &str)] = &[
+    ("foresight_build_info", "gauge"),
+    ("foresight_uptime_seconds", "gauge"),
+    ("foresight_metrics_sample_seq", "gauge"),
+    ("foresight_stage_duration_ns", "histogram"),
+    ("foresight_stage_duration_ns_min_ns", "gauge"),
+    ("foresight_stage_duration_ns_max_ns", "gauge"),
+    ("foresight_stage_duration_ns_mean_ns", "gauge"),
+    ("foresight_stage_duration_ns_p50_ns", "gauge"),
+    ("foresight_stage_duration_ns_p99_ns", "gauge"),
+    ("foresight_endpoint_duration_ns", "histogram"),
+    ("foresight_endpoint_duration_ns_min_ns", "gauge"),
+    ("foresight_endpoint_duration_ns_max_ns", "gauge"),
+    ("foresight_endpoint_duration_ns_mean_ns", "gauge"),
+    ("foresight_endpoint_duration_ns_p50_ns", "gauge"),
+    ("foresight_endpoint_duration_ns_p99_ns", "gauge"),
+    ("foresight_queries_total", "counter"),
+    ("foresight_queries_exact_total", "counter"),
+    ("foresight_queries_approximate_total", "counter"),
+    ("foresight_queries_index_served_total", "counter"),
+    ("foresight_queries_by_class_total", "counter"),
+    ("foresight_sketch_fallbacks_total", "counter"),
+    ("foresight_lsh_queries_total", "counter"),
+    ("foresight_lsh_candidate_pairs_total", "counter"),
+    ("foresight_ingest_rows_total", "counter"),
+    ("foresight_ingest_batches_total", "counter"),
+    ("foresight_ingest_merges_total", "counter"),
+    ("foresight_republishes_total", "counter"),
+    ("foresight_rescored_classes_total", "counter"),
+    ("foresight_rescored_tuples_total", "counter"),
+    ("foresight_reused_tuples_total", "counter"),
+    ("foresight_cache_entries_migrated_total", "counter"),
+    ("foresight_serve_connections_total", "counter"),
+    ("foresight_serve_connections_shed_total", "counter"),
+    ("foresight_serve_requests_total", "counter"),
+    ("foresight_serve_load_shed_total", "counter"),
+    ("foresight_serve_errors_total", "counter"),
+    ("foresight_serve_sessions_created_total", "counter"),
+    ("foresight_serve_sessions_expired_total", "counter"),
+    ("foresight_serve_sessions_evicted_total", "counter"),
+    ("foresight_serve_sessions_closed_total", "counter"),
+    ("foresight_serve_sessions_live", "gauge"),
+    ("foresight_cache_hits_total", "counter"),
+    ("foresight_cache_misses_total", "counter"),
+    ("foresight_cache_purges_total", "counter"),
+    ("foresight_cache_entries", "gauge"),
+    ("foresight_cache_hit_rate", "gauge"),
+    ("foresight_resident_bytes", "gauge"),
+    ("foresight_sessions_live", "gauge"),
+];
+
 #[test]
 fn exposition_parses_strictly() {
     let snap = populated_snapshot();
     let families = parse(&snap.to_prometheus());
 
-    // the headline families are all present and typed as expected
-    for (name, kind) in [
-        ("foresight_build_info", "gauge"),
-        ("foresight_uptime_seconds", "gauge"),
-        ("foresight_queries_total", "counter"),
-        ("foresight_serve_requests_total", "counter"),
-        ("foresight_serve_sessions_closed_total", "counter"),
-        ("foresight_ingest_rows_total", "counter"),
-        ("foresight_resident_bytes", "gauge"),
-        ("foresight_sessions_live", "gauge"),
-        ("foresight_metrics_sample_seq", "gauge"),
-    ] {
+    // every family is present and typed as expected, and nothing else is
+    for (name, kind) in FAMILIES {
         let family = families
-            .get(name)
+            .get(*name)
             .unwrap_or_else(|| panic!("missing family `{name}`"));
-        assert_eq!(family.kind, kind, "family `{name}` kind");
+        assert_eq!(family.kind, *kind, "family `{name}` kind");
     }
-    // histograms only exist when the telemetry feature compiled them in
-    if cfg!(feature = "telemetry") {
-        assert_eq!(families["foresight_stage_duration_ns"].kind, "histogram");
-        assert_eq!(families["foresight_endpoint_duration_ns"].kind, "histogram");
-    }
+    let unlisted: Vec<&String> = families
+        .keys()
+        .filter(|name| !FAMILIES.iter().any(|(listed, _)| listed == name))
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "families missing from FAMILIES: {unlisted:?}"
+    );
 
     // build info carries the crate version, escaped and labeled
     let (_, labels, value) = &families["foresight_build_info"].samples[0];

@@ -4,7 +4,7 @@
 //! approximate cores, cold and warm stores, sharded and raw-row-dropped
 //! sources — and only the queries the orders can answer walk them. Whether
 //! a query walked shows in the cache counters (a walk looks nothing up)
-//! and, with telemetry compiled in, in the index-served query counter.
+//! and in the index-served query counter.
 
 use foresight_data::datasets::{synth, SynthConfig};
 use foresight_data::{Table, TableBuilder, TableSource};
@@ -219,15 +219,13 @@ fn check(
                 q
             );
         }
-        if cfg!(feature = "telemetry") {
-            prop_assert_eq!(
-                after.1.index_served - before.1.index_served,
-                u64::from(walks),
-                "{:?} on {:?}",
-                q,
-                opts
-            );
-        }
+        prop_assert_eq!(
+            after.1.index_served - before.1.index_served,
+            u64::from(walks),
+            "{:?} on {:?}",
+            q,
+            opts
+        );
         if class_scan && q.semantic.is_none() && q.exclude.is_empty() {
             filled.insert(class.id().to_owned());
         }

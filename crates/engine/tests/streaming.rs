@@ -406,14 +406,12 @@ fn churn_queries_stay_consistent_and_final_state_matches_batch() {
     let cold = cold_core(shards, &config, true);
     assert_same_answers(&last, &cold);
 
-    if cfg!(feature = "telemetry") {
-        let snap = last.metrics_snapshot();
-        assert_eq!(snap.ingest.batches, BATCHES as u64);
-        assert_eq!(snap.ingest.rows, (BATCHES * BATCH_ROWS) as u64);
-        assert!(snap.ingest.republishes_incremental > 0);
-        assert!(
-            snap.ingest.reused_tuples > 0,
-            "clean columns must carry over"
-        );
-    }
+    let snap = last.metrics_snapshot();
+    assert_eq!(snap.ingest.batches, BATCHES as u64);
+    assert_eq!(snap.ingest.rows, (BATCHES * BATCH_ROWS) as u64);
+    assert!(snap.ingest.republishes_incremental > 0);
+    assert!(
+        snap.ingest.reused_tuples > 0,
+        "clean columns must carry over"
+    );
 }

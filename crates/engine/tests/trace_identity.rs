@@ -72,34 +72,30 @@ proptest! {
         let untraced = off.results;
         prop_assert_eq!(&traced, &untraced);
 
-        if cfg!(feature = "trace") {
-            let trace = trace.expect("forced trace is captured");
-            prop_assert_eq!(trace.candidates_generated, cols * (cols - 1) / 2);
-            prop_assert_eq!(trace.results.len(), untraced.len());
-            for (rec, inst) in trace.results.iter().zip(&untraced) {
-                // scores in the trace are the served scores, bit for bit
-                prop_assert_eq!(rec.score.to_bits(), inst.score.to_bits());
-            }
-            // the score span splits into its three steps, which account
-            // for every eligible candidate
-            let steps = score_steps(&trace);
-            prop_assert_eq!(
-                steps,
-                (
-                    trace.cache_hits,
-                    trace.cache_misses,
-                    trace.cache_misses,
-                    trace.cache_stored
-                )
-            );
-            prop_assert_eq!(
-                (trace.cache_hits + trace.cache_misses) as usize,
-                trace.candidates_eligible
-            );
-            prop_assert_eq!(trace.cache_stored, trace.cache_misses);
-        } else {
-            prop_assert!(trace.is_none(), "no trace without the feature");
+        let trace = trace.expect("forced trace is captured");
+        prop_assert_eq!(trace.candidates_generated, cols * (cols - 1) / 2);
+        prop_assert_eq!(trace.results.len(), untraced.len());
+        for (rec, inst) in trace.results.iter().zip(&untraced) {
+            // scores in the trace are the served scores, bit for bit
+            prop_assert_eq!(rec.score.to_bits(), inst.score.to_bits());
         }
+        // the score span splits into its three steps, which account
+        // for every eligible candidate
+        let steps = score_steps(&trace);
+        prop_assert_eq!(
+            steps,
+            (
+                trace.cache_hits,
+                trace.cache_misses,
+                trace.cache_misses,
+                trace.cache_stored
+            )
+        );
+        prop_assert_eq!(
+            (trace.cache_hits + trace.cache_misses) as usize,
+            trace.candidates_eligible
+        );
+        prop_assert_eq!(trace.cache_stored, trace.cache_misses);
 
         // warm cache + sampled (not forced) tracing through a session
         // handle: still identical

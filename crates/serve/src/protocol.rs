@@ -232,8 +232,7 @@ pub enum Reply {
     Closed,
     /// Ranked query results.
     Results(Vec<InsightInstance>),
-    /// Query results plus the captured trace (`None` when the server was
-    /// built without the `trace` feature).
+    /// Query results plus the captured trace.
     Explained {
         /// Ranked results, bit-identical to a `Query` of the same shape.
         results: Vec<InsightInstance>,
@@ -374,10 +373,6 @@ pub struct HelloInfo {
     /// The stats-kernel mode serving this core (`vectorized` / `scalar`).
     #[serde(default)]
     pub kernel: String,
-    /// Observability features compiled into the server binary
-    /// (`telemetry`, `trace`).
-    #[serde(default)]
-    pub features: Vec<String>,
 }
 
 #[cfg(test)]

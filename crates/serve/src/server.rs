@@ -32,7 +32,7 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use foresight_engine::{
-    AdoptPolicy, CandidateStrategy, Endpoint, EngineCore, EngineError, Mode, Monitor,
+    AdoptPolicy, CandidateStrategy, Counter, Endpoint, EngineCore, EngineError, Mode, Monitor,
     MonitorConfig, MonitorTarget, PublishedCore, Session, SessionHandle,
 };
 use std::collections::HashMap;
@@ -100,9 +100,8 @@ pub struct ServeConfig {
     /// Enables the test-only `Sleep` command (shed tests use it to hold a
     /// worker deterministically). Off for real servers.
     pub enable_test_commands: bool,
-    /// Runs the background monitor sampler (`false`, or
-    /// `FORESIGHT_DISABLE_MONITOR=1`, falls back to on-demand health with
-    /// an empty ring).
+    /// Runs the background monitor sampler (`false` falls back to
+    /// on-demand health with an empty ring).
     pub enable_monitor: bool,
     /// Sampler cadence, ring capacity, and health/watchdog thresholds.
     pub monitor: MonitorConfig,
@@ -298,11 +297,11 @@ fn acceptor_loop(
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
                 if shared.live_connections.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    shared.metrics().record_connection_shed();
+                    shared.metrics().add(Counter::ConnectionsShed, 1);
                     shed_connection(stream);
                     continue;
                 }
-                shared.metrics().record_connection();
+                shared.metrics().add(Counter::Connections, 1);
                 shared.live_connections.fetch_add(1, Ordering::SeqCst);
                 let shared_ = Arc::clone(&shared);
                 let txs = worker_txs.clone();
@@ -382,7 +381,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream, worker_txs: &[SyncSender<
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if line.len() > MAX_LINE_BYTES {
                     let resp = Response::err(0, ErrorCode::BadRequest, "request line too long");
-                    shared.metrics().record_serve_error();
+                    shared.metrics().add(Counter::Errors, 1);
                     let _ = write_response(&mut writer, &resp);
                     return;
                 }
@@ -392,7 +391,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream, worker_txs: &[SyncSender<
         }
         if line.len() > MAX_LINE_BYTES {
             let resp = Response::err(0, ErrorCode::BadRequest, "request line too long");
-            shared.metrics().record_serve_error();
+            shared.metrics().add(Counter::Errors, 1);
             let _ = write_response(&mut writer, &resp);
             return;
         }
@@ -412,7 +411,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream, worker_txs: &[SyncSender<
         let request: Request = match serde_json::from_str(request_line.trim()) {
             Ok(req) => req,
             Err(e) => {
-                shared.metrics().record_serve_error();
+                shared.metrics().add(Counter::Errors, 1);
                 let resp = Response::err(0, ErrorCode::BadRequest, format!("unparseable: {e}"));
                 if write_response(&mut writer, &resp).is_err() {
                     return;
@@ -430,9 +429,9 @@ fn connection_loop(shared: &Shared, stream: TcpStream, worker_txs: &[SyncSender<
             // sheds are separately accounted as load-shed, not errors
             match &response.err {
                 Some(err) if err.code == ErrorCode::Overloaded => {
-                    shared.metrics().record_load_shed()
+                    shared.metrics().add(Counter::LoadShed, 1)
                 }
-                _ => shared.metrics().record_serve_error(),
+                _ => shared.metrics().add(Counter::Errors, 1),
             }
         }
         if write_response(&mut writer, &response).is_err() {
@@ -533,10 +532,6 @@ fn hello_info(shared: &Shared) -> HelloInfo {
         lsh_tables: core.lsh_index().map(|ix| ix.config().tables).unwrap_or(0),
         version: foresight_engine::build_version().to_owned(),
         kernel: foresight_engine::kernel_name().to_owned(),
-        features: foresight_engine::build_features()
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect(),
     }
 }
 
@@ -628,7 +623,7 @@ fn sweep_expired(shared: &Shared, sessions: &mut HashMap<u64, Entry>) {
     let before = sessions.len();
     sessions.retain(|_, entry| entry.last_used.elapsed() < ttl);
     for _ in sessions.len()..before {
-        shared.metrics().record_session_expired();
+        shared.metrics().add(Counter::SessionsExpired, 1);
     }
 }
 
@@ -640,7 +635,7 @@ fn evict_lru(shared: &Shared, sessions: &mut HashMap<u64, Entry>) {
         .map(|(id, _)| id)
     {
         sessions.remove(&victim);
-        shared.metrics().record_session_evicted();
+        shared.metrics().add(Counter::SessionsEvicted, 1);
     }
 }
 
@@ -671,7 +666,7 @@ fn handle_job(
             handle.bind_stream(published);
             handle.set_adopt_policy(AdoptPolicy::EveryQuery);
         }
-        shared.metrics().record_session_created();
+        shared.metrics().add(Counter::SessionsCreated, 1);
         sessions.insert(
             job.session,
             Entry {
@@ -686,7 +681,7 @@ fn handle_job(
     if let Command::Close = job.cmd {
         return match sessions.remove(&job.session) {
             Some(_) => {
-                shared.metrics().record_session_closed();
+                shared.metrics().add(Counter::SessionsClosed, 1);
                 Ok(Reply::Closed)
             }
             None => Err(unknown_session(job.session)),

@@ -431,23 +431,23 @@ fn lsh_carousels_and_explain_counts_survive_the_wire() {
     // EXPLAIN candidate counts survive the JSON round-trip
     let (results, trace) = client.explain(session, q.clone()).unwrap();
     assert_eq!(results, local.query(&q).unwrap());
-    match trace {
-        Some(trace) => {
-            let wire_lsh = trace.lsh.expect("LSH-strategy explain carries counts");
-            let local_trace = local.explain(&q).unwrap().trace.expect("trace feature on");
-            let local_lsh = local_trace
-                .lsh
-                .expect("LSH-strategy explain carries counts");
-            assert_eq!(wire_lsh.collision_pairs, local_lsh.collision_pairs);
-            assert_eq!(wire_lsh.universe_columns, local_lsh.universe_columns);
-            assert_eq!(wire_lsh.tables_probed, local_lsh.tables_probed);
-            assert_eq!(wire_lsh.universe_columns, 80);
-            assert!(trace
-                .to_text()
-                .contains("candidates from LSH bucket collisions:"));
-        }
-        None => assert!(!cfg!(feature = "trace")),
-    }
+    let trace = trace.expect("explain captures a trace");
+    let wire_lsh = trace.lsh.expect("LSH-strategy explain carries counts");
+    let local_trace = local
+        .explain(&q)
+        .unwrap()
+        .trace
+        .expect("explain captures a trace");
+    let local_lsh = local_trace
+        .lsh
+        .expect("LSH-strategy explain carries counts");
+    assert_eq!(wire_lsh.collision_pairs, local_lsh.collision_pairs);
+    assert_eq!(wire_lsh.universe_columns, local_lsh.universe_columns);
+    assert_eq!(wire_lsh.tables_probed, local_lsh.tables_probed);
+    assert_eq!(wire_lsh.universe_columns, 80);
+    assert!(trace
+        .to_text()
+        .contains("candidates from LSH bucket collisions:"));
 
     client.close(session).unwrap();
     server.shutdown();

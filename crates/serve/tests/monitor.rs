@@ -46,12 +46,6 @@ fn fast_monitor(policy: HealthPolicy) -> MonitorConfig {
     }
 }
 
-/// `FORESIGHT_DISABLE_MONITOR=1` (the CI kill-switch run) suppresses the
-/// sampler thread process-wide; tests that need a live sampler no-op.
-fn sampler_killed() -> bool {
-    std::env::var("FORESIGHT_DISABLE_MONITOR").is_ok_and(|v| v == "1")
-}
-
 /// One raw HTTP GET against the serve socket; returns (status, headers,
 /// body). The server answers and closes, so read-to-EOF terminates.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String, String) {
@@ -214,9 +208,6 @@ fn prometheus_scrape_matches_wire_json_snapshot() {
 /// in, and the main thread only watches the health verdict change.
 #[test]
 fn shed_storm_degrades_health_and_fires_then_resolves_alert() {
-    if sampler_killed() {
-        return; // needs the watchdog's sampling windows
-    }
     let server = Server::start(
         ServeCore::Static(core(48)),
         "127.0.0.1:0",
@@ -333,9 +324,6 @@ fn shed_storm_degrades_health_and_fires_then_resolves_alert() {
 /// next sample as a discontinuity (zero rates) instead of going negative.
 #[test]
 fn reset_metrics_marks_monitor_discontinuity() {
-    if sampler_killed() {
-        return; // needs the sampler to fill the ring
-    }
     let server = Server::start(
         ServeCore::Static(core(48)),
         "127.0.0.1:0",

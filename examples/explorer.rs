@@ -52,7 +52,7 @@ commands:
   watch [secs]                 live rates from the monitor ring (default 5 s)
   explain <class> [k]          run a query with a forced trace and show the full
                                span tree, per-candidate cache/path provenance,
-                               skip reasons, and rank deltas (needs --features trace)
+                               skip reasons, and rank deltas
   trace last [json|chrome]     re-render the most recent trace (chrome = Perfetto)
   slowlog [ms|off]             show the slow-query log, or arm/disarm its threshold
   save <path> / load <path>    persist / restore the session
@@ -354,7 +354,9 @@ impl Repl {
                     println!("telemetry counters reset");
                 }
                 None => print!("{}", self.engine.metrics().to_text()),
-                Some(other) => println!("unknown metrics subcommand `{other}` (usage: metrics [json|reset])"),
+                Some(other) => {
+                    println!("unknown metrics subcommand `{other}` (usage: metrics [json|reset])")
+                }
             },
             "health" => {
                 let state = self.monitor().health();
@@ -367,7 +369,10 @@ impl Repl {
             "watch" => {
                 let secs: u64 = rest.first().and_then(|s| s.parse().ok()).unwrap_or(5);
                 let monitor = self.monitor();
-                println!("watching for {secs} s ({} ms cadence)…", monitor.config().cadence_ms);
+                println!(
+                    "watching for {secs} s ({} ms cadence)…",
+                    monitor.config().cadence_ms
+                );
                 let deadline = Instant::now() + Duration::from_secs(secs);
                 let mut last_seq = monitor.latest_sample().map_or(0, |s| s.seq);
                 while Instant::now() < deadline {
@@ -389,11 +394,8 @@ impl Repl {
                 match self.engine.explain(&self.build_query(class, k)) {
                     Ok(explained) => {
                         self.last = explained.results;
-                        match explained.trace {
-                            Some(trace) => print!("{}", trace.to_text()),
-                            None => println!(
-                                "(no trace captured — rebuild with `--features trace`)"
-                            ),
+                        if let Some(trace) = explained.trace {
+                            print!("{}", trace.to_text());
                         }
                         for (i, inst) in self.last.iter().enumerate() {
                             println!("  [{i}] {:.3}  {}", inst.score, inst.detail);
@@ -402,22 +404,22 @@ impl Repl {
                     Err(e) => println!("error: {e}"),
                 }
             }
-            "trace" => match (rest.first(), rest.get(1)) {
-                (Some(&"last"), fmt) => match self.engine.tracer().last() {
-                    Some(trace) => match fmt {
-                        None => print!("{}", trace.to_text()),
-                        Some(&"json") => println!("{}", trace.to_json()),
-                        Some(&"chrome") => println!("{}", trace.to_chrome_json()),
-                        Some(other) => {
-                            println!("unknown trace format `{other}` (usage: trace last [json|chrome])")
-                        }
+            "trace" => {
+                match (rest.first(), rest.get(1)) {
+                    (Some(&"last"), fmt) => match self.engine.tracer().last() {
+                        Some(trace) => match fmt {
+                            None => print!("{}", trace.to_text()),
+                            Some(&"json") => println!("{}", trace.to_json()),
+                            Some(&"chrome") => println!("{}", trace.to_chrome_json()),
+                            Some(other) => {
+                                println!("unknown trace format `{other}` (usage: trace last [json|chrome])")
+                            }
+                        },
+                        None => println!("(no traces captured yet — run `explain` first)"),
                     },
-                    None => println!(
-                        "(no traces captured yet — run `explain`, or rebuild with `--features trace`)"
-                    ),
-                },
-                _ => println!("usage: trace last [json|chrome]"),
-            },
+                    _ => println!("usage: trace last [json|chrome]"),
+                }
+            }
             "slowlog" => match rest.first() {
                 Some(&"off") => {
                     self.engine.tracer().set_slow_threshold_ns(0);
@@ -498,7 +500,7 @@ remote commands (session lives on the server):
   metrics [json|reset]         server metrics: admission control + engine telemetry
   health / alerts              server health verdict / watchdog alert log
   watch [secs]                 stream the server monitor's per-sample rates
-  explain <class> [k]          traced query (server needs --features trace)
+  explain <class> [k]          traced query: span tree, provenance, skip reasons
   slowlog                      the server's slow-query log
   staleness / refresh          stream lag of this session's snapshot / adopt head
   save <path> / load <path>    persist / restore the server-side session locally
@@ -732,11 +734,8 @@ impl RemoteRepl {
                 {
                     Ok((results, trace)) => {
                         self.last = results;
-                        match trace {
-                            Some(trace) => print!("{}", trace.to_text()),
-                            None => println!(
-                                "(no trace captured — server built without `--features trace`)"
-                            ),
+                        if let Some(trace) = trace {
+                            print!("{}", trace.to_text());
                         }
                         self.show_results();
                     }
@@ -818,16 +817,7 @@ fn run_remote(addr: &str) {
         hello.mode,
         if hello.streaming { ", streaming" } else { "" }
     );
-    println!(
-        "server build v{}, {} kernel, features: {}",
-        hello.version,
-        hello.kernel,
-        if hello.features.is_empty() {
-            "none".to_owned()
-        } else {
-            hello.features.join("+")
-        }
-    );
+    println!("server build v{}, {} kernel", hello.version, hello.kernel);
     let session = client.open().expect("open session");
     let mut repl = RemoteRepl {
         client,

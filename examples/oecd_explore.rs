@@ -10,8 +10,8 @@
 //! 7. the session is saved (and could be shared);
 //! 8. the preprocessing phase switches to interactive (sketch-backed) mode,
 //!    a diversified query and the full carousel set run, and the engine's
-//!    telemetry snapshot shows where every stage spent its time (build with
-//!    `--features telemetry` to see non-zero samples).
+//!    telemetry snapshot shows where every stage spent its time (the run
+//!    fails if any query stage recorded no samples).
 //!
 //! ```sh
 //! cargo run --release --example oecd_explore
@@ -137,23 +137,21 @@ fn main() {
 
     let snap = fs.metrics();
     println!("\nengine telemetry:\n{}", snap.to_text());
-    if snap.telemetry_compiled {
-        // every stage of the query path must have samples by now
-        for stage in [
-            "preprocess",
-            "sketch_build",
-            "score",
-            "rank",
-            "diversify",
-            "describe",
-            "carousel",
-            "freeze",
-        ] {
-            assert!(
-                snap.stage(stage).expect("known stage").count > 0,
-                "stage {stage} recorded no samples"
-            );
-        }
-        assert!(snap.queries.total >= 6, "all scenario queries counted");
+    // every stage of the query path must have samples by now
+    for stage in [
+        "preprocess",
+        "sketch_build",
+        "score",
+        "rank",
+        "diversify",
+        "describe",
+        "carousel",
+        "freeze",
+    ] {
+        assert!(
+            snap.stage(stage).expect("known stage").count > 0,
+            "stage {stage} recorded no samples"
+        );
     }
+    assert!(snap.queries.total >= 6, "all scenario queries counted");
 }

@@ -1,16 +1,10 @@
 //! Integration tests for the request-tracing layer: EXPLAIN span trees,
 //! per-query cache attribution, sketch-vs-exact path provenance, seeded
 //! sampling, the trace ring, the slow-query log, and the exporters.
-//!
-//! Every test passes both with and without `--features trace`: the
-//! feature-off build asserts the layer stays inert (results intact, no
-//! trace attached, nothing captured).
 
 use foresight::engine::{SLOW_LOG_CAPACITY, TRACE_RING_CAPACITY};
 use foresight::prelude::*;
 use serde_json::Value;
-
-const TRACE_ON: bool = cfg!(feature = "trace");
 
 fn oecd_corr_query() -> InsightQuery {
     InsightQuery::class("linear-relationship").top_k(5)
@@ -36,11 +30,6 @@ fn explain_pinned_oecd_exact_query() {
     // rank order: the next one walks it
     let walked = fs.explain(&q).unwrap();
     assert_eq!(walked.results, plain);
-    if !TRACE_ON {
-        assert!(explained.trace.is_none(), "no trace without the feature");
-        assert!(walked.trace.is_none());
-        return;
-    }
     let trace = walked.trace.expect("forced trace captured");
     assert!(trace.index_served);
     let children: Vec<&str> = trace
@@ -173,10 +162,6 @@ fn explain_reports_the_pinned_walk_of_a_fixed_attribute_query() {
     let univariate = fs
         .explain(&InsightQuery::class("skew").fix_attr(leisure))
         .unwrap();
-    if !TRACE_ON {
-        assert!(explained.trace.is_none() && univariate.trace.is_none());
-        return;
-    }
     // 24 numeric columns → 23 partners
     let trace = explained.trace.expect("forced trace captured");
     assert_eq!(trace.candidates_generated, 23);
@@ -230,10 +215,6 @@ fn explain_reports_sketch_paths_and_skip_reasons() {
 
     let explained = lean.explain(&oecd_corr_query()).unwrap();
     assert!(!explained.results.is_empty());
-    if !TRACE_ON {
-        assert!(explained.trace.is_none());
-        return;
-    }
     let trace = explained.trace.expect("trace captured");
     assert_eq!(trace.mode, "approximate");
     for traced in &trace.results {
@@ -278,10 +259,6 @@ fn diversified_explain_reports_rank_deltas() {
         .top_k(3)
         .diversify(0.6);
     let explained = fs.explain(&q).unwrap();
-    if !TRACE_ON {
-        assert!(explained.trace.is_none());
-        return;
-    }
     let trace = explained.trace.expect("trace captured");
     let children: Vec<&str> = trace
         .root
@@ -328,13 +305,6 @@ fn sampling_is_seeded_and_reproducible() {
         traces.reverse(); // oldest-first for comparison
         traces
     };
-    if !TRACE_ON {
-        assert!(
-            traced_set(7).is_empty(),
-            "sampling is inert without the feature"
-        );
-        return;
-    }
     let a = traced_set(7);
     let b = traced_set(7);
     assert_eq!(a, b, "same (rate, seed, queries) traces the same subset");
@@ -365,10 +335,6 @@ fn trace_ring_keeps_newest_and_evicts_in_arrival_order() {
             .unwrap();
     }
     let recent = core.tracer().recent(total + 10);
-    if !TRACE_ON {
-        assert!(recent.is_empty());
-        return;
-    }
     assert_eq!(
         recent.len(),
         TRACE_RING_CAPACITY,
@@ -404,10 +370,6 @@ fn slow_log_is_threshold_gated_and_bounded() {
     core.tracer().set_slow_threshold_ns(1);
     h.query(&q).unwrap();
     let slow = core.tracer().slow_queries();
-    if !TRACE_ON {
-        assert!(slow.is_empty(), "slow log is inert without the feature");
-        return;
-    }
     assert_eq!(slow.len(), 1);
     assert_eq!(slow[0].class_id, "skew");
     assert_eq!(slow[0].mode, "exact");
@@ -450,10 +412,11 @@ fn slow_log_is_threshold_gated_and_bounded() {
 #[test]
 fn chrome_export_is_loadable_trace_event_json() {
     let mut fs = Foresight::new(datasets::oecd());
-    let Some(trace) = fs.explain(&oecd_corr_query()).unwrap().trace else {
-        assert!(!TRACE_ON, "trace must exist with the feature on");
-        return;
-    };
+    let trace = fs
+        .explain(&oecd_corr_query())
+        .unwrap()
+        .trace
+        .expect("explain captures a trace");
     let parsed: Value =
         serde_json::from_str(&trace.to_chrome_json()).expect("chrome export is valid JSON");
     let events = parsed.as_array().expect("trace-event format: a JSON array");
@@ -509,10 +472,7 @@ fn chrome_export_is_loadable_trace_event_json() {
 fn json_export_round_trips_and_structure_is_deterministic() {
     let q = oecd_corr_query();
     let run = || Foresight::new(datasets::oecd()).explain(&q).unwrap().trace;
-    let (Some(a), Some(b)) = (run(), run()) else {
-        assert!(!TRACE_ON);
-        return;
-    };
+    let (a, b) = (run().expect("trace"), run().expect("trace"));
     // the JSON export parses back into an identical trace
     let back: foresight::engine::QueryTrace =
         serde_json::from_str(&a.to_json()).expect("trace JSON parses back");
