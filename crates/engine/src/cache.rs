@@ -22,6 +22,10 @@
 //! Degenerate results (`None` — constant columns, too few rows) are cached
 //! too; re-proving a column degenerate costs as much as scoring it.
 //!
+//! A keyspace whose whole class scan has been scored is *complete*: its
+//! scores leave the hash for a snapshot's score plane. Partial keyspaces stay
+//! here.
+//!
 //! One cache outlives many [`EngineCore`](crate::EngineCore) snapshots:
 //! every keyspace carries the *data-generation epoch* of the snapshot that
 //! computed its scores, and the writer path mints a fresh epoch (via
@@ -95,7 +99,7 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// The part of a score's key that is the same for every candidate of one
 /// query: a shard maps each keyspace to the scores of its tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Keyspace {
+pub(crate) struct Keyspace {
     class_id: &'static str,
     mode: Mode,
     /// `None` = the class's primary metric. A name the class itself
@@ -110,7 +114,23 @@ struct Keyspace {
     /// cleared. The epoch is supplied by the caller (it is part of the
     /// engine-core snapshot), so readers of an old snapshot stay in their
     /// own keyspace even while a newer snapshot is being served.
-    epoch: u64,
+    pub(crate) epoch: u64,
+}
+
+impl Keyspace {
+    pub(crate) fn new(
+        class_id: &'static str,
+        mode: Mode,
+        metric: Option<&'static str>,
+        epoch: u64,
+    ) -> Self {
+        Self {
+            class_id,
+            mode,
+            metric,
+            epoch,
+        }
+    }
 }
 
 /// One keyspace's scores within one shard: a tuple's [`Packed`] word to
@@ -196,6 +216,30 @@ fn decode(word: u64) -> Option<f64> {
     (word != DEGENERATE).then(|| f64::from_bits(word))
 }
 
+/// A complete keyspace's scores by scan position, 8 B each, spelled as in
+/// the hash (see [`RankOrders`](crate::order::RankOrders)).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Plane(Box<[f64]>);
+
+impl Plane {
+    pub(crate) fn new(scores: &[Option<f64>]) -> Self {
+        Self(scores.iter().map(|&s| f64::from_bits(encode(s))).collect())
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, position: usize) -> Option<f64> {
+        decode(self.0[position].to_bits())
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.0)
+    }
+}
+
 /// Bytes a keyspace costs beyond its score slots: its own slot in the
 /// shard's keyspace table (which holds the score table's header).
 const KEYSPACE_BYTES: usize = std::mem::size_of::<(Keyspace, Scores)>() + 1;
@@ -265,13 +309,14 @@ type DetailKey = (&'static str, AttrTuple, u64);
 /// to take while other threads are querying through the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the cache, plane reads (in no shard) too.
     pub hits: u64,
     /// Lookups that fell through to scoring.
     pub misses: u64,
-    /// Entries currently cached.
+    /// Entries currently cached: the hash's, plus a snapshot's plane
+    /// scores in [`EngineCore::cache_stats`](crate::EngineCore::cache_stats).
     pub entries: usize,
-    /// Entries retired by epoch bumps (stale data generations purged).
+    /// Hash entries retired by epoch bumps (stale data generations purged).
     pub purges: u64,
     /// Current entry count of each of the [`CACHE_SHARDS`] lock shards —
     /// the spread shows how evenly parallel scoring distributes over the
@@ -330,7 +375,14 @@ pub struct ScoreCache {
     details: RwLock<FxMap<DetailKey, String>>,
     /// Latest minted data generation (see [`ScoreCache::bump_epoch`]).
     epoch: AtomicU64,
+    /// Plane reads, counted as hits.
+    plane_hits: PaddedCounter,
 }
+
+/// A counter on its own cache line, away from `epoch`.
+#[repr(align(128))]
+#[derive(Default)]
+struct PaddedCounter(AtomicU64);
 
 /// One lock shard with its own counters, padded to a cache line so that
 /// sessions hammering different shards never false-share a counter — at
@@ -371,6 +423,7 @@ impl ScoreCache {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             details: RwLock::new(FxMap::default()),
             epoch: AtomicU64::new(0),
+            plane_hits: PaddedCounter::default(),
         }
     }
 
@@ -397,20 +450,7 @@ impl ScoreCache {
     /// bump proves nothing. Hit/miss counters are preserved; retired score
     /// entries are counted in [`CacheStats::purges`].
     pub fn bump_epoch(&self) -> u64 {
-        let current = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        for shard in &self.shards {
-            let mut purged = 0u64;
-            shard.spaces.write().retain(|space, scores| {
-                let live = space.epoch == current;
-                if !live {
-                    purged += scores.len() as u64;
-                }
-                live
-            });
-            Shard::count(&shard.purges, purged);
-        }
-        self.details.write().clear();
-        current
+        self.bump_epoch_retaining(|_, _| false).0
     }
 
     /// Mints the next data generation like [`bump_epoch`], but *migrates*
@@ -432,6 +472,9 @@ impl ScoreCache {
     /// One pass per shard: a tuple's shard does not depend on its epoch, so
     /// the survivors of a keyspace stay in their table and the table itself
     /// moves to the new epoch's key.
+    ///
+    /// Complete keyspaces are not here: their planes are the snapshot's to
+    /// carry forward.
     ///
     /// Returns `(new_epoch, migrated_entries)`. Retired entries count
     /// toward [`CacheStats::purges`]; migrated ones do not.
@@ -509,36 +552,18 @@ impl ScoreCache {
         metric: Option<&'static str>,
         epoch: u64,
     ) -> BatchLookup {
-        let space = Keyspace {
-            class_id,
-            mode,
-            metric,
-            epoch,
-        };
+        let space = Keyspace::new(class_id, mode, metric, epoch);
         self.batch(space, candidates, true)
     }
 
-    /// [`lookup_batch`](ScoreCache::lookup_batch) without moving the
-    /// hit/miss counters — for a freeze completing rank orders, which is not
-    /// query traffic.
-    pub(crate) fn peek_batch(
+    /// [`lookup_batch`](ScoreCache::lookup_batch) in `space`, moving the
+    /// hit/miss counters only when `count` says it is query traffic.
+    pub(crate) fn batch(
         &self,
-        class_id: &'static str,
+        space: Keyspace,
         candidates: &[AttrTuple],
-        mode: Mode,
-        metric: Option<&'static str>,
-        epoch: u64,
+        count: bool,
     ) -> BatchLookup {
-        let space = Keyspace {
-            class_id,
-            mode,
-            metric,
-            epoch,
-        };
-        self.batch(space, candidates, false)
-    }
-
-    fn batch(&self, space: Keyspace, candidates: &[AttrTuple], count: bool) -> BatchLookup {
         let mut scores = vec![None; candidates.len()];
         let mut total_hits = 0u64;
         for (s, group) in ByShard::new(candidates.iter()).groups() {
@@ -579,12 +604,7 @@ impl ScoreCache {
         metric: Option<&'static str>,
         epoch: u64,
     ) -> u64 {
-        let space = Keyspace {
-            class_id,
-            mode,
-            metric,
-            epoch,
-        };
+        let space = Keyspace::new(class_id, mode, metric, epoch);
         let mut written = 0;
         for (s, group) in ByShard::new(entries.iter().map(|(attrs, _)| attrs)).groups() {
             let mut spaces = self.shards[s].spaces.write();
@@ -598,6 +618,25 @@ impl ScoreCache {
             }
         }
         written
+    }
+
+    /// Retires complete `space` from every shard: its scores moved to a
+    /// [`Plane`] — they are not purged.
+    pub(crate) fn complete(&self, space: Keyspace) {
+        for shard in &self.shards {
+            shard.spaces.write().remove(&space);
+        }
+    }
+
+    /// Entries the hash holds in `space`.
+    pub(crate) fn keyspace_len(&self, space: Keyspace) -> usize {
+        let len = |shard: &Shard| shard.spaces.read().get(&space).map_or(0, Scores::len);
+        self.shards.iter().map(len).sum()
+    }
+
+    /// Counts `n` lookups a plane answered: hits, in no shard.
+    pub(crate) fn count_plane_hits(&self, n: u64) {
+        Shard::count(&self.plane_hits.0, n);
     }
 
     /// Returns the memoized description for `(class, attrs, score)`,
@@ -630,9 +669,9 @@ impl ScoreCache {
         self.details.write().entry(key).or_insert(fresh).clone()
     }
 
-    /// Drops every entry and resets the hit/miss counters. Called whenever
-    /// scores could change: a class is (re-)registered, the sketch catalog
-    /// is rebuilt, or persisted state is loaded.
+    /// Drops every entry and resets the hit/miss counters —
+    /// but not the snapshots' planes (see
+    /// [`Foresight::clear_score_cache`](crate::Foresight::clear_score_cache)).
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.spaces.write().clear();
@@ -640,6 +679,7 @@ impl ScoreCache {
             shard.misses.store(0, Ordering::Relaxed);
             shard.purges.store(0, Ordering::Relaxed);
         }
+        self.plane_hits.0.store(0, Ordering::Relaxed);
         self.details.write().clear();
     }
 
@@ -693,7 +733,7 @@ impl ScoreCache {
             shard_purges[i] = shard.purges.load(Ordering::Relaxed);
         }
         CacheStats {
-            hits: shard_hits.iter().sum(),
+            hits: shard_hits.iter().sum::<u64>() + self.plane_hits.0.load(Ordering::Relaxed),
             misses: shard_misses.iter().sum(),
             entries: shard_entries.iter().sum(),
             purges: shard_purges.iter().sum(),
@@ -1061,24 +1101,29 @@ mod tests {
         }
     }
 
-    /// The cache's contract stated as a flat map: one entry per
-    /// `(class, mode, metric, epoch, tuple)`, with its own purge and
-    /// migration accounting and per-shard counters.
+    /// The cache's contract stated as flat maps: one entry per
+    /// `(class, mode, metric, epoch, tuple)` in the hash, with its own purge
+    /// and migration accounting and per-shard counters, and one map per
+    /// complete keyspace, which a snapshot's plane answers.
     mod model {
         use super::super::{shard_of, CacheStats, SHARDS};
         use crate::executor::Mode;
         use foresight_insight::AttrTuple;
         use std::collections::BTreeMap;
 
+        pub type Space = (&'static str, u8, Option<&'static str>, u64);
         pub type Key = (&'static str, u8, Option<&'static str>, u64, AttrTuple);
 
         #[derive(Default)]
         pub struct Model {
             scores: BTreeMap<Key, Option<f64>>,
+            /// Complete keyspaces, each as its plane holds it.
+            pub planes: BTreeMap<Space, BTreeMap<AttrTuple, Option<f64>>>,
             pub epoch: u64,
             hits: [u64; SHARDS],
             misses: [u64; SHARDS],
             purges: [u64; SHARDS],
+            plane_hits: u64,
         }
 
         pub fn key(
@@ -1091,12 +1136,22 @@ mod tests {
             (class, mode as u8, metric, epoch, attrs)
         }
 
+        pub fn space(key: &Key) -> Space {
+            (key.0, key.1, key.2, key.3)
+        }
+
         impl Model {
             pub fn store(&mut self, key: Key, score: Option<f64>) {
                 self.scores.insert(key, score);
             }
 
+            /// A lookup as the executor makes it: a complete keyspace's
+            /// plane answers every tuple, a hit in no shard.
             pub fn lookup(&mut self, key: &Key) -> Option<Option<f64>> {
+                if let Some(plane) = self.planes.get(&space(key)) {
+                    self.plane_hits += 1;
+                    return Some(plane[&key.4]);
+                }
                 let found = self.scores.get(key).copied();
                 let counter = if found.is_some() {
                     &mut self.hits
@@ -1105,6 +1160,18 @@ mod tests {
                 };
                 counter[shard_of(&key.4)] += 1;
                 found
+            }
+
+            /// What an uncounted peek finds in the hash.
+            pub fn peek(&self, key: &Key) -> Option<Option<f64>> {
+                self.scores.get(key).copied()
+            }
+
+            /// Completes `space` with `plane`: the hash's entries for it
+            /// move to the plane — no purge.
+            pub fn complete(&mut self, space: Space, plane: BTreeMap<AttrTuple, Option<f64>>) {
+                self.scores.retain(|k, _| self::space(k) != space);
+                self.planes.insert(space, plane);
             }
 
             pub fn bump(&mut self) -> u64 {
@@ -1134,20 +1201,30 @@ mod tests {
 
             pub fn clear(&mut self) {
                 self.scores.clear();
+                self.planes.clear();
                 self.hits = [0; SHARDS];
                 self.misses = [0; SHARDS];
                 self.purges = [0; SHARDS];
+                self.plane_hits = 0;
             }
 
+            /// The stats a snapshot at the current epoch reports: the hash
+            /// plus its own planes' scores.
             pub fn stats(&self) -> CacheStats {
                 let mut shard_entries = [0usize; SHARDS];
                 for k in self.scores.keys() {
                     shard_entries[shard_of(&k.4)] += 1;
                 }
+                let planes: usize = self
+                    .planes
+                    .iter()
+                    .filter(|(s, _)| s.3 == self.epoch)
+                    .map(|(_, p)| p.len())
+                    .sum();
                 CacheStats {
-                    hits: self.hits.iter().sum(),
+                    hits: self.hits.iter().sum::<u64>() + self.plane_hits,
                     misses: self.misses.iter().sum(),
-                    entries: self.scores.len(),
+                    entries: self.scores.len() + planes,
                     purges: self.purges.iter().sum(),
                     shard_entries,
                     shard_hits: self.hits,
@@ -1181,6 +1258,15 @@ mod tests {
         }
     }
 
+    /// Every tuple [`tuple`] draws, in order: the class scan a complete
+    /// keyspace's plane covers, a tuple's position its index here.
+    fn scan() -> Vec<AttrTuple> {
+        let mut all: Vec<AttrTuple> = (0..648).map(tuple).collect();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
     fn tuples(seed: u64, n: usize) -> Vec<AttrTuple> {
         (0..n as u64)
             .map(|i| {
@@ -1193,6 +1279,70 @@ mod tests {
         (!x.is_multiple_of(5)).then(|| (x % 1000) as f64 / 7.0)
     }
 
+    /// The planes snapshots own, by keyspace — a retired epoch's stay
+    /// readable, as an old snapshot's are.
+    type Planes = std::collections::HashMap<model::Space, Plane>;
+
+    /// Looks `candidates` up as the executor does: from the keyspace's
+    /// plane when it is complete, counting plane hits, else the hash.
+    fn read(
+        cache: &ScoreCache,
+        planes: &Planes,
+        space: model::Space,
+        mode: Mode,
+        candidates: &[AttrTuple],
+    ) -> BatchLookup {
+        let Some(plane) = planes.get(&space) else {
+            return cache.lookup_batch(space.0, candidates, mode, space.2, space.3);
+        };
+        let scan = scan();
+        let scores = candidates
+            .iter()
+            .map(|a| Some(plane.get(scan.binary_search(a).expect("in the scan"))))
+            .collect();
+        cache.count_plane_hits(candidates.len() as u64);
+        BatchLookup {
+            scores,
+            hits: candidates.len() as u64,
+            misses: 0,
+        }
+    }
+
+    /// Completes `space` as a freeze or a first whole-scan pass does: each
+    /// score from `carried` (a previous plane's kept positions), else an
+    /// uncounted peek at the hash, else scored fresh from `x`; then the
+    /// plane is built and the hash retires the keyspace.
+    fn complete(
+        cache: &ScoreCache,
+        planes: &mut Planes,
+        m: &mut model::Model,
+        space: model::Space,
+        mode: Mode,
+        carried: Option<Vec<Option<Option<f64>>>>,
+        x: u64,
+    ) {
+        let scan = scan();
+        let peeked = cache
+            .batch(Keyspace::new(space.0, mode, space.2, space.3), &scan, false)
+            .scores;
+        let scores: Vec<Option<f64>> = (0..scan.len())
+            .map(|p| {
+                let from = carried.as_ref().map_or(peeked[p], |c| c[p]);
+                from.unwrap_or_else(|| score(x.wrapping_add(7 * p as u64 + 3)))
+            })
+            .collect();
+        for (p, attrs) in scan.iter().enumerate() {
+            let key = model::key(space.0, mode, space.2, space.3, *attrs);
+            if carried.is_none() {
+                assert_eq!(peeked[p], m.peek(&key), "peek at position {p}");
+            }
+        }
+        let plane = Plane::new(&scores);
+        cache.complete(Keyspace::new(space.0, mode, space.2, space.3));
+        planes.insert(space, plane);
+        m.complete(space, scan.into_iter().zip(scores).collect());
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -1200,15 +1350,17 @@ mod tests {
 
         #[test]
         fn matches_a_reference_model(
-            ops in proptest::collection::vec((0u8..16, 0usize..8, 0usize..648, 0usize..6, 0u64..1_000_000), 1..120),
+            ops in proptest::collection::vec((0u8..18, 0usize..8, 0usize..648, 0usize..6, 0u64..1_000_000), 1..120),
         ) {
             let cache = ScoreCache::new();
+            let mut planes = Planes::new();
             let mut m = model::Model::default();
             for (step, &(kind, k, u, e, x)) in ops.iter().enumerate() {
                 let (class, mode, metric) = keyspace(k);
                 // the current epoch, or one or two behind it: a straggler
                 // still reading a retired snapshot
                 let epoch = m.epoch.saturating_sub(e as u64 % 3);
+                let space = (class, mode as u8, metric, epoch);
                 match kind {
                     0..=2 => {
                         let attrs = tuple(u);
@@ -1231,14 +1383,14 @@ mod tests {
                     6 | 7 => {
                         let attrs = tuple(u);
                         prop_assert_eq!(
-                            cache.lookup_batch(class, &[attrs], mode, metric, epoch).scores[0],
+                            read(&cache, &planes, space, mode, &[attrs]).scores[0],
                             m.lookup(&model::key(class, mode, metric, epoch, attrs)),
                             "lookup at step {}", step
                         );
                     }
                     8..=10 => {
                         let candidates = tuples(x, u % 24);
-                        let got = cache.lookup_batch(class, &candidates, mode, metric, epoch);
+                        let got = read(&cache, &planes, space, mode, &candidates);
                         let want: Vec<Option<Option<f64>>> = candidates
                             .iter()
                             .map(|&attrs| m.lookup(&model::key(class, mode, metric, epoch, attrs)))
@@ -1249,24 +1401,62 @@ mod tests {
                     }
                     11 => prop_assert_eq!(cache.bump_epoch(), m.bump()),
                     12 | 13 => {
+                        // a column-granular republish: the hash migrates its
+                        // clean partial entries, and each plane of the
+                        // published epoch is copied forward with the
+                        // positions touching the dirty column rescored
                         let dirty = u % 6;
                         let dropped = CLASSES.get(e % 3).copied();
                         let keep = |class: &'static str, attrs: &AttrTuple| {
                             Some(class) != dropped && !attrs.contains(dirty)
                         };
+                        let scan = scan();
+                        let carried: Vec<(model::Space, Vec<Option<Option<f64>>>)> = planes
+                            .iter()
+                            .filter(|(s, _)| s.3 == m.epoch)
+                            .map(|(&s, plane)| {
+                                let kept: Vec<Option<Option<f64>>> = scan
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(p, attrs)| keep(s.0, attrs).then(|| plane.get(p)))
+                                    .collect();
+                                (s, kept)
+                            })
+                            .filter(|(_, kept)| kept.iter().any(Option::is_some))
+                            .collect();
                         prop_assert_eq!(
                             cache.bump_epoch_retaining(keep),
                             m.bump_retaining(keep),
                             "migration at step {}", step
                         );
+                        for (s, kept) in carried {
+                            let mode = [Mode::Exact, Mode::Approximate][s.1 as usize];
+                            let next = (s.0, s.1, s.2, m.epoch);
+                            complete(&cache, &mut planes, &mut m, next, mode, Some(kept), x);
+                        }
+                    }
+                    16 | 17 => {
+                        // a whole-scan pass completes the keyspace of the
+                        // current epoch, unless a plane already holds it
+                        let space = (class, mode as u8, metric, m.epoch);
+                        if !planes.contains_key(&space) {
+                            complete(&cache, &mut planes, &mut m, space, mode, None, x);
+                        }
                     }
                     _ => {
                         cache.clear();
+                        planes.clear();
                         m.clear();
                     }
                 }
                 prop_assert_eq!(cache.epoch(), m.epoch);
-                prop_assert_eq!(cache.stats(), m.stats(), "stats after step {}", step);
+                let mut stats = cache.stats();
+                stats.entries += planes
+                    .iter()
+                    .filter(|(s, _)| s.3 == m.epoch)
+                    .map(|(_, p)| p.len())
+                    .sum::<usize>();
+                prop_assert_eq!(stats, m.stats(), "stats after step {}", step);
             }
         }
     }

@@ -9,7 +9,9 @@
 //! can draw candidates from bucket collisions in ~O(d·L), with the
 //! existing exact/sketch scorer as the verify step. Everything else — and
 //! every run below the width threshold, or with recall pinned to 1.0 —
-//! falls back to the class's own `candidates()` scan.
+//! falls back to the class's own `candidates()` scan. Under the default
+//! [`CandidateStrategy::Auto`] a filled rank order comes before either:
+//! the executor walks it, exactly, before asking for candidates.
 
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, CandidatePruning, InsightClass};
@@ -33,9 +35,12 @@ pub const LSH_WIDTH_THRESHOLD: usize = 64;
 /// surfaced on `SessionHandle` and over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CandidateStrategy {
-    /// Use LSH collisions when an index exists and the table is at least
-    /// [`LSH_WIDTH_THRESHOLD`] numeric columns wide; quadratic scan
-    /// otherwise. The default.
+    /// Resolves, per query, to the cheapest exact-or-indexed path: a
+    /// filled rank order first (an unfixed, undiversified query walks it,
+    /// bit-identical to [`Exhaustive`](Self::Exhaustive));
+    /// else LSH collisions when an index exists and the table is at least
+    /// [`LSH_WIDTH_THRESHOLD`] numeric columns wide; else the quadratic
+    /// scan. The default.
     #[default]
     Auto,
     /// Force LSH collisions whenever an index exists, probing `probes`
@@ -143,10 +148,16 @@ impl<'a> CandidateSource<'a> {
     }
 
     /// Would `class` on `table` draw candidates from LSH collisions under
-    /// this source? (Used by the executor to decide whether a class's rank
-    /// order — a ranked class scan — may answer the query.)
+    /// this source when no rank order answers the query?
     pub fn would_use_lsh(&self, class: &dyn InsightClass, table: &Table) -> bool {
         self.resolves_to_lsh(class.pruning(), table)
+    }
+
+    /// May a filled rank order answer an unfixed query on `class`? Yes,
+    /// but under a forced [`CandidateStrategy::Lsh`] that draws collisions
+    /// for it.
+    pub fn walks_orders(&self, class: &dyn InsightClass, table: &Table) -> bool {
+        !matches!(self.strategy, CandidateStrategy::Lsh { .. }) || !self.would_use_lsh(class, table)
     }
 
     fn resolves_to_lsh(&self, pruning: CandidatePruning, table: &Table) -> bool {

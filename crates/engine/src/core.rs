@@ -19,7 +19,7 @@ use crate::cache::{CacheStats, ScoreCache};
 use crate::candidates::{CandidateSource, CandidateStrategy};
 use crate::error::{EngineError, Result};
 use crate::executor::{Executor, Mode};
-use crate::order::RankOrders;
+use crate::order::{Carried, RankOrders};
 use crate::profile::DatasetProfile;
 use crate::query::InsightQuery;
 use crate::recommend::{Carousel, CarouselConfig};
@@ -27,7 +27,7 @@ use crate::session::Session;
 use crate::telemetry::{clock, Counter, Metrics, MetricsSnapshot, Stage};
 use crate::trace::{Explained, TraceBuilder, Tracer};
 use foresight_data::{Table, TableSource};
-use foresight_insight::{InsightClass, InsightInstance, InsightRegistry};
+use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::lsh::LshIndex;
 use foresight_sketch::{CatalogConfig, Mergeable, SketchCatalog};
 use foresight_stats::prepared::PreparedColumns;
@@ -175,10 +175,11 @@ pub struct EngineCore {
     /// The mode [`CoreBuilder::build_index`] asked rank orders for: every
     /// freeze completes every class's order under it.
     index: Option<Mode>,
-    /// Every class's ranked class scan, per mode, filled once (see
-    /// [`RankOrders`]). Scores live in the cache's keyspace for `epoch`, so
-    /// the store lives exactly as long: a clean republish shares it, a
-    /// freeze that mints an epoch starts an empty one.
+    /// Every class's ranked class scan and score plane, per mode, filled
+    /// once (see [`RankOrders`]): the complete keyspaces of the cache's
+    /// `epoch`, so the store lives exactly as long. A clean republish
+    /// shares it; a freeze that mints an epoch starts a new one, carrying
+    /// the planes forward when only some columns changed.
     orders: Arc<RankOrders>,
     /// The LSH candidate index over the catalog's hyperplane signatures,
     /// maintained by the freeze path whenever a catalog exists. Arc'd so a
@@ -333,9 +334,12 @@ impl EngineCore {
         &self.cache
     }
 
-    /// Hit/miss/occupancy/purge counters of the shared score cache.
+    /// Hit/miss/occupancy/purge counters of the shared score cache, its
+    /// entries counting this snapshot's planes too.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let mut stats = self.cache.stats();
+        stats.entries += self.orders.entries();
+        stats
     }
 
     /// The shared telemetry registry (live counters; see
@@ -347,7 +351,7 @@ impl EngineCore {
     /// A deterministic point-in-time snapshot of the telemetry registry,
     /// with score-cache traffic and resource gauges folded in.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot_with_cache(Some(&self.cache.stats()));
+        let mut snap = self.metrics.snapshot_with_cache(Some(&self.cache_stats()));
         snap.resources = Some(self.resource_snapshot(snap.serve.sessions_live()));
         snap
     }
@@ -364,6 +368,7 @@ impl EngineCore {
             cache_bytes: self.cache.approx_bytes() as u64,
             prepared_bytes: self.rows.prepared.approx_bytes() as u64,
             orders_bytes: self.orders.approx_bytes() as u64,
+            planes_bytes: self.orders.plane_bytes() as u64,
             lsh_bytes: self.lsh.as_deref().map_or(0, |l| l.size_bytes()) as u64,
             trace_bytes: self.tracer.approx_bytes() as u64,
             session_table_bytes: sessions_live * SESSION_ENTRY_BYTES,
@@ -391,7 +396,7 @@ impl EngineCore {
             });
         }
         if policy.min_hit_rate > 0.0 {
-            let stats = self.cache.stats();
+            let stats = self.cache_stats();
             if stats.hits + stats.misses > 0 && stats.hit_rate() < policy.min_hit_rate {
                 reasons.push(HealthReason::LowCacheHitRate {
                     hit_rate: stats.hit_rate(),
@@ -870,6 +875,14 @@ impl CoreBuilder {
         }
     }
 
+    /// Drops every cached score: the shared cache's hash and counters, and
+    /// the staged planes and rank orders. Readers of published snapshots
+    /// keep their own planes.
+    pub fn clear_scores(&mut self) {
+        self.cache.clear();
+        self.orders = Arc::new(RankOrders::new());
+    }
+
     /// Sets the published default for rayon-parallel execution.
     pub fn set_parallel(&mut self, on: bool) {
         self.parallel = on;
@@ -910,44 +923,57 @@ impl CoreBuilder {
         self.dirty = true;
     }
 
-    /// Completes every class's rank order under the mode
+    /// Completes every order `carried` from the previous generation, then
+    /// every class's primary-metric order under the mode
     /// [`build_index`](Self::build_index) asked for, scoring through the
-    /// cache's `epoch` keyspace. Returns `(classes rescored, tuples rescored, tuples
-    /// reused)`. Drops the request instead when it needs raw rows the
-    /// source can no longer provide. Opens `stage`'s span only when some
-    /// order is missing, so a republish that kept every order records
-    /// nothing.
-    fn complete_orders(&mut self, epoch: u64, stage: Stage) -> (u64, u64, u64) {
-        let Some(mode) = self.index else {
-            return (0, 0, 0);
-        };
-        let classes = self.registry.classes();
-        if classes
-            .iter()
-            .all(|c| self.orders.get(&self.registry, c.id(), mode).is_some())
-        {
+    /// cache's `epoch` keyspace. Returns `(classes rescored, tuples
+    /// rescored, tuples reused)`. Drops the index request instead when it
+    /// needs raw rows the source can no longer provide. Opens `stage`'s
+    /// span only when some order is missing, so a republish that kept
+    /// every order records nothing.
+    fn complete_orders(
+        &mut self,
+        epoch: u64,
+        stage: Stage,
+        carried: Vec<Carried>,
+    ) -> (u64, u64, u64) {
+        let (registry, orders) = (&self.registry, &self.orders);
+        let index = self.index.into_iter().flat_map(|mode| {
+            let unfilled = move |&c: &usize| {
+                !orders.is_filled(registry, registry.classes()[c].id(), mode, None)
+            };
+            (0..registry.len())
+                .filter(unfilled)
+                .map(move |c| (c, mode, None, Vec::new()))
+        });
+        let mut todo: Vec<Carried> = carried.into_iter().chain(index).collect();
+        if todo.is_empty() {
             return (0, 0, 0);
         }
         let _span = self.metrics.span(stage);
-        let executor =
-            match self
-                .rows
-                .executor(&self.registry, self.catalog.as_ref(), &self.metrics, mode)
-            {
-                Ok(executor) => executor
-                    .with_cache_at(&self.cache, epoch)
-                    .with_orders(&self.orders),
-                Err(_) => {
-                    self.index = None;
-                    return (0, 0, 0);
-                }
-            };
         let mut stats = (0, 0, 0);
-        for class in classes {
-            let (reused, rescored) = executor.complete(class.as_ref());
-            stats.0 += u64::from(rescored > 0);
-            stats.1 += rescored as u64;
-            stats.2 += reused as u64;
+        for mode in [Mode::Exact, Mode::Approximate] {
+            if !todo.iter().any(|c| c.1 == mode) {
+                continue;
+            }
+            let Ok(executor) =
+                self.rows
+                    .executor(&self.registry, self.catalog.as_ref(), &self.metrics, mode)
+            else {
+                self.index = self.index.filter(|&m| m != mode);
+                continue;
+            };
+            let executor = executor
+                .with_cache_at(&self.cache, epoch)
+                .with_orders(&self.orders);
+            for (class, _, metric, scores) in todo.iter_mut().filter(|c| c.1 == mode) {
+                let carried = Some(std::mem::take(scores)).filter(|s| !s.is_empty());
+                let class = self.registry.classes()[*class].as_ref();
+                let (reused, rescored) = executor.complete(class, *metric, carried);
+                stats.0 += u64::from(rescored > 0);
+                stats.1 += rescored as u64;
+                stats.2 += reused as u64;
+            }
         }
         stats
     }
@@ -964,11 +990,12 @@ impl CoreBuilder {
     /// * a no-op republish (nothing staged, or only zero-row batches)
     ///   keeps the epoch — warm cache and rank orders survive untouched.
     ///
-    /// A new epoch starts an empty store of rank orders. Once
-    /// [`build_index`](Self::build_index) asked for them, every class's
-    /// order is then completed through the cache in the published epoch:
-    /// a cold build scores every candidate, an incremental republish only
-    /// the tuples its migration did not carry over.
+    /// A new epoch starts an empty store of rank orders. An incremental
+    /// republish carries every filled plane into it and rescores only the
+    /// positions that touch a dirty column. Once
+    /// [`build_index`](Self::build_index) asked for them, every other
+    /// class's order is then completed through the cache in the published
+    /// epoch: a cold build scores every candidate.
     ///
     /// Readers of older snapshots keep their own (now-retired) keyspace
     /// either way.
@@ -1000,6 +1027,7 @@ impl CoreBuilder {
             },
         };
         let mut migrated = None;
+        let mut carried = Vec::new();
         let epoch = if self.dirty {
             if self.appended {
                 metrics.add(Counter::RepublishesFull, 1);
@@ -1007,9 +1035,9 @@ impl CoreBuilder {
             self.cache.bump_epoch()
         } else if !self.dirty_columns.is_empty() {
             let dirty = std::mem::take(&mut self.dirty_columns);
-            let (epoch, moved) = self.cache.bump_epoch_retaining(|_, attrs| {
-                attrs.indices().iter().all(|i| !dirty.contains(i))
-            });
+            let clean = |attrs: &AttrTuple| attrs.indices().iter().all(|i| !dirty.contains(i));
+            carried = self.orders.carry(&self.registry, clean);
+            let (epoch, moved) = self.cache.bump_epoch_retaining(|_, attrs| clean(attrs));
             migrated = Some(moved);
             epoch
         } else {
@@ -1027,7 +1055,7 @@ impl CoreBuilder {
             Some(_) => Stage::IndexRefresh,
             None => Stage::IndexBuild,
         };
-        let (classes, rescored, reused) = self.complete_orders(epoch, stage);
+        let (classes, rescored, reused) = self.complete_orders(epoch, stage, carried);
         if let Some(migrated) = migrated {
             metrics.add(Counter::RepublishesIncremental, 1);
             metrics.add(Counter::RescoredClasses, classes);
@@ -1166,9 +1194,24 @@ mod tests {
         builder.build_index().unwrap();
         let core = builder.freeze();
         assert_eq!(core.rank_orders().filled(), core.registry().len());
-        let bytes = core.resource_snapshot(0).orders_bytes;
-        assert!(bytes > 0);
-        assert_eq!(bytes, core.rank_orders().approx_bytes() as u64);
+        let resources = core.resource_snapshot(0);
+        assert!(resources.orders_bytes > 0);
+        assert_eq!(
+            resources.orders_bytes,
+            core.rank_orders().approx_bytes() as u64
+        );
+        // a plane is 8 B a score, every score of every filled class scan
+        let scans: usize = core
+            .registry()
+            .classes()
+            .iter()
+            .map(|c| c.candidates(core.table()).len())
+            .sum();
+        assert_eq!(resources.planes_bytes, 8 * scans as u64);
+        assert_eq!(
+            resources.planes_bytes,
+            core.rank_orders().plane_bytes() as u64
+        );
         let q = InsightQuery::class("linear-relationship").top_k(2);
         // approximate (the orders' mode) and exact both answer; exact must
         // come from the executor, not the approximate orders

@@ -3,15 +3,17 @@
 //! paper's future-work "parallel search methods that speed up insight
 //! queries").
 
-use crate::cache::{Packed, ScoreCache};
+use crate::cache::{Keyspace, Plane, ScoreCache};
 use crate::candidates::{CandidateOrigin, CandidateSource};
 use crate::error::{EngineError, Result};
-use crate::order::RankOrders;
+use crate::order::{Filled, RankOrders};
 use crate::query::InsightQuery;
 use crate::telemetry::{Counter, Lap, Metrics, Stage};
 use crate::trace::{LshCandidates, ScorePath, TraceBuilder};
 use foresight_data::Table;
-use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
+use foresight_insight::{
+    AttrTuple, CandidatePruning, InsightClass, InsightInstance, InsightRegistry,
+};
 use foresight_sketch::SketchCatalog;
 use foresight_stats::prepared::PreparedColumns;
 use rayon::prelude::*;
@@ -61,10 +63,10 @@ pub struct Executor<'a> {
     /// centred or ranked once per snapshot; `None` (standalone executors)
     /// = one store per scoring call, dropped with it.
     prepared: Option<&'a PreparedColumns>,
-    /// The snapshot's rank orders (see [`RankOrders`]): an unfixed
-    /// primary-metric query on the class scan walks its class's order when
-    /// filled, and a pass that scores the whole scan fills it. `None`
-    /// (standalone executors) = every query scores and ranks.
+    /// The snapshot's rank orders and planes (see [`RankOrders`]), filled
+    /// by whole-scan passes, walked by unfixed queries and read by every
+    /// other lookup in a complete keyspace. `None` (standalone executors) =
+    /// every query scores and ranks.
     orders: Option<&'a RankOrders>,
 }
 
@@ -288,40 +290,49 @@ impl<'a> Executor<'a> {
     /// (`None` = the class's primary metric), positionally aligned, plus —
     /// only when `trace` is active, empty otherwise — each candidate's
     /// `(cache-hit, path)` provenance, plus how many scores were computed
-    /// rather than found in the cache. `counted` says whether the lookups
-    /// are query traffic for the cache's hit/miss counters; a freeze
-    /// completing rank orders is not.
+    /// rather than found in the cache.
     ///
-    /// With a cache attached this is one batched lookup (a single lock
-    /// acquisition per touched shard), [`score_misses`](Self::score_misses)
-    /// over what it did not answer, and one batched store; without one,
-    /// every candidate is a miss. Queries, carousels and the rank orders a
-    /// freeze completes all score through here, so tracing, parallelism
-    /// and caching never change a score. A trace sees the three steps as
-    /// `cache_lookup`, `score_misses` and `cache_store` spans.
+    /// In a complete keyspace `plane` gives its scores and the candidates'
+    /// positions: every candidate is a hit. Otherwise, with a cache attached
+    /// this is one batched lookup (a single lock acquisition per touched
+    /// shard), [`score_misses`](Self::score_misses) over what it did not
+    /// answer, and one batched store — unless `store` is off for a pass
+    /// whose scores move into a plane; without one, every candidate is a
+    /// miss. Queries and carousels all score through here, so tracing,
+    /// parallelism and caching never change a score. A trace sees the three
+    /// steps as `cache_lookup`, `score_misses` and `cache_store` spans.
     pub(crate) fn score_candidates(
         &self,
         class: &dyn InsightClass,
         metric: Option<&'static str>,
         candidates: &[AttrTuple],
-        counted: bool,
+        plane: Option<(&Plane, &[usize])>,
+        store: bool,
         trace: &mut TraceBuilder,
     ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>, usize) {
-        let (mut slots, traffic) = match self.cache {
-            Some((cache, epoch)) => {
-                trace.begin("cache_lookup");
-                let looked = if counted {
-                    cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch)
-                } else {
-                    cache.peek_batch(class.id(), candidates, self.mode, metric, epoch)
-                };
-                trace.attr("hits", || looked.hits.to_string());
-                trace.attr("misses", || looked.misses.to_string());
-                trace.end();
+        if plane.is_some() || self.cache.is_some() {
+            trace.begin("cache_lookup");
+        }
+        let (mut slots, traffic) = match (plane, self.cache) {
+            (Some((plane, positions)), cache) => {
+                let n = positions.len() as u64;
+                if let Some((cache, _)) = cache {
+                    cache.count_plane_hits(n);
+                }
+                let scores = positions.iter().map(|&p| Some(plane.get(p))).collect();
+                (scores, Some((n, 0)))
+            }
+            (None, Some((cache, epoch))) => {
+                let looked = cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch);
                 (looked.scores, Some((looked.hits, looked.misses)))
             }
-            None => (vec![None; candidates.len()], None),
+            (None, None) => (vec![None; candidates.len()], None),
         };
+        if let Some((hits, misses)) = traffic {
+            trace.attr("hits", || hits.to_string());
+            trace.attr("misses", || misses.to_string());
+            trace.end();
+        }
         let mut provenance = if trace.is_active() {
             vec![(true, ScorePath::Cache); candidates.len()]
         } else {
@@ -355,10 +366,13 @@ impl<'a> Executor<'a> {
         let mut stored = 0;
         if let Some((cache, epoch)) = self.cache {
             trace.begin("cache_store");
-            if !missing.is_empty() {
+            if !store {
+                stored = computed as u64;
+            } else if !missing.is_empty() {
                 let fresh: Vec<(AttrTuple, Option<f64>)> =
                     missing.into_iter().zip(scores).collect();
                 stored = cache.store_batch(class.id(), &fresh, self.mode, metric, epoch);
+                self.promote(class, metric);
             }
             trace.attr("stored", || stored.to_string());
             trace.end();
@@ -389,12 +403,11 @@ impl<'a> Executor<'a> {
     /// an inert builder (the untraced path) each trace call is an empty
     /// inlined no-op.
     ///
-    /// An unfixed, undiversified primary-metric query whose candidates
-    /// would be the class scan walks the class's order when the lent
-    /// [`RankOrders`] holds one; LSH plans, pinned walks, alternative
-    /// metrics and MMR's whole-pool ranking never consult it. A pass that
-    /// scores the whole scan — no semantic or exclusion filter either —
-    /// fills the order on the way.
+    /// An unfixed, undiversified query walks its keyspace's order when the
+    /// lent [`RankOrders`] holds one — under `Auto` too; only a forced
+    /// [`CandidateStrategy::Lsh`](crate::CandidateStrategy::Lsh) draws
+    /// collisions instead. A pass that scores the whole scan — no fixed,
+    /// semantic or exclusion filter, no LSH — fills the order on the way.
     pub(crate) fn execute_traced(
         &self,
         query: &InsightQuery,
@@ -429,18 +442,16 @@ impl<'a> Executor<'a> {
         };
 
         trace.set_metric(metric.unwrap_or_else(|| class.metric()));
-        let class_scan = self.orders.is_some()
-            && metric.is_none()
-            && query.fixed_attrs.is_empty()
-            && !self.candidates.would_use_lsh(class.as_ref(), self.table);
         let diversify = query.diversify.filter(|&lambda| lambda > 0.0);
-        let order = self
+        let filled = self
             .orders
-            .filter(|_| class_scan)
-            .and_then(|orders| orders.get(self.registry, class.id(), self.mode));
-        if let Some(order) = order.filter(|_| diversify.is_none()) {
+            .and_then(|orders| orders.get(self.registry, class.as_ref(), self.mode, metric));
+        let walks = query.fixed_attrs.is_empty()
+            && diversify.is_none()
+            && self.candidates.walks_orders(class.as_ref(), self.table);
+        if let Some(filled) = filled.filter(|_| walks) {
             let mut lap = Lap::start(self.metrics);
-            let ranked = self.walk(order, query, trace);
+            let ranked = self.walk(filled, query, trace);
             lap.mark(Stage::IndexServe);
             let out = self.describe(class.as_ref(), query, metric, ranked, lap, trace);
             return Ok((out, true));
@@ -452,14 +463,15 @@ impl<'a> Executor<'a> {
             .generate(class.as_ref(), self.table, &query.fixed_attrs);
         let raw = plan.tuples;
         let generated = raw.len();
-        let candidates: Vec<AttrTuple> = raw
+        let (scan_positions, candidates): (Vec<usize>, Vec<AttrTuple>) = raw
             .into_iter()
-            .filter(|a| {
+            .enumerate()
+            .filter(|(_, a)| {
                 query.matches_fixed(a)
                     && query.matches_semantic(self.table, a)
                     && !query.exclude.contains(a)
             })
-            .collect();
+            .unzip();
         trace.set_candidates(generated, candidates.len());
         trace.attr("generated", || generated.to_string());
         trace.attr("eligible", || candidates.len().to_string());
@@ -503,28 +515,41 @@ impl<'a> Executor<'a> {
         trace.attr("kernel", || {
             foresight_stats::kernel::mode().name().to_owned()
         });
+        // a complete keyspace answers from its plane, by scan index or, for
+        // a pinned walk or an LSH draw, by the pair's triangular index
+        let positions = filled.and_then(|f| match plan.origin {
+            CandidateOrigin::ClassScan => Some(scan_positions),
+            _ => candidates.iter().map(|a| f.layout.position(a)).collect(),
+        });
+        let plane = filled.zip(positions.as_deref()).map(|(f, p)| (&f.plane, p));
+        // the class's whole scan, unfiltered: its scores fill the order, and
+        // the survivors come out of it already ranked
+        let fills = self.orders.is_some()
+            && filled.is_none()
+            && query.fixed_attrs.is_empty()
+            && plan.origin == CandidateOrigin::ClassScan
+            && query.semantic.is_none()
+            && query.exclude.is_empty();
         let (scores, provenance, _) =
-            self.score_candidates(class.as_ref(), metric, &candidates, true, trace);
+            self.score_candidates(class.as_ref(), metric, &candidates, plane, !fills, trace);
         trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
-        // the class's whole scan, unfiltered: its scores are the rank order,
-        // and the survivors come out of it already ranked
-        let whole_scan = order.is_none() && query.semantic.is_none() && query.exclude.is_empty();
-        let (mut scored, ranked): (Vec<(AttrTuple, f64)>, bool) =
-            match self.orders.filter(|_| class_scan && whole_scan) {
-                Some(orders) => {
-                    let mut ranked = self.fill_order(orders, class.as_ref(), &candidates, &scores);
-                    ranked.retain(|&(_, score)| query.matches_range(score));
-                    (ranked, true)
-                }
-                None => (
-                    scores
-                        .into_iter()
-                        .zip(&candidates)
-                        .filter_map(|(score, attrs)| keep(attrs, score))
-                        .collect(),
-                    false,
-                ),
-            };
+        let ranked = self.orders.filter(|_| fills).and_then(|orders| {
+            self.fill_order(orders, class.as_ref(), metric, &candidates, &scores)
+        });
+        let (mut scored, ranked): (Vec<(AttrTuple, f64)>, bool) = match ranked {
+            Some(mut ranked) => {
+                ranked.retain(|&(_, score)| query.matches_range(score));
+                (ranked, true)
+            }
+            None => (
+                scores
+                    .into_iter()
+                    .zip(&candidates)
+                    .filter_map(|(score, attrs)| keep(attrs, score))
+                    .collect(),
+                false,
+            ),
+        };
         trace.attr("survivors", || scored.len().to_string());
         trace.end();
         lap.mark(Stage::Score);
@@ -614,66 +639,129 @@ impl<'a> Executor<'a> {
     /// filters, up to the first `k` admitted entries.
     fn walk(
         &self,
-        order: &[(Packed, f64)],
+        filled: &Filled,
         query: &InsightQuery,
         trace: &mut TraceBuilder,
     ) -> Vec<(AttrTuple, f64)> {
         trace.begin("index_serve");
         trace.set_index_served();
-        let pool: Vec<(AttrTuple, f64)> = order
+        let pool: Vec<(AttrTuple, f64)> = filled
+            .order
             .iter()
-            .map(|&(key, score)| (key.tuple(), score))
-            .filter(|(attrs, score)| {
-                query.matches_range(*score)
-                    && !query.exclude.contains(attrs)
-                    && query.matches_semantic(self.table, attrs)
+            .map(|&p| (p as usize, filled.plane.get(p as usize).expect("finite")))
+            .filter(|&(_, score)| query.matches_range(score))
+            .map(|(p, score)| (filled.layout.tuple(p), score))
+            .filter(|(attrs, _)| {
+                !query.exclude.contains(attrs) && query.matches_semantic(self.table, attrs)
             })
             .take(query.top_k)
             .collect();
-        trace.set_candidates(order.len(), pool.len());
-        trace.attr("order", || order.len().to_string());
+        let order = filled.order.len();
+        trace.set_candidates(order, pool.len());
+        trace.attr("order", || order.to_string());
         trace.attr("pool", || pool.len().to_string());
         trace.end();
         pool
     }
 
-    /// Fills `class`'s rank order from its whole scan and the scan's
-    /// scores: the finite ones, in the ranking order, which it returns.
+    /// Fills the keyspace's order and plane from `class`'s whole scan and
+    /// its scores, and retires the keyspace from the hash. Returns the
+    /// finite scores in the ranking order, or `None` when the scan has no
+    /// plane (a tuple past the packable columns): then nothing is cached.
     fn fill_order(
         &self,
         orders: &RankOrders,
         class: &dyn InsightClass,
+        metric: Option<&'static str>,
         scan: &[AttrTuple],
         scores: &[Option<f64>],
-    ) -> Vec<(AttrTuple, f64)> {
-        let mut ranked: Vec<(AttrTuple, f64)> = scan
-            .iter()
-            .zip(scores)
-            .filter_map(|(&attrs, &score)| Some((attrs, score.filter(|s| s.is_finite())?)))
+    ) -> Option<Vec<(AttrTuple, f64)>> {
+        u32::try_from(scan.len()).ok()?;
+        let mut ranked: Vec<((AttrTuple, f64), u32)> = (0..)
+            .zip(scan.iter().zip(scores))
+            .filter_map(|(p, (&a, &s))| Some(((a, s.filter(|s| s.is_finite())?), p)))
             .collect();
-        ranked.sort_unstable_by(rank_order);
-        orders.fill(self.registry, class.id(), self.mode, &ranked);
-        ranked
+        ranked.sort_unstable_by(|a, b| rank_order(&a.0, &b.0));
+        let filled = orders.fill(self.registry, class, self.mode, metric, || {
+            let order = ranked.iter().map(|&(_, p)| p).collect();
+            Filled::new(class, self.table, scan, scores, order)
+        });
+        let ranked = ranked.into_iter().map(|(entry, _)| entry).collect();
+        if let Some((cache, space)) = self.keyspace(class, metric).filter(|_| filled) {
+            cache.complete(space);
+        }
+        filled.then_some(ranked)
     }
 
-    /// Completes `class`'s rank order unless it is filled: the whole class
-    /// scan scored through [`score_candidates`](Self::score_candidates) —
-    /// cache first, so a republish rescores only what it did not migrate,
-    /// and uncounted, since a freeze is not query traffic. Returns how many
-    /// scores the cache answered and how many were computed; `(0, 0)`
-    /// without a store or with the order already there.
-    pub(crate) fn complete(&self, class: &dyn InsightClass) -> (usize, usize) {
-        let Some(orders) = self.orders else {
+    /// The attached cache and `class`'s keyspace in it under `metric`.
+    fn keyspace(
+        &self,
+        class: &dyn InsightClass,
+        metric: Option<&'static str>,
+    ) -> Option<(&'a ScoreCache, Keyspace)> {
+        let (cache, epoch) = self.cache?;
+        Some((cache, Keyspace::new(class.id(), self.mode, metric, epoch)))
+    }
+
+    /// Keeps complete keyspaces out of the hash after a store: retires what
+    /// a pass racing the keyspace's fill stored, and completes a declared
+    /// pair shape once the hash holds every pair of it (pinned walks over a
+    /// class never scanned whole).
+    fn promote(&self, class: &dyn InsightClass, metric: Option<&'static str>) {
+        let filled = self
+            .orders
+            .and_then(|o| o.get(self.registry, class, self.mode, metric));
+        if let Some((cache, space)) = self.keyspace(class, metric).filter(|_| filled.is_some()) {
+            return cache.complete(space);
+        }
+        let n = match class.pruning() {
+            CandidatePruning::None => return,
+            CandidatePruning::NumericPairs => self.table.numeric_indices().len(),
+            CandidatePruning::AllPairs => self.table.n_cols(),
+        };
+        let pairs = n * n.saturating_sub(1) / 2;
+        if self
+            .keyspace(class, metric)
+            .is_some_and(|(c, s)| c.keyspace_len(s) == pairs)
+        {
+            self.complete(class, metric, None);
+        }
+    }
+
+    /// Completes a keyspace's order and plane unless filled: the whole class
+    /// scan, each score taken from `carried` (see [`RankOrders::carry`]) or
+    /// else the cache — uncounted, a freeze is not query traffic — where
+    /// either has it. Returns how many scores were reused and how many were
+    /// computed; `(0, 0)` without a store or with the order already there.
+    pub(crate) fn complete(
+        &self,
+        class: &dyn InsightClass,
+        metric: Option<&'static str>,
+        carried: Option<Vec<Option<Option<f64>>>>,
+    ) -> (usize, usize) {
+        let unfilled = |o: &&RankOrders| o.get(self.registry, class, self.mode, metric).is_none();
+        let Some(orders) = self.orders.filter(unfilled) else {
             return (0, 0);
         };
-        if orders.get(self.registry, class.id(), self.mode).is_some() {
-            return (0, 0);
-        }
         let scan = class.candidates(self.table);
-        let (scores, _, computed) =
-            self.score_candidates(class, None, &scan, false, &mut TraceBuilder::disabled());
-        self.fill_order(orders, class, &scan, &scores);
-        (scan.len() - computed, computed)
+        let mut slots = match (carried, self.keyspace(class, metric)) {
+            (Some(carried), _) if carried.len() == scan.len() => carried,
+            (_, Some((cache, space))) => cache.batch(space, &scan, false).scores,
+            (_, None) => vec![None; scan.len()],
+        };
+        let (pending, missing): (Vec<usize>, Vec<AttrTuple>) = slots
+            .iter()
+            .zip(&scan)
+            .enumerate()
+            .filter_map(|(i, (slot, attrs))| slot.is_none().then_some((i, *attrs)))
+            .unzip();
+        let fresh = self.score_misses(class, metric, &missing);
+        for (i, (score, _)) in pending.into_iter().zip(fresh) {
+            slots[i] = Some(score);
+        }
+        let scores: Vec<Option<f64>> = slots.into_iter().map(|s| s.expect("scored")).collect();
+        self.fill_order(orders, class, metric, &scan, &scores);
+        (scan.len() - missing.len(), missing.len())
     }
 }
 

@@ -230,8 +230,9 @@ impl Foresight {
     }
 
     /// Sets how pairwise queries generate candidates — the recall-vs-speed
-    /// knob. [`CandidateStrategy::Auto`] (default) uses LSH bucket
-    /// collisions only on wide tables with a sketch catalog;
+    /// knob. [`CandidateStrategy::Auto`] (default) resolves to a filled
+    /// rank order, then LSH bucket collisions (tables of at least 64
+    /// numeric columns with a sketch catalog), then the scan;
     /// [`CandidateStrategy::Exhaustive`] pins recall to 1.0. No republish:
     /// this is session state, like the focus set.
     pub fn set_candidate_strategy(&mut self, strategy: CandidateStrategy) {
@@ -251,10 +252,17 @@ impl Foresight {
         self.own().metrics()
     }
 
-    /// Drops every cached score. Normally unnecessary — the engine retires
-    /// stale scores itself whenever they could change.
+    /// Drops every cached score — the score cache's hash and the
+    /// snapshot's planes and rank orders — and resets the cache counters.
+    /// Normally unnecessary — the engine retires stale scores itself
+    /// whenever they could change. A built index is completed again by the
+    /// republish.
     pub fn clear_score_cache(&mut self) {
-        self.core().cache().clear();
+        self.edit(|b| {
+            b.clear_scores();
+            Ok(())
+        })
+        .expect("clear_score_cache cannot fail");
     }
 
     /// Runs the paper's preprocessing phase: builds the sketch catalog and
@@ -590,6 +598,25 @@ mod tests {
         let legacy = saved.replacen(&format!("{tag},"), "", 1);
         assert!(!legacy.contains("version"));
         fs2.load_state(legacy.as_bytes()).unwrap();
+    }
+
+    /// Clearing drops every cached score — the hash, the planes and the
+    /// orders — so the next query scores again, and answers the same.
+    #[test]
+    fn clear_score_cache_drops_planes_and_orders() {
+        let mut fs = oecd();
+        let q = InsightQuery::class("linear-relationship").top_k(4);
+        let first = fs.query(&q).unwrap();
+        fs.query(&q.clone().fix_attr(1)).unwrap();
+        assert!(fs.core().rank_orders().filled() > 0);
+        assert!(fs.cache_stats().entries > 0);
+        fs.clear_score_cache();
+        assert_eq!(fs.core().rank_orders().filled(), 0);
+        assert_eq!(fs.core().resource_snapshot(0).planes_bytes, 0);
+        let stats = fs.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!(fs.query(&q).unwrap(), first);
+        assert!(fs.cache_stats().misses > 0, "the scan was scored again");
     }
 
     #[test]

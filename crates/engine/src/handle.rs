@@ -289,7 +289,8 @@ impl SessionHandle {
 
     /// Sets how this session's pairwise queries generate candidates — the
     /// recall-vs-speed knob. [`CandidateStrategy::Auto`] (the default)
-    /// switches to LSH bucket collisions only on wide tables with an index;
+    /// resolves to a filled rank order, then LSH bucket collisions (tables
+    /// of at least 64 numeric columns with an index), then the scan;
     /// [`CandidateStrategy::Exhaustive`] pins recall to 1.0;
     /// [`CandidateStrategy::Lsh`] forces collisions with a chosen number of
     /// probe tables. Per-session state — other handles over the same core

@@ -841,6 +841,11 @@ pub struct ResourceSnapshot {
     /// peers still parse.
     #[serde(default)]
     pub orders_bytes: u64,
+    /// The snapshot's score planes (8 B a score of every complete
+    /// keyspace). Defaults on deserialize so snapshots from older peers
+    /// still parse.
+    #[serde(default)]
+    pub planes_bytes: u64,
     /// LSH candidate index (bucket tables + key cache), 0 when absent.
     pub lsh_bytes: u64,
     /// Trace ring + slow-query log (capacity-based estimate).
@@ -1133,6 +1138,8 @@ pub static SCHEMA: &[Row] = &[
         true, RESIDENT, resources?.prepared_bytes),
     row!(Gauge "foresight_resident_bytes" ["component" = "rank_orders"], "resident bytes rank orders", true,
         RESIDENT, resources?.orders_bytes),
+    row!(Gauge "foresight_resident_bytes" ["component" = "score_planes"], "resident bytes score planes", true,
+        RESIDENT, resources?.planes_bytes),
     row!(Gauge "foresight_resident_bytes" ["component" = "lsh_index"], "resident bytes lsh index", true,
         RESIDENT, resources?.lsh_bytes),
     row!(Gauge "foresight_resident_bytes" ["component" = "trace_ring"], "resident bytes trace ring", true,

@@ -77,6 +77,7 @@ fn fully_populated() -> MetricsSnapshot {
             cache_bytes: fresh(),
             prepared_bytes: fresh(),
             orders_bytes: fresh(),
+            planes_bytes: fresh(),
             lsh_bytes: fresh(),
             trace_bytes: fresh(),
             session_table_bytes: fresh(),

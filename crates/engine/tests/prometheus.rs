@@ -222,6 +222,7 @@ fn populated_snapshot() -> foresight_engine::MetricsSnapshot {
         cache_bytes: 4096,
         prepared_bytes: 2048,
         orders_bytes: 256,
+        planes_bytes: 128,
         lsh_bytes: 512,
         trace_bytes: 64,
         session_table_bytes: 1024,
@@ -310,6 +311,30 @@ fn exposition_parses_strictly() {
     assert!(labels
         .iter()
         .any(|(k, v)| k == "version" && v == foresight_engine::build_version()));
+
+    // one resident-bytes sample per component, each with its gauge
+    let components: Vec<(&str, f64)> = families["foresight_resident_bytes"]
+        .samples
+        .iter()
+        .map(|(_, labels, value)| {
+            let (key, component) = &labels[0];
+            assert_eq!(key, "component");
+            (component.as_str(), *value)
+        })
+        .collect();
+    assert_eq!(
+        components,
+        [
+            ("catalog", (1 << 20) as f64),
+            ("score_cache", 4096.0),
+            ("prepared_columns", 2048.0),
+            ("rank_orders", 256.0),
+            ("score_planes", 128.0),
+            ("lsh_index", 512.0),
+            ("trace_ring", 64.0),
+            ("session_table", 1024.0),
+        ]
+    );
 
     // every histogram family: cumulative buckets per label set, +Inf
     // last, and +Inf == _count

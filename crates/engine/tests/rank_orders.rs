@@ -4,14 +4,16 @@
 //! approximate cores, cold and warm stores, sharded and raw-row-dropped
 //! sources — and only the queries the orders can answer walk them. Whether
 //! a query walked shows in the cache counters (a walk looks nothing up)
-//! and in the index-served query counter.
+//! and in the index-served query counter; any other query on a filled
+//! keyspace reads its plane, so it never misses.
 
 use foresight_data::datasets::{synth, SynthConfig};
 use foresight_data::{Table, TableBuilder, TableSource};
 use foresight_engine::{
     CandidateStrategy, CoreBuilder, EngineCore, Executor, InsightQuery, Mode, QueryOptions,
+    TraceMode,
 };
-use foresight_insight::{AttrTuple, InsightInstance, InsightRegistry};
+use foresight_insight::{AttrTuple, CandidatePruning, InsightInstance, InsightRegistry};
 use foresight_sketch::CatalogConfig;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -153,17 +155,22 @@ fn bits(answers: &[InsightInstance]) -> Vec<(AttrTuple, u64, &str, &str)> {
         .collect()
 }
 
+/// A keyspace of the model: class and metric (`None` = the primary).
+type Keyspace = (String, Option<String>);
+
 /// Runs `queries` on `core` under `opts` one after another and holds every
 /// answer against a store-less executor over the same rows, catalog and
-/// candidate source. `filled` models the orders: a class's slot is filled
-/// by `build_index` or by the first pass that scored its whole class scan,
-/// and exactly the unfixed, undiversified primary-metric class-scan
-/// queries on a filled slot walk it.
+/// candidate source. `filled` models the orders: a keyspace's slot is
+/// filled by `build_index` (primary metrics), by the first pass that
+/// scored its whole class scan (no LSH draw), or — for a class that
+/// declares a pair shape — by the pass that stored its last missing pair;
+/// and exactly the unfixed, undiversified queries on a filled slot walk
+/// it, but under a forced LSH draw.
 fn check(
     core: &EngineCore,
     opts: &QueryOptions,
     queries: &[InsightQuery],
-    filled: &mut HashSet<String>,
+    filled: &mut HashSet<Keyspace>,
 ) -> Result<(), TestCaseError> {
     let registry = InsightRegistry::default();
     let sketch_backed = core.source().as_materialized().is_none() && opts.mode == Mode::Approximate;
@@ -183,11 +190,12 @@ fn check(
     let source = core.candidate_source(opts.candidates);
     for q in queries {
         let class = core.registry().get(&q.class_id).unwrap();
-        let class_scan = q.metric.is_none()
-            && q.fixed_attrs.is_empty()
-            && !source.would_use_lsh(class.as_ref(), rows);
+        let key: Keyspace = (class.id().to_owned(), q.metric.clone());
+        let unfixed = q.fixed_attrs.is_empty();
         let diversifies = q.diversify.is_some_and(|lambda| lambda > 0.0);
-        let walks = class_scan && !diversifies && filled.contains(class.id());
+        let was_filled = filled.contains(&key);
+        let walks =
+            unfixed && !diversifies && was_filled && source.walks_orders(class.as_ref(), rows);
         let before = (core.cache_stats(), core.metrics_snapshot().queries);
         let served = core.run(q, opts);
         let after = (core.cache_stats(), core.metrics_snapshot().queries);
@@ -218,6 +226,13 @@ fn check(
                 "a walk looked scores up: {:?}",
                 q
             );
+        } else if was_filled {
+            prop_assert_eq!(
+                after.0.misses,
+                before.0.misses,
+                "a filled keyspace missed: {:?}",
+                q
+            );
         }
         prop_assert_eq!(
             after.1.index_served - before.1.index_served,
@@ -226,9 +241,26 @@ fn check(
             q,
             opts
         );
-        if class_scan && q.semantic.is_none() && q.exclude.is_empty() {
-            filled.insert(class.id().to_owned());
+        if unfixed
+            && !source.would_use_lsh(class.as_ref(), rows)
+            && q.semantic.is_none()
+            && q.exclude.is_empty()
+        {
+            filled.insert(key.clone());
         }
+        let now = core.rank_orders().is_filled(
+            core.registry(),
+            class.id(),
+            opts.mode,
+            q.metric.as_deref(),
+        );
+        if now && !filled.contains(&key) {
+            // completed by coverage: only a declared pair shape can be
+            prop_assert!(class.pruning() != CandidatePruning::None, "{:?}", q);
+            prop_assert!(!unfixed || !q.exclude.is_empty() || q.semantic.is_some());
+            filled.insert(key.clone());
+        }
+        prop_assert_eq!(now, filled.contains(&key), "{:?} on {:?}", q, opts);
     }
     Ok(())
 }
@@ -256,8 +288,8 @@ proptest! {
         };
         let core = core(&table, shape);
         let queries: Vec<InsightQuery> = draws.iter().map(|&draw| query(&table, draw)).collect();
-        let mut filled: HashSet<String> = if shape.indexed {
-            core.registry().classes().iter().map(|c| c.id().to_owned()).collect()
+        let mut filled: HashSet<Keyspace> = if shape.indexed {
+            core.registry().classes().iter().map(|c| (c.id().to_owned(), None)).collect()
         } else {
             HashSet::new()
         };
@@ -278,53 +310,88 @@ proptest! {
     }
 }
 
-/// On a table wide enough that `Auto` draws pairwise candidates from LSH,
-/// `Auto` never walks an order — not even one the exhaustive scan filled —
-/// while `Exhaustive` walks it; both stay bit-identical to the store-less
-/// executor.
-#[test]
-fn lsh_candidates_never_walk_an_order() {
-    for seed in [3, 17] {
-        let table = synth(&SynthConfig::benchmark(60, 66, seed)).0;
-        let mut builder = CoreBuilder::new(TableSource::materialized(table.clone()));
-        builder.preprocess(&CatalogConfig::default()).unwrap();
+/// A core over a table wide enough (66 numeric columns) that `Auto` draws
+/// pairwise candidates from LSH when no order answers — preprocessed, and
+/// indexed when `indexed`.
+fn wide_core(seed: u64, indexed: bool) -> Arc<EngineCore> {
+    let table = synth(&SynthConfig::benchmark(60, 66, seed)).0;
+    let mut builder = CoreBuilder::new(TableSource::materialized(table));
+    builder.preprocess(&CatalogConfig::default()).unwrap();
+    if indexed {
         builder.build_index().unwrap();
-        let core = builder.freeze();
+    }
+    builder.freeze()
+}
+
+fn wide_queries(class: &str) -> Vec<InsightQuery> {
+    vec![
+        InsightQuery::class(class).top_k(10),
+        InsightQuery::class(class).score_range(0.2, 0.9),
+        InsightQuery::class(class)
+            .top_k(4)
+            .exclude(AttrTuple::Two(0, 1)),
+    ]
+}
+
+/// On a filled order `Auto` walks it: bit for bit the `Exhaustive`
+/// answer, counted as index-served, with no cache traffic at all.
+#[test]
+fn auto_on_a_filled_order_is_exhaustive() {
+    for seed in [3, 17] {
+        let core = wide_core(seed, true);
+        let at = |candidates| QueryOptions {
+            candidates,
+            parallel: false,
+            ..core.options()
+        };
+        for class in ["linear-relationship", "monotonic-relationship"] {
+            for q in wide_queries(class) {
+                let exhaustive = core.run(&q, &at(CandidateStrategy::Exhaustive)).unwrap();
+                let before = (core.cache_stats(), core.metrics_snapshot().queries);
+                let auto = core.run(&q, &at(CandidateStrategy::Auto)).unwrap();
+                let after = (core.cache_stats(), core.metrics_snapshot().queries);
+                assert_eq!(
+                    bits(&auto.results),
+                    bits(&exhaustive.results),
+                    "seed {seed}: {q:?}"
+                );
+                assert!(!auto.results.is_empty());
+                assert_eq!(after.1.index_served - before.1.index_served, 1, "{q:?}");
+                assert_eq!(
+                    (after.0.hits, after.0.misses, after.0.entries),
+                    (before.0.hits, before.0.misses, before.0.entries),
+                    "a walk touched the cache: {q:?}"
+                );
+            }
+        }
+    }
+}
+
+/// On an empty slot `Auto` still draws LSH collisions — where an index
+/// exists — and a draw never fills the slot.
+#[test]
+fn auto_on_an_empty_slot_draws_lsh() {
+    for seed in [3, 17] {
+        let core = wide_core(seed, false);
         if core.lsh_index().is_none() {
             // FORESIGHT_DISABLE_LSH=1: `Auto` is the class scan
             continue;
         }
-        let queries: Vec<InsightQuery> = ["linear-relationship", "monotonic-relationship"]
-            .into_iter()
-            .flat_map(|class| {
-                [
-                    InsightQuery::class(class).top_k(10),
-                    InsightQuery::class(class).top_k(4).diversify(0.5),
-                    InsightQuery::class(class).score_range(0.2, 0.9),
-                ]
-            })
-            .collect();
-        let mut filled: HashSet<String> = core
-            .registry()
-            .classes()
-            .iter()
-            .map(|c| c.id().to_owned())
-            .collect();
-        for candidates in [CandidateStrategy::Exhaustive, CandidateStrategy::Auto] {
-            let opts = QueryOptions {
-                candidates,
-                parallel: false,
-                ..core.options()
-            };
-            check(&core, &opts, &queries, &mut filled).unwrap();
-        }
-        // `Auto` scored its collisions through the cache
-        let before = core.cache_stats();
-        let auto = QueryOptions {
+        let opts = QueryOptions {
             parallel: false,
+            trace: TraceMode::Forced,
             ..core.options()
         };
-        core.run(&queries[0], &auto).unwrap();
-        assert!(core.cache_stats().hits > before.hits, "seed {seed}");
+        for class in ["linear-relationship", "monotonic-relationship"] {
+            for q in wide_queries(class) {
+                let before = core.metrics_snapshot().queries.index_served;
+                let served = core.run(&q, &opts).unwrap();
+                let trace = served.trace.expect("forced trace");
+                assert!(trace.lsh.is_some(), "seed {seed}: {q:?} drew no LSH");
+                assert!(!trace.index_served);
+                assert_eq!(core.metrics_snapshot().queries.index_served, before);
+                assert_eq!(core.rank_orders().filled(), 0, "an LSH draw filled a slot");
+            }
+        }
     }
 }

@@ -224,11 +224,12 @@ fn index_served_details_are_retired_by_a_republish() {
 }
 
 /// The republish hand-off: what completing the rank orders rescored at
-/// freeze is stored under the epoch that freeze publishes, so the new
-/// snapshot scores nothing — clean tuples were migrated, dirty ones
-/// rescored into the new keyspace, and its carousels walk the new orders —
-/// while a handle still on the old snapshot stays in its own keyspace: it
-/// finds none of the new scores and plants none.
+/// freeze lands in the plane of the snapshot that freeze publishes, so the
+/// new snapshot scores nothing — clean positions were carried, dirty ones
+/// rescored, and its carousels walk the new orders — while a handle still
+/// on the old snapshot reads its own plane. A complete keyspace has no
+/// second copy: neither epoch's hash holds it, before or after either
+/// snapshot answers.
 #[test]
 fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     let seed_table = batch(0, 120, 31, &[]);
@@ -237,7 +238,7 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     builder.build_index().unwrap();
     let old = builder.freeze();
     let config = old.catalog().unwrap().config().clone();
-    let mut stale = old.handle();
+    let stale = old.handle();
     let old_carousels = stale.carousels(3).unwrap();
 
     // x, y and z move; the categorical receives only nulls and stays clean
@@ -256,10 +257,22 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     let cold = cold_core(vec![seed_table, appended], &config, true);
     assert_eq!(new_carousels, cold.handle().carousels(3).unwrap());
 
-    // x × z was rescored: present under the new epoch, absent under the
-    // old one until the stale reader recomputes it over its own rows
+    // x × z was rescored: the new snapshot's plane answers a pinned query
+    // for it as a hit, with the cold core's score
     let moved = foresight_insight::AttrTuple::Two(0, 2);
-    let lookup = |epoch| {
+    let pinned = InsightQuery::class("linear-relationship").fix_attr(0);
+    let score_of = |core: &EngineCore| {
+        let before = core.cache_stats();
+        let out = run(core, &pinned);
+        let after = core.cache_stats();
+        assert_eq!(after.misses, before.misses, "a complete keyspace missed");
+        assert!(after.hits > before.hits, "a plane read is a hit");
+        out.iter()
+            .find(|i| i.attrs == moved)
+            .expect("x × z is scored")
+            .score
+    };
+    let in_hash = |epoch| {
         new.cache()
             .lookup_batch(
                 "linear-relationship",
@@ -270,19 +283,23 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
             )
             .scores[0]
     };
-    let handed_off = lookup(new.epoch()).expect("handed off at freeze");
-    assert_eq!(lookup(old.epoch()), None);
+    let handed_off = score_of(&new);
+    assert_eq!(handed_off.to_bits(), score_of(&cold).to_bits());
+    assert_eq!(in_hash(new.epoch()), None, "a second copy in the hash");
+    assert_eq!(in_hash(old.epoch()), None);
     assert_eq!(stale.core().epoch(), old.epoch());
     // the stale reader's carousels walk its own snapshot's orders
     assert_eq!(stale.carousels(3).unwrap(), old_carousels);
-    assert_eq!(lookup(old.epoch()), None);
-    // a pinned query scores through the cache, over the old rows
-    stale
-        .query(&InsightQuery::class("linear-relationship").fix_attr(0))
-        .unwrap();
-    let recomputed = lookup(old.epoch()).expect("the stale reader's own store");
+    // and its pinned query reads its own plane, over the old rows
+    let recomputed = score_of(stale.core());
     assert_ne!(recomputed, handed_off, "the append moved x × z");
-    assert_eq!(lookup(new.epoch()), Some(handed_off));
+    assert_eq!(
+        in_hash(old.epoch()),
+        None,
+        "the stale reader planted a score"
+    );
+    assert_eq!(in_hash(new.epoch()), None);
+    assert_eq!(score_of(&new).to_bits(), handed_off.to_bits());
     assert_eq!(new.handle().carousels(3).unwrap(), new_carousels);
 }
 

@@ -432,6 +432,13 @@ fn lsh_carousels_and_explain_counts_survive_the_wire() {
     let (results, trace) = client.explain(session, q.clone()).unwrap();
     assert_eq!(results, local.query(&q).unwrap());
     let trace = trace.expect("explain captures a trace");
+    if core.lsh_index().is_none() {
+        // FORESIGHT_DISABLE_LSH=1: no index, so no collision counts
+        assert!(trace.lsh.is_none());
+        client.close(session).unwrap();
+        server.shutdown();
+        return;
+    }
     let wire_lsh = trace.lsh.expect("LSH-strategy explain carries counts");
     let local_trace = local
         .explain(&q)

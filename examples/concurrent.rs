@@ -94,12 +94,18 @@ fn main() {
         );
     }
 
-    // The cache is shared across all sessions: overlapping carousel work
-    // hits scores some other thread already computed.
+    // The score cache and the rank orders are shared across all sessions:
+    // overlapping carousel work hits scores, or walks the ranked scans,
+    // some other thread already computed.
     let stats = core.cache_stats();
+    let walked = core.metrics_snapshot().queries.index_served;
     println!(
-        "\nshared score cache: {} hits / {} misses ({} entries, {} purged)",
+        "\nshared score cache: {} hits / {} misses ({} entries, {} purged); \
+         {walked} queries walked a shared rank order",
         stats.hits, stats.misses, stats.entries, stats.purges
     );
-    assert!(stats.hits > 0, "concurrent sessions share computed scores");
+    assert!(
+        stats.hits + walked > 0,
+        "concurrent sessions share computed scores"
+    );
 }
