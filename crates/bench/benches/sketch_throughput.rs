@@ -1,12 +1,9 @@
 //! Criterion micro-benches: raw update/query throughput of each sketch
-//! family, and the ablation between quantile (GK vs KLL) and frequency
-//! (Misra-Gries vs SpaceSaving vs Count-Min) alternatives called out in
-//! DESIGN.md §7.
+//! family the catalog builds, with an exact sort as the quantile baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use foresight_sketch::freq::MisraGries;
 use foresight_sketch::hyperplane::{HyperplaneConfig, SharedHyperplanes};
-use foresight_sketch::{CountMin, EntropySketch, GkSketch, KllSketch, Reservoir, SpaceSaving};
+use foresight_sketch::{EntropySketch, KllSketch, Reservoir, SpaceSaving};
 
 fn values(n: usize) -> Vec<f64> {
     (0..n)
@@ -24,15 +21,6 @@ fn bench_quantile_sketches(c: &mut Criterion) {
     let data = values(100_000);
     let mut group = c.benchmark_group("quantile_insert_100k");
     group.sample_size(10);
-    group.bench_function("gk_eps0.01", |b| {
-        b.iter(|| {
-            let mut sk = GkSketch::new(0.01);
-            for &v in &data {
-                sk.insert(v);
-            }
-            black_box(sk.quantile(0.5))
-        })
-    });
     group.bench_function("kll_k200", |b| {
         b.iter(|| {
             let mut sk = KllSketch::new(200);
@@ -56,15 +44,6 @@ fn bench_frequency_sketches(c: &mut Criterion) {
     let stream = labels(100_000, 5_000);
     let mut group = c.benchmark_group("frequency_insert_100k");
     group.sample_size(10);
-    group.bench_function("misra_gries_64", |b| {
-        b.iter(|| {
-            let mut sk = MisraGries::new(64);
-            for l in &stream {
-                sk.insert(l);
-            }
-            black_box(sk.rel_freq(5))
-        })
-    });
     group.bench_function("space_saving_64", |b| {
         b.iter(|| {
             let mut sk = SpaceSaving::new(64);
@@ -72,15 +51,6 @@ fn bench_frequency_sketches(c: &mut Criterion) {
                 sk.insert(l);
             }
             black_box(sk.rel_freq(5))
-        })
-    });
-    group.bench_function("count_min_1pct", |b| {
-        b.iter(|| {
-            let mut sk = CountMin::with_error(0.01, 0.01, 3);
-            for l in &stream {
-                sk.insert(l);
-            }
-            black_box(sk.estimate("v0"))
         })
     });
     group.finish();

@@ -1,23 +1,16 @@
 //! **Ablations** (DESIGN.md §7): the design choices behind the defaults.
 //!
 //! A1 — Rademacher vs Gaussian hyperplane components (build time, accuracy);
-//! A2 — GK vs KLL quantile sketches (space, rank error);
-//! A3 — Misra–Gries vs SpaceSaving vs Count-Min for RelFreq(k);
 //! A4 — neighborhood similarity weight (focus steering strength);
 //! A5 — sequential vs rayon-parallel catalog build.
 
 use foresight_bench::{fmt_duration, print_table, time, workload};
-use foresight_data::datasets::dist::Zipf;
 use foresight_engine::recommend::carousels;
 use foresight_engine::{CarouselConfig, Executor, InsightQuery, NeighborhoodWeights, Session};
 use foresight_insight::InsightRegistry;
-use foresight_sketch::freq::MisraGries;
 use foresight_sketch::hyperplane::{HyperplaneConfig, HyperplaneKind, SharedHyperplanes};
-use foresight_sketch::{CatalogConfig, CountMin, GkSketch, KllSketch, SketchCatalog, SpaceSaving};
+use foresight_sketch::{CatalogConfig, SketchCatalog};
 use foresight_stats::correlation::pearson;
-use foresight_stats::FrequencyTable;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn a1_hyperplane_kind() {
     let (table, truth) = workload(50_000, 40, 3);
@@ -49,122 +42,6 @@ fn a1_hyperplane_kind() {
     print_table(
         "A1 — hyperplane component distribution (50k × 40, k = 448)",
         &["kind", "build time", "mean |err|"],
-        &rows,
-    );
-}
-
-fn a2_quantile_family() {
-    let n = 200_000usize;
-    let data: Vec<f64> = (0..n)
-        .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % n as u64) as f64)
-        .collect();
-    let mut rows = Vec::new();
-
-    let (gk, t_gk) = time(|| {
-        let mut sk = GkSketch::new(0.005);
-        for &v in &data {
-            sk.insert(v);
-        }
-        sk
-    });
-    let gk_err = [0.1, 0.5, 0.9]
-        .iter()
-        .map(|&q| ((gk.quantile(q).unwrap() + 1.0) / n as f64 - q).abs())
-        .fold(0.0f64, f64::max);
-    rows.push(vec![
-        "GK (eps 0.005)".into(),
-        fmt_duration(t_gk),
-        gk.tuple_count().to_string(),
-        format!("{:.3}%", 100.0 * gk_err),
-        "no".into(),
-    ]);
-
-    let (kll, t_kll) = time(|| {
-        let mut sk = KllSketch::new(200);
-        for &v in &data {
-            sk.insert(v);
-        }
-        sk
-    });
-    let kll_err = [0.1, 0.5, 0.9]
-        .iter()
-        .map(|&q| ((kll.quantile(q).unwrap() + 1.0) / n as f64 - q).abs())
-        .fold(0.0f64, f64::max);
-    rows.push(vec![
-        "KLL (k 200)".into(),
-        fmt_duration(t_kll),
-        kll.retained().to_string(),
-        format!("{:.3}%", 100.0 * kll_err),
-        "yes".into(),
-    ]);
-
-    print_table(
-        "A2 — quantile sketch family (200k uniform-permuted stream)",
-        &["sketch", "build", "retained", "max rank err", "mergeable"],
-        &rows,
-    );
-}
-
-fn a3_frequency_family() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let z = Zipf::new(2_000, 1.1);
-    let labels: Vec<String> = (0..300_000)
-        .map(|_| format!("v{}", z.sample(&mut rng)))
-        .collect();
-    let col = foresight_data::CategoricalColumn::from_strings(labels.iter().map(String::as_str));
-    let exact = FrequencyTable::from_column(&col).rel_freq(5);
-
-    let mut rows = Vec::new();
-    let (mg, t1) = time(|| {
-        let mut s = MisraGries::new(64);
-        for l in &labels {
-            s.insert(l);
-        }
-        s
-    });
-    rows.push(vec![
-        "Misra-Gries (64)".into(),
-        fmt_duration(t1),
-        format!("{:.4}", mg.rel_freq(5)),
-        "lower bound".into(),
-    ]);
-    let (ss, t2) = time(|| {
-        let mut s = SpaceSaving::new(64);
-        for l in &labels {
-            s.insert(l);
-        }
-        s
-    });
-    rows.push(vec![
-        "SpaceSaving (64)".into(),
-        fmt_duration(t2),
-        format!("{:.4}", ss.rel_freq(5)),
-        "upper bound".into(),
-    ]);
-    let (cm, t3) = time(|| {
-        let mut s = CountMin::with_error(0.001, 0.01, 7);
-        for l in &labels {
-            s.insert(l);
-        }
-        s
-    });
-    // CM needs candidate items: use SpaceSaving's top-5 as candidates
-    let top5: u64 = ss
-        .top()
-        .iter()
-        .take(5)
-        .map(|(l, _, _)| cm.estimate(l))
-        .sum();
-    rows.push(vec![
-        "CountMin (eps 1e-3)".into(),
-        fmt_duration(t3),
-        format!("{:.4}", top5 as f64 / labels.len() as f64),
-        "upper bound*".into(),
-    ]);
-    println!("\n(exact RelFreq(5) = {exact:.4}; * CountMin needs a candidate set)");
-    print_table(
-        "A3 — frequent-items family (Zipf 2000, n = 300k)",
-        &["sketch", "build", "RelFreq(5) est", "bound type"],
         &rows,
     );
 }
@@ -241,8 +118,6 @@ fn a5_parallel_catalog() {
 fn main() {
     println!("# Ablation experiments (DESIGN.md §7)");
     a1_hyperplane_kind();
-    a2_quantile_family();
-    a3_frequency_family();
     a4_neighborhood_weight();
     a5_parallel_catalog();
 }

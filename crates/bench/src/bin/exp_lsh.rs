@@ -27,7 +27,7 @@
 //! the collisions on every width — and exits non-zero on failure (the CI
 //! hook).
 
-use foresight_bench::{fmt_duration, time};
+use foresight_bench::{fmt_duration, median, time};
 use foresight_data::datasets::{synth, SynthConfig};
 use foresight_engine::{CandidateStrategy, Foresight, InsightQuery};
 use foresight_insight::InsightInstance;
@@ -54,11 +54,6 @@ fn reps_for(d: usize) -> usize {
     } else {
         5
     }
-}
-
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort();
-    xs[xs.len() / 2]
 }
 
 /// Runs `query` under `strategy`, dropping every cached score before every

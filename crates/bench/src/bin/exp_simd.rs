@@ -16,13 +16,12 @@
 //! moment and correlation kernels, vectorized cold build ≤
 //! [`MAX_COLD_BUILD_MS`] — and exits non-zero on failure (the CI hook).
 
-use foresight_bench::{fmt_duration, workload};
+use foresight_bench::{bench, fmt_duration, workload};
 use foresight_engine::Foresight;
 use foresight_sketch::{CatalogConfig, SketchCatalog};
 use foresight_stats::kernel::{self, KernelMode};
 use foresight_stats::moments::Moments;
 use serde_json::{json, Value};
-use std::time::{Duration, Instant};
 
 const ROWS: usize = 100_000;
 const COLS: usize = 12;
@@ -38,24 +37,9 @@ const BUILD_REPS: usize = 3;
 /// correlation micro-kernels.
 const MIN_KERNEL_SPEEDUP: f64 = 3.0;
 /// Gate: ceiling for the vectorized cold 100K×12 catalog build, pinned
-/// below the 1.7 s scalar-era `BENCH_partition.json` baseline with headroom
-/// for CI-runner jitter.
+/// below the 1.7 s this build took with scalar kernels, with headroom for
+/// CI-runner jitter.
 const MAX_COLD_BUILD_MS: f64 = 1_400.0;
-
-fn median(mut xs: Vec<Duration>) -> Duration {
-    xs.sort();
-    xs[xs.len() / 2]
-}
-
-fn bench<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        times.push(t0.elapsed());
-    }
-    median(times)
-}
 
 /// Times one workload under both kernel modes and reports the speedup.
 fn versus<T>(name: &str, reps: usize, mut f: impl FnMut() -> T) -> (Value, f64) {
@@ -132,7 +116,7 @@ fn main() {
         hp.accumulate_columns(&hp_cols, 0)
     });
 
-    // end to end: cold catalog build at the BENCH_partition workload
+    // end to end: cold catalog build over the 100K×12 workload
     let build_config = CatalogConfig {
         hyperplane_k: Some(1024),
         ..Default::default()

@@ -74,6 +74,20 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t0.elapsed())
 }
 
+/// The median of a set of timings (the upper one for an even count).
+pub fn median(mut xs: Vec<Duration>) -> Duration {
+    xs.sort();
+    xs[xs.len() / 2]
+}
+
+/// Runs `f` `reps` times and returns the median wall time.
+pub fn bench<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
+    let times = (0..reps)
+        .map(|_| time(|| std::hint::black_box(f())).1)
+        .collect();
+    median(times)
+}
+
 /// Configures the rayon pool for a benchmark run and returns the effective
 /// worker-thread count — the number every `BENCH_*.json` should record.
 ///

@@ -337,25 +337,6 @@ impl Monitor {
         }
     }
 
-    /// A monitor with no sampler thread: the ring and alert log stay
-    /// empty, and [`Monitor::health`] falls back to the instantaneous
-    /// conditions on every call.
-    pub fn disabled(target: MonitorTarget, config: MonitorConfig) -> Self {
-        let shared = Arc::new(MonitorShared {
-            target,
-            config,
-            ring: Mutex::new(VecDeque::new()),
-            alerts: Mutex::new(VecDeque::new()),
-            health: RwLock::new(HealthState::Unready(vec![HealthReason::NotYetSampled])),
-            discontinuity: AtomicBool::new(false),
-            stop: AtomicBool::new(true),
-        });
-        Self {
-            shared,
-            thread: None,
-        }
-    }
-
     /// Whether a sampler thread is live.
     pub fn is_running(&self) -> bool {
         self.thread.is_some()
@@ -390,7 +371,7 @@ impl Monitor {
 
     /// The current health. With a live sampler this is the last tick's
     /// verdict (a cheap lock read — answerable even when every worker is
-    /// wedged); disabled monitors compute the instantaneous conditions.
+    /// wedged); a stopped monitor computes the instantaneous conditions.
     pub fn health(&self) -> HealthState {
         if self.thread.is_none() {
             return self
@@ -953,10 +934,10 @@ mod tests {
     #[test]
     fn disabled_monitor_answers_health_on_demand() {
         let core = tiny_core();
-        let monitor = Monitor::disabled(MonitorTarget::Static(core), MonitorConfig::default());
+        let mut monitor = Monitor::spawn(MonitorTarget::Static(core), MonitorConfig::default());
+        monitor.stop();
         assert!(!monitor.is_running());
         assert_eq!(monitor.health(), HealthState::Healthy);
-        assert!(monitor.history(0).is_empty());
         assert!(monitor.alerts().is_empty());
     }
 

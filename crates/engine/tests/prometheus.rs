@@ -37,9 +37,12 @@ fn is_valid_label_name(name: &str) -> bool {
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
+/// A series' label pairs, in exposition order.
+type Labels = Vec<(String, String)>;
+
 /// Splits `name{l1="v1",l2="v2"}` into the bare name and its label pairs,
 /// asserting the label syntax (quoting, escapes, commas) is well-formed.
-fn parse_series(series: &str) -> (String, Vec<(String, String)>) {
+fn parse_series(series: &str) -> (String, Labels) {
     let Some(brace) = series.find('{') else {
         assert!(is_valid_metric_name(series), "bad metric name `{series}`");
         return (series.to_owned(), Vec::new());
@@ -98,7 +101,7 @@ fn parse_series(series: &str) -> (String, Vec<(String, String)>) {
 struct Family {
     kind: String,
     has_help: bool,
-    samples: Vec<(String, Vec<(String, String)>, f64)>,
+    samples: Vec<(String, Labels, f64)>,
 }
 
 /// Parses a whole exposition into families, enforcing layout invariants.

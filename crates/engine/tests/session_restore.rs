@@ -15,8 +15,7 @@ use foresight_insight::{AttrTuple, InsightInstance};
 
 /// `rows` rows of three numeric columns starting at global row `offset`.
 fn batch(offset: usize, rows: usize) -> foresight_data::Table {
-    let col =
-        |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (offset..offset + rows).map(|r| f(r)).collect() };
+    let col = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (offset..offset + rows).map(f).collect() };
     TableBuilder::new("stream")
         .numeric("x", col(&|r| r as f64))
         .numeric("y", col(&|r| 2.0 * r as f64 + ((r * 13) % 7) as f64))

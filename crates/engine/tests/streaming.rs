@@ -303,6 +303,46 @@ fn rescored_tuples_are_cache_hits_in_the_new_epoch_only() {
     assert_eq!(new.handle().carousels(3).unwrap(), new_carousels);
 }
 
+/// The work an incremental republish does, counted exactly: an append
+/// that dirties one column rescores, in every filled plane, just the
+/// tuples that touch that column, and carries every other score over.
+/// This pins the saving over a full rebuild, which rescores them all.
+#[test]
+fn a_one_column_append_rescores_exactly_the_tuples_it_touches() {
+    const DIRTY: usize = 0;
+    let seed_table = batch(0, 120, 51, &[]);
+    let mut builder = CoreBuilder::new(TableSource::sharded(vec![seed_table]).unwrap());
+    builder.preprocess(&CatalogConfig::default()).unwrap();
+    builder.build_index().unwrap();
+    let old = builder.freeze();
+    let filled = old.rank_orders().entries() as u64;
+
+    // only x receives present values: y, z and the categorical stay clean
+    let mut writer = CoreBuilder::from_arc(Arc::clone(&old));
+    writer.append_shard(batch(120, 90, 52, &[1, 2, 3])).unwrap();
+    let new = writer.freeze();
+
+    // a sharded core's approximate planes hold the candidates of its
+    // zero-row schema table, which is what every class scan here walks
+    let schema = new.source().schema_table();
+    let (mut scanned, mut touching, mut classes) = (0u64, 0u64, 0u64);
+    for class in new.registry().classes() {
+        let scan = class.candidates(&schema);
+        let n = scan.iter().filter(|attrs| attrs.contains(DIRTY)).count() as u64;
+        scanned += scan.len() as u64;
+        touching += n;
+        classes += u64::from(n > 0);
+    }
+    assert_eq!(filled, scanned, "build_index fills every class scan");
+    assert!(touching > 0 && touching < filled, "a partial rescore");
+    let ingest = new.metrics_snapshot().ingest;
+    assert_eq!(ingest.republishes_incremental, 1);
+    assert_eq!(ingest.rescored_classes, classes);
+    assert_eq!(ingest.rescored_tuples, touching);
+    assert_eq!(ingest.reused_tuples, filled - touching);
+    assert_eq!(new.rank_orders().entries() as u64, filled);
+}
+
 /// An append staged on top of an index that was never published: the one
 /// freeze hands over both the build's scores and the refresh's, and for a
 /// tuple the append moved it is the refresh's that the snapshot reads.

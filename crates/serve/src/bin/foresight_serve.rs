@@ -4,7 +4,7 @@
 //! foresight-serve [dataset] [--addr HOST:PORT] [--workers N]
 //!                 [--queue-depth N] [--max-connections N]
 //!                 [--max-sessions N] [--ttl-secs N] [--preprocess]
-//!                 [--test-commands] [--no-monitor]
+//!                 [--test-commands]
 //!                 [--monitor-cadence-ms N] [--monitor-capacity N]
 //!                 [--max-rows-behind N] [--max-shed-per-sec X]
 //! ```
@@ -39,7 +39,7 @@ fn usage() -> ! {
         "usage: foresight-serve [oecd|imdb|parkinson|file.csv] \
          [--addr HOST:PORT] [--workers N] [--queue-depth N] \
          [--max-connections N] [--max-sessions N] [--ttl-secs N] \
-         [--preprocess] [--test-commands] [--no-monitor] \
+         [--preprocess] [--test-commands] \
          [--monitor-cadence-ms N] [--monitor-capacity N] \
          [--max-rows-behind N] [--max-shed-per-sec X]"
     );
@@ -71,7 +71,6 @@ fn main() {
             }
             "--preprocess" => preprocess = true,
             "--test-commands" => config.enable_test_commands = true,
-            "--no-monitor" => config.enable_monitor = false,
             "--monitor-cadence-ms" => {
                 config.monitor.cadence_ms = parse("--monitor-cadence-ms", args.next())
             }

@@ -13,7 +13,7 @@
 //!   first-class admission control (typed `overloaded` /
 //!   `too_many_connections` sheds, all counted in engine telemetry)
 //! * [`client`] — a small blocking client used by the remote explorer,
-//!   the CI smoke test, and the `exp_serve` load generator
+//!   the CI smoke test, and the benchmark's `wire_oecd` workload
 //!
 //! The same socket also answers plaintext HTTP `GET /metrics` (Prometheus
 //! text exposition) and `GET /healthz` (200 healthy/degraded, 503

@@ -100,9 +100,6 @@ pub struct ServeConfig {
     /// Enables the test-only `Sleep` command (shed tests use it to hold a
     /// worker deterministically). Off for real servers.
     pub enable_test_commands: bool,
-    /// Runs the background monitor sampler (`false` falls back to
-    /// on-demand health with an empty ring).
-    pub enable_monitor: bool,
     /// Sampler cadence, ring capacity, and health/watchdog thresholds.
     pub monitor: MonitorConfig,
 }
@@ -118,7 +115,6 @@ impl Default for ServeConfig {
             max_sessions: 4096,
             session_ttl: Duration::from_secs(600),
             enable_test_commands: false,
-            enable_monitor: true,
             monitor: MonitorConfig::default(),
         }
     }
@@ -187,11 +183,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let registry = core.latest();
-        let monitor = if config.enable_monitor {
-            Monitor::spawn(core.monitor_target(), config.monitor.clone())
-        } else {
-            Monitor::disabled(core.monitor_target(), config.monitor.clone())
-        };
+        let monitor = Monitor::spawn(core.monitor_target(), config.monitor.clone());
         let shared = Arc::new(Shared {
             core,
             registry,
@@ -817,7 +809,6 @@ mod tests {
         let core = CoreBuilder::new(TableSource::materialized(table)).freeze();
         let config = ServeConfig {
             workers: 1,
-            enable_monitor: false,
             ..ServeConfig::default()
         };
         let server = Server::start(ServeCore::Static(core), "127.0.0.1:0", config).unwrap();

@@ -15,8 +15,7 @@ use std::time::{Duration, Instant};
 
 /// Deterministic little table: three numeric columns, one categorical.
 fn table(offset: usize, rows: usize) -> Table {
-    let col =
-        |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (offset..offset + rows).map(|r| f(r)).collect() };
+    let col = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (offset..offset + rows).map(f).collect() };
     let cats: Vec<&str> = (offset..offset + rows)
         .map(|r| ["low", "mid", "high"][r % 3])
         .collect();
@@ -298,6 +297,35 @@ fn connection_budget_sheds_typed() {
     let err = second.hello().unwrap_err();
     assert_eq!(server_code(err), ErrorCode::TooManyConnections);
     assert!(first.metrics().unwrap().serve.connections_shed >= 1);
+    server.shutdown();
+}
+
+/// A thousand-session fleet on the default configuration: 1 024 sessions
+/// opened over four connections are all live at once (none expired or
+/// evicted), each answers one query, and the server counts exactly that
+/// work — every session created, no protocol error and no shed.
+#[test]
+fn a_thousand_live_sessions_answer_without_errors() {
+    const CONNECTIONS: usize = 4;
+    const SESSIONS: usize = 1_024;
+    let core = core(48);
+    let server = start(ServeCore::Static(core), ServeConfig::default());
+    let mut clients: Vec<Client> = (0..CONNECTIONS)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    let sessions: Vec<(usize, u64)> = (0..SESSIONS)
+        .map(|i| (i % CONNECTIONS, clients[i % CONNECTIONS].open().unwrap()))
+        .collect();
+    let query = InsightQuery::class("skew").top_k(1);
+    for &(conn, session) in &sessions {
+        let answer = clients[conn].query(session, query.clone()).unwrap();
+        assert_eq!(answer.len(), 1, "session {session} got an empty answer");
+    }
+    let serve = clients[0].metrics().unwrap().serve;
+    assert_eq!(serve.sessions_created, SESSIONS as u64);
+    assert_eq!(serve.sessions_expired + serve.sessions_evicted, 0);
+    assert_eq!(serve.errors, 0);
+    assert_eq!(serve.load_shed, 0);
     server.shutdown();
 }
 

@@ -381,35 +381,3 @@ fn reset_metrics_marks_monitor_discontinuity() {
     );
     server.shutdown();
 }
-
-/// With the monitor disabled (config here; the env kill-switch takes the
-/// same path) the server runs headless: no ring, no alerts, but health
-/// is computed on demand and the `/healthz` probe stays live.
-#[test]
-fn disabled_monitor_answers_health_on_demand() {
-    let server = Server::start(
-        ServeCore::Static(core(48)),
-        "127.0.0.1:0",
-        ServeConfig {
-            enable_monitor: false,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    let session = client.open().unwrap();
-    client
-        .query(session, InsightQuery::class("skew").top_k(1))
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(60));
-    assert!(
-        client.metrics_history(0).unwrap().is_empty(),
-        "no sampler thread, so the ring must stay empty"
-    );
-    assert!(client.alerts().unwrap().is_empty());
-    assert!(matches!(client.health().unwrap(), HealthState::Healthy));
-    let (status, _, body) = http_get(server.addr(), "/healthz");
-    assert_eq!(status, 200);
-    assert!(body.starts_with("healthy"), "body: {body}");
-    server.shutdown();
-}

@@ -255,7 +255,7 @@ mod tests {
         let base = from_whole(&values).finalize();
         for pad in [1usize, 4, 20, 44, 100] {
             let mut padded = values.clone();
-            padded.extend(std::iter::repeat(f64::NAN).take(pad));
+            padded.extend(std::iter::repeat_n(f64::NAN, pad));
             let grown = from_whole(&padded).finalize();
             assert_eq!(grown, base, "pad {pad}");
 

@@ -1,10 +1,6 @@
-//! Frequent-items sketches: Misra–Gries (lower bounds), SpaceSaving (upper
-//! bounds; used by the catalog), and Count-Min (point-query upper bounds).
+//! Frequent-items sketches: SpaceSaving (upper bounds), the one the
+//! catalog uses.
 
-pub mod count_min;
-pub mod misra_gries;
 pub mod space_saving;
 
-pub use count_min::CountMin;
-pub use misra_gries::MisraGries;
 pub use space_saving::SpaceSaving;

@@ -2,8 +2,7 @@
 //!
 //! Keeps `m` counters; an unseen item replaces the current minimum counter
 //! and inherits its count (+1), recording that count as the item's maximum
-//! overestimation. Counts are **upper bounds** with error ≤ `n/m` —
-//! complementary to Misra–Gries' lower bounds.
+//! overestimation. Counts are **upper bounds** with error ≤ `n/m`.
 
 use crate::traits::{MergeError, Mergeable, Sketch};
 use serde::{Deserialize, Serialize};

@@ -8,8 +8,8 @@
 //! * [`lsh`] — banded multi-table LSH index over the hyperplane signatures:
 //!   K-bit band keys × L tables turn the per-column sketches into an
 //!   ~O(d·L) candidate generator for pairwise insight classes
-//! * [`quantile`] — Greenwald–Khanna and KLL quantile sketches
-//! * [`freq`] — Misra–Gries, SpaceSaving, Count-Min frequent-items sketches
+//! * [`quantile`] — the mergeable KLL quantile sketch
+//! * [`freq`] — the SpaceSaving frequent-items sketch
 //! * [`hll`] — HyperLogLog distinct counting
 //! * [`entropy`] — maximally-skewed-stable entropy sketch
 //! * [`sample`] — reservoir samples (plain and row-aligned pairs)
@@ -36,10 +36,10 @@ pub use bits::BitVec;
 pub use catalog::{CatalogConfig, SketchCatalog};
 pub use dyadic::MomentForest;
 pub use entropy::EntropySketch;
-pub use freq::{CountMin, MisraGries, SpaceSaving};
+pub use freq::SpaceSaving;
 pub use hll::HyperLogLog;
 pub use hyperplane::{HyperplaneConfig, HyperplaneSketch, SharedHyperplanes};
 pub use lsh::{LshConfig, LshIndex, LshSkip};
-pub use quantile::{GkSketch, KllSketch};
+pub use quantile::KllSketch;
 pub use sample::{PairReservoir, Reservoir};
 pub use traits::{MergeError, Mergeable, Sketch};

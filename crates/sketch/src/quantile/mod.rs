@@ -1,8 +1,5 @@
-//! Quantile sketches: the classic insert-only GK summary and the mergeable
-//! KLL sketch the catalog uses.
+//! Quantile sketches: the mergeable KLL sketch the catalog uses.
 
-pub mod gk;
 pub mod kll;
 
-pub use gk::GkSketch;
 pub use kll::KllSketch;

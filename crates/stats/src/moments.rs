@@ -405,7 +405,7 @@ mod tests {
             crate::kernel::LANES * 2 + 1,
         ] {
             let mut padded = values.clone();
-            padded.extend(std::iter::repeat(f64::NAN).take(pad));
+            padded.extend(std::iter::repeat_n(f64::NAN, pad));
             for mode in [
                 crate::kernel::KernelMode::Vectorized,
                 crate::kernel::KernelMode::Scalar,

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`data`] | column-oriented tables, CSV, type inference, demo datasets |
 //! | [`stats`] | exact ranking metrics (moments, correlation, dip, …) |
-//! | [`sketch`] | hyperplane/KLL/GK/SpaceSaving/entropy/… sketches + catalog |
+//! | [`sketch`] | hyperplane/KLL/SpaceSaving/entropy/… sketches + catalog |
 //! | [`viz`] | chart specs + SVG / terminal / Vega-Lite renderers |
 //! | [`insight`] | the 12 insight classes and the plug-in registry |
 //! | [`engine`] | insight queries, neighborhoods, sessions, carousels |
