@@ -19,6 +19,10 @@
 //! top-k is dominated by planted strong pairs — a deeper k bottoms out in
 //! noise pairs (|ρ| ≈ 0.1) that banding is *designed* not to collide, and
 //! would measure the workload's plant count, not the index's recall.
+//! After the LSH passes it reports the bytes of the score planes: a draw
+//! stores its scores only into a plane a scan or a pinned walk allocated
+//! (8 B for every pair of the table) and allocates none itself, so after
+//! the cold passes this reads 0.
 //!
 //! Emits `BENCH_lsh.json` into the working directory (run from the
 //! repository root). With `FORESIGHT_BENCH_GATE=1` the run enforces the
@@ -86,10 +90,10 @@ fn main() {
     println!("# Experiment T10: LSH candidate generation vs the d\u{b2} scan");
     println!("# workload: {ROWS} rows, d in {WIDTHS:?} numeric cols, planted |rho| pairs, top-{TOP_K}, rayon threads: {threads}\n");
     println!(
-        "| {:>5} | {:>12} | {:>12} | {:>8} | {:>14} | {:>7} | {:>7} |",
-        "d", "exhaustive", "lsh", "speedup", "collisions", "recall", "planted"
+        "| {:>5} | {:>12} | {:>12} | {:>8} | {:>14} | {:>7} | {:>7} | {:>9} |",
+        "d", "exhaustive", "lsh", "speedup", "collisions", "recall", "planted", "planes"
     );
-    println!("|{}|", "-".repeat(86));
+    println!("|{}|", "-".repeat(98));
 
     let mut rows = Vec::new();
     let mut gate_speedup_2048 = 0.0f64;
@@ -142,6 +146,7 @@ fn main() {
             timed_query(&mut engine, CandidateStrategy::Exhaustive, &query, reps);
         let lsh = CandidateStrategy::Lsh { probes: None };
         let (lsh_results, lsh_t) = timed_query(&mut engine, lsh, &query, reps);
+        let planes_bytes = engine.core().rank_orders().plane_bytes();
 
         let exact_keys = result_keys(&exact_results);
         let lsh_keys = result_keys(&lsh_results);
@@ -159,11 +164,12 @@ fn main() {
         }
         let total_pairs = d * (d - 1) / 2;
         println!(
-            "| {d:>5} | {:>12} | {:>12} | {speedup:>7.2}x | {:>6} of {:>5}\u{b2} | {topk_recall:>7.3} | {planted_recall:>7.3} |",
+            "| {d:>5} | {:>12} | {:>12} | {speedup:>7.2}x | {:>6} of {:>5}\u{b2} | {topk_recall:>7.3} | {planted_recall:>7.3} | {:>6.1} MB |",
             fmt_duration(exhaustive_t),
             fmt_duration(lsh_t),
             collision_pairs,
             d,
+            planes_bytes as f64 / 1e6,
         );
 
         rows.push(json!({
@@ -181,6 +187,7 @@ fn main() {
             "topk_recall": topk_recall,
             "planted_strong_pairs": strong.len(),
             "planted_recall": planted_recall,
+            "planes_bytes": planes_bytes,
         }));
     }
 

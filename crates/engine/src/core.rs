@@ -2,7 +2,8 @@
 //!
 //! [`EngineCore`] is the immutable heart of the engine: the table source,
 //! the merged sketch catalog, the frozen class registry, the (internally
-//! synchronized) score cache, and the snapshot's rank orders. Every read
+//! synchronized) score cache, and the snapshot's score planes and rank
+//! orders. Every read
 //! path — queries, carousels, profiles, charts — takes `&self`, so one
 //! `Arc<EngineCore>` serves any number of concurrent sessions without a
 //! lock around the engine itself.
@@ -11,9 +12,9 @@
 //! published core, apply `register_class` / `preprocess` / `append_shard` /
 //! catalog restores, and [`CoreBuilder::freeze`] a *new* snapshot. Readers
 //! holding the old `Arc` keep answering from a consistent catalog; the
-//! freeze mints a fresh score-cache epoch whenever scores could have
-//! changed, so snapshots never exchange stale scores (see
-//! [`crate::cache`]).
+//! freeze mints a fresh score-cache epoch, with a new store of planes,
+//! whenever scores could have changed, so snapshots never exchange stale
+//! scores (see [`crate::order`]).
 
 use crate::cache::{CacheStats, ScoreCache};
 use crate::candidates::{CandidateSource, CandidateStrategy};
@@ -163,9 +164,10 @@ impl Rows {
 /// that is *not* per-user exploration state.
 ///
 /// All query paths take `&self`; the only interior mutability is the
-/// sharded [`ScoreCache`] and the `OnceLock` memos (lazy shard
-/// concatenation, the zero-row schema table, the prepared columns, the
-/// rank orders), each of which is synchronized and write-once. The type is
+/// [`ScoreCache`]'s memo and counters, the planes' atomic words, and the
+/// `OnceLock` memos (lazy shard concatenation, the zero-row schema table,
+/// the prepared columns, the planes and rank orders), each of which is
+/// synchronized and write-once. The type is
 /// `Send + Sync` by construction — share it across threads with [`Arc`]
 /// and hand each user a [`crate::SessionHandle`].
 pub struct EngineCore {
@@ -175,8 +177,8 @@ pub struct EngineCore {
     /// The mode [`CoreBuilder::build_index`] asked rank orders for: every
     /// freeze completes every class's order under it.
     index: Option<Mode>,
-    /// Every class's ranked class scan and score plane, per mode, filled
-    /// once (see [`RankOrders`]): the complete keyspaces of the cache's
+    /// Every keyspace's score plane, partial or complete, and each complete
+    /// one's rank order (see [`RankOrders`]): the scores of the cache's
     /// `epoch`, so the store lives exactly as long. A clean republish
     /// shares it; a freeze that mints an epoch starts a new one, carrying
     /// the planes forward when only some columns changed.
@@ -186,9 +188,9 @@ pub struct EngineCore {
     /// clean republish shares it with the previous snapshot.
     lsh: Option<Arc<LshIndex>>,
     cache: Arc<ScoreCache>,
-    /// The score-cache data generation this snapshot reads and writes.
-    /// Fixed at freeze time: readers of an older snapshot keep their own
-    /// keyspace even while a newer snapshot is live.
+    /// The score-cache data generation of this snapshot's planes. Fixed at
+    /// freeze time: readers of an older snapshot keep their own store even
+    /// while a newer snapshot is live.
     epoch: u64,
     /// The published default mode (sessions may override per-handle).
     mode: Mode,
@@ -454,9 +456,9 @@ impl EngineCore {
     }
 
     /// An executor over this snapshot under `opts` (its trace setting is
-    /// not consulted). Scores read and write the shared cache in this
-    /// snapshot's epoch keyspace, and whole class scans walk (or fill) the
-    /// snapshot's rank orders.
+    /// not consulted). Scores read and write the snapshot's planes, counted
+    /// in the shared cache, and unfixed queries walk (or fill) its rank
+    /// orders.
     pub(crate) fn executor(&self, opts: &QueryOptions) -> Result<Executor<'_>> {
         Ok(self
             .rows
@@ -467,7 +469,7 @@ impl EngineCore {
                 opts.mode,
             )?
             .parallel(opts.parallel)
-            .with_cache_at(&self.cache, self.epoch)
+            .with_cache(&self.cache)
             .with_orders(&self.orders)
             .with_candidates(self.candidate_source(opts.candidates)))
     }
@@ -622,9 +624,9 @@ impl EngineCore {
 /// A builder made with [`CoreBuilder::from_arc`] inherits the published
 /// core's source, catalog, registry, *and score cache*; when any staged
 /// mutation could change scores, the freeze bumps the shared cache's epoch
-/// so the new snapshot starts from a clean keyspace while readers of the
+/// and the new snapshot starts a new store of planes, while readers of the
 /// old snapshot continue unharmed (their stores land in the retired
-/// epoch, never the new one).
+/// snapshot's planes, never the new one's).
 pub struct CoreBuilder {
     /// The staged rows; they travel into the frozen snapshot, and their
     /// memos are replaced whenever the rows change.
@@ -646,8 +648,8 @@ pub struct CoreBuilder {
     dirty: bool,
     /// Columns perturbed by staged appends: the columns in which some
     /// appended batch carried at least one present value. A freeze with
-    /// only column-level dirt migrates clean cache entries into the new
-    /// epoch instead of purging everything, so completing the rank orders
+    /// only column-level dirt carries the planes' clean scores into the new
+    /// epoch instead of dropping everything, so completing the rank orders
     /// rescores just the tuples that touch these columns.
     dirty_columns: BTreeSet<usize>,
     /// Whether any batch (even a zero-row one) was appended — gates the
@@ -794,7 +796,7 @@ impl CoreBuilder {
     ///
     /// Invalidation is *column-granular*: only the columns in which the
     /// batch carries at least one present value are marked dirty. The
-    /// freeze then migrates clean cache entries into the new epoch, and
+    /// freeze then carries the planes' clean scores into the new epoch, and
     /// completing the rank orders rescores just the tuples that touch a
     /// dirty column — a column whose appended rows are all null keeps
     /// bit-identical sketches and NaN-masked exact statistics, so its
@@ -875,7 +877,7 @@ impl CoreBuilder {
         }
     }
 
-    /// Drops every cached score: the shared cache's hash and counters, and
+    /// Drops every cached score: the shared cache's memo and counters, and
     /// the staged planes and rank orders. Readers of published snapshots
     /// keep their own planes.
     pub fn clear_scores(&mut self) {
@@ -925,17 +927,16 @@ impl CoreBuilder {
 
     /// Completes every order `carried` from the previous generation, then
     /// every class's primary-metric order under the mode
-    /// [`build_index`](Self::build_index) asked for, scoring through the
-    /// cache's `epoch` keyspace. Returns `(classes rescored, tuples
-    /// rescored, tuples reused)`. Drops the index request instead when it
-    /// needs raw rows the source can no longer provide. Opens `stage`'s
-    /// span only when some order is missing, so a republish that kept
-    /// every order records nothing.
+    /// [`build_index`](Self::build_index) asked for, scoring into the
+    /// staged store's planes. Returns `(classes rescored, tuples rescored,
+    /// tuples reused)`. Drops the index request instead when it needs raw
+    /// rows the source can no longer provide. Opens `stage`'s span only
+    /// when some order is missing, so a republish that kept every order
+    /// records nothing.
     fn complete_orders(
         &mut self,
-        epoch: u64,
         stage: Stage,
-        carried: Vec<Carried>,
+        carried: Vec<(usize, Mode, Option<&'static str>)>,
     ) -> (u64, u64, u64) {
         let (registry, orders) = (&self.registry, &self.orders);
         let index = self.index.into_iter().flat_map(|mode| {
@@ -944,9 +945,9 @@ impl CoreBuilder {
             };
             (0..registry.len())
                 .filter(unfilled)
-                .map(move |c| (c, mode, None, Vec::new()))
+                .map(move |c| (c, mode, None))
         });
-        let mut todo: Vec<Carried> = carried.into_iter().chain(index).collect();
+        let todo: Vec<_> = carried.into_iter().chain(index).collect();
         if todo.is_empty() {
             return (0, 0, 0);
         }
@@ -963,13 +964,10 @@ impl CoreBuilder {
                 self.index = self.index.filter(|&m| m != mode);
                 continue;
             };
-            let executor = executor
-                .with_cache_at(&self.cache, epoch)
-                .with_orders(&self.orders);
-            for (class, _, metric, scores) in todo.iter_mut().filter(|c| c.1 == mode) {
-                let carried = Some(std::mem::take(scores)).filter(|s| !s.is_empty());
-                let class = self.registry.classes()[*class].as_ref();
-                let (reused, rescored) = executor.complete(class, *metric, carried);
+            let executor = executor.with_orders(&self.orders);
+            for &(class, _, metric) in todo.iter().filter(|c| c.1 == mode) {
+                let class = self.registry.classes()[class].as_ref();
+                let (reused, rescored) = executor.complete(class, metric);
                 stats.0 += u64::from(rescored > 0);
                 stats.1 += rescored as u64;
                 stats.2 += reused as u64;
@@ -984,20 +982,20 @@ impl CoreBuilder {
     ///
     /// * a score-global mutation (registry change, preprocess, catalog
     ///   restore) bumps the shared cache's epoch outright — the new
-    ///   snapshot starts from a clean keyspace;
-    /// * appends that dirtied only some columns *migrate* clean cache
-    ///   entries into the new epoch instead of purging them;
+    ///   snapshot starts from an empty store, its partial planes' scores
+    ///   counted as purges;
+    /// * appends that dirtied only some columns *carry* every plane's clean
+    ///   scores into the new epoch's store (`RankOrders::carry`);
     /// * a no-op republish (nothing staged, or only zero-row batches)
-    ///   keeps the epoch — warm cache and rank orders survive untouched.
+    ///   keeps the epoch — warm planes and rank orders survive untouched.
     ///
-    /// A new epoch starts an empty store of rank orders. An incremental
-    /// republish carries every filled plane into it and rescores only the
-    /// positions that touch a dirty column. Once
-    /// [`build_index`](Self::build_index) asked for them, every other
-    /// class's order is then completed through the cache in the published
-    /// epoch: a cold build scores every candidate.
+    /// An incremental republish rescores, in each plane that was complete,
+    /// only the positions that touch a dirty column; a partial plane keeps
+    /// them unscored. Once [`build_index`](Self::build_index) asked for
+    /// them, every other class's order is then completed into the new
+    /// store: a cold build scores every candidate.
     ///
-    /// Readers of older snapshots keep their own (now-retired) keyspace
+    /// Readers of older snapshots keep their own (now-retired) store
     /// either way.
     pub fn freeze(mut self) -> Arc<EngineCore> {
         // keep the registry alive past the field-by-field move below
@@ -1027,35 +1025,37 @@ impl CoreBuilder {
             },
         };
         let mut migrated = None;
-        let mut carried = Vec::new();
+        let mut carried = Carried::default();
+        let next = RankOrders::new();
         let epoch = if self.dirty {
             if self.appended {
                 metrics.add(Counter::RepublishesFull, 1);
             }
+            self.cache
+                .count_purges(self.orders.planes()[0].entries as u64);
             self.cache.bump_epoch()
         } else if !self.dirty_columns.is_empty() {
             let dirty = std::mem::take(&mut self.dirty_columns);
             let clean = |attrs: &AttrTuple| attrs.indices().iter().all(|i| !dirty.contains(i));
-            carried = self.orders.carry(&self.registry, clean);
-            let (epoch, moved) = self.cache.bump_epoch_retaining(|_, attrs| clean(attrs));
-            migrated = Some(moved);
-            epoch
+            carried = self.orders.carry(&self.registry, clean, &next);
+            self.cache.count_purges(carried.purged);
+            migrated = Some(carried.migrated);
+            self.cache.bump_epoch_retaining(|_, attrs| clean(attrs))
         } else {
             if self.appended {
                 metrics.add(Counter::RepublishesClean, 1);
             }
             self.epoch
         };
+        // a new epoch's scores go to a store no reader of a retired one sees
         if epoch != self.epoch {
-            self.orders = Arc::new(RankOrders::new());
+            self.orders = Arc::new(next);
         }
-        // after the bump, so the orders' scores land in the published
-        // keyspace and no reader of a retired epoch sees them
         let stage = match migrated {
             Some(_) => Stage::IndexRefresh,
             None => Stage::IndexBuild,
         };
-        let (classes, rescored, reused) = self.complete_orders(epoch, stage, carried);
+        let (classes, rescored, reused) = self.complete_orders(stage, carried.complete);
         if let Some(migrated) = migrated {
             metrics.add(Counter::RepublishesIncremental, 1);
             metrics.add(Counter::RescoredClasses, classes);

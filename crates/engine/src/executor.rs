@@ -3,17 +3,15 @@
 //! paper's future-work "parallel search methods that speed up insight
 //! queries").
 
-use crate::cache::{Keyspace, Plane, ScoreCache};
+use crate::cache::ScoreCache;
 use crate::candidates::{CandidateOrigin, CandidateSource};
 use crate::error::{EngineError, Result};
-use crate::order::{Filled, RankOrders};
+use crate::order::{Layout, Plane, RankOrders, Slot};
 use crate::query::InsightQuery;
 use crate::telemetry::{Counter, Lap, Metrics, Stage};
 use crate::trace::{LshCandidates, ScorePath, TraceBuilder};
 use foresight_data::Table;
-use foresight_insight::{
-    AttrTuple, CandidatePruning, InsightClass, InsightInstance, InsightRegistry,
-};
+use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::SketchCatalog;
 use foresight_stats::prepared::PreparedColumns;
 use rayon::prelude::*;
@@ -45,9 +43,9 @@ pub struct Executor<'a> {
     pub(crate) table: &'a Table,
     pub(crate) registry: &'a InsightRegistry,
     catalog: Option<&'a SketchCatalog>,
-    /// The shared score cache plus the data-generation epoch of the core
-    /// snapshot this executor reads through (0 for a standalone cache).
-    cache: Option<(&'a ScoreCache, u64)>,
+    /// The shared score cache: the description memo, and the counters of
+    /// the lookups in `orders`.
+    cache: Option<&'a ScoreCache>,
     /// The core's telemetry registry, when attached (standalone executors
     /// run unobserved).
     metrics: Option<&'a Metrics>,
@@ -63,10 +61,10 @@ pub struct Executor<'a> {
     /// centred or ranked once per snapshot; `None` (standalone executors)
     /// = one store per scoring call, dropped with it.
     prepared: Option<&'a PreparedColumns>,
-    /// The snapshot's rank orders and planes (see [`RankOrders`]), filled
-    /// by whole-scan passes, walked by unfixed queries and read by every
-    /// other lookup in a complete keyspace. `None` (standalone executors) =
-    /// every query scores and ranks.
+    /// The snapshot's score planes and rank orders (see [`RankOrders`]):
+    /// every pass reads and stores its keyspace's plane, and unfixed
+    /// queries walk a complete one's order. `None` (standalone executors)
+    /// = every query scores and ranks.
     orders: Option<&'a RankOrders>,
 }
 
@@ -129,24 +127,13 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attaches a cross-query [`ScoreCache`]. Scores are looked up before
-    /// computing and stored after, always in the cache's current epoch
-    /// keyspace; the caller owns invalidation (clear the cache — or
-    /// republish a new core snapshot, which mints a fresh epoch — whenever
-    /// the registry or catalog changes).
-    pub fn with_cache(self, cache: &'a ScoreCache) -> Self {
-        let epoch = cache.epoch();
-        self.with_cache_at(cache, epoch)
-    }
-
-    /// Attaches a cross-query [`ScoreCache`] pinned to an explicit
-    /// data-generation epoch — the form used by [`EngineCore`] snapshots,
-    /// whose epoch is fixed at publish time so concurrent readers of
-    /// different snapshots never exchange scores.
-    ///
-    /// [`EngineCore`]: crate::EngineCore
-    pub fn with_cache_at(mut self, cache: &'a ScoreCache, epoch: u64) -> Self {
-        self.cache = Some((cache, epoch));
+    /// Attaches a cross-query [`ScoreCache`]: results' details come from its
+    /// description memo, and lookups in the lent [`RankOrders`] are counted
+    /// in it (without a store, every candidate is a miss). The caller owns
+    /// invalidation: clear the cache whenever the table, registry or
+    /// catalog changes.
+    pub fn with_cache(mut self, cache: &'a ScoreCache) -> Self {
+        self.cache = Some(cache);
         self
     }
 
@@ -171,10 +158,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Lends the executor a [`RankOrders`] store over its own registry,
-    /// table, catalog and cache epoch — the caller's obligation, as for
-    /// [`with_prepared`](Self::with_prepared). Results are bit-identical
-    /// with or without it.
-    pub(crate) fn with_orders(mut self, orders: &'a RankOrders) -> Self {
+    /// table and catalog — the caller's obligation, as for
+    /// [`with_prepared`](Self::with_prepared). Its planes then keep the
+    /// scores passes compute — an LSH draw's only in a plane a scan or a
+    /// pinned walk allocated. Results are bit-identical with or without it.
+    pub fn with_orders(mut self, orders: &'a RankOrders) -> Self {
         self.orders = Some(orders);
         self
     }
@@ -289,46 +277,44 @@ impl<'a> Executor<'a> {
     /// The one scoring routine: scores for `candidates` under `metric`
     /// (`None` = the class's primary metric), positionally aligned, plus —
     /// only when `trace` is active, empty otherwise — each candidate's
-    /// `(cache-hit, path)` provenance, plus how many scores were computed
-    /// rather than found in the cache.
+    /// `(plane-hit, path)` provenance.
     ///
-    /// In a complete keyspace `plane` gives its scores and the candidates'
-    /// positions: every candidate is a hit. Otherwise, with a cache attached
-    /// this is one batched lookup (a single lock acquisition per touched
-    /// shard), [`score_misses`](Self::score_misses) over what it did not
-    /// answer, and one batched store — unless `store` is off for a pass
-    /// whose scores move into a plane; without one, every candidate is a
-    /// miss. Queries and carousels all score through here, so tracing,
-    /// parallelism and caching never change a score. A trace sees the three
-    /// steps as `cache_lookup`, `score_misses` and `cache_store` spans.
-    pub(crate) fn score_candidates(
+    /// With `plane` — the keyspace's slot and each candidate's position in
+    /// its plane — a scored position is a hit, and
+    /// [`score_misses`](Self::score_misses) scores the rest, each stored
+    /// unless a racing pass stored it first. Without one, every candidate
+    /// is a miss and nothing is kept. Queries and carousels all score
+    /// through here, so tracing, parallelism and the store never change a
+    /// score. A trace sees the three steps as `cache_lookup`,
+    /// `score_misses` and `cache_store` spans.
+    fn score_candidates(
         &self,
         class: &dyn InsightClass,
         metric: Option<&'static str>,
         candidates: &[AttrTuple],
-        plane: Option<(&Plane, &[usize])>,
-        store: bool,
+        plane: Option<(&Slot, &Plane, &[usize])>,
         trace: &mut TraceBuilder,
-    ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>, usize) {
-        if plane.is_some() || self.cache.is_some() {
+    ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>) {
+        let counted = plane.is_some() || self.cache.is_some();
+        if counted {
             trace.begin("cache_lookup");
         }
-        let (mut slots, traffic) = match (plane, self.cache) {
-            (Some((plane, positions)), cache) => {
-                let n = positions.len() as u64;
-                if let Some((cache, _)) = cache {
-                    cache.count_plane_hits(n);
-                }
-                let scores = positions.iter().map(|&p| Some(plane.get(p))).collect();
-                (scores, Some((n, 0)))
-            }
-            (None, Some((cache, epoch))) => {
-                let looked = cache.lookup_batch(class.id(), candidates, self.mode, metric, epoch);
-                (looked.scores, Some((looked.hits, looked.misses)))
-            }
-            (None, None) => (vec![None; candidates.len()], None),
+        let mut slots: Vec<Option<Option<f64>>> = match plane {
+            Some((_, plane, positions)) => positions.iter().map(|&p| plane.get(p)).collect(),
+            None => vec![None; candidates.len()],
         };
-        if let Some((hits, misses)) = traffic {
+        let (pending, missing): (Vec<usize>, Vec<AttrTuple>) = slots
+            .iter()
+            .zip(candidates)
+            .enumerate()
+            .filter_map(|(i, (slot, attrs))| slot.is_none().then_some((i, *attrs)))
+            .unzip();
+        let misses = missing.len() as u64;
+        let hits = candidates.len() as u64 - misses;
+        if let Some(cache) = self.cache {
+            cache.count(hits, misses);
+        }
+        if counted {
             trace.attr("hits", || hits.to_string());
             trace.attr("misses", || misses.to_string());
             trace.end();
@@ -338,12 +324,6 @@ impl<'a> Executor<'a> {
         } else {
             Vec::new()
         };
-        let (pending, missing): (Vec<usize>, Vec<AttrTuple>) = slots
-            .iter()
-            .zip(candidates)
-            .enumerate()
-            .filter_map(|(i, (slot, attrs))| slot.is_none().then_some((i, *attrs)))
-            .unzip();
         trace.begin("score_misses");
         trace.attr("tuples", || missing.len().to_string());
         let (scores, paths): (Vec<Option<f64>>, Vec<ScorePath>) = if missing.is_empty() {
@@ -362,35 +342,22 @@ impl<'a> Executor<'a> {
             }
         }
         trace.end();
-        let computed = missing.len();
-        let mut stored = 0;
-        if let Some((cache, epoch)) = self.cache {
+        if counted {
             trace.begin("cache_store");
-            if !store {
-                stored = computed as u64;
-            } else if !missing.is_empty() {
-                let fresh: Vec<(AttrTuple, Option<f64>)> =
-                    missing.into_iter().zip(scores).collect();
-                stored = cache.store_batch(class.id(), &fresh, self.mode, metric, epoch);
-                self.promote(class, metric);
-            }
+            let stored = plane.map_or(0, |(slot, _, positions)| {
+                let fresh = pending.iter().zip(&scores);
+                slot.store(fresh.map(|(&i, &score)| (positions[i], score)))
+                    .0 as u64
+            });
             trace.attr("stored", || stored.to_string());
             trace.end();
-        }
-        if let Some((hits, misses)) = traffic {
             trace.set_cache_traffic(hits, misses, stored);
             trace.attr("cache_hits", || hits.to_string());
             trace.attr("cache_misses", || misses.to_string());
             trace.attr("stored", || stored.to_string());
         }
-        (
-            slots
-                .into_iter()
-                .map(|s| s.expect("all slots filled"))
-                .collect(),
-            provenance,
-            computed,
-        )
+        let scores = slots.into_iter().map(|s| s.expect("all slots filled"));
+        (scores.collect(), provenance)
     }
 
     /// Runs a query, returning instances sorted by descending score.
@@ -443,15 +410,15 @@ impl<'a> Executor<'a> {
 
         trace.set_metric(metric.unwrap_or_else(|| class.metric()));
         let diversify = query.diversify.filter(|&lambda| lambda > 0.0);
-        let filled = self
+        let slot = self
             .orders
-            .and_then(|orders| orders.get(self.registry, class.as_ref(), self.mode, metric));
+            .and_then(|orders| orders.slot(self.registry, class.as_ref(), self.mode, metric));
         let walks = query.fixed_attrs.is_empty()
             && diversify.is_none()
             && self.candidates.walks_orders(class.as_ref(), self.table);
-        if let Some(filled) = filled.filter(|_| walks) {
+        if let Some((plane, order)) = slot.and_then(Slot::filled).filter(|_| walks) {
             let mut lap = Lap::start(self.metrics);
-            let ranked = self.walk(filled, query, trace);
+            let ranked = self.walk(plane, order, query, trace);
             lap.mark(Stage::IndexServe);
             let out = self.describe(class.as_ref(), query, metric, ranked, lap, trace);
             return Ok((out, true));
@@ -464,7 +431,8 @@ impl<'a> Executor<'a> {
         let raw = plan.tuples;
         let generated = raw.len();
         let (scan_positions, candidates): (Vec<usize>, Vec<AttrTuple>) = raw
-            .into_iter()
+            .iter()
+            .copied()
             .enumerate()
             .filter(|(_, a)| {
                 query.matches_fixed(a)
@@ -515,32 +483,50 @@ impl<'a> Executor<'a> {
         trace.attr("kernel", || {
             foresight_stats::kernel::mode().name().to_owned()
         });
-        // a complete keyspace answers from its plane, by scan index or, for
-        // a pinned walk or an LSH draw, by the pair's triangular index
-        let positions = filled.and_then(|f| match plan.origin {
-            CandidateOrigin::ClassScan => Some(scan_positions),
-            _ => candidates.iter().map(|a| f.layout.position(a)).collect(),
-        });
-        let plane = filled.zip(positions.as_deref()).map(|(f, p)| (&f.plane, p));
-        // the class's whole scan, unfiltered: its scores fill the order, and
-        // the survivors come out of it already ranked
-        let fills = self.orders.is_some()
-            && filled.is_none()
-            && query.fixed_attrs.is_empty()
+        // a pass over the whole class scan, unfiltered: it completes the
+        // keyspace, and the survivors come out of its order already ranked
+        let whole = query.fixed_attrs.is_empty()
             && plan.origin == CandidateOrigin::ClassScan
             && query.semantic.is_none()
             && query.exclude.is_empty();
-        let (scores, provenance, _) =
-            self.score_candidates(class.as_ref(), metric, &candidates, plane, !fills, trace);
-        trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
-        let ranked = self.orders.filter(|_| fills).and_then(|orders| {
-            self.fill_order(orders, class.as_ref(), metric, &candidates, &scores)
+        // the keyspace's plane — a declared pair shape's from its first
+        // scan or pinned walk, an undeclared class's from a whole pass; an
+        // LSH draw, sub-quadratic, reads a plane but allocates none — and
+        // where the candidates sit in it: by scan index or, for a pinned
+        // walk or an LSH draw, by the pair's triangular index
+        let allocates = !matches!(plan.origin, CandidateOrigin::Lsh { .. });
+        let plane = slot.and_then(|slot| {
+            let layout = || Layout::new(class.as_ref(), self.table, whole.then_some(&raw[..]));
+            let plane = slot.plane_or(allocates.then_some(layout))?;
+            let positions = match plan.origin {
+                CandidateOrigin::ClassScan => {
+                    (plane.len() == generated).then_some(scan_positions)?
+                }
+                _ => candidates
+                    .iter()
+                    .map(|a| plane.layout.position(a))
+                    .collect::<Option<_>>()?,
+            };
+            Some((slot, plane, positions))
         });
-        let (mut scored, ranked): (Vec<(AttrTuple, f64)>, bool) = match ranked {
-            Some(mut ranked) => {
-                ranked.retain(|&(_, score)| query.matches_range(score));
-                (ranked, true)
+        let (scores, provenance) = self.score_candidates(
+            class.as_ref(),
+            metric,
+            &candidates,
+            plane
+                .as_ref()
+                .map(|(slot, plane, p)| (*slot, *plane, &p[..])),
+            trace,
+        );
+        trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
+        // a pass that stored the last position builds the order
+        let order = plane.and_then(|(slot, ..)| slot.finish()).filter(|_| whole);
+        let (mut scored, ranked): (Vec<(AttrTuple, f64)>, bool) = match order {
+            Some((_, _, Some(mut built))) => {
+                built.retain(|&(_, score)| query.matches_range(score));
+                (built, true)
             }
+            Some((plane, order, None)) => (ranked_iter(plane, order, query).collect(), true),
             None => (
                 scores
                     .into_iter()
@@ -620,7 +606,7 @@ impl<'a> Executor<'a> {
                         // memoizing it spares per-result model refits
                         // (multimodality's KDE) on every warm carousel
                         // refresh.
-                        Some((cache, _)) => cache.detail(class.id(), &attrs, score, || {
+                        Some(cache) => cache.detail(class.id(), &attrs, score, || {
                             class.describe(self.table, &attrs, score)
                         }),
                         None => class.describe(self.table, &attrs, score),
@@ -639,130 +625,76 @@ impl<'a> Executor<'a> {
     /// filters, up to the first `k` admitted entries.
     fn walk(
         &self,
-        filled: &Filled,
+        plane: &Plane,
+        order: &[u32],
         query: &InsightQuery,
         trace: &mut TraceBuilder,
     ) -> Vec<(AttrTuple, f64)> {
         trace.begin("index_serve");
         trace.set_index_served();
-        let pool: Vec<(AttrTuple, f64)> = filled
-            .order
-            .iter()
-            .map(|&p| (p as usize, filled.plane.get(p as usize).expect("finite")))
-            .filter(|&(_, score)| query.matches_range(score))
-            .map(|(p, score)| (filled.layout.tuple(p), score))
+        let pool: Vec<(AttrTuple, f64)> = ranked_iter(plane, order, query)
             .filter(|(attrs, _)| {
                 !query.exclude.contains(attrs) && query.matches_semantic(self.table, attrs)
             })
             .take(query.top_k)
             .collect();
-        let order = filled.order.len();
-        trace.set_candidates(order, pool.len());
-        trace.attr("order", || order.to_string());
+        trace.set_candidates(order.len(), pool.len());
+        trace.attr("order", || order.len().to_string());
         trace.attr("pool", || pool.len().to_string());
         trace.end();
         pool
     }
 
-    /// Fills the keyspace's order and plane from `class`'s whole scan and
-    /// its scores, and retires the keyspace from the hash. Returns the
-    /// finite scores in the ranking order, or `None` when the scan has no
-    /// plane (a tuple past the packable columns): then nothing is cached.
-    fn fill_order(
-        &self,
-        orders: &RankOrders,
-        class: &dyn InsightClass,
-        metric: Option<&'static str>,
-        scan: &[AttrTuple],
-        scores: &[Option<f64>],
-    ) -> Option<Vec<(AttrTuple, f64)>> {
-        u32::try_from(scan.len()).ok()?;
-        let mut ranked: Vec<((AttrTuple, f64), u32)> = (0..)
-            .zip(scan.iter().zip(scores))
-            .filter_map(|(p, (&a, &s))| Some(((a, s.filter(|s| s.is_finite())?), p)))
-            .collect();
-        ranked.sort_unstable_by(|a, b| rank_order(&a.0, &b.0));
-        let filled = orders.fill(self.registry, class, self.mode, metric, || {
-            let order = ranked.iter().map(|&(_, p)| p).collect();
-            Filled::new(class, self.table, scan, scores, order)
-        });
-        let ranked = ranked.into_iter().map(|(entry, _)| entry).collect();
-        if let Some((cache, space)) = self.keyspace(class, metric).filter(|_| filled) {
-            cache.complete(space);
-        }
-        filled.then_some(ranked)
-    }
-
-    /// The attached cache and `class`'s keyspace in it under `metric`.
-    fn keyspace(
-        &self,
-        class: &dyn InsightClass,
-        metric: Option<&'static str>,
-    ) -> Option<(&'a ScoreCache, Keyspace)> {
-        let (cache, epoch) = self.cache?;
-        Some((cache, Keyspace::new(class.id(), self.mode, metric, epoch)))
-    }
-
-    /// Keeps complete keyspaces out of the hash after a store: retires what
-    /// a pass racing the keyspace's fill stored, and completes a declared
-    /// pair shape once the hash holds every pair of it (pinned walks over a
-    /// class never scanned whole).
-    fn promote(&self, class: &dyn InsightClass, metric: Option<&'static str>) {
-        let filled = self
-            .orders
-            .and_then(|o| o.get(self.registry, class, self.mode, metric));
-        if let Some((cache, space)) = self.keyspace(class, metric).filter(|_| filled.is_some()) {
-            return cache.complete(space);
-        }
-        let n = match class.pruning() {
-            CandidatePruning::None => return,
-            CandidatePruning::NumericPairs => self.table.numeric_indices().len(),
-            CandidatePruning::AllPairs => self.table.n_cols(),
-        };
-        let pairs = n * n.saturating_sub(1) / 2;
-        if self
-            .keyspace(class, metric)
-            .is_some_and(|(c, s)| c.keyspace_len(s) == pairs)
-        {
-            self.complete(class, metric, None);
-        }
-    }
-
-    /// Completes a keyspace's order and plane unless filled: the whole class
-    /// scan, each score taken from `carried` (see [`RankOrders::carry`]) or
-    /// else the cache — uncounted, a freeze is not query traffic — where
-    /// either has it. Returns how many scores were reused and how many were
-    /// computed; `(0, 0)` without a store or with the order already there.
+    /// Completes a keyspace's order unless filled: every unscored position
+    /// of its plane — carried from the previous generation (see
+    /// [`RankOrders::carry`]) or new over the class scan — scored and
+    /// stored, uncounted (a freeze is not query traffic). Returns how many
+    /// scores were reused and how many computed; `(0, 0)` without a store,
+    /// with the order already there, or for a scan no plane can hold.
     pub(crate) fn complete(
         &self,
         class: &dyn InsightClass,
         metric: Option<&'static str>,
-        carried: Option<Vec<Option<Option<f64>>>>,
     ) -> (usize, usize) {
-        let unfilled = |o: &&RankOrders| o.get(self.registry, class, self.mode, metric).is_none();
-        let Some(orders) = self.orders.filter(unfilled) else {
+        let slot = self
+            .orders
+            .and_then(|orders| orders.slot(self.registry, class, self.mode, metric));
+        let Some(slot) = slot.filter(|slot| slot.filled().is_none()) else {
             return (0, 0);
         };
         let scan = class.candidates(self.table);
-        let mut slots = match (carried, self.keyspace(class, metric)) {
-            (Some(carried), _) if carried.len() == scan.len() => carried,
-            (_, Some((cache, space))) => cache.batch(space, &scan, false).scores,
-            (_, None) => vec![None; scan.len()],
+        let plane = slot.plane_or(Some(|| Layout::new(class, self.table, Some(&scan))));
+        let Some(plane) = plane.filter(|plane| plane.len() == scan.len()) else {
+            return (0, 0);
         };
-        let (pending, missing): (Vec<usize>, Vec<AttrTuple>) = slots
-            .iter()
-            .zip(&scan)
-            .enumerate()
-            .filter_map(|(i, (slot, attrs))| slot.is_none().then_some((i, *attrs)))
+        let (pending, missing): (Vec<usize>, Vec<AttrTuple>) = (0..scan.len())
+            .filter(|&p| plane.get(p).is_none())
+            .map(|p| (p, scan[p]))
             .unzip();
         let fresh = self.score_misses(class, metric, &missing);
-        for (i, (score, _)) in pending.into_iter().zip(fresh) {
-            slots[i] = Some(score);
-        }
-        let scores: Vec<Option<f64>> = slots.into_iter().map(|s| s.expect("scored")).collect();
-        self.fill_order(orders, class, metric, &scan, &scores);
+        slot.store(
+            pending
+                .into_iter()
+                .zip(fresh)
+                .map(|(p, (score, _))| (p, score)),
+        );
+        slot.finish();
         (scan.len() - missing.len(), missing.len())
     }
+}
+
+/// A complete plane's order as ranked `(tuple, score)`s in the query's
+/// score range.
+fn ranked_iter<'p>(
+    plane: &'p Plane,
+    order: &'p [u32],
+    query: &'p InsightQuery,
+) -> impl Iterator<Item = (AttrTuple, f64)> + 'p {
+    order
+        .iter()
+        .map(|&p| (p as usize, plane.score(p as usize).expect("finite")))
+        .filter(|&(_, score)| query.matches_range(score))
+        .map(|(p, score)| (plane.layout.tuple(p), score))
 }
 
 /// The ranking order: descending score, ties broken by ascending attribute
@@ -1076,34 +1008,42 @@ mod tests {
         assert_eq!(seq, par);
     }
 
+    /// A filtered pass keeps its scores in a partial plane, which the same
+    /// query's rerun reads back: every candidate a hit.
     #[test]
     fn cached_executor_matches_uncached_and_hits_on_rerun() {
         let t = table();
         let r = registry();
-        let cache = ScoreCache::new();
-        let q = InsightQuery::class("linear-relationship").top_k(4);
+        let (cache, orders) = (ScoreCache::new(), RankOrders::new());
+        let q = InsightQuery::class("linear-relationship")
+            .top_k(4)
+            .exclude(AttrTuple::Two(2, 3));
         let plain = Executor::exact(&t, &r).execute(&q).unwrap();
         let cold = Executor::exact(&t, &r)
             .with_cache(&cache)
+            .with_orders(&orders)
             .execute(&q)
             .unwrap();
         assert_eq!(plain, cold);
-        assert!(cache.stats().entries > 0);
+        assert_eq!(orders.entries(), 5);
         let warm = Executor::exact(&t, &r)
             .with_cache(&cache)
+            .with_orders(&orders)
             .execute(&q)
             .unwrap();
         assert_eq!(plain, warm);
         let stats = cache.stats();
-        assert!(stats.hits >= 6, "expected warm hits, got {stats:?}");
+        assert_eq!((stats.hits, stats.misses), (5, 5), "expected warm hits");
     }
 
     #[test]
     fn cache_serves_narrower_followup_queries() {
         let t = table();
         let r = registry();
-        let cache = ScoreCache::new();
-        let ex = Executor::exact(&t, &r).with_cache(&cache);
+        let (cache, orders) = (ScoreCache::new(), RankOrders::new());
+        let ex = Executor::exact(&t, &r)
+            .with_cache(&cache)
+            .with_orders(&orders);
         ex.execute(&InsightQuery::class("linear-relationship").top_k(10))
             .unwrap();
         let misses_after_broad = cache.stats().misses;
@@ -1122,19 +1062,21 @@ mod tests {
     fn parallel_batch_path_matches_serial_with_cache() {
         let t = table();
         let r = registry();
-        let cache = ScoreCache::new();
+        let (cache, orders) = (ScoreCache::new(), RankOrders::new());
         let q = InsightQuery::class("monotonic-relationship").top_k(6);
         let serial = Executor::exact(&t, &r).execute(&q).unwrap();
         let batch = Executor::exact(&t, &r)
             .parallel(true)
             .with_cache(&cache)
+            .with_orders(&orders)
             .execute(&q)
             .unwrap();
         assert_eq!(serial, batch);
-        // second run is served from the cache, still identical
+        // second run walks the order the first filled, still identical
         let warm = Executor::exact(&t, &r)
             .parallel(true)
             .with_cache(&cache)
+            .with_orders(&orders)
             .execute(&q)
             .unwrap();
         assert_eq!(serial, warm);

@@ -252,8 +252,8 @@ impl Foresight {
         self.own().metrics()
     }
 
-    /// Drops every cached score — the score cache's hash and the
-    /// snapshot's planes and rank orders — and resets the cache counters.
+    /// Drops every cached score — the snapshot's planes and rank orders —
+    /// and the score cache's descriptions, and resets its counters.
     /// Normally unnecessary — the engine retires stale scores itself
     /// whenever they could change. A built index is completed again by the
     /// republish.
@@ -600,8 +600,8 @@ mod tests {
         fs2.load_state(legacy.as_bytes()).unwrap();
     }
 
-    /// Clearing drops every cached score — the hash, the planes and the
-    /// orders — so the next query scores again, and answers the same.
+    /// Clearing drops every cached score — the planes and the orders — so
+    /// the next query scores again, and answers the same.
     #[test]
     fn clear_score_cache_drops_planes_and_orders() {
         let mut fs = oecd();

@@ -6,8 +6,8 @@
 //!   filters, metric selection (§2.1)
 //! * [`executor`] — exact or sketch-backed query execution, optionally
 //!   rayon-parallel with batch scoring and quickselect top-k
-//! * [`cache`] — the cross-query score cache
-//! * [`order`] — per-snapshot rank orders: each class's scan, ranked once
+//! * [`cache`] — the score cache: description memo, traffic counters, epochs
+//! * [`order`] — per-snapshot score planes and rank orders: the one score store
 //! * [`candidates`] — candidate generation strategies: the quadratic
 //!   class scan vs. LSH bucket collisions over the catalog's signatures
 //! * [`core`] — the shared, `Send + Sync` [`EngineCore`] snapshot, its one
@@ -50,7 +50,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use crate::core::{CoreBuilder, EngineCore, QueryOptions, Staleness, TraceMode};
-pub use cache::{BatchLookup, CacheStats, ScoreCache, CACHE_SHARDS};
+pub use cache::{CacheStats, ScoreCache};
 pub use candidates::{
     lsh_disabled, CandidateOrigin, CandidatePlan, CandidateSource, CandidateStrategy,
     LSH_WIDTH_THRESHOLD,

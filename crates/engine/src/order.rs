@@ -1,30 +1,111 @@
-//! Rank orders — the paper's "indexes that will support fast approximate
-//! insight querying" (§3), kept as one ranked table per complete keyspace.
+//! Rank orders and score planes — the paper's "indexes that will support
+//! fast approximate insight querying" (§3), and the engine's one store of
+//! scores.
 //!
-//! A [`RankOrders`] slot holds, per (class, [`Mode`], metric), the class
-//! scan's scores as a plane by scan position, and the positions of the
-//! finite ones in the ranking order (descending score, ascending tuple). A
-//! position needs no hash: a declared pair shape's pair is a triangular
-//! index, and an undeclared class is only ever scored from its own scan.
-//! A slot fills once its keyspace is complete — a pass scored the whole
-//! scan, stored a declared shape's last missing pair, or a freeze after
-//! [`CoreBuilder::build_index`](crate::CoreBuilder::build_index) — and the
-//! score cache drops the keyspace: lookups in it read the plane, and
-//! unfixed, undiversified queries walk the order. Like
+//! A [`RankOrders`] slot holds one *keyspace* — a (class, [`Mode`],
+//! metric) — as a *plane*: the class scan's scores by scan position.
+//! A position needs no hash: a declared pair shape's pair is a triangular
+//! index, and an undeclared class is only ever stored from its own scan.
+//!
+//! A declared pair shape gets its plane from the first scan or pinned
+//! walk over its keyspace, with every position *unscored*; an LSH draw,
+//! whose work is sub-quadratic, stores into a plane that exists but
+//! allocates none. Each pass reads what is there (a hit) and stores
+//! what it scored (a miss) by compare-exchange from unscored, so racing
+//! passes store identical bits once, because scoring is deterministic.
+//! The store that fills the last position completes the keyspace: the same
+//! plane, now full, gets the positions of its finite scores in the ranking
+//! order (descending score, ascending tuple), which unfixed, undiversified
+//! queries then walk. An undeclared class gets its plane only from a pass
+//! over its whole scan, so it is complete at once; a narrower pass over it
+//! scores uncached. So does a tuple past the packable columns.
+//!
+//! A keyspace also completes in a freeze after
+//! [`CoreBuilder::build_index`](crate::CoreBuilder::build_index). Like
 //! [`PreparedColumns`](foresight_stats::prepared::PreparedColumns), the
 //! store is lent to the executor by the snapshot that owns it and read
-//! without a lock; a freeze that mints an epoch starts a new one, into
-//! which a column-granular republish carries each plane with the positions
-//! touching a dirty column rescored.
+//! without a lock. A freeze that mints an epoch starts a new one, into
+//! which a column-granular republish carries every plane with the
+//! positions touching a dirty column unscored.
 
-use crate::cache::{Packed, Plane};
-use crate::executor::Mode;
+use crate::executor::{rank_order, Mode};
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, CandidatePruning, InsightClass, InsightRegistry};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// How a filled slot's scan positions map to tuples.
-#[derive(Debug)]
+/// Bits an attribute index takes in a [`Packed`] tuple.
+const FIELD_BITS: u32 = 21;
+
+/// A [`Packed`] field with no attribute in it; also the first column index
+/// a packed tuple cannot name.
+const EMPTY: u64 = (1 << FIELD_BITS) - 1;
+
+/// An attribute tuple packed into one word: three 21-bit fields, [`EMPTY`]
+/// where an arity below three leaves a slot free. A tuple that names a
+/// column at or past [`EMPTY`] (two million columns) has no word: its
+/// undeclared class gets no plane, and it is scored every time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Packed(u64);
+
+impl Packed {
+    pub(crate) fn new(attrs: &AttrTuple) -> Option<Self> {
+        let slots = match *attrs {
+            AttrTuple::One(a) => [Some(a), None, None],
+            AttrTuple::Two(a, b) => [Some(a), Some(b), None],
+            AttrTuple::Three(a, b, c) => [Some(a), Some(b), Some(c)],
+        };
+        let mut word = 0;
+        for (slot, index) in (0..).zip(slots) {
+            let field = match index.map(|i| i as u64) {
+                Some(i) if i >= EMPTY => return None,
+                Some(i) => i,
+                None => EMPTY,
+            };
+            word |= field << (slot * FIELD_BITS);
+        }
+        Some(Self(word))
+    }
+
+    pub(crate) fn tuple(self) -> AttrTuple {
+        let field = |slot: u32| (self.0 >> (slot * FIELD_BITS)) & EMPTY;
+        match (field(0) as usize, field(1), field(2)) {
+            (a, EMPTY, _) => AttrTuple::One(a),
+            (a, b, EMPTY) => AttrTuple::Two(a, b as usize),
+            (a, b, c) => AttrTuple::Three(a, b as usize, c as usize),
+        }
+    }
+}
+
+/// The word a degenerate (`None`) score is stored as: a signalling NaN,
+/// which no arithmetic produces.
+pub(crate) const DEGENERATE: u64 = 0x7FF0_0000_0000_0001;
+
+/// The word of a position no pass has scored: a second signalling NaN.
+pub(crate) const UNSCORED: u64 = 0x7FF0_0000_0000_0002;
+
+/// A score as one word: its bits, or [`DEGENERATE`]. A score that is one
+/// of the two reserved NaNs is stored as [`f64::NAN`] — NaN either way, and
+/// the engine drops every non-finite score whatever its payload.
+pub(crate) fn encode(score: Option<f64>) -> u64 {
+    match score.map(f64::to_bits) {
+        None => DEGENERATE,
+        Some(DEGENERATE | UNSCORED) => f64::NAN.to_bits(),
+        Some(bits) => bits,
+    }
+}
+
+/// A word as a score: `None` when unscored, `Some(None)` when degenerate.
+pub(crate) fn decode(word: u64) -> Option<Option<f64>> {
+    match word {
+        UNSCORED => None,
+        DEGENERATE => Some(None),
+        bits => Some(Some(f64::from_bits(bits))),
+    }
+}
+
+/// How a plane's scan positions map to tuples.
+#[derive(Debug, Clone)]
 pub(crate) enum Layout {
     /// The lexicographic pairs `(u[i], u[j])`, `i < j`, of these ascending
     /// columns, each at the triangular index of `(i, j)`.
@@ -39,24 +120,35 @@ fn row_start(n: usize, i: usize) -> usize {
 }
 
 impl Layout {
-    /// The declared pair shape, when the scan is that shape, else the
-    /// packed scan — `None` when a tuple does not pack.
-    fn new(class: &dyn InsightClass, table: &Table, scan: &[AttrTuple]) -> Option<Self> {
+    /// The declared pair shape — checked against `scan` when one is given —
+    /// else the packed `scan`; `None` when there is neither, a tuple of the
+    /// scan does not pack, or a position would not fit an order's `u32`.
+    pub(crate) fn new(
+        class: &dyn InsightClass,
+        table: &Table,
+        scan: Option<&[AttrTuple]>,
+    ) -> Option<Self> {
         let universe = match class.pruning() {
             CandidatePruning::NumericPairs => table.numeric_indices(),
             CandidatePruning::AllPairs => (0..table.n_cols()).collect(),
             CandidatePruning::None => Vec::new(),
         };
-        let n = universe.len();
-        if n > 1 && scan.len() == n * (n - 1) / 2 && u32::try_from(table.n_cols()).is_ok() {
-            return Some(Self::Pairs(
-                universe.into_iter().map(|c| c as u32).collect(),
-            ));
+        let (n, fits) = (universe.len(), |len: usize| u32::try_from(len).is_ok());
+        let pairs = n * n.saturating_sub(1) / 2;
+        if n > 1 && scan.is_none_or(|scan| scan.len() == pairs) {
+            let universe = universe.into_iter().map(|c| c as u32).collect();
+            return (fits(table.n_cols()) && fits(pairs)).then_some(Self::Pairs(universe));
         }
-        scan.iter()
-            .map(Packed::new)
-            .collect::<Option<_>>()
-            .map(Self::Scan)
+        let scan = scan.filter(|scan| fits(scan.len()))?;
+        let packed = scan.iter().map(Packed::new).collect::<Option<_>>();
+        packed.map(Self::Scan)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Pairs(u) => u.len() * (u.len() - 1) / 2,
+            Self::Scan(scan) => scan.len(),
+        }
     }
 
     /// The scan position of a pair of the declared shape.
@@ -89,6 +181,24 @@ impl Layout {
         }
     }
 
+    /// Every position's tuple, in position order: a sequential walk, where
+    /// [`tuple`](Self::tuple) solves for one position's row.
+    fn tuples(&self) -> impl Iterator<Item = AttrTuple> + '_ {
+        let (pairs, scan) = match self {
+            Self::Pairs(u) => (Some(&**u), None),
+            Self::Scan(scan) => (None, Some(&**scan)),
+        };
+        let pairs = pairs.into_iter().flat_map(|u| {
+            (0..u.len()).flat_map(move |i| {
+                let a = u[i] as usize;
+                u[i + 1..]
+                    .iter()
+                    .map(move |&b| AttrTuple::Two(a, b as usize))
+            })
+        });
+        pairs.chain(scan.into_iter().flatten().map(|p| p.tuple()))
+    }
+
     fn bytes(&self) -> usize {
         match self {
             Self::Pairs(u) => std::mem::size_of_val(&**u),
@@ -97,28 +207,160 @@ impl Layout {
     }
 }
 
-/// One complete keyspace: its scores by scan position and its rank order.
+/// One keyspace's scores by scan position, a word each: a score's bits,
+/// [`DEGENERATE`], or [`UNSCORED`].
 #[derive(Debug)]
-pub(crate) struct Filled {
-    pub(crate) plane: Plane,
-    /// Positions of the finite scores, in the ranking order.
-    pub(crate) order: Box<[u32]>,
+pub(crate) struct Plane {
     pub(crate) layout: Layout,
+    words: Box<[AtomicU64]>,
+    /// Positions scored so far; the plane is complete at its length.
+    scored: AtomicUsize,
 }
 
-impl Filled {
-    pub(crate) fn new(
-        class: &dyn InsightClass,
-        table: &Table,
-        scan: &[AttrTuple],
-        scores: &[Option<f64>],
-        order: Vec<u32>,
-    ) -> Option<Self> {
-        Some(Self {
-            plane: Plane::new(scores),
-            order: order.into_boxed_slice(),
-            layout: Layout::new(class, table, scan)?,
-        })
+impl Plane {
+    fn new(layout: Layout) -> Self {
+        let words = (0..layout.len())
+            .map(|_| AtomicU64::new(UNSCORED))
+            .collect();
+        Self {
+            layout,
+            words,
+            scored: AtomicUsize::new(0),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The score at `p`: `None` while unscored, `Some(None)` when
+    /// degenerate.
+    #[inline]
+    pub(crate) fn get(&self, p: usize) -> Option<Option<f64>> {
+        decode(self.words[p].load(Ordering::Relaxed))
+    }
+
+    /// The score at a position of a complete plane.
+    #[inline]
+    pub(crate) fn score(&self, p: usize) -> Option<f64> {
+        self.get(p).expect("a complete plane")
+    }
+
+    /// Positions scored so far; acquires the stores it counts.
+    fn scored(&self) -> usize {
+        self.scored.load(Ordering::Acquire)
+    }
+
+    /// Stores `score` at `p` unless a pass did: `None` when one did, else
+    /// whether this store filled the last unscored position.
+    ///
+    /// A word publishes nothing but itself, so its exchange is relaxed.
+    /// The counter's `AcqRel` add orders it: the add that reaches the
+    /// length acquires every earlier store's release, so the order built
+    /// after it (and anyone who reads the order through its `OnceLock`)
+    /// sees every word.
+    fn store(&self, p: usize, score: Option<f64>) -> Option<bool> {
+        let word = encode(score);
+        let cell = &self.words[p];
+        cell.compare_exchange(UNSCORED, word, Ordering::Relaxed, Ordering::Relaxed)
+            .ok()?;
+        Some(self.scored.fetch_add(1, Ordering::AcqRel) + 1 == self.len())
+    }
+
+    /// The finite scores of a complete plane with their tuples and
+    /// positions, in the ranking order.
+    fn rank(&self) -> Vec<((AttrTuple, f64), u32)> {
+        let mut ranked: Vec<((AttrTuple, f64), u32)> = (0..)
+            .zip(self.layout.tuples())
+            .filter_map(|(p, attrs)| {
+                let score = self.score(p as usize).filter(|s| s.is_finite())?;
+                Some(((attrs, score), p))
+            })
+            .collect();
+        ranked.sort_unstable_by(|a, b| rank_order(&a.0, &b.0));
+        ranked
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words)
+    }
+}
+
+/// A ranking as `(tuple, score)`s.
+pub(crate) type Ranked = Vec<(AttrTuple, f64)>;
+
+/// One keyspace: its plane, once a pass touched it, and its rank order,
+/// once the plane is complete.
+#[derive(Debug, Default)]
+pub(crate) struct Slot {
+    plane: OnceLock<Plane>,
+    order: OnceLock<Box<[u32]>>,
+}
+
+impl Slot {
+    /// The plane, allocated over `layout()` unless there is one; `None`
+    /// when there is none and no layout, or no `layout` to allocate by.
+    /// Racing first passes each resolve a layout, but only the winner
+    /// allocates the words.
+    pub(crate) fn plane_or(
+        &self,
+        layout: Option<impl FnOnce() -> Option<Layout>>,
+    ) -> Option<&Plane> {
+        if let Some(plane) = self.plane.get() {
+            return Some(plane);
+        }
+        let layout = layout?()?;
+        Some(self.plane.get_or_init(|| Plane::new(layout)))
+    }
+
+    /// The plane, if a pass allocated one.
+    pub(crate) fn plane(&self) -> Option<&Plane> {
+        self.plane.get()
+    }
+
+    /// A complete keyspace's plane and rank order.
+    pub(crate) fn filled(&self) -> Option<(&Plane, &[u32])> {
+        Some((self.plane.get()?, self.order.get()?))
+    }
+
+    /// Stores each `(position, score)` into the plane unless a racing pass
+    /// did. Returns how many this call stored, and whether one of them
+    /// filled the plane: that call, and no other, completes the keyspace.
+    /// [`finish`](Self::finish) then builds its order.
+    pub(crate) fn store(
+        &self,
+        scores: impl IntoIterator<Item = (usize, Option<f64>)>,
+    ) -> (usize, bool) {
+        let Some(plane) = self.plane() else {
+            return (0, false);
+        };
+        let (mut stored, mut completed) = (0, false);
+        for (p, score) in scores {
+            if let Some(last) = plane.store(p, score) {
+                stored += 1;
+                completed |= last;
+            }
+        }
+        (stored, completed)
+    }
+
+    /// [`filled`](Self::filled), building the order of a complete plane
+    /// that has none — once, whoever races it. The call that built it also
+    /// gets the ranking as `(tuple, score)`s, which a walk of the order
+    /// would read back position by position.
+    pub(crate) fn finish(&self) -> Option<(&Plane, &[u32], Option<Ranked>)> {
+        let plane = self.plane()?;
+        if plane.scored() < plane.len() {
+            return None;
+        }
+        let mut built = None;
+        let order = self.order.get_or_init(|| {
+            let ranked = plane.rank();
+            let order = ranked.iter().map(|&(_, p)| p).collect();
+            built = Some(ranked.into_iter().map(|(entry, _)| entry).collect());
+            order
+        });
+        Some((plane, order, built))
     }
 }
 
@@ -129,15 +371,35 @@ fn metrics(class: &dyn InsightClass) -> impl Iterator<Item = &'static str> {
     std::iter::once(class.metric()).chain(class.alternative_metrics())
 }
 
-/// A slot carried into the next generation: the class's registry position,
-/// mode, metric, and scores — `None` where they must be rescored.
-pub(crate) type Carried = (usize, Mode, Option<&'static str>, Vec<Option<Option<f64>>>);
+/// What [`RankOrders::carry`] moved into the next generation's store.
+#[derive(Debug, Default)]
+pub(crate) struct Carried {
+    /// The keyspaces to complete again — each complete before, or filled
+    /// by what was carried — as (class position in the registry, mode,
+    /// metric).
+    pub(crate) complete: Vec<(usize, Mode, Option<&'static str>)>,
+    /// Partial-plane scores carried over.
+    pub(crate) migrated: u64,
+    /// Partial-plane scores left behind: their tuples touch a dirty column.
+    pub(crate) purged: u64,
+}
+
+/// Occupancy of one kind of plane in a store (see [`RankOrders::planes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlaneCount {
+    /// Planes of the kind.
+    pub planes: usize,
+    /// Positions scored in them: their cache entries.
+    pub entries: usize,
+    /// Their resident bytes, 8 a position.
+    pub bytes: usize,
+}
 
 /// One class's slots, two (one per mode) a metric it can be ranked by.
-type Slots = Box<[OnceLock<Filled>]>;
+type Slots = Box<[Slot]>;
 
-/// A lazily filled store of rank orders over one registry's classes. See
-/// the [module docs](self).
+/// A lazily filled store of score planes and rank orders over one
+/// registry's classes. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct RankOrders {
     /// `[class position in the registry][2 × metric + mode]`, metric 0 the
@@ -151,20 +413,25 @@ impl RankOrders {
         Self::default()
     }
 
-    fn slot(
+    fn slots(&self, registry: &InsightRegistry) -> &[Slots] {
+        self.slots.get_or_init(|| {
+            let classes = registry.classes().iter();
+            let width = |c: &dyn InsightClass| 2 * (1 + metrics(c).count());
+            classes
+                .map(|c| (0..width(c.as_ref())).map(|_| Slot::default()).collect())
+                .collect()
+        })
+    }
+
+    /// A keyspace's slot (`metric` `None` = the primary); `None` for a
+    /// class or metric the registry does not know.
+    pub(crate) fn slot(
         &self,
         registry: &InsightRegistry,
         class: &dyn InsightClass,
         mode: Mode,
         metric: Option<&str>,
-    ) -> Option<&OnceLock<Filled>> {
-        let slots = self.slots.get_or_init(|| {
-            let classes = registry.classes().iter();
-            let width = |c: &dyn InsightClass| 2 * (1 + metrics(c).count());
-            classes
-                .map(|c| (0..width(c.as_ref())).map(|_| OnceLock::new()).collect())
-                .collect()
-        });
+    ) -> Option<&Slot> {
         let position = registry
             .classes()
             .iter()
@@ -173,18 +440,9 @@ impl RankOrders {
             None => 0,
             Some(m) => 1 + metrics(class).position(|a| a == m)?,
         };
-        slots.get(position)?.get(2 * metric + mode as usize)
-    }
-
-    /// A complete keyspace's slot, if filled.
-    pub(crate) fn get(
-        &self,
-        registry: &InsightRegistry,
-        class: &dyn InsightClass,
-        mode: Mode,
-        metric: Option<&str>,
-    ) -> Option<&Filled> {
-        self.slot(registry, class, mode, metric)?.get()
+        self.slots(registry)
+            .get(position)?
+            .get(2 * metric + mode as usize)
     }
 
     /// Whether a keyspace (`metric` `None` = the primary) is complete.
@@ -196,84 +454,109 @@ impl RankOrders {
         metric: Option<&str>,
     ) -> bool {
         let class = registry.get(class_id);
-        class.is_some_and(|c| self.get(registry, c.as_ref(), mode, metric).is_some())
+        let slot = class.and_then(|c| self.slot(registry, c.as_ref(), mode, metric));
+        slot.is_some_and(|s| s.filled().is_some())
     }
 
-    /// Fills a slot with `make()` unless a racing pass (same scores) did.
-    /// Returns whether the slot is filled.
-    pub(crate) fn fill(
-        &self,
-        registry: &InsightRegistry,
-        class: &dyn InsightClass,
-        mode: Mode,
-        metric: Option<&str>,
-        make: impl FnOnce() -> Option<Filled>,
-    ) -> bool {
-        let Some(slot) = self.slot(registry, class, mode, metric) else {
-            return false;
-        };
-        if slot.get().is_none() {
-            let Some(filled) = make() else {
-                return false;
-            };
-            let _ = slot.set(filled);
-        }
-        true
-    }
-
-    /// Each filled plane copied for the next generation, the positions
-    /// whose tuple `keep` rejects left to rescore; one that keeps nothing is
-    /// not carried.
+    /// Copies every plane into `next`, the next generation's empty store,
+    /// with the positions whose tuple `keep` rejects left unscored; a plane
+    /// that keeps nothing is not carried. A partial plane stays partial —
+    /// its dirty positions are not rescored — while a complete one is
+    /// listed for the freeze to complete again.
     pub(crate) fn carry(
         &self,
         registry: &InsightRegistry,
         keep: impl Fn(&AttrTuple) -> bool,
-    ) -> Vec<Carried> {
-        let mut carried = Vec::new();
-        for (class, slots) in self.slots.get().into_iter().flatten().enumerate() {
+        next: &RankOrders,
+    ) -> Carried {
+        let mut carried = Carried::default();
+        let Some(slots) = self.slots.get() else {
+            return carried;
+        };
+        for (class, (old, new)) in slots.iter().zip(next.slots(registry)).enumerate() {
             let metrics: Vec<_> = metrics(registry.classes()[class].as_ref()).collect();
-            for (i, filled) in slots.iter().enumerate() {
-                let Some(filled) = filled.get() else { continue };
-                let scores: Vec<_> = (0..filled.plane.len())
-                    .map(|p| keep(&filled.layout.tuple(p)).then(|| filled.plane.get(p)))
-                    .collect();
-                if scores.iter().any(Option::is_some) {
-                    let mode = [Mode::Exact, Mode::Approximate][i % 2];
-                    carried.push((class, mode, (i > 1).then(|| metrics[i / 2 - 1]), scores));
+            for (i, (slot, into)) in old.iter().zip(new.iter()).enumerate() {
+                let Some(plane) = slot.plane.get() else {
+                    continue;
+                };
+                let complete = slot.order.get().is_some();
+                let mut copy = Plane::new(plane.layout.clone());
+                let (mut kept, mut dropped) = (0, 0);
+                let tuples = plane.layout.tuples();
+                for ((word, old), attrs) in copy.words.iter_mut().zip(&plane.words).zip(tuples) {
+                    match old.load(Ordering::Relaxed) {
+                        UNSCORED => {}
+                        old if keep(&attrs) => {
+                            *word.get_mut() = old;
+                            kept += 1;
+                        }
+                        _ => dropped += 1,
+                    }
                 }
+                *copy.scored.get_mut() = kept;
+                if !complete {
+                    carried.migrated += kept as u64;
+                    carried.purged += dropped;
+                }
+                if kept == 0 {
+                    continue;
+                }
+                if complete || kept == copy.len() {
+                    let mode = [Mode::Exact, Mode::Approximate][i % 2];
+                    let metric = (i > 1).then(|| metrics[i / 2 - 1]);
+                    carried.complete.push((class, mode, metric));
+                }
+                let _ = into.plane.set(copy);
             }
         }
         carried
     }
 
-    /// `f` summed over the filled slots.
-    fn sum(&self, f: impl Fn(&Filled) -> usize) -> usize {
+    /// Occupancy of the partial planes, then of the complete ones.
+    pub fn planes(&self) -> [PlaneCount; 2] {
+        let mut counts = [PlaneCount::default(); 2];
         let slots = self.slots.get().into_iter().flatten().flatten();
-        slots.filter_map(OnceLock::get).map(f).sum()
+        for slot in slots {
+            if let Some(plane) = slot.plane.get() {
+                let count = &mut counts[usize::from(slot.order.get().is_some())];
+                count.planes += 1;
+                count.entries += plane.scored();
+                count.bytes += plane.bytes();
+            }
+        }
+        counts
     }
 
-    /// Number of filled (class, mode, metric) slots.
+    /// Number of complete (class, mode, metric) keyspaces.
     pub fn filled(&self) -> usize {
-        self.sum(|_| 1)
+        self.planes()[1].planes
     }
 
-    /// Scores in the filled planes: the complete keyspaces' cache entries.
+    /// Scores in the planes, partial ones too: the cache's entries.
     pub fn entries(&self) -> usize {
-        self.sum(|f| f.plane.len())
+        self.planes().iter().map(|c| c.entries).sum()
+    }
+
+    /// Resident bytes of the planes, partial ones too: 8 B a position.
+    pub fn plane_bytes(&self) -> usize {
+        self.planes().iter().map(|c| c.bytes).sum()
     }
 
     /// Approximate resident bytes of the orders, layouts and slot table.
     pub fn approx_bytes(&self) -> usize {
-        let table = self.slots.get().map_or(0, |slots| {
-            let rows: usize = slots.iter().map(|row| std::mem::size_of_val(&**row)).sum();
-            rows + std::mem::size_of_val(&**slots)
-        });
-        table + self.sum(|f| std::mem::size_of_val(&*f.order) + f.layout.bytes())
-    }
-
-    /// Resident bytes of the planes: 8 B a score.
-    pub fn plane_bytes(&self) -> usize {
-        self.sum(|f| f.plane.bytes())
+        let Some(slots) = self.slots.get() else {
+            return 0;
+        };
+        let rows: usize = slots.iter().map(|row| std::mem::size_of_val(&**row)).sum();
+        let held: usize = slots
+            .iter()
+            .flatten()
+            .map(|slot| {
+                let order = slot.order.get().map_or(0, |o| std::mem::size_of_val(&**o));
+                order + slot.plane.get().map_or(0, |p| p.layout.bytes())
+            })
+            .sum();
+        rows + std::mem::size_of_val(&**slots) + held
     }
 }
 
@@ -298,12 +581,24 @@ mod tests {
             .unwrap()
     }
 
+    /// A complete primary keyspace's plane words and order.
+    fn filled(
+        store: &RankOrders,
+        r: &InsightRegistry,
+        class: &dyn InsightClass,
+        mode: Mode,
+    ) -> Option<(Vec<u64>, Vec<u32>)> {
+        let (plane, order) = store.slot(r, class, mode, None)?.filled()?;
+        let words = plane.words.iter().map(|w| w.load(Ordering::Relaxed));
+        Some((words.collect(), order.to_vec()))
+    }
+
     /// Completes every class's order: `(reused, rescored)` per class.
     fn complete_all(ex: &Executor<'_>) -> Vec<(usize, usize)> {
         let classes = ex.registry.classes();
         classes
             .iter()
-            .map(|c| ex.complete(c.as_ref(), None, None))
+            .map(|c| ex.complete(c.as_ref(), None))
             .collect()
     }
 
@@ -324,7 +619,7 @@ mod tests {
         let mut shaped = 0;
         for class in registry.classes() {
             let scan = class.candidates(&t);
-            let layout = Layout::new(class.as_ref(), &t, &scan).unwrap();
+            let layout = Layout::new(class.as_ref(), &t, Some(&scan)).unwrap();
             let pairs = matches!(layout, Layout::Pairs(_));
             shaped += usize::from(pairs);
             for (p, attrs) in scan.iter().enumerate() {
@@ -404,24 +699,26 @@ mod tests {
                 .with_cache(&cache)
                 .with_orders(&first),
         );
-        // complete keyspaces left the hash for the planes
-        assert_eq!(cache.len(), 0);
         assert_eq!(first.entries() * 8, first.plane_bytes());
         // the writer path's republish: the planes carry into the new
         // epoch's empty store with the dirty positions rescored
         let dirty = [0, 1, 3];
         let clean = |attrs: &AttrTuple| attrs.indices().iter().all(|i| !dirty.contains(i));
-        let carried = first.carry(&r, clean);
-        let (epoch, migrated) = cache.bump_epoch_retaining(|_, attrs| clean(attrs));
-        assert_eq!(migrated, 0);
         let refreshed = RankOrders::new();
+        let carried = first.carry(&r, clean, &refreshed);
+        assert_eq!(
+            (carried.migrated, carried.purged),
+            (0, 0),
+            "no plane was partial"
+        );
+        cache.bump_epoch_retaining(|_, attrs| clean(attrs));
         let ex = Executor::exact(&t2, &r)
-            .with_cache_at(&cache, epoch)
+            .with_cache(&cache)
             .with_orders(&refreshed);
         let mut reused = 0;
-        for (class, mode, metric, scores) in carried {
+        for (class, mode, metric) in carried.complete {
             assert_eq!((mode, metric), (Mode::Exact, None));
-            let (kept, rescored) = ex.complete(r.classes()[class].as_ref(), None, Some(scores));
+            let (kept, rescored) = ex.complete(r.classes()[class].as_ref(), None);
             assert!(rescored > 0 || kept > 0);
             reused += kept;
         }
@@ -431,13 +728,9 @@ mod tests {
         let rebuilt = RankOrders::new();
         complete_all(&Executor::exact(&t2, &r).with_orders(&rebuilt));
         for class in r.classes() {
-            let slot = |o: &'_ RankOrders| {
-                let f = o.get(&r, class.as_ref(), Mode::Exact, None).unwrap();
-                (f.plane.clone(), f.order.clone())
-            };
             assert_eq!(
-                slot(&refreshed),
-                slot(&rebuilt),
+                filled(&refreshed, &r, class.as_ref(), Mode::Exact),
+                filled(&rebuilt, &r, class.as_ref(), Mode::Exact),
                 "class {} diverged",
                 class.id()
             );
@@ -467,9 +760,122 @@ mod tests {
         let entries: usize = r
             .classes()
             .iter()
-            .filter_map(|c| store.get(&r, c.as_ref(), Mode::Approximate, None))
-            .map(|filled| filled.order.len())
+            .filter_map(|c| filled(&store, &r, c.as_ref(), Mode::Approximate))
+            .map(|(_, order)| order.len())
             .sum();
         assert!(entries > 12, "more than one entry a class");
+    }
+
+    /// The three NaNs a plane can hold stay apart: the unscored payload,
+    /// the degenerate one, and a score that is itself NaN (stored as the
+    /// quiet NaN, whichever payload it came with).
+    #[test]
+    fn unscored_degenerate_and_nan_round_trip_distinctly() {
+        let words = [UNSCORED, DEGENERATE, encode(Some(f64::NAN))];
+        assert_eq!(words[2], f64::NAN.to_bits());
+        assert!(words[0] != words[1] && words[1] != words[2] && words[0] != words[2]);
+        assert_eq!(decode(UNSCORED), None);
+        assert_eq!(decode(DEGENERATE), Some(None));
+        assert!(decode(words[2]).unwrap().unwrap().is_nan());
+        for payload in [UNSCORED, DEGENERATE] {
+            // a score spelled like a sentinel is stored as a plain NaN
+            assert_eq!(encode(Some(f64::from_bits(payload))), f64::NAN.to_bits());
+        }
+        let plane = Plane::new(Layout::Scan(
+            (0..3)
+                .map(|c| Packed::new(&AttrTuple::One(c)).unwrap())
+                .collect(),
+        ));
+        assert_eq!((0..3).map(|p| plane.get(p)).collect::<Vec<_>>(), [None; 3]);
+        for (p, score) in [None, Some(f64::NAN), Some(f64::from_bits(UNSCORED))]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(plane.store(p, score), Some(p == 2));
+        }
+        assert_eq!(plane.get(0), Some(None));
+        for p in [1, 2] {
+            assert!(plane.get(p).unwrap().unwrap().is_nan(), "position {p}");
+        }
+        assert_eq!(plane.store(0, Some(1.0)), None, "a scored position stays");
+        assert!(plane.rank().is_empty(), "no NaN is ranked");
+    }
+
+    /// Four threads store overlapping pinned walks of one declared
+    /// keyspace into one snapshot's store, each finishing the slot after
+    /// every store as the executor does: one store, and only one, fills the
+    /// last position, one finish builds the order, every position holds one
+    /// entry, and plane and order match an `Exhaustive` fill bit for bit.
+    #[test]
+    fn racing_pinned_walks_build_the_order_once() {
+        use crate::candidates::CandidateSource;
+        use std::sync::Barrier;
+
+        let mut builder = TableBuilder::new("t");
+        for c in 0..24 {
+            let values = (0..60)
+                .map(|r| ((r * (c + 3)) % 17) as f64 + r as f64 / 7.0)
+                .collect();
+            builder = builder.numeric(format!("n{c}"), values);
+        }
+        let t = builder.build().unwrap();
+        let r = InsightRegistry::default();
+        let class = r.get("linear-relationship").unwrap().as_ref();
+        for round in 0..8 {
+            let store = RankOrders::new();
+            let slot = store.slot(&r, class, Mode::Exact, None).unwrap();
+            let start = Barrier::new(4);
+            let (completed, built): (usize, usize) = std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..4)
+                    .map(|thread| {
+                        let (t, start) = (&t, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            // thread k pins columns k, k + 2, ... from an
+                            // offset: every column twice over, in a
+                            // different order each round
+                            let (mut done, mut built) = (0, 0);
+                            for i in 0..12 {
+                                let column = (thread % 2 + 2 * ((i + round + thread) % 12)) % 24;
+                                let plan =
+                                    CandidateSource::exhaustive().generate(class, t, &[column]);
+                                let plane =
+                                    slot.plane_or(Some(|| Layout::new(class, t, None))).unwrap();
+                                let positions: Vec<usize> = plan
+                                    .tuples
+                                    .iter()
+                                    .map(|a| plane.layout.position(a).unwrap())
+                                    .collect();
+                                let scores = class.score_batch(t, &plan.tuples);
+                                let (_, last) = slot.store(positions.into_iter().zip(scores));
+                                done += usize::from(last);
+                                let finished = slot.finish();
+                                built += usize::from(finished.is_some_and(|f| f.2.is_some()));
+                            }
+                            (done, built)
+                        })
+                    })
+                    .collect();
+                let each = threads.into_iter().map(|h| h.join().unwrap());
+                each.fold((0, 0), |(d, b), (done, built)| (d + done, b + built))
+            });
+            assert_eq!(
+                completed, 1,
+                "round {round}: the plane was completed {completed} times"
+            );
+            assert_eq!(built, 1, "round {round}: the order was built {built} times");
+            let scan = class.candidates(&t).len();
+            assert_eq!(store.entries(), scan);
+            assert_eq!(store.filled(), 1);
+            let exhaustive = RankOrders::new();
+            Executor::exact(&t, &r)
+                .with_orders(&exhaustive)
+                .complete(class, None);
+            assert_eq!(
+                filled(&store, &r, class, Mode::Exact),
+                filled(&exhaustive, &r, class, Mode::Exact),
+                "round {round}"
+            );
+        }
     }
 }

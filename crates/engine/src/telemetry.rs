@@ -270,7 +270,7 @@ fn bucket_ceil(i: usize) -> u64 {
 }
 
 /// One stage's latency accumulator: total time plus the log₂ histogram.
-/// Padded to a cache line — mirroring the score cache's `Shard` — so
+/// Padded to a cache line — like the score cache's counters — so
 /// threads hammering different stages never false-share.
 ///
 /// Deliberately minimal: no `count` (it's the sum of the buckets) and no
@@ -333,7 +333,7 @@ pub enum Counter {
     IngestMerges,
     /// Republishes that minted a clean cache epoch.
     RepublishesFull,
-    /// Republishes that migrated clean cache entries.
+    /// Republishes that carried clean plane scores into a new epoch.
     RepublishesIncremental,
     /// Republishes with no dirty columns at all.
     RepublishesClean,
@@ -343,7 +343,7 @@ pub enum Counter {
     RescoredTuples,
     /// Tuples whose migrated scores answered incremental republishes.
     ReusedTuples,
-    /// Clean score-cache entries migrated into a new epoch.
+    /// Partial-plane scores carried into a new epoch.
     CacheEntriesMigrated,
     /// Network connections accepted.
     Connections,
@@ -748,8 +748,8 @@ pub struct IngestSnapshot {
     /// Republishes that minted a clean cache epoch (source replaced,
     /// registry or catalog changed), so every score starts over.
     pub republishes_full: u64,
-    /// Republishes that migrated clean cache entries, so completing the
-    /// rank orders rescored only dirty tuples.
+    /// Republishes that carried clean plane scores into the new epoch, so
+    /// completing the rank orders rescored only dirty tuples.
     pub republishes_incremental: u64,
     /// Republishes with no dirty columns at all — epoch and cache kept.
     pub republishes_clean: u64,
@@ -761,8 +761,8 @@ pub struct IngestSnapshot {
     /// Tuples whose migrated scores answered incremental republishes'
     /// rank-order completion.
     pub reused_tuples: u64,
-    /// Clean score-cache entries migrated into the new epoch instead of
-    /// being purged.
+    /// Partial-plane scores carried into the new epoch instead of being
+    /// purged.
     pub cache_entries_migrated: u64,
 }
 
@@ -829,7 +829,7 @@ pub struct LshSnapshot {
 pub struct ResourceSnapshot {
     /// Sketch catalog (all per-column sketches + accumulators).
     pub catalog_bytes: u64,
-    /// Score cache (keyed scores + detail strings).
+    /// Score cache: the memoized detail strings.
     pub cache_bytes: u64,
     /// The snapshot's prepared columns (centred values / centred ranks of
     /// the numeric columns exact batch scoring has asked for). Defaults on
@@ -841,9 +841,9 @@ pub struct ResourceSnapshot {
     /// peers still parse.
     #[serde(default)]
     pub orders_bytes: u64,
-    /// The snapshot's score planes (8 B a score of every complete
-    /// keyspace). Defaults on deserialize so snapshots from older peers
-    /// still parse.
+    /// The snapshot's score planes (8 B a position of every keyspace a
+    /// pass touched, partial or complete). Defaults on deserialize so
+    /// snapshots from older peers still parse.
     #[serde(default)]
     pub planes_bytes: u64,
     /// LSH candidate index (bucket tables + key cache), 0 when absent.
@@ -861,13 +861,13 @@ pub struct ResourceSnapshot {
 /// [`CacheStats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
-    /// Lookups answered from the cache.
+    /// Lookups a score plane answered.
     pub hits: u64,
     /// Lookups that fell through to scoring.
     pub misses: u64,
-    /// Entries currently cached.
+    /// Scores the snapshot's planes hold.
     pub entries: u64,
-    /// Entries retired by epoch bumps.
+    /// Partial-plane scores dropped by epoch bumps.
     pub purges: u64,
     /// `hits / (hits + misses)`, 0 when no lookups happened.
     pub hit_rate: f64,
@@ -1102,7 +1102,7 @@ pub static SCHEMA: &[Row] = &[
     row!(Counter "foresight_reused_tuples_total", "reused tuples", false,
         "Tuples carried over by incremental republishes.", ReusedTuples => ingest.reused_tuples),
     row!(Counter "foresight_cache_entries_migrated_total", "cache entries migrated", false,
-        "Clean score-cache entries migrated into a new epoch.", CacheEntriesMigrated => ingest.cache_entries_migrated),
+        "Partial-plane scores carried into a new epoch.", CacheEntriesMigrated => ingest.cache_entries_migrated),
     row!(Counter "foresight_serve_connections_total", "serve connections", false,
         "Network connections accepted.", Connections => serve.connections),
     row!(Counter "foresight_serve_connections_shed_total", "serve connections shed", false,
@@ -1126,7 +1126,7 @@ pub static SCHEMA: &[Row] = &[
     row!(Counter "foresight_cache_hits_total", "cache hits", true, "Score-cache hits.", cache?.hits),
     row!(Counter "foresight_cache_misses_total", "cache misses", true, "Score-cache misses.", cache?.misses),
     row!(Counter "foresight_cache_purges_total", "cache purges", true,
-        "Score-cache entries retired by epoch bumps.", cache?.purges),
+        "Partial-plane scores dropped by an epoch bump.", cache?.purges),
     row!(Gauge "foresight_cache_entries", "cache entries", true, "Score-cache entries resident.", cache?.entries),
     row!(Gauge "foresight_cache_hit_rate", "cache hit rate", true,
         "Score-cache hit rate (0 when no lookups happened).", cache?.hit_rate),

@@ -558,8 +558,8 @@ impl TraceBuilder {
         }
     }
 
-    /// Records this query's own cache traffic, plumbed back from
-    /// `lookup_batch`/`store_batch`.
+    /// Records this query's own plane traffic: hits read, misses scored,
+    /// scores stored.
     pub(crate) fn set_cache_traffic(&mut self, hits: u64, misses: u64, stored: u64) {
         if let Some(t) = self.inner.as_deref_mut() {
             t.cache_hits = hits;

@@ -5,6 +5,7 @@
 
 use foresight_data::TableBuilder;
 use foresight_engine::executor::rank_top_k;
+use foresight_engine::order::RankOrders;
 use foresight_engine::recommend::{carousels, CarouselConfig};
 use foresight_engine::{Executor, InsightQuery, NeighborhoodWeights, ScoreCache, Session};
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
@@ -233,7 +234,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cached, warm-cached, and parallel execution are all bit-identical
-    /// to plain serial execution, for every registered class — and the
+    /// to plain serial execution, for every registered class — a warm
+    /// query walking the order its cold run filled, and a fixed-attribute
+    /// one reading the plane — and the
     /// `score_batch` / `score_metric_batch` they all score through are
     /// bit-identical to per-candidate `score` / `score_metric`, the
     /// contract that lets them.
@@ -241,7 +244,7 @@ proptest! {
     fn all_execution_paths_bit_identical(cols in numeric_columns()) {
         let t = mixed_table(cols);
         let r = InsightRegistry::default();
-        let cache = ScoreCache::new();
+        let (cache, orders) = (ScoreCache::new(), RankOrders::new());
         let prepared = PreparedColumns::new();
         for class in r.classes() {
             assert_batch_contracts(class.as_ref(), &t, &prepared);
@@ -252,18 +255,20 @@ proptest! {
                 .execute(&q)
                 .expect("parallel");
             assert_bit_identical(&serial, &parallel, &format!("{} parallel", class.id()));
-            let cold = Executor::exact(&t, &r)
-                .parallel(true)
-                .with_cache(&cache)
-                .execute(&q)
-                .expect("cold cache");
+            let cached = || {
+                Executor::exact(&t, &r)
+                    .parallel(true)
+                    .with_cache(&cache)
+                    .with_orders(&orders)
+            };
+            let cold = cached().execute(&q).expect("cold cache");
             assert_bit_identical(&serial, &cold, &format!("{} cold cache", class.id()));
-            let warm = Executor::exact(&t, &r)
-                .parallel(true)
-                .with_cache(&cache)
-                .execute(&q)
-                .expect("warm cache");
+            let warm = cached().execute(&q).expect("warm cache");
             assert_bit_identical(&serial, &warm, &format!("{} warm cache", class.id()));
+            let pinned = q.clone().fix_attr(0);
+            let serial = Executor::exact(&t, &r).execute(&pinned).expect("serial pinned");
+            let warm = cached().execute(&pinned).expect("warm pinned");
+            assert_bit_identical(&serial, &warm, &format!("{} warm pinned", class.id()));
         }
         let stats = cache.stats();
         prop_assert!(stats.hits > 0, "warm pass never hit the cache: {:?}", stats);

@@ -368,7 +368,8 @@ fn auto_on_a_filled_order_is_exhaustive() {
 }
 
 /// On an empty slot `Auto` still draws LSH collisions — where an index
-/// exists — and a draw never fills the slot.
+/// exists — and a draw never fills the slot, nor allocates its plane: its
+/// scores are kept only in a plane a scan or a pinned walk allocated.
 #[test]
 fn auto_on_an_empty_slot_draws_lsh() {
     for seed in [3, 17] {
@@ -391,7 +392,29 @@ fn auto_on_an_empty_slot_draws_lsh() {
                 assert!(!trace.index_served);
                 assert_eq!(core.metrics_snapshot().queries.index_served, before);
                 assert_eq!(core.rank_orders().filled(), 0, "an LSH draw filled a slot");
+                assert_eq!(core.rank_orders().plane_bytes(), 0, "an LSH draw allocated");
             }
+        }
+        for class in ["linear-relationship", "monotonic-relationship"] {
+            // a pinned walk (`Auto` would draw for it too) allocates the
+            // plane; a draw then reads it and stores each score it computed
+            let pinned = QueryOptions {
+                candidates: CandidateStrategy::Exhaustive,
+                ..opts
+            };
+            core.run(&InsightQuery::class(class).fix_attr(0), &pinned)
+                .unwrap();
+            let before = core.cache_stats();
+            assert!(before.entries > 0);
+            let served = core.run(&wide_queries(class)[0], &opts).unwrap();
+            assert!(served.trace.expect("forced trace").lsh.is_some());
+            let after = core.cache_stats();
+            assert!(after.misses > before.misses);
+            assert_eq!(
+                after.entries - before.entries,
+                (after.misses - before.misses) as usize,
+                "seed {seed}: {class}"
+            );
         }
     }
 }

@@ -45,7 +45,7 @@ commands:
   candidates <strategy>        auto | exhaustive | lsh | lsh:<probes> — how
                                pairwise classes generate candidates (LSH needs
                                the sketch catalog; try `mode approx` first)
-  stats                        score-cache counters (hits, misses, purges, shards)
+  stats                        score-cache counters (hits, misses, purges, planes)
   metrics [json|reset]         engine telemetry: per-stage latencies + query counters
   health                       health verdict from the continuous monitor
   alerts                       the watchdog's fired/resolved alert log
@@ -336,13 +336,15 @@ impl Repl {
                     "score cache: {} hits / {} misses ({rate:.1}% hit rate), {} entries, {} purged by epoch bumps",
                     stats.hits, stats.misses, stats.entries, stats.purges
                 );
-                let occupied = stats.shard_entries.iter().filter(|&&n| n > 0).count();
-                let busiest = stats.shard_entries.iter().max().copied().unwrap_or(0);
-                println!(
-                    "shards: {occupied}/{} occupied, busiest holds {busiest} entries",
-                    stats.shard_entries.len()
-                );
-                println!("  per-shard: {:?}", stats.shard_entries);
+                let [partial, complete] = self.engine.core().rank_orders().planes();
+                for (kind, planes) in [("partial", partial), ("complete", complete)] {
+                    println!(
+                        "  {kind} planes: {} ({} scores, {:.1} KB)",
+                        planes.planes,
+                        planes.entries,
+                        planes.bytes as f64 / 1e3
+                    );
+                }
             }
             "metrics" => match rest.first() {
                 Some(&"json") => println!("{}", self.engine.metrics().to_json()),

@@ -14,11 +14,8 @@ fn oecd_corr_query() -> InsightQuery {
 fn explain_pinned_oecd_exact_query() {
     let mut fs = Foresight::new(datasets::oecd());
     let q = oecd_corr_query();
-    // warm the core's cache but not its rank orders: a standalone executor
-    // over the same rows, in the snapshot's own keyspace
     let core = fs.core();
     let plain = Executor::exact(core.table(), core.registry())
-        .with_cache_at(core.cache(), core.epoch())
         .execute(&q)
         .unwrap();
     let explained = fs.explain(&q).unwrap();
@@ -74,30 +71,50 @@ fn explain_pinned_oecd_exact_query() {
         trace.root.child("candidates").unwrap().attr("generated"),
         Some("276")
     );
-    // the facade's plain query() above already warmed the cache, so the
-    // explained run is served entirely from it
-    assert_eq!(trace.cache_hits, 276);
-    assert_eq!(trace.cache_misses, 0);
-    assert_eq!(trace.cache_stored, 0);
+    // the first explain on the core scored every candidate into the plane
+    assert_eq!(trace.cache_hits, 0);
+    assert_eq!(trace.cache_misses, 276);
+    assert_eq!(trace.cache_stored, 276);
     assert_eq!(trace.results.len(), 5);
     for (i, (traced, inst)) in trace.results.iter().zip(&plain).enumerate() {
         assert_eq!(traced.rank, i + 1);
         assert_eq!(traced.score, inst.score);
         assert_eq!(traced.metric, "|pearson|");
+        assert!(!traced.cache_hit, "a cold explain misses");
+        assert_eq!(traced.path, "exact");
+        assert_eq!(traced.rank_delta, 0, "no diversification, no movement");
+        assert!(traced.attrs.contains(" × "), "two column names joined");
+    }
+    assert_eq!(score_steps(&trace), [0, 276, 276, 276]);
+
+    // a fixed-attribute explain on the now complete keyspace is served
+    // entirely from its plane: the pinned column's 23 partners
+    let pinned = q.clone().fix_attr(plain[0].attrs.indices()[0]);
+    let warm = fs.explain(&pinned).unwrap();
+    let plain = Executor::exact(fs.table(), fs.registry())
+        .execute(&pinned)
+        .unwrap();
+    assert_eq!(warm.results, plain);
+    let trace = warm.trace.expect("forced trace captured");
+    assert_eq!(trace.cache_hits, 23);
+    assert_eq!(trace.cache_misses, 0);
+    assert_eq!(trace.cache_stored, 0);
+    for (i, (traced, inst)) in trace.results.iter().zip(&plain).enumerate() {
+        assert_eq!(traced.rank, i + 1);
+        assert_eq!(traced.score, inst.score);
         assert!(traced.cache_hit, "warm explain hits the cache");
         assert_eq!(traced.path, "cache");
         assert_eq!(traced.rank_delta, 0, "no diversification, no movement");
-        assert!(traced.attrs.contains(" × "), "two column names joined");
     }
     // the acceptance rendering: per top-k insight, score + metric +
     // cache hit/miss + scoring path all visible in one report
     let text = trace.to_text();
-    assert!(text.contains("276 hits / 0 misses"));
+    assert!(text.contains("23 hits / 0 misses"));
     assert!(text.contains("path=cache"));
     assert!(text.contains("|pearson|"));
     // where the score stage's time went: lookup, scoring, store
-    assert_eq!(score_steps(&trace), [276, 0, 0, 0]);
-    assert!(text.contains("cache_lookup") && text.contains("hits=276 misses=0"));
+    assert_eq!(score_steps(&trace), [23, 0, 0, 0]);
+    assert!(text.contains("cache_lookup") && text.contains("hits=23 misses=0"));
 
     // a cold core shows precise per-candidate provenance instead
     let mut cold = Foresight::new(datasets::oecd());
