@@ -26,7 +26,7 @@ use crate::query::InsightQuery;
 use crate::recommend::{Carousel, CarouselConfig};
 use crate::session::Session;
 use crate::telemetry::{clock, Counter, Metrics, MetricsSnapshot, Stage};
-use crate::trace::{Explained, TraceBuilder, Tracer};
+use crate::trace::{Explained, Recorder, Tracer};
 use foresight_data::{Table, TableSource};
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::lsh::LshIndex;
@@ -486,31 +486,11 @@ impl EngineCore {
     /// ([`TraceMode::Sampled`] or [`TraceMode::Forced`]). The results are
     /// bit-identical whatever `opts.trace` says.
     pub fn run(&self, query: &InsightQuery, opts: &QueryOptions) -> Result<Explained> {
-        let mut trace = match opts.trace {
-            TraceMode::Off => TraceBuilder::disabled(),
-            TraceMode::Sampled => self.tracer.begin_trace(query, opts.mode, false),
-            TraceMode::Forced => self.tracer.begin_trace(query, opts.mode, true),
-        };
-        // the entire cost of the dormant trace layer on the untraced path:
-        // one relaxed load of the slow-query threshold
-        let slow_log_armed = self.tracer.slow_threshold_ns() > 0;
-        if !trace.is_active() && !slow_log_armed {
-            let results = self.run_with(query, opts, &mut trace)?;
-            return Ok(Explained {
-                results,
-                trace: None,
-            });
-        }
-        let start = clock::now_ns();
-        let results = self.run_with(query, opts, &mut trace)?;
-        let trace = self.tracer.finish(trace);
-        self.tracer.maybe_record_slow(
-            query,
-            opts.mode,
-            clock::now_ns().saturating_sub(start),
-            results.len(),
-            trace.clone(),
-        );
+        let mut rec = self
+            .tracer
+            .recorder(Some(&self.metrics), query, opts.mode, opts.trace);
+        let results = self.run_with(query, opts, &mut rec)?;
+        let trace = self.tracer.finish(rec, query, opts.mode, results.len());
         Ok(Explained { results, trace })
     }
 
@@ -518,17 +498,17 @@ impl EngineCore {
         &self,
         query: &InsightQuery,
         opts: &QueryOptions,
-        trace: &mut TraceBuilder,
+        rec: &mut Recorder<'_>,
     ) -> Result<Vec<InsightInstance>> {
-        if trace.is_active() {
+        if rec.is_traced() {
             // staleness lands on the root span: which snapshot served this
             // query, and how far behind the ingest head it was
-            trace.attr("snapshot_epoch", || self.epoch.to_string());
+            rec.attr("snapshot_epoch", || self.epoch.to_string());
             if self.ingest_head.is_some() {
-                trace.attr("rows_behind", || self.rows_behind().to_string());
+                rec.attr("rows_behind", || self.rows_behind().to_string());
             }
         }
-        let (out, walked) = self.executor(opts)?.execute_traced(query, trace)?;
+        let (out, walked) = self.executor(opts)?.execute_recorded(query, rec)?;
         self.metrics
             .record_query(&query.class_id, opts.mode, walked);
         Ok(out)
@@ -584,7 +564,7 @@ impl EngineCore {
             headline_insights.append(&mut self.run_with(
                 &InsightQuery::class(class.id()).top_k(1),
                 &opts,
-                &mut TraceBuilder::disabled(),
+                &mut Recorder::untraced(Some(&self.metrics)),
             )?);
         }
         let profile = DatasetProfile {
@@ -844,18 +824,6 @@ impl CoreBuilder {
     /// [`CoreBuilder::from_arc`] takeovers.
     pub fn set_ingest_head(&mut self, head: Option<Arc<AtomicU64>>) {
         self.ingest_head = head;
-    }
-
-    /// Replaces the shared tracer with one sized to `ring` retained traces
-    /// and `slow` slow-log entries (each clamped to at least 1) — capture
-    /// depth is a per-core construction choice, not a hardcoded constant,
-    /// so server operators can deepen it for debugging or shrink it to
-    /// bound memory. Any traces and slow-log entries captured so far (by
-    /// this builder or by cores sharing the previous tracer) are dropped;
-    /// the slow-query threshold resets to off. Snapshots
-    /// frozen later inherit the new tracer.
-    pub fn set_trace_capacities(&mut self, ring: usize, slow: usize) {
-        self.tracer = Arc::new(Tracer::with_capacities(ring, slow));
     }
 
     /// Sets the published default between exact and approximate scoring.

@@ -8,8 +8,8 @@ use crate::candidates::{CandidateOrigin, CandidateSource};
 use crate::error::{EngineError, Result};
 use crate::order::{Layout, Plane, RankOrders, Slot};
 use crate::query::InsightQuery;
-use crate::telemetry::{Counter, Lap, Metrics, Stage};
-use crate::trace::{LshCandidates, ScorePath, TraceBuilder};
+use crate::telemetry::{Counter, Metrics};
+use crate::trace::{LshCandidates, Recorder, ScorePath, Step};
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, InsightClass, InsightInstance, InsightRegistry};
 use foresight_sketch::SketchCatalog;
@@ -48,7 +48,7 @@ pub struct Executor<'a> {
     cache: Option<&'a ScoreCache>,
     /// The core's telemetry registry, when attached (standalone executors
     /// run unobserved).
-    metrics: Option<&'a Metrics>,
+    pub(crate) metrics: Option<&'a Metrics>,
     mode: Mode,
     pub(crate) parallel: bool,
     pub(crate) sketch_only: bool,
@@ -167,18 +167,12 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attaches a [`Metrics`] registry: stage spans (score, rank,
-    /// diversify, describe, carousel) and sketch-fallback counts are
-    /// recorded into it.
+    /// Attaches a [`Metrics`] registry: stage samples (score, rank,
+    /// diversify, describe, index serve, carousel) and sketch-fallback and
+    /// LSH counts are recorded into it.
     pub fn with_metrics(mut self, metrics: &'a Metrics) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The attached telemetry registry, if any (used by carousel assembly
-    /// to time per-class work against the same registry).
-    pub fn metrics(&self) -> Option<&'a Metrics> {
-        self.metrics
     }
 
     /// The execution mode.
@@ -276,7 +270,7 @@ impl<'a> Executor<'a> {
 
     /// The one scoring routine: scores for `candidates` under `metric`
     /// (`None` = the class's primary metric), positionally aligned, plus —
-    /// only when `trace` is active, empty otherwise — each candidate's
+    /// only when `rec` is traced, empty otherwise — each candidate's
     /// `(plane-hit, path)` provenance.
     ///
     /// With `plane` — the keyspace's slot and each candidate's position in
@@ -293,12 +287,10 @@ impl<'a> Executor<'a> {
         metric: Option<&'static str>,
         candidates: &[AttrTuple],
         plane: Option<(&Slot, &Plane, &[usize])>,
-        trace: &mut TraceBuilder,
+        rec: &mut Recorder<'_>,
     ) -> (Vec<Option<f64>>, Vec<(bool, ScorePath)>) {
         let counted = plane.is_some() || self.cache.is_some();
-        if counted {
-            trace.begin("cache_lookup");
-        }
+        let lookup = counted.then(|| rec.open(Step::CacheLookup));
         let mut slots: Vec<Option<Option<f64>>> = match plane {
             Some((_, plane, positions)) => positions.iter().map(|&p| plane.get(p)).collect(),
             None => vec![None; candidates.len()],
@@ -314,18 +306,18 @@ impl<'a> Executor<'a> {
         if let Some(cache) = self.cache {
             cache.count(hits, misses);
         }
-        if counted {
-            trace.attr("hits", || hits.to_string());
-            trace.attr("misses", || misses.to_string());
-            trace.end();
+        if let Some(lookup) = lookup {
+            rec.attr("hits", || hits.to_string());
+            rec.attr("misses", || misses.to_string());
+            rec.close(lookup);
         }
-        let mut provenance = if trace.is_active() {
+        let mut provenance = if rec.is_traced() {
             vec![(true, ScorePath::Cache); candidates.len()]
         } else {
             Vec::new()
         };
-        trace.begin("score_misses");
-        trace.attr("tuples", || missing.len().to_string());
+        let scoring = rec.open(Step::ScoreMisses);
+        rec.attr("tuples", || missing.len().to_string());
         let (scores, paths): (Vec<Option<f64>>, Vec<ScorePath>) = if missing.is_empty() {
             (Vec::new(), Vec::new())
         } else {
@@ -336,25 +328,25 @@ impl<'a> Executor<'a> {
         for (&i, &score) in pending.iter().zip(&scores) {
             slots[i] = Some(score);
         }
-        if trace.is_active() {
+        if rec.is_traced() {
             for (&i, path) in pending.iter().zip(paths) {
                 provenance[i] = (false, path);
             }
         }
-        trace.end();
+        rec.close(scoring);
         if counted {
-            trace.begin("cache_store");
+            let store = rec.open(Step::CacheStore);
             let stored = plane.map_or(0, |(slot, _, positions)| {
                 let fresh = pending.iter().zip(&scores);
                 slot.store(fresh.map(|(&i, &score)| (positions[i], score)))
                     .0 as u64
             });
-            trace.attr("stored", || stored.to_string());
-            trace.end();
-            trace.set_cache_traffic(hits, misses, stored);
-            trace.attr("cache_hits", || hits.to_string());
-            trace.attr("cache_misses", || misses.to_string());
-            trace.attr("stored", || stored.to_string());
+            rec.attr("stored", || stored.to_string());
+            rec.close(store);
+            rec.set_cache_traffic(hits, misses, stored);
+            rec.attr("cache_hits", || hits.to_string());
+            rec.attr("cache_misses", || misses.to_string());
+            rec.attr("stored", || stored.to_string());
         }
         let scores = slots.into_iter().map(|s| s.expect("all slots filled"));
         (scores.collect(), provenance)
@@ -362,23 +354,24 @@ impl<'a> Executor<'a> {
 
     /// Runs a query, returning instances sorted by descending score.
     pub fn execute(&self, query: &InsightQuery) -> Result<Vec<InsightInstance>> {
-        Ok(self.execute_traced(query, &mut TraceBuilder::disabled())?.0)
+        Ok(self
+            .execute_recorded(query, &mut Recorder::untraced(self.metrics))?
+            .0)
     }
 
-    /// [`execute`](Self::execute) with a request-scoped trace collector,
-    /// also saying whether the query walked a precomputed rank order. With
-    /// an inert builder (the untraced path) each trace call is an empty
-    /// inlined no-op.
+    /// [`execute`](Self::execute) timed — and, when it is traced, traced —
+    /// by a request-scoped [`Recorder`], also saying whether the query
+    /// walked a precomputed rank order.
     ///
     /// An unfixed, undiversified query walks its keyspace's order when the
     /// lent [`RankOrders`] holds one — under `Auto` too; only a forced
     /// [`CandidateStrategy::Lsh`](crate::CandidateStrategy::Lsh) draws
     /// collisions instead. A pass that scores the whole scan — no fixed,
     /// semantic or exclusion filter, no LSH — fills the order on the way.
-    pub(crate) fn execute_traced(
+    pub(crate) fn execute_recorded(
         &self,
         query: &InsightQuery,
-        trace: &mut TraceBuilder,
+        rec: &mut Recorder<'_>,
     ) -> Result<(Vec<InsightInstance>, bool)> {
         let class = self
             .registry
@@ -408,7 +401,7 @@ impl<'a> Executor<'a> {
             }
         };
 
-        trace.set_metric(metric.unwrap_or_else(|| class.metric()));
+        rec.set_metric(metric.unwrap_or_else(|| class.metric()));
         let diversify = query.diversify.filter(|&lambda| lambda > 0.0);
         let slot = self
             .orders
@@ -417,14 +410,12 @@ impl<'a> Executor<'a> {
             && diversify.is_none()
             && self.candidates.walks_orders(class.as_ref(), self.table);
         if let Some((plane, order)) = slot.and_then(Slot::filled).filter(|_| walks) {
-            let mut lap = Lap::start(self.metrics);
-            let ranked = self.walk(plane, order, query, trace);
-            lap.mark(Stage::IndexServe);
-            let out = self.describe(class.as_ref(), query, metric, ranked, lap, trace);
+            let ranked = self.walk(plane, order, query, rec);
+            let out = self.describe(class.as_ref(), query, metric, ranked, rec);
             return Ok((out, true));
         }
 
-        trace.begin("candidates");
+        let generating = rec.open(Step::Candidates);
         let plan = self
             .candidates
             .generate(class.as_ref(), self.table, &query.fixed_attrs);
@@ -440,11 +431,11 @@ impl<'a> Executor<'a> {
                     && !query.exclude.contains(a)
             })
             .unzip();
-        trace.set_candidates(generated, candidates.len());
-        trace.attr("generated", || generated.to_string());
-        trace.attr("eligible", || candidates.len().to_string());
+        rec.set_candidates(generated, candidates.len());
+        rec.attr("generated", || generated.to_string());
+        rec.attr("eligible", || candidates.len().to_string());
         if let CandidateOrigin::PinnedScan { column } = plan.origin {
-            trace.attr("pinned", || {
+            rec.attr("pinned", || {
                 foresight_insight::class::column_name(self.table, column).to_owned()
             });
         }
@@ -454,33 +445,30 @@ impl<'a> Executor<'a> {
             tables_probed,
         } = plan.origin
         {
-            trace.set_lsh(LshCandidates {
+            rec.set_lsh(LshCandidates {
                 collision_pairs,
                 universe_columns,
                 tables_probed,
             });
-            trace.attr("lsh_collisions", || {
+            rec.attr("lsh_collisions", || {
                 format!("{collision_pairs} of {universe_columns}²")
             });
-            trace.attr("lsh_tables_probed", || tables_probed.to_string());
+            rec.attr("lsh_tables_probed", || tables_probed.to_string());
             if let Some(metrics) = self.metrics {
                 metrics.add(Counter::LshQueries, 1);
                 metrics.add(Counter::LshCandidatePairs, collision_pairs as u64);
             }
         }
-        trace.end();
+        rec.close(generating);
 
         let keep = |attrs: &AttrTuple, score: Option<f64>| -> Option<(AttrTuple, f64)> {
             let score = score?;
             (score.is_finite() && query.matches_range(score)).then_some((*attrs, score))
         };
-        // one lap timer across score → rank/diversify → describe: each
-        // boundary is a single clock read shared by the adjacent stages
-        let mut lap = Lap::start(self.metrics);
-        trace.begin("score");
+        let scoring = rec.open(Step::Score);
         // which stats kernel served this query's scoring pass — lets EXPLAIN
         // distinguish vectorized from scalar-forced (FORESIGHT_KERNEL) runs
-        trace.attr("kernel", || {
+        rec.attr("kernel", || {
             foresight_stats::kernel::mode().name().to_owned()
         });
         // a pass over the whole class scan, unfiltered: it completes the
@@ -516,9 +504,9 @@ impl<'a> Executor<'a> {
             plane
                 .as_ref()
                 .map(|(slot, plane, p)| (*slot, *plane, &p[..])),
-            trace,
+            rec,
         );
-        trace.record_scoring(self.table, query, &candidates, &scores, &provenance);
+        rec.record_scoring(self.table, query, &candidates, &scores, &provenance);
         // a pass that stored the last position builds the order
         let order = plane.and_then(|(slot, ..)| slot.finish()).filter(|_| whole);
         let (mut scored, ranked): (Vec<(AttrTuple, f64)>, bool) = match order {
@@ -536,42 +524,39 @@ impl<'a> Executor<'a> {
                 false,
             ),
         };
-        trace.attr("survivors", || scored.len().to_string());
-        trace.end();
-        lap.mark(Stage::Score);
+        rec.attr("survivors", || scored.len().to_string());
+        rec.close(scoring);
 
         match diversify {
             Some(lambda) => {
-                trace.begin("diversify");
+                let diversifying = rec.open(Step::Diversify);
                 // MMR needs the full descending-score ordering as input
                 if !ranked {
                     scored.sort_by(rank_order);
                 }
-                if trace.is_active() {
+                if rec.is_traced() {
                     // snapshot the plain ranking so final ranks get deltas
-                    trace.set_undiversified(scored.iter().map(|(a, _)| *a).collect());
+                    rec.set_undiversified(scored.iter().map(|(a, _)| *a).collect());
                 }
-                trace.attr("lambda", || lambda.to_string());
-                trace.attr("pool", || scored.len().to_string());
-                trace.attr("k", || query.top_k.to_string());
+                rec.attr("lambda", || lambda.to_string());
+                rec.attr("pool", || scored.len().to_string());
+                rec.attr("k", || query.top_k.to_string());
                 scored = diversify_scored(scored, query.top_k, lambda);
-                trace.end();
-                lap.mark(Stage::Diversify);
+                rec.close(diversifying);
             }
             None => {
-                trace.begin("rank");
-                trace.attr("pool", || scored.len().to_string());
-                trace.attr("k", || query.top_k.to_string());
+                let ranking = rec.open(Step::Rank);
+                rec.attr("pool", || scored.len().to_string());
+                rec.attr("k", || query.top_k.to_string());
                 if ranked {
                     scored.truncate(query.top_k);
                 } else {
                     scored = rank_top_k(scored, query.top_k);
                 }
-                trace.end();
-                lap.mark(Stage::Rank);
+                rec.close(ranking);
             }
         }
-        let out = self.describe(class.as_ref(), query, metric, scored, lap, trace);
+        let out = self.describe(class.as_ref(), query, metric, scored, rec);
         Ok((out, false))
     }
 
@@ -583,10 +568,9 @@ impl<'a> Executor<'a> {
         query: &InsightQuery,
         metric: Option<&'static str>,
         ranked: Vec<(AttrTuple, f64)>,
-        mut lap: Lap<'_>,
-        trace: &mut TraceBuilder,
+        rec: &mut Recorder<'_>,
     ) -> Vec<InsightInstance> {
-        trace.begin("describe");
+        let describing = rec.open(Step::Describe);
         let out: Vec<InsightInstance> = ranked
             .into_iter()
             .map(|(attrs, score)| InsightInstance {
@@ -614,10 +598,9 @@ impl<'a> Executor<'a> {
                 },
             })
             .collect();
-        trace.attr("results", || out.len().to_string());
-        trace.end();
-        lap.mark(Stage::Describe);
-        trace.record_results(self.table, &out);
+        rec.attr("results", || out.len().to_string());
+        rec.close(describing);
+        rec.record_results(self.table, &out);
         out
     }
 
@@ -628,20 +611,20 @@ impl<'a> Executor<'a> {
         plane: &Plane,
         order: &[u32],
         query: &InsightQuery,
-        trace: &mut TraceBuilder,
+        rec: &mut Recorder<'_>,
     ) -> Vec<(AttrTuple, f64)> {
-        trace.begin("index_serve");
-        trace.set_index_served();
+        let walking = rec.open(Step::IndexServe);
+        rec.set_index_served();
         let pool: Vec<(AttrTuple, f64)> = ranked_iter(plane, order, query)
             .filter(|(attrs, _)| {
                 !query.exclude.contains(attrs) && query.matches_semantic(self.table, attrs)
             })
             .take(query.top_k)
             .collect();
-        trace.set_candidates(order.len(), pool.len());
-        trace.attr("order", || order.len().to_string());
-        trace.attr("pool", || pool.len().to_string());
-        trace.end();
+        rec.set_candidates(order.len(), pool.len());
+        rec.attr("order", || order.len().to_string());
+        rec.attr("pool", || pool.len().to_string());
+        rec.close(walking);
         pool
     }
 

@@ -25,11 +25,10 @@
 use crate::core::EngineCore;
 use crate::stream::PublishedCore;
 use crate::telemetry::{
-    quantile_from_buckets, scalar_rows, HistogramBucket, Kind, MetricsSnapshot,
+    quantile_from_buckets, scalar_rows, HistogramBucket, Kind, MetricsSnapshot, Ring,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -289,19 +288,59 @@ pub struct MonitorSample {
     pub discontinuity: bool,
 }
 
-/// Per-rule watchdog latch.
+/// One watchdog rule: the alert it raises and the health reason it gives
+/// while active.
+struct Rule {
+    kind: AlertKind,
+    /// Fires *below* the bound (a floor) instead of above it.
+    inverted: bool,
+    /// The watched value and its bound.
+    reading: fn(&MonitorSample, &HealthPolicy) -> (f64, f64),
+    reason: fn(&MonitorSample, &HealthPolicy) -> HealthReason,
+}
+
+/// The watchdog's rules, in the order their alerts and reasons appear.
+const RULES: [Rule; 3] = [
+    Rule {
+        kind: AlertKind::ShedStorm,
+        inverted: false,
+        reading: |s, p| (s.shed_rate, p.max_shed_per_sec),
+        reason: |s, p| HealthReason::ShedStorm {
+            per_sec: s.shed_rate,
+            bound: p.max_shed_per_sec,
+        },
+    },
+    Rule {
+        kind: AlertKind::StreamLag,
+        inverted: false,
+        reading: |s, p| (s.rows_behind as f64, p.max_rows_behind as f64),
+        reason: |s, p| HealthReason::StreamLagging {
+            rows_behind: s.rows_behind,
+            bound: p.max_rows_behind,
+        },
+    },
+    Rule {
+        kind: AlertKind::LowCacheHitRate,
+        inverted: true,
+        reading: |s, p| (s.cache_hit_rate, p.min_hit_rate),
+        reason: |s, p| HealthReason::LowCacheHitRate {
+            hit_rate: s.cache_hit_rate,
+            floor: p.min_hit_rate,
+        },
+    },
+];
+
+/// The watchdog's latches, one per [`AlertKind`] (indexed by it).
 #[derive(Default)]
 struct WatchdogState {
-    shed_fired: bool,
-    lag_fired: bool,
-    hit_fired: bool,
+    fired: [bool; RULES.len()],
 }
 
 struct MonitorShared {
     target: MonitorTarget,
     config: MonitorConfig,
-    ring: Mutex<VecDeque<MonitorSample>>,
-    alerts: Mutex<VecDeque<AlertEvent>>,
+    ring: Ring<MonitorSample>,
+    alerts: Ring<AlertEvent>,
     health: RwLock<HealthState>,
     discontinuity: AtomicBool,
     stop: AtomicBool,
@@ -319,9 +358,9 @@ impl Monitor {
     pub fn spawn(target: MonitorTarget, config: MonitorConfig) -> Self {
         let shared = Arc::new(MonitorShared {
             target,
+            ring: Ring::new(config.capacity),
+            alerts: Ring::new(config.alert_capacity),
             config,
-            ring: Mutex::new(VecDeque::new()),
-            alerts: Mutex::new(VecDeque::new()),
             health: RwLock::new(HealthState::Unready(vec![HealthReason::NotYetSampled])),
             discontinuity: AtomicBool::new(false),
             stop: AtomicBool::new(false),
@@ -350,23 +389,17 @@ impl Monitor {
     /// The most recent `n` samples, oldest first (all retained samples
     /// when `n` is 0 or past the ring size).
     pub fn history(&self, n: usize) -> Vec<MonitorSample> {
-        let ring = self.shared.ring.lock();
-        let take = if n == 0 {
-            ring.len()
-        } else {
-            n.min(ring.len())
-        };
-        ring.iter().skip(ring.len() - take).cloned().collect()
+        self.shared.ring.last(if n == 0 { usize::MAX } else { n })
     }
 
     /// The newest sample, if any.
     pub fn latest_sample(&self) -> Option<MonitorSample> {
-        self.shared.ring.lock().back().cloned()
+        self.shared.ring.last(1).pop()
     }
 
     /// Every retained alert transition, oldest first.
     pub fn alerts(&self) -> Vec<AlertEvent> {
-        self.shared.alerts.lock().iter().cloned().collect()
+        self.shared.alerts.last(usize::MAX)
     }
 
     /// The current health. With a live sampler this is the last tick's
@@ -457,57 +490,12 @@ fn tick(shared: &MonitorShared, prev: &mut Option<MetricsSnapshot>, watchdog: &m
     );
 
     let policy = &shared.config.policy;
-    let mut reasons: Vec<HealthReason> = Vec::new();
     let mut events: Vec<AlertEvent> = Vec::new();
-    // watchdog rules, each with fire/resolve hysteresis
-    let shed_active = evaluate_rule(
-        &mut watchdog.shed_fired,
-        sample.shed_rate,
-        policy.max_shed_per_sec,
-        policy.resolve_fraction,
-        false,
-        AlertKind::ShedStorm,
-        &sample,
-        &mut events,
-    );
-    if shed_active {
-        reasons.push(HealthReason::ShedStorm {
-            per_sec: sample.shed_rate,
-            bound: policy.max_shed_per_sec,
-        });
-    }
-    let lag_active = evaluate_rule(
-        &mut watchdog.lag_fired,
-        sample.rows_behind as f64,
-        policy.max_rows_behind as f64,
-        policy.resolve_fraction,
-        false,
-        AlertKind::StreamLag,
-        &sample,
-        &mut events,
-    );
-    if lag_active {
-        reasons.push(HealthReason::StreamLagging {
-            rows_behind: sample.rows_behind,
-            bound: policy.max_rows_behind,
-        });
-    }
-    let hit_active = evaluate_rule(
-        &mut watchdog.hit_fired,
-        sample.cache_hit_rate,
-        policy.min_hit_rate,
-        policy.resolve_fraction,
-        true,
-        AlertKind::LowCacheHitRate,
-        &sample,
-        &mut events,
-    );
-    if hit_active {
-        reasons.push(HealthReason::LowCacheHitRate {
-            hit_rate: sample.cache_hit_rate,
-            floor: policy.min_hit_rate,
-        });
-    }
+    let reasons: Vec<HealthReason> = RULES
+        .iter()
+        .filter(|rule| watchdog.evaluate(rule, policy, &sample, &mut events))
+        .map(|rule| (rule.reason)(&sample, policy))
+        .collect();
 
     let health = if core.catalog().is_none() {
         HealthState::Unready(vec![HealthReason::CoreNotReady])
@@ -518,22 +506,9 @@ fn tick(shared: &MonitorShared, prev: &mut Option<MetricsSnapshot>, watchdog: &m
     };
 
     *prev = Some(snap);
-
-    {
-        let mut ring = shared.ring.lock();
-        ring.push_back(sample);
-        while ring.len() > shared.config.capacity.max(1) {
-            ring.pop_front();
-        }
-    }
-    if !events.is_empty() {
-        let mut alerts = shared.alerts.lock();
-        for event in events {
-            alerts.push_back(event);
-        }
-        while alerts.len() > shared.config.alert_capacity.max(1) {
-            alerts.pop_front();
-        }
+    shared.ring.push(sample);
+    for event in events {
+        shared.alerts.push(event);
     }
     *shared.health.write() = health;
 }
@@ -595,62 +570,50 @@ fn derive_sample(
     sample
 }
 
-/// One hysteresis rule evaluation. Returns whether the rule is active
-/// after this sample, pushing a fired/resolved [`AlertEvent`] on each
-/// transition. `inverted` flips the comparison for floor-type rules (fire
-/// *below* the bound). A bound of 0 (or 0.0) disables the rule entirely.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_rule(
-    fired: &mut bool,
-    value: f64,
-    bound: f64,
-    resolve_fraction: f64,
-    inverted: bool,
-    kind: AlertKind,
-    sample: &MonitorSample,
-    events: &mut Vec<AlertEvent>,
-) -> bool {
-    if bound <= 0.0 {
-        *fired = false;
-        return false;
-    }
-    let fraction = resolve_fraction.clamp(0.0, 1.0);
-    let (trip, clear) = if inverted {
-        let resolve_at = if fraction > 0.0 {
-            (bound / fraction).min(1.0)
+impl WatchdogState {
+    /// One hysteresis evaluation of `rule` against `sample`. Returns
+    /// whether the rule is active after it, pushing a fired/resolved
+    /// [`AlertEvent`] on each transition. A bound of 0 (or 0.0) disables
+    /// the rule entirely.
+    fn evaluate(
+        &mut self,
+        rule: &Rule,
+        policy: &HealthPolicy,
+        sample: &MonitorSample,
+        events: &mut Vec<AlertEvent>,
+    ) -> bool {
+        let fired = &mut self.fired[rule.kind as usize];
+        let (value, bound) = (rule.reading)(sample, policy);
+        if bound <= 0.0 {
+            *fired = false;
+            return false;
+        }
+        let fraction = policy.resolve_fraction.clamp(0.0, 1.0);
+        let (trip, clear) = if rule.inverted {
+            let resolve_at = if fraction > 0.0 {
+                (bound / fraction).min(1.0)
+            } else {
+                bound
+            };
+            (value < bound, value >= resolve_at)
         } else {
-            bound
+            (value > bound, value <= bound * fraction)
         };
-        (value < bound, value >= resolve_at)
-    } else {
-        (value > bound, value <= bound * fraction)
-    };
-    // rates are undefined across a discontinuity — hold the latch steady
-    if sample.discontinuity {
-        return *fired;
-    }
-    if !*fired && trip {
-        *fired = true;
+        // rates are undefined across a discontinuity — hold the latch steady
+        if sample.discontinuity || !(if *fired { clear } else { trip }) {
+            return *fired;
+        }
+        *fired = !*fired;
         events.push(AlertEvent {
             seq: sample.seq,
             uptime_secs: sample.uptime_secs,
-            kind,
-            fired: true,
+            kind: rule.kind,
+            fired: *fired,
             value,
             bound,
         });
-    } else if *fired && clear {
-        *fired = false;
-        events.push(AlertEvent {
-            seq: sample.seq,
-            uptime_secs: sample.uptime_secs,
-            kind,
-            fired: false,
-            value,
-            bound,
-        });
+        *fired
     }
-    *fired
 }
 
 #[cfg(test)]
@@ -691,60 +654,35 @@ mod tests {
         }
     }
 
+    /// A policy whose every bound is `bound`, resolving at `bound × 0.5`.
+    fn policy(bound: f64) -> HealthPolicy {
+        HealthPolicy {
+            max_rows_behind: bound as u64,
+            max_shed_per_sec: bound,
+            min_hit_rate: bound,
+            resolve_fraction: 0.5,
+        }
+    }
+
     #[test]
     fn watchdog_fires_and_resolves_with_hysteresis() {
-        let mut fired = false;
+        let mut watchdog = WatchdogState::default();
         let mut events = Vec::new();
+        let shed = &RULES[0];
         // under the bound: nothing
-        let active = evaluate_rule(
-            &mut fired,
-            5.0,
-            10.0,
-            0.5,
-            false,
-            AlertKind::ShedStorm,
-            &sample_with(5.0, false),
-            &mut events,
-        );
+        let active = watchdog.evaluate(shed, &policy(10.0), &sample_with(5.0, false), &mut events);
         assert!(!active && events.is_empty());
         // over the bound: fires once
         for _ in 0..2 {
-            evaluate_rule(
-                &mut fired,
-                20.0,
-                10.0,
-                0.5,
-                false,
-                AlertKind::ShedStorm,
-                &sample_with(20.0, false),
-                &mut events,
-            );
+            watchdog.evaluate(shed, &policy(10.0), &sample_with(20.0, false), &mut events);
         }
         assert_eq!(events.len(), 1);
         assert!(events[0].fired);
         // inside the hysteresis band (10·0.5 < 8 ≤ 10): still active
-        let active = evaluate_rule(
-            &mut fired,
-            8.0,
-            10.0,
-            0.5,
-            false,
-            AlertKind::ShedStorm,
-            &sample_with(8.0, false),
-            &mut events,
-        );
+        let active = watchdog.evaluate(shed, &policy(10.0), &sample_with(8.0, false), &mut events);
         assert!(active && events.len() == 1);
         // below bound × fraction: resolves
-        let active = evaluate_rule(
-            &mut fired,
-            2.0,
-            10.0,
-            0.5,
-            false,
-            AlertKind::ShedStorm,
-            &sample_with(2.0, false),
-            &mut events,
-        );
+        let active = watchdog.evaluate(shed, &policy(10.0), &sample_with(2.0, false), &mut events);
         assert!(!active);
         assert_eq!(events.len(), 2);
         assert!(!events[1].fired);
@@ -753,15 +691,11 @@ mod tests {
 
     #[test]
     fn watchdog_holds_steady_across_discontinuities() {
-        let mut fired = true;
+        let mut watchdog = WatchdogState { fired: [true; 3] };
         let mut events = Vec::new();
-        let active = evaluate_rule(
-            &mut fired,
-            0.0,
-            10.0,
-            0.5,
-            false,
-            AlertKind::ShedStorm,
+        let active = watchdog.evaluate(
+            &RULES[0],
+            &policy(10.0),
             &sample_with(0.0, true),
             &mut events,
         );
@@ -771,18 +705,13 @@ mod tests {
 
     #[test]
     fn zero_bound_disables_a_rule() {
-        let mut fired = true;
+        let mut watchdog = WatchdogState { fired: [true; 3] };
         let mut events = Vec::new();
-        let active = evaluate_rule(
-            &mut fired,
-            1e9,
-            0.0,
-            0.5,
-            false,
-            AlertKind::StreamLag,
-            &sample_with(0.0, false),
-            &mut events,
-        );
+        let lagging = MonitorSample {
+            rows_behind: 1_000_000_000,
+            ..sample_with(0.0, false)
+        };
+        let active = watchdog.evaluate(&RULES[1], &policy(0.0), &lagging, &mut events);
         assert!(!active && events.is_empty());
     }
 

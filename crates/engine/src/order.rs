@@ -566,7 +566,7 @@ mod tests {
     use crate::cache::ScoreCache;
     use crate::executor::Executor;
     use crate::query::InsightQuery;
-    use crate::trace::TraceBuilder;
+    use crate::trace::Recorder;
     use foresight_data::{Table, TableBuilder};
     use foresight_sketch::{CatalogConfig, SketchCatalog};
 
@@ -652,7 +652,7 @@ mod tests {
             ),
         ] {
             let (from_order, walked) = ex
-                .execute_traced(&q, &mut TraceBuilder::disabled())
+                .execute_recorded(&q, &mut Recorder::untraced(None))
                 .unwrap();
             let from_executor = Executor::exact(&t, &r).execute(&q).unwrap();
             assert_eq!(from_order, from_executor, "query {q:?} disagrees");
@@ -669,7 +669,7 @@ mod tests {
         complete_all(&ex);
         let q = InsightQuery::class("linear-relationship").metric("|spearman|");
         let (out, walked) = ex
-            .execute_traced(&q, &mut TraceBuilder::disabled())
+            .execute_recorded(&q, &mut Recorder::untraced(None))
             .unwrap();
         assert!(!walked);
         assert_eq!(out, Executor::exact(&t, &r).execute(&q).unwrap());
@@ -748,7 +748,7 @@ mod tests {
         complete_all(&approx);
         let q = InsightQuery::class("linear-relationship").top_k(3);
         let (out, walked) = approx
-            .execute_traced(&q, &mut TraceBuilder::disabled())
+            .execute_recorded(&q, &mut Recorder::untraced(None))
             .unwrap();
         assert!(walked);
         assert_eq!(

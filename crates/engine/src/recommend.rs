@@ -6,7 +6,7 @@ use crate::executor::Executor;
 use crate::neighborhood::{rerank, NeighborhoodWeights};
 use crate::query::InsightQuery;
 use crate::session::Session;
-use crate::telemetry::{maybe_span, Stage};
+use crate::telemetry::Stage;
 use foresight_insight::{InsightClass, InsightInstance};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -76,7 +76,7 @@ pub fn carousels(
     let one = |class: &Arc<dyn InsightClass>| -> Result<Carousel> {
         // one span per class: parallel assembly records one sample per
         // carousel either way
-        let _span = maybe_span(executor.metrics(), Stage::Carousel);
+        let _span = executor.metrics.map(|m| m.span(Stage::Carousel));
         // over-fetch so the neighborhood re-rank has material to promote
         let fetch = if session.focus.is_empty() {
             config.per_class

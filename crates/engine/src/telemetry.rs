@@ -17,17 +17,22 @@
 //! * cache traffic, folded in from the [`ScoreCache`](crate::ScoreCache)'s
 //!   own counters at snapshot time.
 //!
-//! Timings are captured with span-style scoped guards:
+//! Every query-path stage (score, rank, diversify, describe, index serve)
+//! is timed by the query's request-scoped `trace::Recorder`: one clock
+//! reading closes a step, records its stage sample here, and — when the
+//! query is traced — closes the same step's trace node. Whole operations
+//! outside the query path (preprocess, sketch builds, freeze, carousels,
+//! profiles) use a scoped guard:
 //!
 //! ```
 //! use foresight_engine::telemetry::{Metrics, Stage};
 //! let metrics = Metrics::new();
 //! {
-//!     let _span = metrics.span(Stage::Score);
+//!     let _span = metrics.span(Stage::Preprocess);
 //!     // ... the instrumented stage ...
 //! } // recorded on drop
 //! let snap = metrics.snapshot();
-//! assert_eq!(snap.stage("score").unwrap().count, 1);
+//! assert_eq!(snap.stage("preprocess").unwrap().count, 1);
 //! ```
 //!
 //! # One schema
@@ -46,9 +51,9 @@
 
 use crate::cache::CacheStats;
 use crate::executor::Mode;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The span clock. `Instant::now` costs tens of nanoseconds when
@@ -111,139 +116,97 @@ pub(crate) mod clock {
 /// sub-microsecond spans up to ~18 minutes — far beyond any query stage.
 pub const LATENCY_BUCKETS: usize = 40;
 
+/// Declares a fieldless enum of reported cells: its variants, in reporting
+/// order, as `ALL`, and each one's stable snake-case `name`.
+macro_rules! cells {
+    ($(#[$doc:meta])* pub enum $ty:ident {
+        $($(#[$vdoc:meta])* $variant:ident = $name:literal,)*
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in reporting order.
+            pub const ALL: [$ty; [$($ty::$variant),*].len()] = [$($ty::$variant),*];
+
+            /// The stable snake-case name used in snapshots and JSON.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+cells! {
 /// The instrumented stages of the query path, in the fixed order every
 /// snapshot reports them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// [`CoreBuilder::preprocess`](crate::CoreBuilder::preprocess) — the
     /// paper's preprocessing phase end to end.
-    Preprocess,
+    Preprocess = "preprocess",
     /// Building a sketch catalog (whole-table or one shard).
-    SketchBuild,
+    SketchBuild = "sketch_build",
     /// Merging a shard catalog into the global one.
-    SketchMerge,
+    SketchMerge = "sketch_merge",
     /// Completing every class's rank order at freeze, once
     /// [`CoreBuilder::build_index`](crate::CoreBuilder::build_index) asked
     /// for them.
-    IndexBuild,
+    IndexBuild = "index_build",
     /// Completing the rank orders at an incremental republish (rescoring
     /// only tuples that touch dirty columns).
-    IndexRefresh,
+    IndexRefresh = "index_refresh",
     /// Walking a precomputed rank order instead of scoring a query.
-    IndexServe,
+    IndexServe = "index_serve",
     /// Building or incrementally refreshing the LSH candidate index.
-    LshBuild,
+    LshBuild = "lsh_build",
     /// Candidate scoring (cache lookups + exact/sketch metric evaluation).
-    Score,
+    Score = "score",
     /// Top-k selection (quickselect + prefix sort).
-    Rank,
+    Rank = "rank",
     /// Maximal-marginal-relevance diversification.
-    Diversify,
+    Diversify = "diversify",
     /// Rendering winning instances (describe memo + instance assembly).
-    Describe,
+    Describe = "describe",
     /// Assembling one class's carousel.
-    Carousel,
+    Carousel = "carousel",
     /// Dataset profiling.
-    Profile,
+    Profile = "profile",
     /// [`CoreBuilder::freeze`](crate::CoreBuilder::freeze) — publishing a
     /// snapshot.
-    Freeze,
+    Freeze = "freeze",
+}
 }
 
-impl Stage {
-    /// Every stage, in reporting order.
-    pub const ALL: [Stage; 14] = [
-        Stage::Preprocess,
-        Stage::SketchBuild,
-        Stage::SketchMerge,
-        Stage::IndexBuild,
-        Stage::IndexRefresh,
-        Stage::IndexServe,
-        Stage::LshBuild,
-        Stage::Score,
-        Stage::Rank,
-        Stage::Diversify,
-        Stage::Describe,
-        Stage::Carousel,
-        Stage::Profile,
-        Stage::Freeze,
-    ];
-
-    /// The stable snake-case name used in snapshots and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Preprocess => "preprocess",
-            Stage::SketchBuild => "sketch_build",
-            Stage::SketchMerge => "sketch_merge",
-            Stage::IndexBuild => "index_build",
-            Stage::IndexRefresh => "index_refresh",
-            Stage::IndexServe => "index_serve",
-            Stage::LshBuild => "lsh_build",
-            Stage::Score => "score",
-            Stage::Rank => "rank",
-            Stage::Diversify => "diversify",
-            Stage::Describe => "describe",
-            Stage::Carousel => "carousel",
-            Stage::Profile => "profile",
-            Stage::Freeze => "freeze",
-        }
-    }
-}
-
+cells! {
 /// The network-serving endpoints instrumented by `foresight-serve`, in the
 /// fixed order every snapshot reports them. Wire commands are bucketed
 /// into a handful of endpoint families so the per-endpoint histograms stay
 /// small and the report readable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// `hello` — the connection handshake (server/dataset info).
-    Hello,
+    Hello = "hello",
     /// Session lifecycle: open, close, save, checked restore, set-mode.
-    Session,
+    Session = "session",
     /// `query` — an insight query against the session's snapshot.
-    Query,
+    Query = "query",
     /// `explain` — a query with a forced trace.
-    Explain,
+    Explain = "explain",
     /// `carousels` — full carousel assembly.
-    Carousels,
+    Carousels = "carousels",
     /// Focus-set edits: focus, unfocus, clear.
-    Focus,
+    Focus = "focus",
     /// `profile` — dataset profiling.
-    Profile,
+    Profile = "profile",
     /// Introspection: metrics and the slow-query log.
-    Metrics,
+    Metrics = "metrics",
     /// Stream position: refresh and staleness readings.
-    Stream,
+    Stream = "stream",
 }
-
-impl Endpoint {
-    /// Every endpoint, in reporting order.
-    pub const ALL: [Endpoint; 9] = [
-        Endpoint::Hello,
-        Endpoint::Session,
-        Endpoint::Query,
-        Endpoint::Explain,
-        Endpoint::Carousels,
-        Endpoint::Focus,
-        Endpoint::Profile,
-        Endpoint::Metrics,
-        Endpoint::Stream,
-    ];
-
-    /// The stable snake-case name used in snapshots and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Hello => "hello",
-            Endpoint::Session => "session",
-            Endpoint::Query => "query",
-            Endpoint::Explain => "explain",
-            Endpoint::Carousels => "carousels",
-            Endpoint::Focus => "focus",
-            Endpoint::Profile => "profile",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Stream => "stream",
-        }
-    }
 }
 
 /// The bucket a sample of `ns` nanoseconds lands in: `floor(log2(ns))`,
@@ -261,12 +224,6 @@ fn bucket_floor(i: usize) -> u64 {
     } else {
         1u64 << i
     }
-}
-
-/// The inclusive upper bound (in ns) of bucket `i`.
-#[inline]
-fn bucket_ceil(i: usize) -> u64 {
-    (1u64 << (i + 1)) - 1
 }
 
 /// One stage's latency accumulator: total time plus the log₂ histogram.
@@ -420,7 +377,9 @@ impl Metrics {
     #[inline]
     pub fn span(&self, stage: Stage) -> Span<'_> {
         Span {
-            active: Some((self, stage, clock::now_ns())),
+            metrics: self,
+            stage,
+            start_ns: clock::now_ns(),
         }
     }
 
@@ -513,7 +472,6 @@ impl Metrics {
                     .collect(),
                 ..QuerySnapshot::default()
             },
-            ingest: IngestSnapshot::default(),
             serve: ServeSnapshot {
                 endpoints: Endpoint::ALL
                     .iter()
@@ -521,8 +479,6 @@ impl Metrics {
                     .collect(),
                 ..ServeSnapshot::default()
             },
-            sketch_fallbacks: 0,
-            lsh: LshSnapshot::default(),
             cache: cache.map(|stats| CacheSnapshot {
                 hits: stats.hits,
                 misses: stats.misses,
@@ -530,7 +486,7 @@ impl Metrics {
                 purges: stats.purges,
                 hit_rate: stats.hit_rate(),
             }),
-            resources: None,
+            ..MetricsSnapshot::default()
         };
         for series in scalar_rows() {
             if let Some((counter, field)) = series.counter {
@@ -555,21 +511,15 @@ pub fn kernel_name() -> &'static str {
 /// One cell's plain-data summary under a stable `name` — shared by the
 /// per-stage and per-endpoint sections of a snapshot.
 fn cell_snapshot(name: &str, cell: &StageCell) -> StageSnapshot {
-    let mut lo = LATENCY_BUCKETS;
-    let mut hi = 0usize;
     let buckets: Vec<HistogramBucket> = cell
         .buckets
         .iter()
         .enumerate()
         .filter_map(|(i, b)| {
-            let n = b.load(Ordering::Relaxed);
-            (n > 0).then(|| {
-                lo = lo.min(i);
-                hi = hi.max(i);
-                HistogramBucket {
-                    floor_ns: bucket_floor(i),
-                    count: n,
-                }
+            let count = b.load(Ordering::Relaxed);
+            (count > 0).then(|| HistogramBucket {
+                floor_ns: bucket_floor(i),
+                count,
             })
         })
         .collect();
@@ -581,16 +531,8 @@ fn cell_snapshot(name: &str, cell: &StageCell) -> StageSnapshot {
         total_ns,
         // bounds from the occupied buckets (the cell itself keeps no
         // min/max — see `StageCell`)
-        min_ns: if buckets.is_empty() {
-            0
-        } else {
-            bucket_floor(lo)
-        },
-        max_ns: if buckets.is_empty() {
-            0
-        } else {
-            bucket_ceil(hi)
-        },
+        min_ns: buckets.first().map_or(0, |b| b.floor_ns),
+        max_ns: buckets.last().map_or(0, HistogramBucket::ceil_ns),
         mean_ns: total_ns.checked_div(count).unwrap_or(0),
         p50_ns: quantile_from_buckets(&buckets, count, 0.50),
         p99_ns: quantile_from_buckets(&buckets, count, 0.99),
@@ -622,65 +564,62 @@ pub(crate) fn quantile_from_buckets(buckets: &[HistogramBucket], count: u64, q: 
 }
 
 /// A scoped stage timer: records the elapsed wall time into its
-/// [`Metrics`] when dropped. Inert when no registry is attached.
+/// [`Metrics`] when dropped.
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span<'a> {
-    active: Option<(&'a Metrics, Stage, u64)>,
+    metrics: &'a Metrics,
+    stage: Stage,
+    start_ns: u64,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some((metrics, stage, start_ns)) = self.active.take() {
-            metrics.record_ns(stage, clock::now_ns().saturating_sub(start_ns));
-        }
+        let ns = clock::now_ns().saturating_sub(self.start_ns);
+        self.metrics.record_ns(self.stage, ns);
     }
 }
 
-/// A span over an `Option<&Metrics>` — the form the executor uses, where a
-/// standalone executor may have no registry attached.
-#[inline]
-pub(crate) fn maybe_span<'a>(metrics: Option<&'a Metrics>, stage: Stage) -> Span<'a> {
-    match metrics {
-        Some(m) => m.span(stage),
-        None => Span { active: None },
-    }
+/// A bounded log shared across threads: a push at capacity evicts the
+/// oldest entry. The trace ring, the slow-query log and the monitor's
+/// sample and alert logs are each one.
+pub(crate) struct Ring<T> {
+    items: Mutex<VecDeque<T>>,
+    capacity: usize,
 }
 
-/// A boundary-sharing multi-stage timer: each [`mark`](Lap::mark) records
-/// the time since the previous boundary and re-arms from the *same* clock
-/// read. Back-to-back stages timed with individual [`Span`]s pay two clock
-/// reads per stage; a `Lap` pays one per boundary — the executor's hot
-/// path (score → rank/diversify → describe) costs four reads per query
-/// instead of six.
-pub struct Lap<'a> {
-    metrics: Option<&'a Metrics>,
-    last_ns: u64,
-}
-
-impl<'a> Lap<'a> {
-    /// Starts the lap clock (one read). Inert — no clock reads, marks are
-    /// no-ops — when `metrics` is absent.
-    #[inline]
-    pub fn start(metrics: Option<&'a Metrics>) -> Self {
-        Lap {
-            metrics,
-            last_ns: if metrics.is_some() {
-                clock::now_ns()
-            } else {
-                0
-            },
+impl<T: Clone> Ring<T> {
+    /// An empty ring of at most `capacity` entries (at least one).
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            items: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Records the time since the previous boundary against `stage` and
-    /// makes this boundary the start of the next lap.
-    #[inline]
-    pub fn mark(&mut self, stage: Stage) {
-        if let Some(m) = self.metrics {
-            let now = clock::now_ns();
-            m.record_ns(stage, now.saturating_sub(self.last_ns));
-            self.last_ns = now;
+    /// Appends `item`, evicting the oldest entry at capacity.
+    pub(crate) fn push(&self, item: T) {
+        let mut items = self.items.lock();
+        if items.len() == self.capacity {
+            items.pop_front();
         }
+        items.push_back(item);
+    }
+
+    /// The newest `n` entries (all of them past the length), oldest first.
+    pub(crate) fn last(&self, n: usize) -> Vec<T> {
+        let items = self.items.lock();
+        let skip = items.len().saturating_sub(n);
+        items.iter().skip(skip).cloned().collect()
+    }
+
+    /// How many entries the ring holds.
+    pub(crate) fn len(&self) -> usize {
+        self.items.lock().len()
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&self) {
+        self.items.lock().clear();
     }
 }
 
@@ -692,6 +631,14 @@ pub struct HistogramBucket {
     pub floor_ns: u64,
     /// Samples in the bucket.
     pub count: u64,
+}
+
+impl HistogramBucket {
+    /// The bucket's inclusive upper bound, ns: `2·floor_ns − 1`, or 1 for
+    /// the zero bucket.
+    fn ceil_ns(&self) -> u64 {
+        (self.floor_ns.max(1) << 1) - 1
+    }
 }
 
 /// One stage's latency summary inside a [`MetricsSnapshot`].
@@ -848,7 +795,7 @@ pub struct ResourceSnapshot {
     pub planes_bytes: u64,
     /// LSH candidate index (bucket tables + key cache), 0 when absent.
     pub lsh_bytes: u64,
-    /// Trace ring + slow-query log (capacity-based estimate).
+    /// Trace ring + slow-query log (retained entries at a nominal size).
     pub trace_bytes: u64,
     /// Server session table (live sessions × per-entry estimate), 0 when
     /// no serving front end is attached.
@@ -879,7 +826,7 @@ pub struct CacheSnapshot {
 /// [`Stage::ALL`] order, the class map is sorted, and field order is
 /// fixed — so two snapshots of identical state render identically, and
 /// diffs against a previous run line up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Stats-kernel mode (`vectorized` / `scalar`) on the snapshotting
     /// thread — the implementation serving this core's scoring passes.
@@ -1314,12 +1261,7 @@ fn histogram_family(o: &mut String, name: &str, help: &str, label: &str, cells: 
         let mut cum = 0u64;
         for b in &c.buckets {
             cum += b.count;
-            // bucket [floor, 2*floor) has inclusive ceiling 2*floor - 1
-            let le = if b.floor_ns == 0 {
-                1
-            } else {
-                b.floor_ns * 2 - 1
-            };
+            let le = b.ceil_ns();
             let _ = writeln!(o, "{name}_bucket{{{label}=\"{v}\",le=\"{le}\"}} {cum}");
         }
         let _ = writeln!(o, "{name}_bucket{{{label}=\"{v}\",le=\"+Inf\"}} {cum}");
@@ -1408,22 +1350,6 @@ mod tests {
         assert_eq!(snap.queries.index_served, 1);
         assert_eq!(snap.queries.by_class["skew"], 2);
         assert_eq!(snap.queries.by_class["dispersion"], 1);
-    }
-
-    #[test]
-    fn lap_records_each_boundary() {
-        let m = Metrics::new();
-        let mut lap = Lap::start(Some(&m));
-        std::hint::black_box(1 + 1);
-        lap.mark(Stage::Score);
-        lap.mark(Stage::Rank);
-        let snap = m.snapshot();
-        assert_eq!(snap.stage("score").unwrap().count, 1);
-        assert_eq!(snap.stage("rank").unwrap().count, 1);
-        // inert with no registry attached
-        let mut none = Lap::start(None);
-        none.mark(Stage::Score);
-        assert_eq!(m.snapshot().stage("score").unwrap().count, 1);
     }
 
     #[test]

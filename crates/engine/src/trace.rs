@@ -20,36 +20,33 @@
 //! * **Slow-query log** — a threshold on the [`Tracer`] records every
 //!   query that overruns it, traced or not.
 //!
-//! Finished traces land in a fixed-capacity ring on the core's [`Tracer`]
-//! (claim by atomic `fetch_add`, per-slot swap — pushes never serialize
-//! behind one lock) and render three ways: a text tree, deterministic
-//! pretty JSON, and Chrome trace-event JSON loadable in Perfetto or
-//! `chrome://tracing`.
+//! Finished traces land in a bounded ring on the core's [`Tracer`] and
+//! render three ways: a text tree, deterministic pretty JSON, and Chrome
+//! trace-event JSON loadable in Perfetto or `chrome://tracing`.
 //!
-//! An untraced query carries an inert [`TraceBuilder`] (every method an
-//! empty no-op), and the only cost the trace layer adds to it is one
-//! relaxed atomic load for the slow-query threshold.
+//! Every query carries one `Recorder`, the only timer on the query path:
+//! closing a step reads the clock once, and that reading both records the
+//! step's [`Stage`] sample and, when the query is traced, closes its node
+//! in the tree. Untraced, the recorder holds no tree, and the trace layer
+//! adds one relaxed atomic load for the slow-query threshold.
 
+use crate::core::TraceMode;
 use crate::executor::Mode;
 use crate::query::InsightQuery;
-use crate::telemetry::clock;
+use crate::telemetry::{clock, Metrics, Ring, Stage};
 use foresight_data::Table;
 use foresight_insight::{AttrTuple, InsightInstance};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default capacity of the finished-trace ring on a [`Tracer`]: the last N
-/// traces are retrievable, older ones are overwritten in arrival order.
-/// Tune per core with [`Tracer::with_capacities`] (or
-/// [`CoreBuilder::set_trace_capacities`](crate::CoreBuilder::set_trace_capacities)).
+/// How many finished traces a [`Tracer`] retains: the last N are
+/// retrievable, older ones are evicted in arrival order.
 pub const TRACE_RING_CAPACITY: usize = 64;
 
-/// Default maximum retained slow-query entries; older entries are dropped
-/// first. Tune per core with [`Tracer::with_capacities`].
+/// How many slow-query entries a [`Tracer`] retains; the oldest are
+/// dropped first.
 pub const SLOW_LOG_CAPACITY: usize = 128;
 
 /// How many example attribute tuples each skip reason keeps (the per-reason
@@ -114,7 +111,7 @@ impl ScorePath {
 /// One node of a finished trace's span tree. `start_ns` is relative to the
 /// trace start, so identical executions produce structurally identical
 /// trees (only the timing values vary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TraceSpan {
     /// Stage name (`query`, `candidates`, `score` — with its
     /// `cache_lookup`, `score_misses` and `cache_store` steps — `rank`,
@@ -191,7 +188,7 @@ pub struct LshCandidates {
 }
 
 /// A finished, immutable record of one traced query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct QueryTrace {
     /// Process-stable id from the core's [`Tracer`] counter.
     pub query_id: u64,
@@ -409,33 +406,72 @@ impl SlowQuery {
     }
 }
 
+/// One timed step of the query path. The five with a [`Stage`] feed its
+/// histogram; every step is a node of the tree when the query is traced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Candidate generation and the query's filters.
+    Candidates,
+    /// Scoring the eligible candidates.
+    Score,
+    /// Reading the candidates' plane positions, inside `score`.
+    CacheLookup,
+    /// Scoring what no plane answered, inside `score`.
+    ScoreMisses,
+    /// Storing the fresh scores, inside `score`.
+    CacheStore,
+    /// Top-k selection.
+    Rank,
+    /// Maximal-marginal-relevance diversification.
+    Diversify,
+    /// Rendering the winning instances.
+    Describe,
+    /// Walking a filled rank order instead of scoring.
+    IndexServe,
+}
+
+impl Step {
+    /// The node name: the stage's own for a stage step.
+    fn name(self) -> &'static str {
+        match self {
+            Step::Candidates => "candidates",
+            Step::CacheLookup => "cache_lookup",
+            Step::ScoreMisses => "score_misses",
+            Step::CacheStore => "cache_store",
+            _ => self.stage().expect("a stage step").name(),
+        }
+    }
+
+    /// The stage cell the step's samples land in (`None` = tree only).
+    fn stage(self) -> Option<Stage> {
+        match self {
+            Step::Score => Some(Stage::Score),
+            Step::Rank => Some(Stage::Rank),
+            Step::Diversify => Some(Stage::Diversify),
+            Step::Describe => Some(Stage::Describe),
+            Step::IndexServe => Some(Stage::IndexServe),
+            Step::Candidates | Step::CacheLookup | Step::ScoreMisses | Step::CacheStore => None,
+        }
+    }
+}
+
 /// In-flight trace state. Lives only while its query executes.
+#[derive(Default)]
 struct ActiveTrace {
-    query_id: u64,
-    class_id: String,
-    metric: String,
-    mode: Mode,
-    forced: bool,
-    start_ns: u64,
-    /// Span arena: parent links instead of nesting so `begin`/`end` are
-    /// O(1) pushes; the tree is assembled once at finish.
+    /// The trace being filled; its tree, skips and total are set at finish.
+    trace: QueryTrace,
+    /// Span arena, rooted at `query`: parent links instead of nesting so
+    /// opening and closing a step are O(1) pushes; the tree is assembled
+    /// once at finish.
     spans: Vec<SpanRec>,
     /// Indices into `spans` of the currently open nesting path.
     stack: Vec<usize>,
-    candidates_generated: usize,
-    candidates_eligible: usize,
-    lsh: Option<LshCandidates>,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_stored: u64,
-    index_served: bool,
     /// Survivor provenance, for annotating the final top-k.
     survivors: Vec<(AttrTuple, bool, ScorePath)>,
     /// `(reason, count, samples)` sorted by reason name at finish.
     skips: Vec<(SkipReason, u64, Vec<String>)>,
     /// Full descending-score order before MMR, when diversification ran.
     undiversified: Option<Vec<AttrTuple>>,
-    results: Vec<TracedResult>,
 }
 
 struct SpanRec {
@@ -446,131 +482,141 @@ struct SpanRec {
     attrs: Vec<(String, String)>,
 }
 
-/// The request-scoped collector threaded through the executor. Inert (all
-/// methods empty, no allocation) when the query is not being traced.
-pub struct TraceBuilder {
-    inner: Option<Box<ActiveTrace>>,
+/// The request-scoped recorder threaded through the executor: the one
+/// timer on the query path. Closing a step reads the clock once; that
+/// reading records the step's stage sample into the attached registry and,
+/// when the query is traced, closes the step's tree node. The next step
+/// opens from the same reading, so adjacent steps share their boundary.
+/// Untraced, it allocates nothing and reads the clock only around stage
+/// steps (none at all without a registry).
+#[derive(Default)]
+pub(crate) struct Recorder<'m> {
+    metrics: Option<&'m Metrics>,
+    trace: Option<Box<ActiveTrace>>,
+    /// The root's start: read when the query is traced or the slow-query
+    /// log is armed, `None` otherwise.
+    start_ns: Option<u64>,
+    /// The reading that closed the last step, for the next open to share.
+    boundary: Option<u64>,
 }
 
-impl TraceBuilder {
-    /// A permanently inert builder — the untraced query path.
-    pub(crate) fn disabled() -> Self {
-        Self { inner: None }
-    }
+/// A step between [`Recorder::open`] and [`Recorder::close`].
+#[must_use = "a step is recorded when it is closed"]
+pub(crate) struct Open {
+    step: Step,
+    start_ns: u64,
+}
 
-    fn active(query_id: u64, query: &InsightQuery, mode: Mode, forced: bool) -> Self {
-        let start_ns = clock::now_ns();
+impl<'m> Recorder<'m> {
+    /// An untraced recorder whose root is untimed: stage samples into
+    /// `metrics`, if any, and nothing else.
+    pub(crate) fn untraced(metrics: Option<&'m Metrics>) -> Self {
         Self {
-            inner: Some(Box::new(ActiveTrace {
-                query_id,
-                class_id: query.class_id.clone(),
-                metric: query.metric.clone().unwrap_or_default(),
-                mode,
-                forced,
-                start_ns,
-                spans: vec![SpanRec {
-                    name: "query",
-                    start_ns,
-                    end_ns: start_ns,
-                    parent: None,
-                    attrs: Vec::new(),
-                }],
-                stack: vec![0],
-                candidates_generated: 0,
-                candidates_eligible: 0,
-                lsh: None,
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_stored: 0,
-                index_served: false,
-                survivors: Vec::new(),
-                skips: Vec::new(),
-                undiversified: None,
-                results: Vec::new(),
-            })),
+            metrics,
+            ..Self::default()
         }
     }
 
     /// Whether this query is being traced. Callers gate any work done
     /// purely to feed the trace (formatting, cloning) behind this.
     #[inline]
-    pub(crate) fn is_active(&self) -> bool {
-        self.inner.is_some()
+    pub(crate) fn is_traced(&self) -> bool {
+        self.trace.is_some()
     }
 
-    /// Opens a child span under the current one.
+    /// Whether `step`'s boundaries read the clock: it is traced, or it
+    /// feeds a stage of an attached registry.
     #[inline]
-    pub(crate) fn begin(&mut self, name: &'static str) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            let now = clock::now_ns();
+    fn times(&self, step: Step) -> bool {
+        self.trace.is_some() || (self.metrics.is_some() && step.stage().is_some())
+    }
+
+    /// Opens `step` under the innermost open one, from the reading that
+    /// closed the previous step when there is one.
+    #[inline]
+    pub(crate) fn open(&mut self, step: Step) -> Open {
+        let start_ns = match self.boundary.take() {
+            Some(ns) => ns,
+            None if self.times(step) => clock::now_ns(),
+            None => 0,
+        };
+        if let Some(t) = self.trace.as_deref_mut() {
             let parent = t.stack.last().copied();
             t.spans.push(SpanRec {
-                name,
-                start_ns: now,
-                end_ns: now,
+                name: step.name(),
+                start_ns,
+                end_ns: start_ns,
                 parent,
                 attrs: Vec::new(),
             });
             t.stack.push(t.spans.len() - 1);
         }
+        Open { step, start_ns }
     }
 
-    /// Closes the current span.
+    /// Closes `open` with one clock reading, which is its stage sample's
+    /// end, its tree node's end and the next step's start.
     #[inline]
-    pub(crate) fn end(&mut self) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            if t.stack.len() > 1 {
-                let idx = t.stack.pop().expect("non-root span open");
-                t.spans[idx].end_ns = clock::now_ns();
-            }
+    pub(crate) fn close(&mut self, open: Open) {
+        self.boundary = None;
+        if !self.times(open.step) {
+            return;
         }
+        let end_ns = clock::now_ns();
+        if let (Some(metrics), Some(stage)) = (self.metrics, open.step.stage()) {
+            metrics.record_ns(stage, end_ns.saturating_sub(open.start_ns));
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            let idx = t.stack.pop().expect("an open step");
+            t.spans[idx].end_ns = end_ns;
+        }
+        self.boundary = Some(end_ns);
     }
 
-    /// Attaches `key=value` to the current span. The value closure only
-    /// runs when tracing — callers pass `|| format!(...)` freely.
+    /// Attaches `key=value` to the innermost open step (the root when none
+    /// is). The value closure only runs when tracing — callers pass
+    /// `|| format!(...)` freely.
     #[inline]
     pub(crate) fn attr(&mut self, key: &'static str, value: impl FnOnce() -> String) {
-        if let Some(t) = self.inner.as_deref_mut() {
+        if let Some(t) = self.trace.as_deref_mut() {
             let idx = *t.stack.last().expect("root span always open");
             t.spans[idx].attrs.push((key.to_owned(), value()));
         }
     }
 
     pub(crate) fn set_metric(&mut self, metric: &str) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            if t.metric.is_empty() {
-                t.metric = metric.to_owned();
-            }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.trace.metric = metric.to_owned();
         }
     }
 
     pub(crate) fn set_candidates(&mut self, generated: usize, eligible: usize) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            t.candidates_generated = generated;
-            t.candidates_eligible = eligible;
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.trace.candidates_generated = generated;
+            t.trace.candidates_eligible = eligible;
         }
     }
 
     /// Records that this query's candidates came from LSH bucket collisions.
     pub(crate) fn set_lsh(&mut self, info: LshCandidates) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            t.lsh = Some(info);
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.trace.lsh = Some(info);
         }
     }
 
     /// Records this query's own plane traffic: hits read, misses scored,
     /// scores stored.
     pub(crate) fn set_cache_traffic(&mut self, hits: u64, misses: u64, stored: u64) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            t.cache_hits = hits;
-            t.cache_misses = misses;
-            t.cache_stored = stored;
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.trace.cache_hits = hits;
+            t.trace.cache_misses = misses;
+            t.trace.cache_stored = stored;
         }
     }
 
     pub(crate) fn set_index_served(&mut self) {
-        if let Some(t) = self.inner.as_deref_mut() {
-            t.index_served = true;
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.trace.index_served = true;
         }
     }
 
@@ -585,7 +631,7 @@ impl TraceBuilder {
         scores: &[Option<f64>],
         provenance: &[(bool, ScorePath)],
     ) {
-        let Some(t) = self.inner.as_deref_mut() else {
+        let Some(t) = self.trace.as_deref_mut() else {
             return;
         };
         for ((attrs, score), &(cached, path)) in candidates.iter().zip(scores).zip(provenance) {
@@ -613,22 +659,22 @@ impl TraceBuilder {
 
     /// Snapshots the full pre-MMR ordering so final ranks get deltas.
     pub(crate) fn set_undiversified(&mut self, order: Vec<AttrTuple>) {
-        if let Some(t) = self.inner.as_deref_mut() {
+        if let Some(t) = self.trace.as_deref_mut() {
             t.undiversified = Some(order);
         }
     }
 
     /// Annotates the final top-k with provenance and rank deltas.
     pub(crate) fn record_results(&mut self, table: &Table, out: &[InsightInstance]) {
-        let Some(t) = self.inner.as_deref_mut() else {
+        let Some(t) = self.trace.as_deref_mut() else {
             return;
         };
-        t.results = out
+        t.trace.results = out
             .iter()
             .enumerate()
             .map(|(i, inst)| {
                 let rank = i + 1;
-                let (cache_hit, path) = if t.index_served {
+                let (cache_hit, path) = if t.trace.index_served {
                     (false, "index")
                 } else {
                     t.survivors
@@ -655,34 +701,21 @@ impl TraceBuilder {
             })
             .collect();
     }
+}
 
-    /// Seals the builder into an immutable [`QueryTrace`]; `None` when the
-    /// builder was inert.
-    fn finish(self) -> Option<QueryTrace> {
-        let mut t = *self.inner?;
-        let end_ns = clock::now_ns();
+impl ActiveTrace {
+    /// Seals the trace into an immutable [`QueryTrace`] whose root closes
+    /// at `end_ns`.
+    fn finish(mut self, end_ns: u64) -> QueryTrace {
         // close anything left open (error paths), then the root
-        for &idx in t.stack.iter().skip(1) {
-            t.spans[idx].end_ns = end_ns;
+        for &idx in &self.stack {
+            self.spans[idx].end_ns = end_ns;
         }
-        t.spans[0].end_ns = end_ns;
-        let root = assemble_span(&t.spans, 0, t.start_ns);
-        t.skips.sort_by_key(|(r, _, _)| r.name());
-        Some(QueryTrace {
-            query_id: t.query_id,
-            class_id: t.class_id,
-            metric: t.metric,
-            mode: t.mode.name().to_owned(),
-            forced: t.forced,
-            index_served: t.index_served,
-            total_ns: end_ns.saturating_sub(t.start_ns),
-            candidates_generated: t.candidates_generated,
-            candidates_eligible: t.candidates_eligible,
-            lsh: t.lsh,
-            cache_hits: t.cache_hits,
-            cache_misses: t.cache_misses,
-            cache_stored: t.cache_stored,
-            skips: t
+        let start_ns = self.spans[0].start_ns;
+        self.skips.sort_by_key(|(r, _, _)| r.name());
+        QueryTrace {
+            total_ns: end_ns.saturating_sub(start_ns),
+            skips: self
                 .skips
                 .into_iter()
                 .map(|(reason, count, samples)| SkipSummary {
@@ -691,9 +724,9 @@ impl TraceBuilder {
                     samples,
                 })
                 .collect(),
-            results: t.results,
-            root,
-        })
+            root: assemble_span(&self.spans, 0, start_ns),
+            ..self.trace
+        }
     }
 }
 
@@ -730,60 +763,16 @@ fn assemble_span(spans: &[SpanRec], idx: usize, base_ns: u64) -> TraceSpan {
     }
 }
 
-/// Fixed-capacity ring of the last N finished traces. Writers claim a slot
-/// with one atomic `fetch_add` and swap the trace in under that slot's own
-/// micro-lock — concurrent pushes to different slots never serialize.
-struct TraceRing {
-    slots: Box<[Mutex<Option<Arc<QueryTrace>>>]>,
-    head: AtomicU64,
-}
-
-impl TraceRing {
-    fn new(capacity: usize) -> Self {
-        Self {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, trace: Arc<QueryTrace>) {
-        let n = self.head.fetch_add(1, Ordering::Relaxed);
-        *self.slots[(n % self.slots.len() as u64) as usize].lock() = Some(trace);
-    }
-
-    /// The most recent traces, newest first, at most `n`.
-    fn recent(&self, n: usize) -> Vec<Arc<QueryTrace>> {
-        let head = self.head.load(Ordering::Relaxed);
-        let len = self.slots.len() as u64;
-        let oldest = head.saturating_sub(len);
-        (oldest..head)
-            .rev()
-            .take(n)
-            .filter_map(|i| self.slots[(i % len) as usize].lock().clone())
-            .collect()
-    }
-
-    fn clear(&self) {
-        for slot in self.slots.iter() {
-            *slot.lock() = None;
-        }
-    }
-}
-
 /// The core's request-tracing registry: the query-id counter, the ring of
 /// finished traces, and the slow-query log. Shared — like [`Metrics`] and
 /// the score cache — by every snapshot the writer path republishes.
-///
-/// [`Metrics`]: crate::telemetry::Metrics
 pub struct Tracer {
     next_id: AtomicU64,
-    ring: TraceRing,
+    ring: Ring<Arc<QueryTrace>>,
     /// Slow-query threshold, ns; 0 disables the log. One relaxed load per
     /// untraced query is the entire cost of the armed-but-quiet state.
     slow_threshold_ns: AtomicU64,
-    slow: Mutex<VecDeque<SlowQuery>>,
-    /// Maximum retained slow-log entries (fixed at construction).
-    slow_capacity: usize,
+    slow: Ring<SlowQuery>,
 }
 
 impl Default for Tracer {
@@ -793,56 +782,25 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A fresh tracer with the default capacities, slow log off.
+    /// A fresh tracer: [`TRACE_RING_CAPACITY`] retained traces,
+    /// [`SLOW_LOG_CAPACITY`] retained slow queries, slow log off.
     pub fn new() -> Self {
-        Self::with_capacities(TRACE_RING_CAPACITY, SLOW_LOG_CAPACITY)
-    }
-
-    /// A fresh tracer with explicit capture depths: `ring` retained
-    /// finished traces and `slow` retained slow-log entries (each clamped
-    /// to at least 1). Server operators size these for load — a deep ring
-    /// for post-hoc debugging, a shallow one to bound memory.
-    pub fn with_capacities(ring: usize, slow: usize) -> Self {
         Self {
             next_id: AtomicU64::new(0),
-            ring: TraceRing::new(ring),
+            ring: Ring::new(TRACE_RING_CAPACITY),
             slow_threshold_ns: AtomicU64::new(0),
-            slow: Mutex::new(VecDeque::new()),
-            slow_capacity: slow.max(1),
+            slow: Ring::new(SLOW_LOG_CAPACITY),
         }
     }
 
-    /// How many finished traces the ring retains.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring.slots.len()
-    }
-
-    /// How many slow-query entries the log retains.
-    pub fn slow_log_capacity(&self) -> usize {
-        self.slow_capacity
-    }
-
     /// Approximate resident bytes of the trace ring and slow-query log:
-    /// occupied ring slots at a nominal per-trace span-tree estimate, plus
-    /// the retained slow entries. A monitor resource gauge, not allocator
+    /// retained traces at a nominal per-trace span-tree estimate, plus the
+    /// retained slow entries. A monitor resource gauge, not allocator
     /// truth.
     pub fn approx_bytes(&self) -> usize {
         // a retained trace is a span tree of a dozen-odd labelled spans
         const PER_TRACE: usize = 2048;
-        let occupied = self
-            .ring
-            .slots
-            .iter()
-            .filter(|slot| slot.lock().is_some())
-            .count();
-        let slow = self.slow.lock();
-        let slow_bytes: usize = slow
-            .iter()
-            .map(|q| std::mem::size_of::<SlowQuery>() + q.class_id.len() + q.mode.len())
-            .sum();
-        self.ring.slots.len() * std::mem::size_of::<Mutex<Option<Arc<QueryTrace>>>>()
-            + occupied * PER_TRACE
-            + slow_bytes
+        self.ring.len() * PER_TRACE + self.slow.len() * std::mem::size_of::<SlowQuery>()
     }
 
     /// The slow-query threshold in nanoseconds (0 = off).
@@ -856,23 +814,69 @@ impl Tracer {
         self.slow_threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Starts a trace for one query; `forced` marks an EXPLAIN.
-    pub(crate) fn begin_trace(
+    /// The recorder for one query, its stage samples into `metrics`: traced
+    /// when `trace` asks (`Forced` marks an EXPLAIN), and its root timed
+    /// when traced or the slow-query log is armed.
+    pub(crate) fn recorder<'m>(
         &self,
+        metrics: Option<&'m Metrics>,
         query: &InsightQuery,
         mode: Mode,
-        forced: bool,
-    ) -> TraceBuilder {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        TraceBuilder::active(id, query, mode, forced)
+        trace: TraceMode,
+    ) -> Recorder<'m> {
+        let forced = match trace {
+            TraceMode::Off => None,
+            TraceMode::Sampled => Some(false),
+            TraceMode::Forced => Some(true),
+        };
+        let mut rec = Recorder::untraced(metrics);
+        if forced.is_none() && self.slow_threshold_ns() == 0 {
+            return rec;
+        }
+        let start_ns = clock::now_ns();
+        rec.start_ns = Some(start_ns);
+        rec.trace = forced.map(|forced| {
+            Box::new(ActiveTrace {
+                trace: QueryTrace {
+                    query_id: self.next_id.fetch_add(1, Ordering::Relaxed) + 1,
+                    class_id: query.class_id.clone(),
+                    mode: mode.name().to_owned(),
+                    forced,
+                    ..QueryTrace::default()
+                },
+                spans: vec![SpanRec {
+                    name: "query",
+                    start_ns,
+                    end_ns: start_ns,
+                    parent: None,
+                    attrs: Vec::new(),
+                }],
+                stack: vec![0],
+                ..ActiveTrace::default()
+            })
+        });
+        rec
     }
 
-    /// Seals a builder, publishes the finished trace to the ring, and
-    /// returns it (`None` for inert builders).
-    pub(crate) fn finish(&self, builder: TraceBuilder) -> Option<Arc<QueryTrace>> {
-        let trace = Arc::new(builder.finish()?);
-        self.ring.push(Arc::clone(&trace));
-        Some(trace)
+    /// Closes a query's recorder: one clock reading ends a timed root,
+    /// which seals the trace into the ring and meets the slow-query log.
+    /// Returns the trace, when the query was traced.
+    pub(crate) fn finish(
+        &self,
+        rec: Recorder<'_>,
+        query: &InsightQuery,
+        mode: Mode,
+        results: usize,
+    ) -> Option<Arc<QueryTrace>> {
+        let start_ns = rec.start_ns?;
+        let end_ns = clock::now_ns();
+        let trace = rec.trace.map(|t| Arc::new(t.finish(end_ns)));
+        if let Some(trace) = &trace {
+            self.ring.push(Arc::clone(trace));
+        }
+        let total_ns = end_ns.saturating_sub(start_ns);
+        self.maybe_record_slow(query, mode, total_ns, results, trace.clone());
+        trace
     }
 
     /// Logs the query when the armed threshold is met; inert otherwise.
@@ -888,40 +892,37 @@ impl Tracer {
         if threshold == 0 || total_ns < threshold {
             return;
         }
-        let entry = SlowQuery {
+        self.slow.push(SlowQuery {
             query_id: trace.as_ref().map(|t| t.query_id),
             class_id: query.class_id.clone(),
             mode: mode.name().to_owned(),
             total_ns,
             results,
             trace,
-        };
-        let mut slow = self.slow.lock();
-        if slow.len() >= self.slow_capacity {
-            slow.pop_front();
-        }
-        slow.push_back(entry);
+        });
     }
 
     /// The most recent finished traces, newest first, at most `n`.
     pub fn recent(&self, n: usize) -> Vec<Arc<QueryTrace>> {
-        self.ring.recent(n)
+        let mut traces = self.ring.last(n);
+        traces.reverse();
+        traces
     }
 
     /// The most recently finished trace.
     pub fn last(&self) -> Option<Arc<QueryTrace>> {
-        self.ring.recent(1).into_iter().next()
+        self.ring.last(1).pop()
     }
 
     /// The slow-query log, oldest first.
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.slow.lock().iter().cloned().collect()
+        self.slow.last(SLOW_LOG_CAPACITY)
     }
 
     /// Drops every retained trace and slow-log entry (ids keep counting).
     pub fn clear(&self) {
         self.ring.clear();
-        self.slow.lock().clear();
+        self.slow.clear();
     }
 }
 
@@ -976,15 +977,30 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_evicts_in_order() {
-        let ring = TraceRing::new(4);
+        let ring = Ring::new(4);
+        let tracer = Tracer::new();
         for id in 1..=7 {
-            ring.push(sample_trace(id));
+            ring.push(id);
+            tracer.ring.push(sample_trace(id));
         }
-        let ids: Vec<u64> = ring.recent(10).iter().map(|t| t.query_id).collect();
-        assert_eq!(ids, vec![7, 6, 5, 4], "newest first, oldest evicted");
-        assert_eq!(ring.recent(2).len(), 2);
+        assert_eq!(
+            ring.last(10),
+            vec![4, 5, 6, 7],
+            "oldest first, oldest evicted"
+        );
+        assert_eq!(ring.last(2), vec![6, 7]);
+        assert_eq!(ring.len(), 4);
+        // the tracer reads the same ring newest first
+        let ids: Vec<u64> = tracer.recent(3).iter().map(|t| t.query_id).collect();
+        assert_eq!(ids, vec![7, 6, 5]);
+        assert_eq!(tracer.last().map(|t| t.query_id), Some(7));
         ring.clear();
-        assert!(ring.recent(10).is_empty());
+        tracer.clear();
+        assert!(ring.last(10).is_empty() && tracer.recent(10).is_empty());
+        let one = Ring::new(0);
+        one.push(1);
+        one.push(2);
+        assert_eq!(one.last(10), vec![2], "a ring holds at least one entry");
     }
 
     #[test]
@@ -1009,28 +1025,6 @@ mod tests {
         assert_eq!(tracer.slow_queries().len(), SLOW_LOG_CAPACITY);
         tracer.clear();
         assert!(tracer.slow_queries().is_empty());
-    }
-
-    #[test]
-    fn capacities_are_configurable_per_tracer() {
-        let tracer = Tracer::with_capacities(4, 2);
-        assert_eq!(tracer.ring_capacity(), 4);
-        assert_eq!(tracer.slow_log_capacity(), 2);
-        tracer.set_slow_threshold_ns(1);
-        let q = InsightQuery::class("skew");
-        for results in 0..5 {
-            tracer.maybe_record_slow(&q, Mode::Exact, 1_000, results, None);
-        }
-        let slow = tracer.slow_queries();
-        assert_eq!(slow.len(), 2, "custom slow-log capacity bounds retention");
-        assert_eq!(slow[0].results, 3, "oldest entries dropped first");
-        // defaults still match the published constants, and degenerate
-        // requests clamp to one retained entry
-        let default = Tracer::new();
-        assert_eq!(default.ring_capacity(), TRACE_RING_CAPACITY);
-        assert_eq!(default.slow_log_capacity(), SLOW_LOG_CAPACITY);
-        assert_eq!(Tracer::with_capacities(0, 0).slow_log_capacity(), 1);
-        assert_eq!(Tracer::with_capacities(0, 0).ring_capacity(), 1);
     }
 
     #[test]
@@ -1064,11 +1058,57 @@ mod tests {
 
     #[test]
     fn builder_is_inert_when_disabled() {
-        let mut b = TraceBuilder::disabled();
-        assert!(!b.is_active());
-        b.begin("score");
-        b.attr("k", || unreachable!("attr closures never run when inert"));
-        b.end();
-        assert!(b.finish().is_none());
+        let mut rec = Recorder::untraced(None);
+        assert!(!rec.is_traced());
+        let score = rec.open(Step::Score);
+        rec.attr("k", || unreachable!("attr closures never run untraced"));
+        rec.close(score);
+        assert_eq!(rec.boundary, None, "no registry, no trace: no clock read");
+        let q = InsightQuery::class("skew");
+        assert!(Tracer::new().finish(rec, &q, Mode::Exact, 0).is_none());
+    }
+
+    #[test]
+    fn recorder_records_each_boundary_once() {
+        let m = Metrics::new();
+        let mut rec = Recorder::untraced(Some(&m));
+        let score = rec.open(Step::Score);
+        let lookup = rec.open(Step::CacheLookup);
+        rec.close(lookup);
+        rec.close(score);
+        let rank = rec.open(Step::Rank);
+        rec.close(rank);
+        let snap = m.snapshot();
+        assert_eq!(snap.stage("score").unwrap().count, 1);
+        assert_eq!(snap.stage("rank").unwrap().count, 1);
+        let samples: u64 = snap.stages.iter().map(|s| s.count).sum();
+        assert_eq!(samples, 2, "a tree-only step records no sample");
+        // nothing is recorded without a registry
+        let mut none = Recorder::untraced(None);
+        let score = none.open(Step::Score);
+        none.close(score);
+        assert_eq!(m.snapshot().stage("score").unwrap().count, 1);
+
+        // traced: one reading closes a node and records its sample, and
+        // the next step opens from it
+        let total = |name: &str| m.snapshot().stage(name).unwrap().total_ns;
+        let before = (total("score"), total("rank"));
+        let tracer = Tracer::new();
+        let q = InsightQuery::class("skew");
+        let mut rec = tracer.recorder(Some(&m), &q, Mode::Exact, TraceMode::Forced);
+        let score = rec.open(Step::Score);
+        rec.close(score);
+        let rank = rec.open(Step::Rank);
+        rec.close(rank);
+        let trace = tracer.finish(rec, &q, Mode::Exact, 0).expect("traced");
+        let score = trace.root.child("score").unwrap();
+        let rank = trace.root.child("rank").unwrap();
+        assert_eq!(
+            rank.start_ns,
+            score.start_ns + score.dur_ns,
+            "a shared boundary"
+        );
+        assert_eq!(total("score") - before.0, score.dur_ns);
+        assert_eq!(total("rank") - before.1, rank.dur_ns);
     }
 }

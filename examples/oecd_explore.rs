@@ -145,6 +145,7 @@ fn main() {
         "rank",
         "diversify",
         "describe",
+        "index_serve",
         "carousel",
         "freeze",
     ] {

@@ -510,3 +510,58 @@ fn json_export_round_trips_and_structure_is_deterministic() {
     };
     assert_eq!(shape(&a), shape(&b));
 }
+
+/// Each query-path boundary is read once: the stage histogram's sample
+/// and the trace node's duration are the same reading, and tracing adds
+/// no sample an untraced run would not record.
+#[test]
+fn each_traced_step_is_its_stage_sample() {
+    let q = oecd_corr_query();
+    let counts = |fs: &Foresight| -> Vec<(String, u64, u64)> {
+        fs.metrics()
+            .stages
+            .iter()
+            .map(|s| (s.stage.clone(), s.count, s.total_ns))
+            .collect()
+    };
+    let delta = |before: &[(String, u64, u64)], after: &[(String, u64, u64)]| {
+        before
+            .iter()
+            .zip(after)
+            .map(|(b, a)| (a.0.clone(), a.1 - b.1, a.2 - b.2))
+            .collect::<Vec<_>>()
+    };
+
+    let mut traced = Foresight::new(datasets::oecd());
+    let before = counts(&traced);
+    let trace = traced.explain(&q).unwrap().trace.expect("forced trace");
+    let traced_delta = delta(&before, &counts(&traced));
+    for name in ["score", "rank", "describe"] {
+        let node = trace.root.child(name).expect("scored query's step");
+        let (_, count, total_ns) = traced_delta.iter().find(|(s, ..)| s == name).unwrap();
+        assert_eq!(*count, 1, "one {name} sample");
+        assert_eq!(*total_ns, node.dur_ns, "{name}: the sample is the node");
+    }
+
+    let mut untraced = Foresight::new(datasets::oecd());
+    let before = counts(&untraced);
+    untraced.query(&q).unwrap();
+    let untraced_delta = delta(&before, &counts(&untraced));
+    let sampled = |d: &[(String, u64, u64)]| {
+        d.iter()
+            .map(|(s, n, _)| (s.clone(), *n))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(sampled(&traced_delta), sampled(&untraced_delta));
+
+    // the walk of the order that explain filled: the same, for index_serve
+    let before = counts(&traced);
+    let trace = traced.explain(&q).unwrap().trace.expect("forced trace");
+    assert!(trace.index_served);
+    let walked_delta = delta(&before, &counts(&traced));
+    for name in ["index_serve", "describe"] {
+        let node = trace.root.child(name).expect("walked query's step");
+        let (_, count, total_ns) = walked_delta.iter().find(|(s, ..)| s == name).unwrap();
+        assert_eq!((*count, *total_ns), (1, node.dur_ns), "{name}");
+    }
+}
